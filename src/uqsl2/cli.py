@@ -422,6 +422,14 @@ def main(argv: list[str] | None = None) -> int:
     except UQSL2Error as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        # A crash is not a failed statement: exit 3, never 1.  traceback is
+        # imported here so that start-up does not pay for it.
+        import traceback
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -156,10 +156,6 @@ def unit_class(ctx: AlgebraContext) -> K0Element:
     return simple_class(ctx, ctx.half, 0)
 
 
-def k0_mul(a: K0Element, b: K0Element) -> K0Element:
-    return a * b
-
-
 # -- the presentation ring Z[g,x]/(g^2-1) ------------------------------------------
 
 

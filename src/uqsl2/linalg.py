@@ -174,53 +174,14 @@ def rank(ctx: FieldContext, rows) -> int:
     return ech.rank
 
 
-def nullspace_dim(ctx: FieldContext, rows, ncols: int) -> int:
-    return ncols - rank(ctx, rows)
-
-
-def coords_in_span(ctx: FieldContext, basis: list[Row], target: Row):
-    """Coefficients c with target = sum c_i * basis_i, or None if not in span.
-
-    Bookkeeping columns live above every real column, so elimination always
-    pivots on real coordinates and the tag entries just record the linear
-    combination that produced each reduced row.
-    """
-    k = len(basis)
-    top = 0
-    for row in basis:
-        if row:
-            top = max(top, max(row.keys()) + 1)
-    if target:
-        top = max(top, max(target.keys()) + 1)
-
-    def lift(row: Row, tag: int) -> Row:
-        out = dict(row)
-        out[top + tag] = ctx.one
-        return out
-
-    ech = Echelon(ctx)
-    for i, b in enumerate(basis):
-        ech.add(lift(b, i + 1))
-    rem = ech.reduce(lift(target, 0))
-    if any(c < top for c in rem):
-        return None
-    sigma = rem.get(top)
-    if sigma is None:
-        return None
-    inv = sigma.inverse()
-    coeffs = [ctx.zero] * k
-    for c, s in rem.items():
-        if c > top:
-            coeffs[c - top - 1] = -(s * inv)
-    return coeffs
-
-
 class SpanSolver:
     """Reusable coordinate solver over a fixed independent spanning set.
 
-    Same tag-column trick as coords_in_span, but the echelon is built once
-    and queried many times.  Targets must be supported on columns strictly
-    below `top`.
+    Bookkeeping columns live at and above `top`, above every real column,
+    so elimination always pivots on real coordinates and the tag entries
+    just record the linear combination that produced each reduced row.  The
+    echelon is built once and queried many times.  Targets must be
+    supported on columns strictly below `top`.
     """
 
     def __init__(self, ctx: FieldContext, basis: list[Row], top: int):
@@ -282,40 +243,3 @@ def nullspace_basis(ctx: FieldContext, rows, ncols: int) -> list[Row]:
                 vec[col] = -(acc / row[col])
         basis.append(vec)
     return basis
-
-
-def solve_linear(ctx: FieldContext, rows: list[Row], rhs: list[Scalar]):
-    """One solution x of A x = b (rows of A, dense-ish rhs), or None.
-
-    Intended for small systems; performs full elimination with an augmented
-    right-hand-side column placed above all real columns.
-    """
-    if len(rows) != len(rhs):
-        raise ValueError("rhs length must match row count")
-    ncols = 0
-    for row in rows:
-        if row:
-            ncols = max(ncols, max(row.keys()) + 1)
-    aug = ncols  # rhs column index
-    ech = Echelon(ctx)
-    for row, b in zip(rows, rhs):
-        lifted = dict(row)
-        if not b.is_zero():
-            lifted[aug] = b
-        rem = ech.reduce(lifted)
-        if rem and min(rem.keys()) == aug:
-            return None  # 0 = nonzero
-        if rem:
-            ech.pivot_rows[min(rem.keys())] = rem
-    # Back-substitute using the reduced pivot rows, free vars set to zero.
-    x = [ctx.zero] * ncols
-    for col in sorted(ech.pivot_rows.keys(), reverse=True):
-        if col == aug:
-            continue
-        row = ech.pivot_rows[col]
-        acc = row.get(aug, ctx.zero)
-        for c, s in row.items():
-            if c != col and c != aug:
-                acc = acc - s * x[c]
-        x[col] = acc / row[col]
-    return x

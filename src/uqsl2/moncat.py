@@ -54,11 +54,6 @@ SummandKey = tuple[str, int, int]  # ("S" | "P", i, j)
 # -- acting and tensoring ---------------------------------------------------------
 
 
-def act(x: AlgebraElement, M: Representation) -> SparseMap:
-    """Matrix of an algebra element on M in the module's basis."""
-    return M.act_matrix(x)
-
-
 def _accumulate(col: Col, row: int, s: Scalar) -> None:
     if s.is_zero():
         return

@@ -52,27 +52,6 @@ def exps_from_class(ctx: AlgebraContext, lam_exp: int, sgn_bit: int) -> tuple[in
     return kexp, khatexp
 
 
-def eigen_to_group_action(ctx: AlgebraContext, lam: Scalar, sign: Scalar) -> tuple[Scalar, Scalar]:
-    """Recover the (k, khat) eigenvalue pair from the eigenvalues of
-    k^{-1}khat and of the order-two element k khat^{n/2}."""
-    f = ctx.field
-    lam_exp = None
-    for e in range(ctx.N):
-        if lam == f.qpow(e):
-            lam_exp = e
-            break
-    if lam_exp is None:
-        raise EigendataError("k^{-1}khat eigenvalue must be a power of q")
-    if sign == f.one:
-        sgn_bit = 0
-    elif sign == -f.one:
-        sgn_bit = 1
-    else:
-        raise EigendataError("k khat^{n/2} eigenvalue must be +1 or -1")
-    kexp, khatexp = exps_from_class(ctx, lam_exp, sgn_bit)
-    return f.qpow(kexp), f.qpow(khatexp)
-
-
 class Representation:
     """A u-module with diagonal group action and sparse E/F column maps.
 
@@ -328,23 +307,23 @@ class Representation:
         )
 
 
-# -- strand coefficients ------------------------------------------------------
+# -- the E-chain ---------------------------------------------------------------
 
 
-def _e_strand_f(f: FieldContext, i: int, v: int) -> Scalar:
-    """F-coefficient within a strand of socle-type vectors: (v-1)_{1/q}(1-q^{2i-v})."""
-    return qint(f, v - 1, f.qpow(-1)) * (f.one - f.qpow(2 * i - v))
+def _chain(ctx: AlgebraContext, i: int, j: int, v: int):
+    """Class, grade and F-coefficient of chain coordinate v for label (i, j).
 
-
-def _a_strand_f(f: FieldContext, i: int, u: int) -> Scalar:
-    """F-coefficient within a lowest-weight strand: (u+2i-1)_{1/q}(1-q^{-u})."""
-    return qint(f, u + 2 * i - 1, f.qpow(-1)) * (f.one - f.qpow(-u))
-
-
-def _chain_a_f(f: FieldContext, i: int, s: int) -> Scalar:
-    """F-coefficient on the E-chain above the lowest weight vector of the
-    big cell: s_{1/q}(1-q^{2i-1-s})."""
-    return qint(f, s, f.qpow(-1)) * (f.one - f.qpow(2 * i - 1 - s))
+    The class is ((2i-2v) mod n^2, (v+j) mod 2) and the grade is v-n^2.  F
+    sends v to v-1 with coefficient (w-1)_{1/q}(1-q^{2i-w}), w = (v-1) mod
+    n^2 + 1, which vanishes exactly at v = 1 and at v = 2i, mod n^2.
+    """
+    f = ctx.field
+    N = ctx.N
+    w = (v - 1) % N + 1
+    coef = f.one - f.qpow(2 * i - w)
+    if not coef.is_zero():
+        coef = qint(f, w - 1, f.qpow(-1)) * coef
+    return ((2 * i - 2 * v) % N, (v + j) % 2), v - N, coef
 
 
 def _chain_g_f(f: FieldContext, i: int, s: int) -> Scalar:
@@ -373,20 +352,57 @@ def _assemble(ctx: AlgebraContext, label: str, eig, epairs, fpairs, grades=None)
     return Representation(ctx, label, kexp, khatexp, E, F, grades)
 
 
+def _strand_module(ctx: AlgebraContext, label: str, i: int, j: int,
+                   segments, bridge: int, lam: Scalar | None) -> Representation:
+    """A module cut out of the E-chain of label (i, j).
+
+    The chain has one basis vector for each integer coordinate v, of class
+    ((2i-2v) mod n^2, (v+j) mod 2) and grade v-n^2.  E sends v to v+1 with
+    coefficient 1, and F sends v to v-1 with (w-1)_{1/q}(1-q^{2i-w}),
+    w = (v-1) mod n^2 + 1, which is 0 exactly at v = 1 and at v = 2i, mod n^2;
+    `_chain` is the one place these formulas are computed.
+
+    The module's basis is the coordinates of the [lo, hi] segments, in the
+    order given, and an arrow is kept when its target is in the basis.  At
+    the bridge residue b the chain turns round: no E arrow leaves a
+    v = b mod n^2, and F sends v+1 to v with coefficient 1 in place of the
+    chain coefficient 0.  With a tube parameter lam the module carries no
+    grading, and F also sends each v = 1 mod n^2 to v+n^2-1 with
+    coefficient lam.
+    """
+    f = ctx.field
+    N = ctx.N
+    order = [v for lo, hi in segments for v in range(lo, hi + 1)]
+    pos = {v: p for p, v in enumerate(order)}
+    eig = []
+    grades = []
+    epairs = []
+    fpairs = [] if lam is None else \
+        [(pos[v + N - 1], p, lam) for p, v in enumerate(order) if v % N == 1]
+    for p, v in enumerate(order):
+        cls, grade, coef = _chain(ctx, i, j, v)
+        eig.append(cls)
+        grades.append(grade)
+        if (v - bridge) % N and v + 1 in pos:
+            epairs.append((pos[v + 1], p, f.one))
+        if v - 1 in pos:
+            fpairs.append((pos[v - 1], p, coef if (v - 1 - bridge) % N else f.one))
+    return _assemble(ctx, label, eig, epairs, fpairs, grades if lam is None else None)
+
+
+def _zigzag(N: int, i: int, ne: int, na: int) -> list[tuple[int, int]]:
+    """ne segments [m n^2+1, m n^2+2i-1], then na segments [t n^2+2i, (t+1) n^2]."""
+    return [(m * N + 1, m * N + 2 * i - 1) for m in range(ne)] + \
+           [(t * N + 2 * i, (t + 1) * N) for t in range(na)]
+
+
 # -- constructors ---------------------------------------------------------------
 
 
 def simple(ctx: AlgebraContext, i: int, j: int) -> Representation:
     """The simple module of dimension n^2-2i+1 with lowest weight data (i, j)."""
     _check_label(ctx, i, j)
-    f = ctx.field
-    N = ctx.N
-    d = N - 2 * i
-    eig = [((-2 * i - 2 * t) % N, (t + j) % 2) for t in range(d + 1)]
-    epairs = [(t + 1, t, f.one) for t in range(d)]
-    fpairs = [(t - 1, t, _a_strand_f(f, i, t)) for t in range(1, d + 1)]
-    grades = [2 * i - N + t for t in range(d + 1)]
-    return _assemble(ctx, f"S({2 * i},{j})", eig, epairs, fpairs, grades)
+    return _strand_module(ctx, f"S({2 * i},{j})", i, j, [(2 * i, ctx.N)], 0, None)
 
 
 def projective(ctx: AlgebraContext, i: int, j: int) -> Representation:
@@ -395,21 +411,17 @@ def projective(ctx: AlgebraContext, i: int, j: int) -> Representation:
     _check_label(ctx, i, j)
     f = ctx.field
     N = ctx.N
-    eig = []
-    grades = []
-    for s in range(N):
-        eig.append(((2 * i - 2 - 2 * s) % N, (s + 1 + j) % 2))
-        grades.append(s + 1 - N)
-    for s in range(N):
-        eig.append(((-2 * i - 2 * s) % N, (s + j) % 2))
-        grades.append(s + 2 * i - N)
+    achain = [_chain(ctx, i, j, s + 1) for s in range(N)]
+    gchain = [_chain(ctx, i, j, s + 2 * i) for s in range(N)]
+    eig = [c[0] for c in achain + gchain]
+    grades = [c[1] for c in achain + gchain]
     epairs = []
     fpairs = []
     for s in range(N - 1):
         epairs.append((s + 1, s, f.one))
         epairs.append((N + s + 1, N + s, f.one))
     for s in range(1, N):
-        coefa = _chain_a_f(f, i, s)
+        coefa = achain[s][2]
         if not coefa.is_zero():
             fpairs.append((s - 1, s, coefa))
         coefg = _chain_g_f(f, i, s)
@@ -430,17 +442,7 @@ def projective_generator_index(ctx: AlgebraContext) -> int:
 def verma(ctx: AlgebraContext, i: int, j: int) -> Representation:
     """The standard module E^s.alpha, s < n^2, with one broken F-arrow."""
     _check_label(ctx, i, j)
-    f = ctx.field
-    N = ctx.N
-    eig = [((2 * i - 2 - 2 * s) % N, (s + 1 + j) % 2) for s in range(N)]
-    grades = [s + 1 - N for s in range(N)]
-    epairs = [(s + 1, s, f.one) for s in range(N - 1)]
-    fpairs = []
-    for s in range(1, N):
-        coefa = _chain_a_f(f, i, s)
-        if not coefa.is_zero():
-            fpairs.append((s - 1, s, coefa))
-    return _assemble(ctx, f"M({2 * i},{j})", eig, epairs, fpairs, grades)
+    return _strand_module(ctx, f"M({2 * i},{j})", i, j, [(1, ctx.N)], 0, None)
 
 
 def family_V(ctx: AlgebraContext, i: int, j: int, l: int) -> Representation:
@@ -449,51 +451,8 @@ def family_V(ctx: AlgebraContext, i: int, j: int, l: int) -> Representation:
     _check_label(ctx, i, j)
     if l < 0:
         raise InvalidArgumentError("strand count l must be >= 0")
-    f = ctx.field
-    N = ctx.N
-    ne = 2 * i - 1
-    na = N - 2 * i + 1
-    aoff = (l + 1) * ne
-
-    def eidx(m, v):
-        return m * ne + (v - 1)
-
-    def aidx(t, u):
-        return aoff + t * na + u
-
-    eig = []
-    grades = []
-    for m in range(l + 1):
-        for v in range(1, ne + 1):
-            eig.append(((2 * i - 2 * v) % N, (v + j) % 2))
-            grades.append(v - N + m * N)
-    for t in range(l):
-        for u in range(na):
-            eig.append(((-2 * i - 2 * u) % N, (u + j) % 2))
-            grades.append(2 * i + u - N + t * N)
-    epairs = []
-    fpairs = []
-    for m in range(l + 1):
-        for v in range(1, ne + 1):
-            if v < ne:
-                epairs.append((eidx(m, v + 1), eidx(m, v), f.one))
-            elif m < l:
-                epairs.append((aidx(m, 0), eidx(m, v), f.one))
-            if v > 1:
-                coef = _e_strand_f(f, i, v)
-                if not coef.is_zero():
-                    fpairs.append((eidx(m, v - 1), eidx(m, v), coef))
-            elif m > 0:
-                fpairs.append((aidx(m - 1, na - 1), eidx(m, 1), f.one))
-    for t in range(l):
-        for u in range(na):
-            if u < na - 1:
-                epairs.append((aidx(t, u + 1), aidx(t, u), f.one))
-            if u > 0:
-                coef = _a_strand_f(f, i, u)
-                if not coef.is_zero():
-                    fpairs.append((aidx(t, u - 1), aidx(t, u), coef))
-    return _assemble(ctx, f"V({2 * i},{j};l={l})", eig, epairs, fpairs, grades)
+    return _strand_module(ctx, f"V({2 * i},{j};l={l})", i, j,
+                          _zigzag(ctx.N, i, l + 1, l), 0, None)
 
 
 def family_Vt(ctx: AlgebraContext, i: int, j: int, l: int) -> Representation:
@@ -501,51 +460,8 @@ def family_Vt(ctx: AlgebraContext, i: int, j: int, l: int) -> Representation:
     _check_label(ctx, i, j)
     if l < 0:
         raise InvalidArgumentError("strand count l must be >= 0")
-    f = ctx.field
-    N = ctx.N
-    ne = 2 * i - 1
-    na = N - 2 * i + 1
-    aoff = (l + 1) * ne
-
-    def eidx(m, v):
-        return m * ne + (v - 1)
-
-    def aidx(t, u):
-        return aoff + (t - 1) * na + u
-
-    eig = []
-    grades = []
-    for m in range(l + 1):
-        for v in range(1, ne + 1):
-            eig.append(((2 * i - 2 * v) % N, (v + j) % 2))
-            grades.append(v - N + m * N)
-    for t in range(1, l + 1):
-        for u in range(na):
-            eig.append(((-2 * i - 2 * u) % N, (u + j) % 2))
-            grades.append(u + 2 * i - 2 * N + t * N)
-    epairs = []
-    fpairs = []
-    for m in range(l + 1):
-        for v in range(1, ne + 1):
-            if v < ne:
-                epairs.append((eidx(m, v + 1), eidx(m, v), f.one))
-            if v > 1:
-                coef = _e_strand_f(f, i, v)
-                if not coef.is_zero():
-                    fpairs.append((eidx(m, v - 1), eidx(m, v), coef))
-    for t in range(1, l + 1):
-        for u in range(na):
-            if u < na - 1:
-                epairs.append((aidx(t, u + 1), aidx(t, u), f.one))
-            else:
-                epairs.append((eidx(t, 1), aidx(t, u), f.one))
-            if u > 0:
-                coef = _a_strand_f(f, i, u)
-                if not coef.is_zero():
-                    fpairs.append((aidx(t, u - 1), aidx(t, u), coef))
-            else:
-                fpairs.append((eidx(t - 1, ne), aidx(t, 0), f.one))
-    return _assemble(ctx, f"Vt({2 * i},{j};l={l})", eig, epairs, fpairs, grades)
+    return _strand_module(ctx, f"Vt({2 * i},{j};l={l})", i, j,
+                          _zigzag(ctx.N, i, l + 1, l), 2 * i - 1, None)
 
 
 def family_W(ctx: AlgebraContext, i: int, j: int, l: int) -> Representation:
@@ -553,31 +469,7 @@ def family_W(ctx: AlgebraContext, i: int, j: int, l: int) -> Representation:
     _check_label(ctx, i, j)
     if l < 1:
         raise InvalidArgumentError("strand count l must be >= 1")
-    f = ctx.field
-    N = ctx.N
-
-    def idx(m, u):
-        return (m - 1) * N + (u - 1)
-
-    eig = []
-    grades = []
-    for m in range(1, l + 1):
-        for u in range(1, N + 1):
-            eig.append(((2 * i - 2 * u) % N, (u + j) % 2))
-            grades.append(u - N + (m - 1) * N)
-    epairs = []
-    fpairs = []
-    for m in range(1, l + 1):
-        for u in range(1, N + 1):
-            if u < N:
-                epairs.append((idx(m, u + 1), idx(m, u), f.one))
-            if u > 1:
-                coef = _e_strand_f(f, i, u)
-                if not coef.is_zero():
-                    fpairs.append((idx(m, u - 1), idx(m, u), coef))
-            elif m > 1:
-                fpairs.append((idx(m - 1, N), idx(m, 1), f.one))
-    return _assemble(ctx, f"W({2 * i},{j};l={l})", eig, epairs, fpairs, grades)
+    return _strand_module(ctx, f"W({2 * i},{j};l={l})", i, j, [(1, l * ctx.N)], 0, None)
 
 
 def family_Wt(ctx: AlgebraContext, i: int, j: int, l: int) -> Representation:
@@ -587,43 +479,9 @@ def family_Wt(ctx: AlgebraContext, i: int, j: int, l: int) -> Representation:
     _check_label(ctx, i, j)
     if l < 1:
         raise InvalidArgumentError("strand count l must be >= 1")
-    f = ctx.field
     N = ctx.N
-    order = []
-    pos = {}
-    for u in range(2 * i, N + 1):
-        pos[(0, u)] = len(order)
-        order.append((0, u))
-    for m in range(1, l):
-        for u in range(1, N + 1):
-            pos[(m, u)] = len(order)
-            order.append((m, u))
-    for u in range(1, 2 * i):
-        pos[(l, u)] = len(order)
-        order.append((l, u))
-    eig = []
-    grades = []
-    for m, u in order:
-        eig.append(((2 * i - 2 * u) % N, (u + j) % 2))
-        grades.append(u - N + (m - 1) * N)
-    epairs = []
-    fpairs = []
-    for m, u in order:
-        c = pos[(m, u)]
-        if (m, u + 1) in pos:
-            epairs.append((pos[(m, u + 1)], c, f.one))
-        if u > 1:
-            coef = _e_strand_f(f, i, u)
-            if not coef.is_zero():
-                if (m, u - 1) not in pos:
-                    raise ConstructionError("nonzero F arrow points outside the basis")
-                fpairs.append((pos[(m, u - 1)], c, coef))
-        elif (m - 1, N) in pos:
-            fpairs.append((pos[(m - 1, N)], c, f.one))
-    rep = _assemble(ctx, f"Wt({2 * i},{j};l={l})", eig, epairs, fpairs, grades)
-    if rep.dim != l * N:
-        raise ConstructionError("strand bookkeeping lost basis vectors")
-    return rep
+    return _strand_module(ctx, f"Wt({2 * i},{j};l={l})", i, j,
+                          [(2 * i - N, (l - 1) * N + 2 * i - 1)], 0, None)
 
 
 def family_T(ctx: AlgebraContext, i: int, j: int, l: int, lam: Scalar) -> Representation:
@@ -636,53 +494,8 @@ def family_T(ctx: AlgebraContext, i: int, j: int, l: int, lam: Scalar) -> Repres
         raise InvalidArgumentError("tube parameter must be a field Scalar")
     if lam.is_zero():
         raise InvalidArgumentError("tube parameter must be nonzero")
-    f = ctx.field
-    N = ctx.N
-    ne = 2 * i - 1
-    na = N - 2 * i + 1
-    aoff = l * ne
-
-    def eidx(m, v):
-        return (m - 1) * ne + (v - 1)
-
-    def aidx(m, u):
-        return aoff + (m - 1) * na + u
-
-    eig = []
-    for m in range(1, l + 1):
-        for v in range(1, ne + 1):
-            eig.append(((2 * i - 2 * v) % N, (v + j) % 2))
-    for m in range(1, l + 1):
-        for u in range(na):
-            eig.append(((-2 * i - 2 * u) % N, (u + j) % 2))
-    epairs = []
-    fpairs = []
-    for m in range(1, l + 1):
-        for v in range(1, ne + 1):
-            if v < ne:
-                epairs.append((eidx(m, v + 1), eidx(m, v), f.one))
-            else:
-                epairs.append((aidx(m, 0), eidx(m, v), f.one))
-            if v > 1:
-                coef = _e_strand_f(f, i, v)
-                if not coef.is_zero():
-                    fpairs.append((eidx(m, v - 1), eidx(m, v), coef))
-            else:
-                fpairs.append((aidx(m, na - 1), eidx(m, 1), lam))
-                if m > 1:
-                    fpairs.append((aidx(m - 1, na - 1), eidx(m, 1), f.one))
-        for u in range(na):
-            if u < na - 1:
-                epairs.append((aidx(m, u + 1), aidx(m, u), f.one))
-            if u > 0:
-                coef = _a_strand_f(f, i, u)
-                if not coef.is_zero():
-                    fpairs.append((aidx(m, u - 1), aidx(m, u), coef))
-    return _assemble(
-        ctx,
-        f"T({2 * i},{j};l={l};c={scalar_to_str(lam)})",
-        eig, epairs, fpairs, None,
-    )
+    return _strand_module(ctx, f"T({2 * i},{j};l={l};c={scalar_to_str(lam)})", i, j,
+                          _zigzag(ctx.N, i, l, l), 0, lam)
 
 
 def all_labels(ctx: AlgebraContext) -> list[tuple[int, int]]:
@@ -699,12 +512,8 @@ def partner_label(ctx: AlgebraContext, i: int, j: int) -> tuple[int, int]:
 
 def _simple_chain_data(ctx: AlgebraContext, i: int, j: int):
     """Top index d, per-vector classes, and F coefficients of S(2i,j)."""
-    f = ctx.field
-    N = ctx.N
-    d = N - 2 * i
-    classes = [((-2 * i - 2 * t) % N, (t + j) % 2) for t in range(d + 1)]
-    fc = [f.zero] + [_a_strand_f(f, i, t) for t in range(1, d + 1)]
-    return d, classes, fc
+    chain = [_chain(ctx, i, j, v) for v in range(2 * i, ctx.N + 1)]
+    return len(chain) - 1, [c[0] for c in chain], [c[2] for c in chain]
 
 
 def _var_groups(M: Representation, var_rows) -> list[list[int]]:
@@ -1523,7 +1332,7 @@ def verify_projective_vs_ideal(ctx: AlgebraContext, i: int, j: int) -> CheckRepo
     zero = ctx.zero_elem
     for s in range(N):
         fa = ctx.F * achain[s]
-        want = achain[s - 1].scale(_chain_a_f(f, i, s)) if s >= 1 else zero
+        want = achain[s - 1].scale(_chain(ctx, i, j, s + 1)[2]) if s >= 1 else zero
         if fa != want:
             bad = f"F action on a-chain vector {s} disagrees inside u"
             break

@@ -22,13 +22,30 @@ def test_rejects_bad_n(capsys):
     assert "multiple of 4" in err
 
 
-def test_rejects_bad_labels_and_families(capsys):
-    assert run_main(["tensor", "badlabel", "simple:1,0"], capsys)[0] == 2
-    assert run_main(["tensor", "simple:1", "simple:1,0"], capsys)[0] == 2
-    assert run_main(["tensor", "simple:a,b", "simple:1,0"], capsys)[0] == 2
-    assert run_main(["module", "W", "--i", "1", "--j", "0"], capsys)[0] == 2
-    assert run_main(["module", "T", "--i", "2", "--j", "1", "--l", "1"], capsys)[0] == 2
-    assert run_main(["module", "simple", "--i", "9", "--j", "0"], capsys)[0] == 2
+def test_rejects_bad_labels_and_families(tmp_path, capsys):
+    bad_cache = tmp_path / "bad.json"
+    bad_cache.write_text('{"version":1,"n":4,"ef":{"3":[]}}')
+    list_cache = tmp_path / "list.json"
+    list_cache.write_text("[]")
+    # (argv, exit code): 2 for bad input, 3 for an internal error; a
+    # malformed input must never exit 1, the "statement failed" code
+    table = [
+        (["tensor", "badlabel", "simple:1,0"], 2),
+        (["tensor", "simple:1", "simple:1,0"], 2),
+        (["tensor", "simple:a,b", "simple:1,0"], 2),
+        (["module", "W", "--i", "1", "--j", "0"], 2),
+        (["module", "T", "--i", "2", "--j", "1", "--l", "1"], 2),
+        (["module", "simple", "--i", "9", "--j", "0"], 2),
+        (["module", "V", "--i", "1", "--j", "0", "--l", "-1"], 2),
+        (["module", "T", "--i", "2", "--j", "1", "--l", "1", "--lambda", "0"], 2),
+        (["table", "k0", "--cache", str(bad_cache)], 3),
+        (["table", "k0", "--cache", str(list_cache)], 3),
+    ]
+    for argv, want in table:
+        code, _, err = run_main(argv, capsys)
+        assert code == want, (argv, code, err)
+        if want == 3:
+            assert err.rstrip().splitlines()[-1].startswith("internal error: ")
 
 
 def test_module_text_output(capsys):

@@ -9,7 +9,6 @@ from uqsl2.errors import (
     RepresentationError,
 )
 from uqsl2.moncat import (
-    act,
     clebsch_gordan_table,
     composition_counts,
     decompose,
@@ -68,7 +67,7 @@ def test_tensor_action_matches_coproduct(actx, qh):
     N = projective(actx, 8, 1)
     T = tensor(M, N)
     for x in (actx.E, actx.F, actx.k, actx.khat):
-        assert act(x, T) == tensor_action_from_coproduct(qh, M, N, x)
+        assert T.act_matrix(x) == tensor_action_from_coproduct(qh, M, N, x)
 
 
 def test_tensor_coproduct_consistency_sweep(actx):
@@ -86,13 +85,13 @@ def test_act_identity_and_generators(actx):
     M = simple(actx, 6, 1)
     one = actx.field.one
     ident = {c: {c: one} for c in range(M.dim)}
-    assert act(actx.one_elem, M) == ident
-    assert act(actx.E, M) == M.E
-    assert act(actx.F, M) == M.F
+    assert M.act_matrix(actx.one_elem) == ident
+    assert M.act_matrix(actx.E) == M.E
+    assert M.act_matrix(actx.F) == M.F
     # the sixteen weight idempotents resolve the identity on any module
     total = {}
     for i, j in all_labels(actx):
-        for c, col in act(actx.idempotent_e(i, j), M).items():
+        for c, col in M.act_matrix(actx.idempotent_e(i, j)).items():
             for r, s in col.items():
                 acc = total.setdefault(c, {})
                 v = acc.get(r, actx.field.zero) + s

@@ -1,5 +1,8 @@
 """Module constructors, Hom spaces, and structure tools."""
 
+import hashlib
+import json
+
 import pytest
 
 from uqsl2 import reps
@@ -14,7 +17,7 @@ from uqsl2.reps import (
     block_structure,
     cosyzygy,
     direct_sum,
-    eigen_to_group_action,
+    exps_from_class,
     family_T,
     family_V,
     family_Vt,
@@ -78,24 +81,17 @@ def test_schur_between_simples(actx):
             assert hom_from_simple(S, i2, j2, dim_only=True) == want
 
 
-def test_eigen_to_group_action_roundtrip(actx):
-    f = actx.field
+def test_exps_from_class_roundtrip(actx):
     seen = 0
     for i, j in all_labels(actx):
         S = simple(actx, i, j)
-        for r in range(S.dim):
-            lam, sgn = S.classes()[r]
-            ke, khe = eigen_to_group_action(actx, f.qpow(lam), f.sign(sgn))
-            assert ke == f.qpow(S.kexp[r])
-            assert khe == f.qpow(S.khatexp[r])
+        for r, (lam, sgn) in enumerate(S.classes()):
+            assert exps_from_class(actx, lam, sgn) == (S.kexp[r], S.khatexp[r])
             seen += 1
     assert seen == 128
+    # k^{-1}khat = q^1 with k khat^{n/2} = +1 is not realized by the group algebra
     with pytest.raises(EigendataError):
-        eigen_to_group_action(actx, f.qpow(1), f.one)
-    with pytest.raises(EigendataError):
-        eigen_to_group_action(actx, f.from_int(2), f.one)
-    with pytest.raises(EigendataError):
-        eigen_to_group_action(actx, f.qpow(2), f.from_int(3))
+        exps_from_class(actx, 1, 0)
 
 
 def test_projective_modules(actx):
@@ -297,3 +293,42 @@ def test_act_vec_matches_matrix_action(actx):
     assert sum(P.graded_character().values()) == P.dim
     with pytest.raises(InvalidArgumentError):
         family_T(actx, 2, 0, 1, f.one).graded_character()
+
+
+# sha256 of the canonical rep_to_dict dumps of every module below, one line
+# each, in loop order: pins the exact basis order, classes, grades and
+# matrices of each constructor.
+GOLDEN_N4 = {
+    "simple": "67d056f892f382425bff6318e40dff20b4df73e187b205dd5f03553d7c6944b0",
+    "verma": "34ee124413a992d4ea8230ca9a0910d2edefc88239f941e18525076e07eaba6d",
+    "projective": "9368eee41b8b7bae0db403e279bf649643fd65130eb73cde6c7c9ad6e6a46f6a",
+    "family_V": "0dbe5f6e7bbc27aac3d95aa1d243fa177bea8232a4299285c142963387a06142",
+    "family_Vt": "29fe6c79bf3307d3525ffa273c2e7db99ae3804ac24c3c106c8f61b31d839081",
+    "family_W": "9dc5a4c426b62cb848591fc9a71c003ee630f5f6a00f527e20fe7e31a408193a",
+    "family_Wt": "bb77d9716893d9b1c71f16d654586410fc1c73a30419e229c345c411b39b16b1",
+    "family_T": "248e27e93dabf088e8e8b22b520a3c16b86c921bd575293277aa8d128b5259db",
+}
+
+
+def test_constructor_golden_digests(actx):
+    f = actx.field
+    labels = all_labels(actx)
+    lams = (f.one, -f.one, f.from_int(2))
+    cases = {
+        "simple": [(i, j) for i, j in labels],
+        "verma": [(i, j) for i, j in labels],
+        "projective": [(i, j) for i, j in labels],
+        "family_V": [(i, j, l) for i, j in labels for l in range(4)],
+        "family_Vt": [(i, j, l) for i, j in labels for l in range(4)],
+        "family_W": [(i, j, l) for i, j in labels for l in range(1, 4)],
+        "family_Wt": [(i, j, l) for i, j in labels for l in range(1, 4)],
+        "family_T": [(i, j, l, lam) for i, j in labels for l in range(1, 4) for lam in lams],
+    }
+    got = {}
+    for name, arglist in cases.items():
+        h = hashlib.sha256()
+        for args in arglist:
+            M = getattr(reps, name)(actx, *args)
+            h.update(json.dumps(rep_to_dict(M), sort_keys=True).encode() + b"\n")
+        got[name] = h.hexdigest()
+    assert got == GOLDEN_N4
