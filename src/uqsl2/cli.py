@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ from . import __version__
 from .errors import InvalidArgumentError, UQSL2Error, UnsupportedParameterError
 from .k0ring import k0_reports, k0_table
 from .moncat import clebsch_gordan_table, decompose, summand_name, tensor, tensor_reports
-from .qgroup import AlgebraContext, algebra_context
+from .qgroup import AlgebraContext
 from .quasihopf import QuasiHopfData, axiom_reports
 from .report import CheckReport
 from .reps import (
@@ -50,18 +49,13 @@ class RunConfig:
     fmt: str = "text"
     seed: int = 0
     slow: bool = False
-    cache_path: str | None = None
     out: str | None = None
 
 
 def build_context(cfg: RunConfig) -> AlgebraContext:
     if cfg.n <= 0 or cfg.n % 4 != 0:
         raise UnsupportedParameterError(f"n must be a positive multiple of 4, got {cfg.n}")
-    ctx = algebra_context(cfg.n, cfg.cache_path)
-    if cfg.cache_path is not None and not os.path.exists(cfg.cache_path):
-        ctx.warm()
-        ctx.save_cache(cfg.cache_path)
-    return ctx
+    return AlgebraContext(cfg.n)
 
 
 def _emit(text: str, cfg: RunConfig) -> None:
@@ -362,7 +356,6 @@ def make_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
     common.add_argument("--slow", action="store_true", help="run exhaustive variants")
-    common.add_argument("--cache", dest="cache_path", help="rewrite-table cache file")
     common.add_argument("--out", help="write output to this file instead of stdout")
 
     parser = argparse.ArgumentParser(
@@ -400,7 +393,6 @@ def main(argv: list[str] | None = None) -> int:
         fmt=args.fmt,
         seed=args.seed,
         slow=args.slow,
-        cache_path=args.cache_path,
         out=args.out,
     )
     try:

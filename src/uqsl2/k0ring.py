@@ -46,15 +46,13 @@ def _expand_products(
     return {k: v for k, v in out.items() if v}
 
 
-_BASIS_CACHE: dict[tuple[int, Label, Label], dict[Label, int]] = {}
-
-
 def basis_product(ctx: AlgebraContext, k1: Label, k2: Label) -> dict[Label, int]:
     """Structure constants of [S_k1]*[S_k2] in the simple-class basis."""
-    hit = _BASIS_CACHE.get((ctx.n, k1, k2))
+    hit = ctx.memo.get(("basis", k1, k2))
     if hit is None:
-        hit = _expand_products(ctx, k1[0], k1[1], k2[0], k2[1], 2, 2)
-        _BASIS_CACHE[(ctx.n, k1, k2)] = hit
+        hit = ctx.memo[("basis", k1, k2)] = _expand_products(
+            ctx, k1[0], k1[1], k2[0], k2[1], 2, 2
+        )
     return hit
 
 
@@ -243,15 +241,12 @@ def pres_x() -> PresPoly:
     return PresPoly({(1, 0): 1})
 
 
-_F_CACHE: dict[tuple[int, int], PresPoly] = {}
-
-
 def f_poly(ctx: AlgebraContext, m: int, j: int) -> PresPoly:
     """The polynomial f_{2m,j}: f_{0,j} = g^j, f_{2,j} = x g^j, and
     f_{2(m+1),j} = (x - g) f_{2m,j} - f_{2(m-1),j}, with g^2 -> 1."""
     if not (0 <= m <= ctx.half - 1) or j not in (0, 1):
         raise InvalidArgumentError(f"bad f-polynomial index ({m}, {j})")
-    hit = _F_CACHE.get((m, j))
+    hit = ctx.memo.get(("f_poly", m, j))
     if hit is not None:
         return hit
     if m == 0:
@@ -261,7 +256,7 @@ def f_poly(ctx: AlgebraContext, m: int, j: int) -> PresPoly:
     else:
         xg = pres_x() - pres_g()
         out = xg * f_poly(ctx, m - 1, j) - f_poly(ctx, m - 2, j)
-    _F_CACHE[(m, j)] = out
+    ctx.memo[("f_poly", m, j)] = out
     return out
 
 

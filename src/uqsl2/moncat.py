@@ -205,15 +205,10 @@ def _total_dim(ctx: AlgebraContext, summands: dict[SummandKey, int]) -> int:
     return sum(m * summand_dim(ctx, key) for key, m in summands.items())
 
 
-_CHAR_CACHE: dict[tuple[int, SummandKey], dict] = {}
-_GRADED_CHAR_CACHE: dict[tuple[int, SummandKey], dict] = {}
-
-
 def _summand_character(ctx: AlgebraContext, key: SummandKey) -> dict[Label, int]:
-    hit = _CHAR_CACHE.get((ctx.n, key))
+    hit = ctx.memo.get(("char", key))
     if hit is None:
-        hit = summand_module(ctx, key).character()
-        _CHAR_CACHE[(ctx.n, key)] = hit
+        hit = ctx.memo[("char", key)] = summand_module(ctx, key).character()
     return hit
 
 
@@ -227,10 +222,11 @@ def relative_graded_character(M: Representation) -> dict[tuple[int, int, int], i
 def _summand_graded_character(
     ctx: AlgebraContext, key: SummandKey
 ) -> dict[tuple[int, int, int], int]:
-    hit = _GRADED_CHAR_CACHE.get((ctx.n, key))
+    hit = ctx.memo.get(("graded_char", key))
     if hit is None:
-        hit = relative_graded_character(summand_module(ctx, key))
-        _GRADED_CHAR_CACHE[(ctx.n, key)] = hit
+        hit = ctx.memo[("graded_char", key)] = relative_graded_character(
+            summand_module(ctx, key)
+        )
     return hit
 
 
@@ -372,9 +368,6 @@ def solve_height_offsets(
 
 # -- fusion rules -----------------------------------------------------------------
 
-_RULE_CACHE: dict[tuple, dict[SummandKey, int]] = {}
-
-
 def _add_summand(
     ctx: AlgebraContext, out: dict[SummandKey, int], kind: str, two_i: int, j: int, mult: int
 ) -> None:
@@ -393,10 +386,6 @@ def simple_simple_rule(
     versus the strict opposite (a projective tail appears), refined by
     i1 <= i2.  Both orders of each case give the same multiset.
     """
-    cache_key = (ctx.n, "S", i1, j1, i2, j2)
-    hit = _RULE_CACHE.get(cache_key)
-    if hit is not None:
-        return dict(hit)
     N, half = ctx.N, ctx.half
     out: dict[SummandKey, int] = {}
     if 2 * i1 - 1 >= N - 2 * i2 + 1:
@@ -417,7 +406,6 @@ def simple_simple_rule(
             _add_summand(
                 ctx, out, "P", N - 2 * i1 - 2 * i2 + 2 - 2 * l, j1 + j2 + l - 1, 1
             )
-    _RULE_CACHE[cache_key] = dict(out)
     return out
 
 
@@ -425,10 +413,6 @@ def projective_simple_rule(
     ctx: AlgebraContext, i1: int, j1: int, i2: int, j2: int
 ) -> dict[SummandKey, int]:
     """Expected summands of P(2*i1,j1) (x) S(2*i2,j2); always projective."""
-    cache_key = (ctx.n, "P", i1, j1, i2, j2)
-    hit = _RULE_CACHE.get(cache_key)
-    if hit is not None:
-        return dict(hit)
     N, half = ctx.N, ctx.half
     out: dict[SummandKey, int] = {}
     if 2 * i1 - 1 >= N - 2 * i2 + 1:
@@ -453,7 +437,6 @@ def projective_simple_rule(
             _add_summand(
                 ctx, out, "P", N - 2 * i1 - 2 * i2 + 2 - 2 * l, j1 + j2 + l - 1, 2
             )
-    _RULE_CACHE[cache_key] = dict(out)
     return out
 
 
@@ -826,19 +809,15 @@ def verify_projective_simple_tensors(ctx: AlgebraContext) -> CheckReport:
     )
 
 
-_PRODUCT_CACHE: dict[tuple, DecompositionResult] = {}
-
-
 def decompose_standard_product(
     ctx: AlgebraContext, left: SummandKey, right: SummandKey
 ) -> DecompositionResult:
-    """Engine decomposition of a product of named modules, memoized."""
-    key = (ctx.n, left, right)
-    hit = _PRODUCT_CACHE.get(key)
+    """Engine decomposition of a product of named modules, memoized on ctx."""
+    key = ("product", left, right)
+    hit = ctx.memo.get(key)
     if hit is None:
         T = tensor(summand_module(ctx, left), summand_module(ctx, right))
-        hit = decompose(T)
-        _PRODUCT_CACHE[key] = hit
+        hit = ctx.memo[key] = decompose(T)
     return hit
 
 
@@ -864,9 +843,22 @@ def verify_simple_simple_tensors(ctx: AlgebraContext) -> CheckReport:
     """Full sweep: S (x) S decomposes per the four-case fusion rule.
 
     Every ordered pair runs through the radical-filtration engine with all
-    guards; the fourth case's left factor is read as a simple module (the
-    stated summands total dim S (x) S, and never dim P (x) S).
+    guards.  A passing sweep also decides the two other claims in the
+    statement:
+
+    * every summand is simple or projective: each pair needs `dec.ok` and
+      `dec.summands == rule`, the rule only has S and P keys, and `decompose`
+      only emits S and P keys;
+    * the mixed case with i1 > i2 reads both factors as simple: each pair
+      checks that the rule's summands total (N-2*i1+1)(N-2*i2+1) = dim S (x) S
+      with N = n^2, and that never equals 2N(N-2*i2+1) = dim P (x) S,
+      because N-2*i1+1 < 2N.
     """
+    statement = (
+        "simple-by-simple products match the fusion rule, every summand is "
+        "simple or projective, and the mixed case with i1 > i2 reads both "
+        "factors as simple"
+    )
     start = time.time()
     checked = 0
     for i1, j1 in all_labels(ctx):
@@ -875,64 +867,15 @@ def verify_simple_simple_tensors(ctx: AlgebraContext) -> CheckReport:
             dim_ss = (ctx.N - 2 * i1 + 1) * (ctx.N - 2 * i2 + 1)
             checked += 1
             if _total_dim(ctx, expected) != dim_ss:
-                return CheckReport(
-                    "simple-by-simple products match the fusion rule",
-                    False,
-                    checked,
+                fail = (
                     f"S({2 * i1},{j1})(x)S({2 * i2},{j2}): "
-                    f"rule dimensions add to {_total_dim(ctx, expected)}",
-                    time.time() - start,
+                    f"rule dimensions add to {_total_dim(ctx, expected)}"
                 )
-            fail = _engine_matches(ctx, ("S", i1, j1), ("S", i2, j2), expected)
+            else:
+                fail = _engine_matches(ctx, ("S", i1, j1), ("S", i2, j2), expected)
             if fail is not None:
-                return CheckReport(
-                    "simple-by-simple products match the fusion rule",
-                    False,
-                    checked,
-                    fail,
-                    time.time() - start,
-                )
-    return CheckReport(
-        "simple-by-simple products match the fusion rule",
-        True,
-        checked,
-        None,
-        time.time() - start,
-    )
-
-
-def verify_fourth_case_factor_reading(ctx: AlgebraContext) -> CheckReport:
-    """The mixed fusion case pairs with S (x) S dimensions, not P (x) S.
-
-    For every pair with i1 > i2 and 2*i1 - 1 < n^2 - 2*i2 + 1 the stated
-    summand dimensions total (n^2-2*i1+1)(n^2-2*i2+1); a projective left
-    factor would need 2n^2(n^2-2*i2+1), which never matches.
-    """
-    start = time.time()
-    checked = 0
-    for i1, j1 in all_labels(ctx):
-        for i2, j2 in all_labels(ctx):
-            if not (i1 > i2 and 2 * i1 - 1 < ctx.N - 2 * i2 + 1):
-                continue
-            checked += 1
-            total = _total_dim(ctx, simple_simple_rule(ctx, i1, j1, i2, j2))
-            dim_ss = (ctx.N - 2 * i1 + 1) * (ctx.N - 2 * i2 + 1)
-            dim_ps = 2 * ctx.N * (ctx.N - 2 * i2 + 1)
-            if total != dim_ss or total == dim_ps:
-                return CheckReport(
-                    "the mixed case with i1 > i2 reads both factors as simple",
-                    False,
-                    checked,
-                    f"({i1},{j1}) x ({i2},{j2}): total {total}",
-                    time.time() - start,
-                )
-    return CheckReport(
-        "the mixed case with i1 > i2 reads both factors as simple",
-        True,
-        checked,
-        None,
-        time.time() - start,
-    )
+                return CheckReport(statement, False, checked, fail, time.time() - start)
+    return CheckReport(statement, True, checked, None, time.time() - start)
 
 
 def verify_simple_tensor_isomorphisms(ctx: AlgebraContext) -> CheckReport:
@@ -1086,40 +1029,6 @@ def verify_three_dim_fusion(ctx: AlgebraContext) -> CheckReport:
     )
 
 
-def verify_summand_types(ctx: AlgebraContext) -> CheckReport:
-    """Every S (x) S product splits with no non-simple non-projective part.
-
-    The decomposition engine's guards reject any other summand type, so a
-    clean sweep over all ordered pairs is the verification.
-    """
-    start = time.time()
-    checked = 0
-    for i1, j1 in all_labels(ctx):
-        for i2, j2 in all_labels(ctx):
-            dec = decompose_standard_product(ctx, ("S", i1, j1), ("S", i2, j2))
-            checked += 1
-            bad = None
-            if not dec.ok:
-                bad = "; ".join(dec.violations)
-            elif any(kind not in ("S", "P") for (kind, _, _) in dec.summands):
-                bad = "a summand of unexpected type"
-            if bad is not None:
-                return CheckReport(
-                    "simple-by-simple summands are simple or projective",
-                    False,
-                    checked,
-                    f"S({2 * i1},{j1})(x)S({2 * i2},{j2}): {bad}",
-                    time.time() - start,
-                )
-    return CheckReport(
-        "simple-by-simple summands are simple or projective",
-        True,
-        checked,
-        None,
-        time.time() - start,
-    )
-
-
 def verify_graded_character_rules(ctx: AlgebraContext) -> CheckReport:
     """Graded class character identities behind the fusion rules.
 
@@ -1179,10 +1088,8 @@ def tensor_reports(ctx: AlgebraContext, seed: int = 0) -> list[CheckReport]:
         verify_unit_object(ctx),
         verify_graded_character_rules(ctx),
         verify_three_dim_fusion(ctx),
-        verify_fourth_case_factor_reading(ctx),
         verify_simple_tensor_isomorphisms(ctx),
         verify_projective_simple_tensors(ctx),
         verify_projective_tensor_engine_samples(ctx),
         verify_simple_simple_tensors(ctx),
-        verify_summand_types(ctx),
     ]

@@ -18,20 +18,17 @@ elements with the conjugation weight w(g): g E = q^w(g) E g.
 
 from __future__ import annotations
 
-import json
 import time
 from fractions import Fraction
 
 from . import linalg
-from .cyclo import FieldContext, Scalar, make_context, qint, scalar_from_str, scalar_to_str
+from .cyclo import Scalar, make_context, qint, scalar_to_str
 from .errors import (
     ConstructionError,
     ContextMismatchError,
     InvalidArgumentError,
 )
 from .report import CheckReport
-
-CACHE_VERSION = 1
 
 MonKey = tuple[int, int, int, int]  # (a, eps, c, d)
 
@@ -201,12 +198,15 @@ class AlgebraElement:
 
 
 class AlgebraContext:
-    """Structure tables for u at a fixed n: rewriting, idempotents, vectors."""
+    """Structure tables for u at a fixed n: rewriting, idempotents, vectors.
 
-    def __init__(self, n: int, field: FieldContext | None = None, cache: dict | None = None):
-        self.field = field if field is not None else make_context(n)
-        if self.field.n != n:
-            raise ContextMismatchError("field context built for a different n")
+    Memo state lives here: the rewrite tables and vectors below, and `memo`,
+    where moncat and k0ring keep results keyed by (tag, *args).  A fresh
+    context starts cold.
+    """
+
+    def __init__(self, n: int):
+        self.field = make_context(n)
         self.n = n
         self.N = n * n
         self.half = self.N // 2
@@ -224,11 +224,10 @@ class AlgebraContext:
         self.kinv_khat = self.group_elem(1, n + 1)
         self.k_khat_half = self.group_elem(1, n // 2)
 
-        # E^d F^a normal forms, filled on demand (or from the cache file).
+        # E^d F^a normal forms, filled on demand.
         self._ef: dict[tuple[int, int], list[tuple[int, int, int, int, Scalar]]] = {}
         self._mono_cache: dict[tuple[MonKey, MonKey], tuple[tuple[MonKey, Scalar], ...]] = {}
-        if cache is not None:
-            self._load_ef_cache(cache)
+        self.memo: dict[tuple, object] = {}
 
         self._idem1: list[AlgebraElement] | None = None
         self._idem_e: dict[tuple[int, int], AlgebraElement] = {}
@@ -343,12 +342,6 @@ class AlgebraContext:
                 for key, t in self.mono_mul(k1, k2):
                     self._accum(acc, key, t * s12)
         return AlgebraElement(self, acc)
-
-    def warm(self) -> None:
-        """Precompute every E^d F^a normal form (needed ones at least)."""
-        for d in range(self.N):
-            for a in range(self.N):
-                self.ef(d, a)
 
     # -- coordinates --------------------------------------------------------
 
@@ -782,40 +775,3 @@ class AlgebraContext:
                         if l + 1 < self.N:
                             cur = self.E * cur
         return sum(linalg.rank(self.field, rows) for rows in buckets.values())
-
-    # -- cache ---------------------------------------------------------------
-
-    def cache_payload(self) -> dict:
-        self.warm()
-        ef_out = {}
-        for (d, a), entries in sorted(self._ef.items()):
-            ef_out[f"{d},{a}"] = [
-                [ap, eps, c, dp, scalar_to_str(s)] for ap, eps, c, dp, s in entries
-            ]
-        return {"version": CACHE_VERSION, "n": self.n, "ef": ef_out}
-
-    def save_cache(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.cache_payload(), fh)
-
-    def _load_ef_cache(self, payload: dict) -> None:
-        if payload.get("version") != CACHE_VERSION or payload.get("n") != self.n:
-            return  # silently recompute: the cache is an optimization only
-        for key, entries in payload.get("ef", {}).items():
-            d_s, a_s = key.split(",")
-            self._ef[(int(d_s), int(a_s))] = [
-                (ap, eps, c, dp, scalar_from_str(self.field, s))
-                for ap, eps, c, dp, s in entries
-            ]
-
-
-def algebra_context(n: int, cache_path: str | None = None) -> AlgebraContext:
-    """Build the algebra context, optionally seeding rewrite tables from a cache."""
-    cache = None
-    if cache_path is not None:
-        try:
-            with open(cache_path, encoding="utf-8") as fh:
-                cache = json.load(fh)
-        except (OSError, ValueError):
-            cache = None
-    return AlgebraContext(n, cache=cache)

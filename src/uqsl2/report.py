@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -26,25 +26,3 @@ class CheckReport:
             out["counterexample"] = self.counterexample
         return out
 
-
-@dataclass
-class ReportSet:
-    """A named bundle of CheckReports with an aggregate verdict."""
-
-    name: str
-    reports: list[CheckReport] = field(default_factory=list)
-
-    def add(self, report: CheckReport) -> CheckReport:
-        self.reports.append(report)
-        return report
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.reports)
-
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.name,
-            "status": "pass" if self.passed else "fail",
-            "checks": [r.to_dict() for r in self.reports],
-        }

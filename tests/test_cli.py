@@ -22,13 +22,9 @@ def test_rejects_bad_n(capsys):
     assert "multiple of 4" in err
 
 
-def test_rejects_bad_labels_and_families(tmp_path, capsys):
-    bad_cache = tmp_path / "bad.json"
-    bad_cache.write_text('{"version":1,"n":4,"ef":{"3":[]}}')
-    list_cache = tmp_path / "list.json"
-    list_cache.write_text("[]")
-    # (argv, exit code): 2 for bad input, 3 for an internal error; a
-    # malformed input must never exit 1, the "statement failed" code
+def test_rejects_bad_labels_and_families(capsys):
+    # (argv, exit code): 2 for bad input; a malformed input must never
+    # exit 1, the "statement failed" code
     table = [
         (["tensor", "badlabel", "simple:1,0"], 2),
         (["tensor", "simple:1", "simple:1,0"], 2),
@@ -38,14 +34,22 @@ def test_rejects_bad_labels_and_families(tmp_path, capsys):
         (["module", "simple", "--i", "9", "--j", "0"], 2),
         (["module", "V", "--i", "1", "--j", "0", "--l", "-1"], 2),
         (["module", "T", "--i", "2", "--j", "1", "--l", "1", "--lambda", "0"], 2),
-        (["table", "k0", "--cache", str(bad_cache)], 3),
-        (["table", "k0", "--cache", str(list_cache)], 3),
     ]
     for argv, want in table:
         code, _, err = run_main(argv, capsys)
         assert code == want, (argv, code, err)
-        if want == 3:
-            assert err.rstrip().splitlines()[-1].startswith("internal error: ")
+
+
+def test_removed_cache_flag_is_a_usage_error():
+    proc = subprocess.run(
+        [sys.executable, "-m", "uqsl2.cli", "table", "k0", "--cache", "x"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "usage: uqsl2" in proc.stderr
+    assert "unrecognized arguments: --cache x" in proc.stderr
 
 
 def test_module_text_output(capsys):
@@ -119,22 +123,10 @@ def test_verify_lemmas_suite(capsys):
     assert "[time]" in err
 
 
-def test_table_determinism_with_and_without_cache(tmp_path):
-    def run(extra):
-        return subprocess.run(
-            [sys.executable, "-m", "uqsl2.cli", "table", "cg-ss", "--n", "4"] + extra,
-            capture_output=True,
-            text=True,
-        )
-
-    cache = tmp_path / "cache.json"
-    first = run([])
-    second = run(["--cache", str(cache)])
-    assert cache.exists()
-    third = run(["--cache", str(cache)])
-    assert first.returncode == second.returncode == third.returncode == 0
-    assert first.stdout == second.stdout == third.stdout
-    lines = first.stdout.splitlines()
+def test_table_csv_header(capsys):
+    code, out, _ = run_main(["table", "cg-ss"], capsys)
+    assert code == 0
+    lines = out.splitlines()
     assert lines[0].startswith("# uqsl2 ")
     assert "table=cg-ss" in lines[0] and "n=4" in lines[0] and "seed=0" in lines[0]
     assert lines[1] == "left,right,summand,multiplicity"

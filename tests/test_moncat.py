@@ -205,6 +205,19 @@ def test_engine_decomposes_frozen_products(actx):
     assert res2.evidence["composition_counts"]
 
 
+def test_fresh_context_has_cold_memo(actx):
+    from uqsl2.qgroup import AlgebraContext
+
+    key = ("S", 1, 0)
+    warm = decompose_standard_product(actx, key, key)
+    assert ("product", key, key) in actx.memo
+    fresh = AlgebraContext(4)
+    assert fresh.memo == {}
+    cold = decompose_standard_product(fresh, key, key)
+    assert cold is not warm
+    assert cold.ok and cold.summands == warm.summands
+
+
 def test_peel_counts_known_modules(actx):
     assert composition_counts(simple(actx, 3, 1)) == {(3, 1): 1}
     assert composition_counts(projective(actx, 2, 0)) == {(2, 0): 2, (7, 1): 2}

@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -6,7 +5,7 @@ import pytest
 from uqsl2 import linalg
 from uqsl2.cyclo import qint
 from uqsl2.errors import ContextMismatchError, InvalidArgumentError
-from uqsl2.qgroup import AlgebraContext, AlgebraElement, GroupElem, algebra_context
+from uqsl2.qgroup import AlgebraContext, AlgebraElement, GroupElem
 
 
 def test_generator_relations(actx):
@@ -221,25 +220,3 @@ def test_argument_validation(actx):
     with pytest.raises(ContextMismatchError):
         actx.E + other.E
 
-
-def test_cache_roundtrip(tmp_path, actx):
-    path = tmp_path / "tables.json"
-    actx.save_cache(str(path))
-    fresh = algebra_context(4, str(path))
-    assert fresh._ef  # seeded from disk
-    for d, a in ((5, 7), (15, 15), (1, 3)):
-        ours = [(ap, eps, c, dp, str(s.num) + "/" + str(s.den)) for ap, eps, c, dp, s in actx.ef(d, a)]
-        theirs = [(ap, eps, c, dp, str(s.num) + "/" + str(s.den)) for ap, eps, c, dp, s in fresh.ef(d, a)]
-        assert ours == theirs
-    x = fresh.e_power(3) * fresh.f_power(5)
-    y = actx.e_power(3) * actx.f_power(5)
-    assert sorted(x.terms) == sorted(y.terms)
-
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"version": 999, "n": 4, "ef": {}}))
-    recomputed = algebra_context(4, str(bad))
-    assert not recomputed._ef
-    assert recomputed.e_power(1) * recomputed.f_power(1) == recomputed.E * recomputed.F
-
-    missing = algebra_context(4, str(tmp_path / "absent.json"))
-    assert missing.E * missing.F == missing.E * missing.F
