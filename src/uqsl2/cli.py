@@ -23,7 +23,6 @@ from .quasihopf import QuasiHopfData, axiom_reports
 from .report import CheckReport
 from .reps import (
     Representation,
-    block_structure,
     family_T,
     family_V,
     family_Vt,
@@ -34,6 +33,7 @@ from .reps import (
     simple,
     socle_multiplicities,
     top_multiplicities,
+    verify_block_structure,
     verify_family_constructors,
     verify_structure_counts,
     verma,
@@ -90,8 +90,7 @@ def suite_reports(ctx: AlgebraContext, suite: str, seed: int, slow: bool) -> lis
         out.append(ctx.verify_idempotent_system())
         out.append(ctx.verify_commutation_lemmas())
         out.append(verify_structure_counts(ctx))
-        _, quiver = block_structure(ctx)
-        out.append(quiver)
+        out.append(verify_block_structure(ctx))
         out.append(verify_family_constructors(ctx))
         out.append(ctx.verify_regular_decomposition(slow=slow))
     if suite in ("tensor", "all"):

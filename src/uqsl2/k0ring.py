@@ -12,7 +12,6 @@ generators die and the monomial basis is unimodular over Z.
 from __future__ import annotations
 
 import random
-import time
 from fractions import Fraction
 
 from .errors import ContextMismatchError, InvalidArgumentError
@@ -23,7 +22,7 @@ from .moncat import (
     summand_name,
 )
 from .qgroup import AlgebraContext
-from .report import CheckReport
+from .report import CheckReport, Counterexamples, verifier
 from .reps import all_labels, partner_label, projective
 
 Label = tuple[int, int]
@@ -334,7 +333,8 @@ def _int_det(rows: list[list[int]]) -> int:
 # -- verifiers ----------------------------------------------------------------------
 
 
-def verify_presentation(ctx: AlgebraContext) -> CheckReport:
+@verifier("K0 is presented by g and x modulo the two stated relations")
+def verify_presentation(ctx: AlgebraContext) -> Counterexamples:
     """The two-generator presentation of K0 holds.
 
     Checks: the f-polynomials map onto every simple class, both ideal
@@ -342,85 +342,46 @@ def verify_presentation(ctx: AlgebraContext) -> CheckReport:
     (unimodular change of matrix onto the simple classes), and a corrupted
     projective expansion breaks the second relation.
     """
-    start = time.time()
-    instances = 0
     half = ctx.half
-
-    def fail(msg: str) -> CheckReport:
-        return CheckReport(
-            statement="K0 is presented by g and x modulo the two stated relations",
-            passed=False,
-            instances=instances,
-            counterexample=msg,
-            wall_time=time.time() - start,
-        )
-
     for m in range(half):
         for j in (0, 1):
             got = upsilon(ctx, f_poly(ctx, m, j))
             want = simple_class(ctx, half - m, j)
-            instances += 1
-            if got != want:
-                return fail(f"upsilon(f_{{{2*m},{j}}}) = {got!r}, wanted {want!r}")
+            yield None if got == want else f"upsilon(f_{{{2*m},{j}}}) = {got!r}, wanted {want!r}"
     g = pres_g()
-    instances += 1
-    if not upsilon(ctx, g * g - pres_one()).is_zero():
-        return fail("upsilon(g^2 - 1) is nonzero")
+    yield None if upsilon(ctx, g * g - pres_one()).is_zero() else "upsilon(g^2 - 1) is nonzero"
     rel = second_ideal_generator(ctx)
-    instances += 1
-    if not upsilon(ctx, rel).is_zero():
-        return fail("the second ideal generator does not map to zero")
+    yield None if upsilon(ctx, rel).is_zero() else (
+        "the second ideal generator does not map to zero"
+    )
     rows = []
     for b in (0, 1):
         for a in range(half):
             image = _upsilon(ctx, PresPoly({(a, b): 1}))
             rows.append([image.coeffs.get(k, 0) for k in all_labels(ctx)])
     det = _int_det(rows)
-    instances += 1
-    if det not in (1, -1):
-        return fail(f"monomial basis matrix has determinant {det}")
-    instances += 1
-    if _upsilon(ctx, rel, own=2, partner=1).is_zero():
-        return fail("control: the wrong projective expansion also kills the relation")
-    return CheckReport(
-        statement="K0 is presented by g and x modulo the two stated relations",
-        passed=True,
-        instances=instances,
-        wall_time=time.time() - start,
-    )
+    yield None if det in (1, -1) else f"monomial basis matrix has determinant {det}"
+    dies = _upsilon(ctx, rel, own=2, partner=1).is_zero()
+    yield "control: the wrong projective expansion also kills the relation" if dies else None
 
 
+@verifier("K0 is a commutative unital ring with nonnegative structure constants")
 def verify_ring_axioms(
     ctx: AlgebraContext, seed: int = 0, samples: int = 1000, slow: bool = False
-) -> CheckReport:
+) -> Counterexamples:
     """Unit, commutativity, nonnegative structure constants, associativity."""
-    start = time.time()
-    instances = 0
     labels = all_labels(ctx)
     one = unit_class(ctx)
-
-    def fail(msg: str) -> CheckReport:
-        return CheckReport(
-            statement="K0 is a commutative unital ring with nonnegative structure constants",
-            passed=False,
-            instances=instances,
-            counterexample=msg,
-            wall_time=time.time() - start,
-        )
-
     for k in labels:
         e = K0Element(ctx, {k: 1})
-        instances += 1
-        if one * e != e or e * one != e:
-            return fail(f"unit fails on {e!r}")
+        yield None if one * e == e and e * one == e else f"unit fails on {e!r}"
     for k1 in labels:
         for k2 in labels:
             p = basis_product(ctx, k1, k2)
-            instances += 1
             if p != basis_product(ctx, k2, k1):
-                return fail(f"product at {k1} x {k2} is not symmetric")
-            if any(v < 0 for v in p.values()):
-                return fail(f"negative structure constant at {k1} x {k2}")
+                yield f"product at {k1} x {k2} is not symmetric"
+            negative = any(v < 0 for v in p.values())
+            yield f"negative structure constant at {k1} x {k2}" if negative else None
     if slow:
         triples = [
             (a, b, c) for a in labels for b in labels for c in labels
@@ -435,70 +396,38 @@ def verify_ring_axioms(
         a = K0Element(ctx, {ka: 1})
         b = K0Element(ctx, {kb: 1})
         c = K0Element(ctx, {kc: 1})
-        instances += 1
-        if (a * b) * c != a * (b * c):
-            return fail(f"associativity fails at {ka}, {kb}, {kc}")
-    return CheckReport(
-        statement="K0 is a commutative unital ring with nonnegative structure constants",
-        passed=True,
-        instances=instances,
-        wall_time=time.time() - start,
-    )
+        yield None if (a * b) * c == a * (b * c) else f"associativity fails at {ka}, {kb}, {kc}"
 
 
-def verify_character_homomorphisms(ctx: AlgebraContext) -> CheckReport:
+@verifier("dimension and parity are ring homomorphisms on K0")
+def verify_character_homomorphisms(ctx: AlgebraContext) -> Counterexamples:
     """Dimension and parity both extend to ring homomorphisms K0 -> Z."""
-    start = time.time()
-    instances = 0
     labels = all_labels(ctx)
     for k1 in labels:
         for k2 in labels:
             a = K0Element(ctx, {k1: 1})
             b = K0Element(ctx, {k2: 1})
             ab = a * b
-            instances += 2
-            if ab.dim() != a.dim() * b.dim() or ab.sign() != a.sign() * b.sign():
-                return CheckReport(
-                    statement="dimension and parity are ring homomorphisms on K0",
-                    passed=False,
-                    instances=instances,
-                    counterexample=f"character mismatch at {k1} x {k2}",
-                    wall_time=time.time() - start,
-                )
-    return CheckReport(
-        statement="dimension and parity are ring homomorphisms on K0",
-        passed=True,
-        instances=instances,
-        wall_time=time.time() - start,
-    )
+            bad = f"character mismatch at {k1} x {k2}"
+            yield None if ab.dim() == a.dim() * b.dim() else bad
+            yield None if ab.sign() == a.sign() * b.sign() else bad
 
 
-def verify_fusion_consistency(ctx: AlgebraContext) -> CheckReport:
+@verifier("K0 products equal the classes of decomposed tensor products")
+def verify_fusion_consistency(ctx: AlgebraContext) -> Counterexamples:
     """K0 structure constants agree with the decomposition engine, and the
     projective expansion agrees with the graded composition counts."""
-    start = time.time()
-    instances = 0
     labels = all_labels(ctx)
-
-    def fail(msg: str) -> CheckReport:
-        return CheckReport(
-            statement="K0 products equal the classes of decomposed tensor products",
-            passed=False,
-            instances=instances,
-            counterexample=msg,
-            wall_time=time.time() - start,
-        )
-
     for i, j in labels:
         counts = composition_counts(projective(ctx, i, j))
-        instances += 1
-        if counts != projective_class(ctx, i, j).coeffs:
-            return fail(f"projective class at ({i},{j}) disagrees with its composition counts")
+        yield None if counts == projective_class(ctx, i, j).coeffs else (
+            f"projective class at ({i},{j}) disagrees with its composition counts"
+        )
     for k1 in labels:
         for k2 in labels:
             res = decompose_standard_product(ctx, ("S",) + k1, ("S",) + k2)
             if not res.ok:
-                return fail(f"engine failed to decompose {k1} x {k2}: {res.violations}")
+                yield f"engine failed to decompose {k1} x {k2}: {res.violations}"
             want: dict[Label, int] = {}
             for (kind, i, j), m in res.summands.items():
                 expansion = (
@@ -508,15 +437,9 @@ def verify_fusion_consistency(ctx: AlgebraContext) -> CheckReport:
                 )
                 for k, v in expansion.items():
                     want[k] = want.get(k, 0) + v
-            instances += 1
-            if basis_product(ctx, k1, k2) != want:
-                return fail(f"structure constants at {k1} x {k2} differ from the engine")
-    return CheckReport(
-        statement="K0 products equal the classes of decomposed tensor products",
-        passed=True,
-        instances=instances,
-        wall_time=time.time() - start,
-    )
+            yield None if basis_product(ctx, k1, k2) == want else (
+                f"structure constants at {k1} x {k2} differ from the engine"
+            )
 
 
 def k0_table(ctx: AlgebraContext) -> list[dict]:

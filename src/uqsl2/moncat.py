@@ -17,7 +17,6 @@ the same matrices literally from the coproduct as an independent oracle.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 
 from .cyclo import Scalar
@@ -29,7 +28,7 @@ from .errors import (
 )
 from .qgroup import AlgebraContext, AlgebraElement
 from .quasihopf import QuasiHopfData
-from .report import CheckReport
+from .report import CheckReport, Counterexamples, verifier
 from .reps import (
     Representation,
     all_labels,
@@ -618,14 +617,14 @@ def clebsch_gordan_table(ctx: AlgebraContext, kind: str) -> list[dict]:
 # -- verifiers --------------------------------------------------------------------
 
 
-def verify_tensor_coproduct_consistency(ctx: AlgebraContext) -> CheckReport:
+@verifier("tensor action matches the coproduct oracle")
+def verify_tensor_coproduct_consistency(ctx: AlgebraContext) -> Counterexamples:
     """Closed-form tensor matrices equal the literal coproduct action.
 
     Checked on factor pairs that exercise trivial and nontrivial
     k-classes on either side, including a projective factor, for all four
     generators.
     """
-    start = time.time()
     qh = QuasiHopfData(ctx)
     h = ctx.half
     pairs = [
@@ -639,44 +638,24 @@ def verify_tensor_coproduct_consistency(ctx: AlgebraContext) -> CheckReport:
         (simple(ctx, h - 1, 1), projective(ctx, h - 1, 0)),
     ]
     gens = [("E", ctx.E), ("F", ctx.F), ("k", ctx.k), ("khat", ctx.khat)]
-    checked = 0
     for M, N in pairs:
         T = tensor(M, N)
         for name, x in gens:
-            checked += 1
-            if T.act_matrix(x) != tensor_action_from_coproduct(qh, M, N, x):
-                return CheckReport(
-                    "tensor action matches the coproduct oracle",
-                    False,
-                    checked,
-                    f"{name} on {M.label}(x){N.label}",
-                    time.time() - start,
-                )
+            same = T.act_matrix(x) == tensor_action_from_coproduct(qh, M, N, x)
+            yield None if same else f"{name} on {M.label}(x){N.label}"
         rel = T.check_relations()
-        checked += 1
-        if not rel.passed:
-            return CheckReport(
-                "tensor action matches the coproduct oracle",
-                False,
-                checked,
-                f"defining relations on {M.label}(x){N.label}: {rel.counterexample}",
-                time.time() - start,
-            )
-    return CheckReport(
-        "tensor action matches the coproduct oracle",
-        True,
-        checked,
-        None,
-        time.time() - start,
-    )
+        yield None if rel.passed else (
+            f"defining relations on {M.label}(x){N.label}: {rel.counterexample}"
+        )
 
 
-def verify_tensor_relations(ctx: AlgebraContext, seed: int = 0, count: int = 20) -> CheckReport:
+@verifier("random tensor products satisfy the defining relations")
+def verify_tensor_relations(
+    ctx: AlgebraContext, seed: int = 0, count: int = 20
+) -> Counterexamples:
     """Random tensor products of standard modules are modules."""
-    start = time.time()
     rng = random.Random(seed)
     labels = all_labels(ctx)
-    checked = 0
     for _ in range(count):
         i1, j1 = labels[rng.randrange(len(labels))]
         i2, j2 = labels[rng.randrange(len(labels))]
@@ -687,57 +666,25 @@ def verify_tensor_relations(ctx: AlgebraContext, seed: int = 0, count: int = 20)
         N = simple(ctx, i2, j2)
         if rng.random() < 0.5:
             M, N = N, M
-        T = tensor(M, N)
-        rel = T.check_relations()
-        checked += 1
-        if not rel.passed:
-            return CheckReport(
-                "random tensor products satisfy the defining relations",
-                False,
-                checked,
-                f"{M.label}(x){N.label}: {rel.counterexample}",
-                time.time() - start,
-            )
-    return CheckReport(
-        "random tensor products satisfy the defining relations",
-        True,
-        checked,
-        None,
-        time.time() - start,
-    )
+        rel = tensor(M, N).check_relations()
+        yield None if rel.passed else f"{M.label}(x){N.label}: {rel.counterexample}"
 
 
-def verify_unit_object(ctx: AlgebraContext) -> CheckReport:
+@verifier("the one-dimensional module of trivial class is a tensor unit")
+def verify_unit_object(ctx: AlgebraContext) -> Counterexamples:
     """S(n^2,0) is a left and right unit on all simples and projectives."""
-    start = time.time()
     unit = simple(ctx, ctx.half, 0)
-    checked = 0
     for kind in ("S", "P"):
         for i, j in all_labels(ctx):
             X = summand_module(ctx, (kind, i, j))
             for T in (tensor(unit, X), tensor(X, unit)):
-                checked += 1
                 same_arrays = (
                     T.kexp == X.kexp
                     and T.khatexp == X.khatexp
                     and T.E == X.E
                     and T.F == X.F
                 )
-                if not (same_arrays and iso_test(T, X)):
-                    return CheckReport(
-                        "the one-dimensional module of trivial class is a tensor unit",
-                        False,
-                        checked,
-                        f"{T.label} vs {X.label}",
-                        time.time() - start,
-                    )
-    return CheckReport(
-        "the one-dimensional module of trivial class is a tensor unit",
-        True,
-        checked,
-        None,
-        time.time() - start,
-    )
+                yield None if same_arrays and iso_test(T, X) else f"{T.label} vs {X.label}"
 
 
 def _cover_certificate(
@@ -775,38 +722,22 @@ def _cover_certificate(
     return None
 
 
-def verify_projective_simple_tensors(ctx: AlgebraContext) -> CheckReport:
+@verifier("projective-by-simple products match the fusion rule")
+def verify_projective_simple_tensors(ctx: AlgebraContext) -> Counterexamples:
     """Full sweep: P (x) S decomposes per the projective fusion rule.
 
     Both factor orders are certified projective with the same summands, so
     every summand of these products is projective and the multiset is
     symmetric under swapping.
     """
-    start = time.time()
-    checked = 0
     for i1, j1 in all_labels(ctx):
         P = projective(ctx, i1, j1)
         for i2, j2 in all_labels(ctx):
             S = simple(ctx, i2, j2)
             expected = projective_simple_rule(ctx, i1, j1, i2, j2)
             for T in (tensor(P, S), tensor(S, P)):
-                checked += 1
                 fail = _cover_certificate(T, expected)
-                if fail is not None:
-                    return CheckReport(
-                        "projective-by-simple products match the fusion rule",
-                        False,
-                        checked,
-                        f"{T.label}: {fail}",
-                        time.time() - start,
-                    )
-    return CheckReport(
-        "projective-by-simple products match the fusion rule",
-        True,
-        checked,
-        None,
-        time.time() - start,
-    )
+                yield None if fail is None else f"{T.label}: {fail}"
 
 
 def decompose_standard_product(
@@ -839,7 +770,12 @@ def _engine_matches(
     return None
 
 
-def verify_simple_simple_tensors(ctx: AlgebraContext) -> CheckReport:
+@verifier(
+    "simple-by-simple products match the fusion rule, every summand is "
+    "simple or projective, and the mixed case with i1 > i2 reads both "
+    "factors as simple"
+)
+def verify_simple_simple_tensors(ctx: AlgebraContext) -> Counterexamples:
     """Full sweep: S (x) S decomposes per the four-case fusion rule.
 
     Every ordered pair runs through the radical-filtration engine with all
@@ -854,33 +790,21 @@ def verify_simple_simple_tensors(ctx: AlgebraContext) -> CheckReport:
       with N = n^2, and that never equals 2N(N-2*i2+1) = dim P (x) S,
       because N-2*i1+1 < 2N.
     """
-    statement = (
-        "simple-by-simple products match the fusion rule, every summand is "
-        "simple or projective, and the mixed case with i1 > i2 reads both "
-        "factors as simple"
-    )
-    start = time.time()
-    checked = 0
     for i1, j1 in all_labels(ctx):
         for i2, j2 in all_labels(ctx):
             expected = simple_simple_rule(ctx, i1, j1, i2, j2)
             dim_ss = (ctx.N - 2 * i1 + 1) * (ctx.N - 2 * i2 + 1)
-            checked += 1
             if _total_dim(ctx, expected) != dim_ss:
-                fail = (
+                yield (
                     f"S({2 * i1},{j1})(x)S({2 * i2},{j2}): "
                     f"rule dimensions add to {_total_dim(ctx, expected)}"
                 )
-            else:
-                fail = _engine_matches(ctx, ("S", i1, j1), ("S", i2, j2), expected)
-            if fail is not None:
-                return CheckReport(statement, False, checked, fail, time.time() - start)
-    return CheckReport(statement, True, checked, None, time.time() - start)
+            yield _engine_matches(ctx, ("S", i1, j1), ("S", i2, j2), expected)
 
 
-def verify_simple_tensor_isomorphisms(ctx: AlgebraContext) -> CheckReport:
+@verifier("sampled simple-by-simple products are isomorphic to the stated sums")
+def verify_simple_tensor_isomorphisms(ctx: AlgebraContext) -> Counterexamples:
     """Explicit intertwiner checks for one S (x) S pair from each case."""
-    start = time.time()
     h = ctx.half
     pairs = [
         (h - 2, 1, h - 1, 0),  # all-simple case, i1 <= i2
@@ -888,7 +812,6 @@ def verify_simple_tensor_isomorphisms(ctx: AlgebraContext) -> CheckReport:
         (h // 2, 0, h // 2, 0),  # projective tail, i1 <= i2
         (h - 2, 0, 2, 1),  # projective tail, i1 > i2
     ]
-    checked = 0
     for i1, j1, i2, j2 in pairs:
         T = tensor(simple(ctx, i1, j1), simple(ctx, i2, j2))
         expected = simple_simple_rule(ctx, i1, j1, i2, j2)
@@ -896,27 +819,12 @@ def verify_simple_tensor_isomorphisms(ctx: AlgebraContext) -> CheckReport:
         for key in sorted(expected, key=lambda k: (k[0], -k[1], k[2])):
             parts.extend([summand_module(ctx, key)] * expected[key])
         X = direct_sum(parts, f"expected({T.label})")
-        checked += 1
-        if not iso_test(T, X):
-            return CheckReport(
-                "sampled simple-by-simple products are isomorphic to the stated sums",
-                False,
-                checked,
-                T.label,
-                time.time() - start,
-            )
-    return CheckReport(
-        "sampled simple-by-simple products are isomorphic to the stated sums",
-        True,
-        checked,
-        None,
-        time.time() - start,
-    )
+        yield None if iso_test(T, X) else T.label
 
 
-def verify_projective_tensor_engine_samples(ctx: AlgebraContext) -> CheckReport:
+@verifier("sampled projective-by-simple products pass the full engine")
+def verify_projective_tensor_engine_samples(ctx: AlgebraContext) -> Counterexamples:
     """Radical-filtration cross-check of the cover certificate on P (x) S."""
-    start = time.time()
     h = ctx.half
     samples = [
         (h, 0, h - 1, 1),
@@ -925,111 +833,59 @@ def verify_projective_tensor_engine_samples(ctx: AlgebraContext) -> CheckReport:
         (1, 0, h, 0),
         (h - 2, 1, 2, 0),
     ]
-    checked = 0
     for i1, j1, i2, j2 in samples:
-        checked += 1
-        fail = _engine_matches(
+        yield _engine_matches(
             ctx,
             ("P", i1, j1),
             ("S", i2, j2),
             projective_simple_rule(ctx, i1, j1, i2, j2),
         )
-        if fail is not None:
-            return CheckReport(
-                "sampled projective-by-simple products pass the full engine",
-                False,
-                checked,
-                fail,
-                time.time() - start,
-            )
-    return CheckReport(
-        "sampled projective-by-simple products pass the full engine",
-        True,
-        checked,
-        None,
-        time.time() - start,
-    )
 
 
-def verify_three_dim_fusion(ctx: AlgebraContext) -> CheckReport:
+@verifier("fusion with the three-dimensional simples")
+def verify_three_dim_fusion(ctx: AlgebraContext) -> Counterexamples:
     """Products with the three-dimensional simples, fully instantiated.
 
     S(n^2,j1) (x) S(n^2-2,j2) is the matching three-dimensional simple;
     S(2,j1) (x) S(n^2-2,j2) adds one projective; for 2 <= i <= n^2/2 - 1
     the product S(2i,j1) (x) S(n^2-2,j2) is the three-term ladder.
     """
-    start = time.time()
     h = ctx.half
-    checked = 0
     for j1 in (0, 1):
         for j2 in (0, 1):
             T = tensor(simple(ctx, h, j1), simple(ctx, h - 1, j2))
-            checked += 1
-            if not iso_test(T, simple(ctx, h - 1, (j1 + j2) % 2)):
-                return CheckReport(
-                    "fusion with the three-dimensional simples",
-                    False,
-                    checked,
-                    T.label,
-                    time.time() - start,
-                )
+            yield None if iso_test(T, simple(ctx, h - 1, (j1 + j2) % 2)) else T.label
             T = tensor(simple(ctx, 1, j1), simple(ctx, h - 1, j2))
             expected = {
                 ("S", 2, (j1 + j2) % 2): 1,
                 ("P", 1, (j1 + j2 + 1) % 2): 1,
             }
-            checked += 1
             fail = _engine_matches(ctx, ("S", 1, j1), ("S", h - 1, j2), expected)
-            if fail is None:
-                parts = [
-                    simple(ctx, 2, (j1 + j2) % 2),
-                    projective(ctx, 1, (j1 + j2 + 1) % 2),
-                ]
-                if not iso_test(T, direct_sum(parts, f"expected({T.label})")):
-                    fail = f"{T.label}: no explicit isomorphism to the stated sum"
             if fail is not None:
-                return CheckReport(
-                    "fusion with the three-dimensional simples",
-                    False,
-                    checked,
-                    fail,
-                    time.time() - start,
-                )
+                yield fail
+            parts = [
+                simple(ctx, 2, (j1 + j2) % 2),
+                projective(ctx, 1, (j1 + j2 + 1) % 2),
+            ]
+            yield None if iso_test(T, direct_sum(parts, f"expected({T.label})")) else (
+                f"{T.label}: no explicit isomorphism to the stated sum"
+            )
             for i in range(2, h):
                 expected = {
                     ("S", i + 1, (j1 + j2) % 2): 1,
                     ("S", i, (j1 + j2 + 1) % 2): 1,
                     ("S", i - 1, (j1 + j2) % 2): 1,
                 }
-                checked += 1
                 if expected != simple_simple_rule(ctx, i, j1, h - 1, j2):
-                    return CheckReport(
-                        "fusion with the three-dimensional simples",
-                        False,
-                        checked,
+                    yield (
                         f"S({2 * i},{j1})(x)S({2 * (h - 1)},{j2}): "
-                        "ladder disagrees with the general rule",
-                        time.time() - start,
+                        "ladder disagrees with the general rule"
                     )
-                fail = _engine_matches(ctx, ("S", i, j1), ("S", h - 1, j2), expected)
-                if fail is not None:
-                    return CheckReport(
-                        "fusion with the three-dimensional simples",
-                        False,
-                        checked,
-                        fail,
-                        time.time() - start,
-                    )
-    return CheckReport(
-        "fusion with the three-dimensional simples",
-        True,
-        checked,
-        None,
-        time.time() - start,
-    )
+                yield _engine_matches(ctx, ("S", i, j1), ("S", h - 1, j2), expected)
 
 
-def verify_graded_character_rules(ctx: AlgebraContext) -> CheckReport:
+@verifier("graded characters tile every fusion product")
+def verify_graded_character_rules(ctx: AlgebraContext) -> Counterexamples:
     """Graded class character identities behind the fusion rules.
 
     First the projective characters: each tiles as the partner simple at
@@ -1037,9 +893,6 @@ def verify_graded_character_rules(ctx: AlgebraContext) -> CheckReport:
     every fusion rule: the convolution of the factor characters is tiled
     exactly by the summand characters at some heights.
     """
-    start = time.time()
-    checked = 0
-    statement = "graded characters tile every fusion product"
     for i, j in all_labels(ctx):
         pchar = _summand_graded_character(ctx, ("P", i, j))
         ip, jp = partner_label(ctx, i, j)
@@ -1053,11 +906,7 @@ def verify_graded_character_rules(ctx: AlgebraContext) -> CheckReport:
         for (lam, sgn, g), c in own.items():
             key = (lam, sgn, g + 2 * i - 1)
             want[key] = want.get(key, 0) + 2 * c
-        checked += 1
-        if pchar != want:
-            return CheckReport(
-                statement, False, checked, f"P({2 * i},{j})", time.time() - start
-            )
+        yield None if pchar == want else f"P({2 * i},{j})"
     for left_kind, rule in (("S", simple_simple_rule), ("P", projective_simple_rule)):
         for i1, j1 in all_labels(ctx):
             lchar = _summand_graded_character(ctx, (left_kind, i1, j1))
@@ -1068,16 +917,8 @@ def verify_graded_character_rules(ctx: AlgebraContext) -> CheckReport:
                 parts = []
                 for key, m in rule(ctx, i1, j1, i2, j2).items():
                     parts.extend([_summand_graded_character(ctx, key)] * m)
-                checked += 1
-                if solve_height_offsets(prod, parts) is None:
-                    return CheckReport(
-                        statement,
-                        False,
-                        checked,
-                        f"{left_kind}({2 * i1},{j1})(x)S({2 * i2},{j2})",
-                        time.time() - start,
-                    )
-    return CheckReport(statement, True, checked, None, time.time() - start)
+                tiled = solve_height_offsets(prod, parts) is not None
+                yield None if tiled else f"{left_kind}({2 * i1},{j1})(x)S({2 * i2},{j2})"
 
 
 def tensor_reports(ctx: AlgebraContext, seed: int = 0) -> list[CheckReport]:

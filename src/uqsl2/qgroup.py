@@ -18,7 +18,6 @@ elements with the conjugation weight w(g): g E = q^w(g) E g.
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 
 from . import linalg
@@ -28,7 +27,7 @@ from .errors import (
     ContextMismatchError,
     InvalidArgumentError,
 )
-from .report import CheckReport
+from .report import Counterexamples, verifier
 
 MonKey = tuple[int, int, int, int]  # (a, eps, c, d)
 
@@ -527,14 +526,13 @@ class AlgebraContext:
 
     # -- verification -------------------------------------------------------
 
-    def verify_commutation_lemmas(self) -> CheckReport:
+    @verifier("reordering formulas and grouplike eigenvalue identities")
+    def verify_commutation_lemmas(self) -> Counterexamples:
         """Closed reordering formulas for E^s vs F, and the eigenvalue table."""
-        start = time.time()
         f = self.field
         E, F = self.E, self.F
         kk = self.kinv_khat
         sgn = self.k_khat_half
-        checked = 0
         for s in range(1, self.N):
             sq = qint(f, s, f.q)
             sqi = qint(f, s, f.qpow(-1))
@@ -563,15 +561,7 @@ class AlgebraContext:
                 ),
             ]
             for name, lhs, rhs in cases:
-                checked += 1
-                if lhs != rhs:
-                    return CheckReport(
-                        "reordering formulas for powers of E and F",
-                        False,
-                        checked,
-                        f"{name} at s={s}",
-                        time.time() - start,
-                    )
+                yield None if lhs == rhs else f"{name} at s={s}"
         eigen_cases = [
             ("(k^-1 khat) E", kk * E, (E * kk).scale(f.qpow(-2))),
             ("(k^-1 khat) F", kk * F, (F * kk).scale(f.qpow(2))),
@@ -588,82 +578,39 @@ class AlgebraContext:
                     (f"(k khat^(n/2)) e_({2 * i},{j})", sgn * e, e.scale(f.sign(j)))
                 )
         for name, lhs, rhs in eigen_cases:
-            checked += 1
-            if lhs != rhs:
-                return CheckReport(
-                    "eigenvalue identities for k^-1 khat and k khat^(n/2)",
-                    False,
-                    checked,
-                    name,
-                    time.time() - start,
-                )
-        return CheckReport(
-            "reordering formulas and grouplike eigenvalue identities",
-            True,
-            checked,
-            None,
-            time.time() - start,
-        )
+            yield None if lhs == rhs else name
 
-    def verify_idempotent_system(self) -> CheckReport:
+    @verifier("primitive orthogonal idempotent decomposition of the unit")
+    def verify_idempotent_system(self) -> Counterexamples:
         """The e_{2i,j} are orthogonal, complete, and primitive in u^0.
 
         Orthogonality and idempotency are checked on all 256 ordered pairs,
         completeness as an exact sum, and primitivity as rank one of the
         left ideal u^0 e (so e cannot split inside the group algebra).
         """
-        start = time.time()
-        checked = 0
         labels = [(i, j) for i in range(1, self.half + 1) for j in (0, 1)]
         es = {lab: self.idempotent_e(*lab) for lab in labels}
         total = self.zero_elem
         for lab, e in es.items():
             total = total + e
-        checked += 1
-        if total != self.one_elem:
-            return CheckReport(
-                "primitive orthogonal idempotent decomposition of the unit",
-                False,
-                checked,
-                "the idempotents do not sum to 1",
-                time.time() - start,
-            )
+        yield None if total == self.one_elem else "the idempotents do not sum to 1"
         for l1, e1 in es.items():
             for l2, e2 in es.items():
-                prod = e1 * e2
                 want = e1 if l1 == l2 else self.zero_elem
-                checked += 1
-                if prod != want:
-                    return CheckReport(
-                        "primitive orthogonal idempotent decomposition of the unit",
-                        False,
-                        checked,
-                        f"e_{l1} * e_{l2} is not {'e' if l1 == l2 else '0'}",
-                        time.time() - start,
-                    )
+                yield None if e1 * e2 == want else (
+                    f"e_{l1} * e_{l2} is not {'e' if l1 == l2 else '0'}"
+                )
         for lab, e in es.items():
             rows = []
             for eps in (0, 1):
                 for c in range(self.half):
                     rows.append(self.coords(self.group_elem(eps, c) * e))
-            checked += 1
-            if linalg.rank(self.field, rows) != 1:
-                return CheckReport(
-                    "primitive orthogonal idempotent decomposition of the unit",
-                    False,
-                    checked,
-                    f"u^0 e_{lab} has rank above one, so e_{lab} is not primitive",
-                    time.time() - start,
-                )
-        return CheckReport(
-            "primitive orthogonal idempotent decomposition of the unit",
-            True,
-            checked,
-            None,
-            time.time() - start,
-        )
+            yield None if linalg.rank(self.field, rows) == 1 else (
+                f"u^0 e_{lab} has rank above one, so e_{lab} is not primitive"
+            )
 
-    def verify_regular_decomposition(self, slow: bool = False) -> CheckReport:
+    @verifier("regular module decomposes into shifted projectives")
+    def verify_regular_decomposition(self, slow: bool = False) -> Counterexamples:
         """u splits as the direct sum of the shifted projectives P_{2i,j} E^h.
 
         Fast mode checks the dimension identity and the injectivity witness
@@ -671,59 +618,24 @@ class AlgebraContext:
         additionally assembles all n^6 spanning vectors and confirms full rank
         by exact elimination, blocked by height and left eigenvalue class.
         """
-        start = time.time()
-        checked = 0
         total = sum(2 * (self.N - 2 * i + 1) * 2 * self.N for i in range(1, self.half + 1))
-        if total != self.dim:
-            return CheckReport(
-                "regular module dimension count",
-                False,
-                1,
-                f"sum of shifted projective dims {total} != {self.dim}",
-                time.time() - start,
-            )
-        checked += 1
+        yield None if total == self.dim else (
+            f"sum of shifted projective dims {total} != {self.dim}"
+        )
         top_e = self.e_power(self.N - 1)
         for i in range(1, self.half + 1):
             for j in (0, 1):
                 alpha = self.alpha_vec(i, j)
                 shifted = self._shift_right_e(alpha, self.N - 2 * i)
-                if (top_e * shifted).is_zero():
-                    return CheckReport(
-                        "right-shift injectivity witness",
-                        False,
-                        checked,
-                        f"E^(n^2-1) alpha_({2 * i},{j}) E^(n^2-{2 * i}) = 0",
-                        time.time() - start,
-                    )
-                checked += 1
+                vanishes = (top_e * shifted).is_zero()
+                yield f"E^(n^2-1) alpha_({2 * i},{j}) E^(n^2-{2 * i}) = 0" if vanishes else None
         if slow:
             try:
                 rank = self._regular_rank()
             except ConstructionError as exc:
-                return CheckReport(
-                    "full-rank check of the shifted projective basis",
-                    False,
-                    checked,
-                    str(exc),
-                    time.time() - start,
-                )
-            checked += 1
-            if rank != self.dim:
-                return CheckReport(
-                    "full-rank check of the shifted projective basis",
-                    False,
-                    checked,
-                    f"rank {rank} != {self.dim}",
-                    time.time() - start,
-                )
-        return CheckReport(
-            "regular module decomposes into shifted projectives",
-            True,
-            checked,
-            None,
-            time.time() - start,
-        )
+                yield str(exc)
+                return
+            yield None if rank == self.dim else f"rank {rank} != {self.dim}"
 
     def _shift_right_e(self, x: AlgebraElement, h: int) -> AlgebraElement:
         out: dict[MonKey, Scalar] = {}

@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import itertools
 import random
-import time
 
 from .cyclo import Scalar
 from .errors import ContextMismatchError, InvalidArgumentError
 from .qgroup import AlgebraContext, AlgebraElement, GroupElem, MonKey
-from .report import CheckReport
+from .report import CheckReport, Counterexamples, verifier
 
 UNIT_KEY: MonKey = (0, 0, 0, 0)
 
@@ -327,9 +326,9 @@ class QuasiHopfData:
 
     # -- verification ------------------------------------------------------------
 
-    def verify_delta_well_defined(self) -> CheckReport:
+    @verifier("coproduct respects the defining relations")
+    def verify_delta_well_defined(self) -> Counterexamples:
         """The coproduct respects every defining relation of the algebra."""
-        start = time.time()
         actx = self.actx
         f = actx.field
         unit2 = unit_tensor(actx, 2)
@@ -361,21 +360,7 @@ class QuasiHopfData:
             ),
         ]
         for name, ok in checks:
-            if not ok:
-                return CheckReport(
-                    "coproduct respects the defining relations",
-                    False,
-                    len(checks),
-                    name,
-                    time.time() - start,
-                )
-        return CheckReport(
-            "coproduct respects the defining relations",
-            True,
-            len(checks),
-            None,
-            time.time() - start,
-        )
+            yield None if ok else name
 
     def _sample_monomials(self, rng: random.Random, count: int, max_exp: int) -> list[MonKey]:
         out = []
@@ -390,9 +375,9 @@ class QuasiHopfData:
             )
         return out
 
-    def verify_counit(self, seed: int = 0) -> CheckReport:
+    @verifier("counit axioms for the coproduct")
+    def verify_counit(self, seed: int = 0) -> Counterexamples:
         """(eps (x) id) D = id = (id (x) eps) D, and eps kills one reassociator leg."""
-        start = time.time()
         actx = self.actx
         rng = random.Random(seed)
         keys: list[MonKey] = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1)]
@@ -403,41 +388,21 @@ class QuasiHopfData:
             for d in range(3):
                 keys.append((a, 1, 3, d))
         keys += self._sample_monomials(rng, 6, 4)
-        checked = 0
         for key in keys:
-            x = AlgebraElement(actx, {key: actx.field.one})
             dm = self.delta_mono(key)
             left = self.counit_on_leg(dm, 0)
             right = self.counit_on_leg(dm, 1)
             expect = TensorElement(actx, 1, {(key,): actx.field.one})
-            checked += 1
-            if left != expect or right != expect:
-                return CheckReport(
-                    "counit axioms for the coproduct",
-                    False,
-                    checked,
-                    f"monomial {key}",
-                    time.time() - start,
-                )
+            yield None if left == expect and right == expect else f"monomial {key}"
         phi = self.phi()
         unit2 = unit_tensor(actx, 2)
         for leg in (0, 1, 2):
-            checked += 1
-            if self.counit_on_leg(phi, leg) != unit2:
-                return CheckReport(
-                    "counit axioms for the coproduct",
-                    False,
-                    checked,
-                    f"counit on reassociator leg {leg}",
-                    time.time() - start,
-                )
-        return CheckReport(
-            "counit axioms for the coproduct", True, checked, None, time.time() - start
-        )
+            ok = self.counit_on_leg(phi, leg) == unit2
+            yield None if ok else f"counit on reassociator leg {leg}"
 
-    def verify_quasi_coassociativity(self, seed: int = 0) -> CheckReport:
+    @verifier("coproduct is coassociative up to the reassociator")
+    def verify_quasi_coassociativity(self, seed: int = 0) -> Counterexamples:
         """Phi (D (x) id)(D(x)) = (id (x) D)(D(x)) Phi on generators and samples."""
-        start = time.time()
         actx = self.actx
         rng = random.Random(seed)
         phi = self.phi()
@@ -446,31 +411,15 @@ class QuasiHopfData:
         elems.append(actx.flat())
         for key in self._sample_monomials(rng, 4, 3):
             elems.append(AlgebraElement(actx, {key: actx.field.one}))
-        checked = 0
         for x in elems:
             dx = self.delta(x)
             lhs = phi * self.delta_on_leg(dx, 0)
             rhs = self.delta_on_leg(dx, 1) * phi
-            checked += 1
-            if lhs != rhs:
-                return CheckReport(
-                    "coproduct is coassociative up to the reassociator",
-                    False,
-                    checked,
-                    repr(x),
-                    time.time() - start,
-                )
-        return CheckReport(
-            "coproduct is coassociative up to the reassociator",
-            True,
-            checked,
-            None,
-            time.time() - start,
-        )
+            yield None if lhs == rhs else repr(x)
 
-    def verify_pentagon(self) -> CheckReport:
+    @verifier("reassociator satisfies the pentagon identity")
+    def verify_pentagon(self) -> Counterexamples:
         """Pentagon identity, both as a tensor identity and as a scalar cocycle."""
-        start = time.time()
         actx = self.actx
         n = actx.n
         phi = self.phi()
@@ -480,15 +429,7 @@ class QuasiHopfData:
             * self.delta_on_leg(phi, 1)
             * phi.insert_unit_leg(3)
         )
-        checked = 1
-        if lhs != rhs:
-            return CheckReport(
-                "reassociator satisfies the pentagon identity",
-                False,
-                checked,
-                "tensor product identity",
-                time.time() - start,
-            )
+        yield None if lhs == rhs else "tensor product identity"
 
         def coc(i: int, j: int, k: int) -> int:
             return (-i * ((j + k) // n)) % n
@@ -497,38 +438,19 @@ class QuasiHopfData:
             for i2 in range(n):
                 for i3 in range(n):
                     for i4 in range(n):
-                        checked += 1
                         left = coc(i1, i2, (i3 + i4) % n) + coc((i1 + i2) % n, i3, i4)
                         right = coc(i2, i3, i4) + coc(i1, (i2 + i3) % n, i4) + coc(i1, i2, i3)
-                        if (left - right) % n != 0:
-                            return CheckReport(
-                                "reassociator satisfies the pentagon identity",
-                                False,
-                                checked,
-                                f"cocycle mismatch at {(i1, i2, i3, i4)}",
-                                time.time() - start,
-                            )
+                        yield (
+                            None if (left - right) % n == 0
+                            else f"cocycle mismatch at {(i1, i2, i3, i4)}"
+                        )
         phiinv = self.phi_inv()
-        checked += 1
-        if phi * phiinv != unit_tensor(actx, 3) or phiinv * phi != unit_tensor(actx, 3):
-            return CheckReport(
-                "reassociator satisfies the pentagon identity",
-                False,
-                checked,
-                "reassociator inverse",
-                time.time() - start,
-            )
-        return CheckReport(
-            "reassociator satisfies the pentagon identity",
-            True,
-            checked,
-            None,
-            time.time() - start,
-        )
+        unit3 = unit_tensor(actx, 3)
+        yield None if phi * phiinv == unit3 and phiinv * phi == unit3 else "reassociator inverse"
 
-    def verify_antipode(self, seed: int = 0) -> CheckReport:
+    @verifier("antipode axioms")
+    def verify_antipode(self, seed: int = 0) -> Counterexamples:
         """Anti-homomorphism relations plus all four zigzag identities."""
-        start = time.time()
         actx = self.actx
         f = actx.field
         one = actx.one_elem
@@ -555,13 +477,8 @@ class QuasiHopfData:
                 SE * SF - (SF * SE).scale(f.qpow(-1)) == one - khinv * k,
             ),
         ]
-        checked = 0
         for name, ok in checks:
-            checked += 1
-            if not ok:
-                return CheckReport(
-                    "antipode axioms", False, checked, name, time.time() - start
-                )
+            yield None if ok else name
         # Defining zigzags on a full small shell plus random samples.
         rng = random.Random(seed)
         keys: list[MonKey] = []
@@ -574,24 +491,10 @@ class QuasiHopfData:
         for key in keys:
             x = AlgebraElement(actx, {key: actx.field.one})
             eps_x = self.counit(x)
-            checked += 1
-            if self.zigzag_left(x) != self.alpha_elem.scale(eps_x):
-                return CheckReport(
-                    "antipode axioms",
-                    False,
-                    checked,
-                    f"left zigzag at monomial {key}",
-                    time.time() - start,
-                )
-            checked += 1
-            if self.zigzag_right(x) != self.beta_elem.scale(eps_x):
-                return CheckReport(
-                    "antipode axioms",
-                    False,
-                    checked,
-                    f"right zigzag at monomial {key}",
-                    time.time() - start,
-                )
+            ok = self.zigzag_left(x) == self.alpha_elem.scale(eps_x)
+            yield None if ok else f"left zigzag at monomial {key}"
+            ok = self.zigzag_right(x) == self.beta_elem.scale(eps_x)
+            yield None if ok else f"right zigzag at monomial {key}"
         # Reassociator zigzags.
         acc = actx.zero_elem
         for (k1, k2, k3), s in self.phi().terms.items():
@@ -603,11 +506,7 @@ class QuasiHopfData:
                 * AlgebraElement(actx, {k3: f.one})
             )
             acc = acc + piece.scale(s)
-        checked += 1
-        if acc != one:
-            return CheckReport(
-                "antipode axioms", False, checked, "reassociator zigzag", time.time() - start
-            )
+        yield None if acc == one else "reassociator zigzag"
         acc = actx.zero_elem
         for (k1, k2, k3), s in self.phi_inv().terms.items():
             piece = (
@@ -618,20 +517,11 @@ class QuasiHopfData:
                 * self.antipode_mono(k3)
             )
             acc = acc + piece.scale(s)
-        checked += 1
-        if acc != one:
-            return CheckReport(
-                "antipode axioms",
-                False,
-                checked,
-                "inverse reassociator zigzag",
-                time.time() - start,
-            )
-        return CheckReport("antipode axioms", True, checked, None, time.time() - start)
+        yield None if acc == one else "inverse reassociator zigzag"
 
-    def verify_grading(self, seed: int = 0) -> CheckReport:
+    @verifier("coproduct preserves the height grading")
+    def verify_grading(self, seed: int = 0) -> Counterexamples:
         """Coproduct terms split the height of the input across the two legs."""
-        start = time.time()
         actx = self.actx
         rng = random.Random(seed)
         keys: list[MonKey] = []
@@ -640,22 +530,13 @@ class QuasiHopfData:
                 keys.append((a, 0, 1, d))
                 keys.append((a, 1, 5 % actx.half, d))
         keys += self._sample_monomials(rng, 8, actx.N - 1)
-        checked = 0
         for key in keys:
             h = key[3] - key[0]
-            checked += 1
-            for (ka, kb) in self.delta_mono(key).terms:
-                if (ka[3] - ka[0]) + (kb[3] - kb[0]) != h:
-                    return CheckReport(
-                        "coproduct preserves the height grading",
-                        False,
-                        checked,
-                        f"monomial {key} split {(ka, kb)}",
-                        time.time() - start,
-                    )
-        return CheckReport(
-            "coproduct preserves the height grading", True, checked, None, time.time() - start
-        )
+            splits = [
+                (ka, kb) for (ka, kb) in self.delta_mono(key).terms
+                if (ka[3] - ka[0]) + (kb[3] - kb[0]) != h
+            ]
+            yield f"monomial {key} split {splits[0]}" if splits else None
 
 
 def axiom_reports(qh: QuasiHopfData, seed: int = 0) -> list[CheckReport]:

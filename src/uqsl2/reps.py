@@ -9,8 +9,6 @@ the cyclotomic field.
 
 from __future__ import annotations
 
-import time
-
 from .cyclo import FieldContext, Scalar, qint, scalar_to_str
 from .errors import (
     ConstructionError,
@@ -21,7 +19,7 @@ from .errors import (
 )
 from .linalg import BlockKernel, Echelon, SpanSolver, nullspace_basis, rank
 from .qgroup import AlgebraContext, AlgebraElement
-from .report import CheckReport
+from .report import Counterexamples, verifier
 
 Col = dict[int, Scalar]
 SparseMap = dict[int, Col]
@@ -216,95 +214,62 @@ class Representation:
 
     # -- defining relations ---------------------------------------------------
 
-    def check_relations(self) -> CheckReport:
+    @verifier(lambda self: f"defining relations hold on {self.label} (dim {self.dim})")
+    def check_relations(self) -> Counterexamples:
         """Verify every defining relation of u on this module."""
         f = self.field
         ctx = self.ctx
         n, N = ctx.n, ctx.N
-        count = 0
-        bad = None
         for r in range(self.dim):
-            if (n * self.kexp[r]) % N != 0:
-                bad = f"vector {r}: k eigenvalue is not an n-th root of unity"
-                break
-            if (n * self.khatexp[r] + 2 * self.kexp[r]) % N != 0:
-                bad = f"vector {r}: khat^n != k^-2 on this vector"
-                break
-            count += 2
-        if bad is None:
-            for mp, dk, dkh, nm in ((self.E, n, n - 2, "E"), (self.F, -n, -(n - 2), "F")):
-                for c, col in mp.items():
-                    for r in col:
-                        if (self.kexp[r] - self.kexp[c] - dk) % N != 0 or \
-                           (self.khatexp[r] - self.khatexp[c] - dkh) % N != 0:
-                            bad = f"{nm} entry ({r},{c}) breaks the group conjugation rule"
-                            break
-                        count += 1
-                    if bad:
-                        break
-                if bad:
-                    break
-        if bad is None:
-            for c in range(self.dim):
+            yield None if (n * self.kexp[r]) % N == 0 else (
+                f"vector {r}: k eigenvalue is not an n-th root of unity"
+            )
+            yield None if (n * self.khatexp[r] + 2 * self.kexp[r]) % N == 0 else (
+                f"vector {r}: khat^n != k^-2 on this vector"
+            )
+        for mp, dk, dkh, nm in ((self.E, n, n - 2, "E"), (self.F, -n, -(n - 2), "F")):
+            for c, col in mp.items():
+                for r in col:
+                    ok = (self.kexp[r] - self.kexp[c] - dk) % N == 0 and \
+                        (self.khatexp[r] - self.khatexp[c] - dkh) % N == 0
+                    yield None if ok else (
+                        f"{nm} entry ({r},{c}) breaks the group conjugation rule"
+                    )
+        for c in range(self.dim):
+            for apply, nm in ((self.apply_E, "E"), (self.apply_F, "F")):
                 v: Col = {c: f.one}
                 for _ in range(N):
-                    v = self.apply_E(v)
+                    v = apply(v)
                     if not v:
                         break
-                if v:
-                    bad = f"E^(n^2) does not vanish on vector {c}"
-                    break
-                w: Col = {c: f.one}
-                for _ in range(N):
-                    w = self.apply_F(w)
-                    if not w:
-                        break
-                if w:
-                    bad = f"F^(n^2) does not vanish on vector {c}"
-                    break
-                count += 2
-        if bad is None:
-            qinv = f.qpow(-1)
-            for c in range(self.dim):
-                unit: Col = {c: f.one}
-                fe = self.apply_F(self.apply_E(unit))
-                ef = self.apply_E(self.apply_F(unit))
-                lam = self._classes[c][0]
-                want = f.one - f.qpow(lam)
-                diff = dict(fe)
-                for r, s in ef.items():
-                    t = diff.get(r, f.zero) - qinv * s
-                    if t.is_zero():
-                        diff.pop(r, None)
-                    else:
-                        diff[r] = t
-                t = diff.get(c, f.zero) - want
+                yield f"{nm}^(n^2) does not vanish on vector {c}" if v else None
+        qinv = f.qpow(-1)
+        for c in range(self.dim):
+            unit: Col = {c: f.one}
+            fe = self.apply_F(self.apply_E(unit))
+            ef = self.apply_E(self.apply_F(unit))
+            lam = self._classes[c][0]
+            want = f.one - f.qpow(lam)
+            diff = dict(fe)
+            for r, s in ef.items():
+                t = diff.get(r, f.zero) - qinv * s
                 if t.is_zero():
-                    diff.pop(c, None)
+                    diff.pop(r, None)
                 else:
-                    diff[c] = t
-                if diff:
-                    bad = f"q-commutator of F and E is wrong on vector {c}"
-                    break
-                count += 1
-        if bad is None and self.grades is not None:
+                    diff[r] = t
+            t = diff.get(c, f.zero) - want
+            if t.is_zero():
+                diff.pop(c, None)
+            else:
+                diff[c] = t
+            yield f"q-commutator of F and E is wrong on vector {c}" if diff else None
+        if self.grades is not None:
             for mp, step, nm in ((self.E, 1, "E"), (self.F, -1, "F")):
                 for c, col in mp.items():
                     for r in col:
-                        if self.grades[r] - self.grades[c] != step:
-                            bad = f"{nm} entry ({r},{c}) is not homogeneous of degree {step}"
-                            break
-                        count += 1
-                    if bad:
-                        break
-                if bad:
-                    break
-        return CheckReport(
-            statement=f"defining relations hold on {self.label} (dim {self.dim})",
-            passed=bad is None,
-            instances=count,
-            counterexample=bad,
-        )
+                        yield None if self.grades[r] - self.grades[c] == step else (
+                            f"{nm} entry ({r},{c}) is not homogeneous of degree {step}"
+                        )
 
 
 # -- the E-chain ---------------------------------------------------------------
@@ -1148,18 +1113,20 @@ def _ratio_to(f_ctx: FieldContext, A: SparseMap, B: SparseMap) -> Scalar:
     return lam
 
 
-def block_structure(ctx: AlgebraContext) -> tuple[dict, CheckReport]:
-    """Ext-linkage blocks and the basic algebra of one block, verified.
+@verifier(
+    "Ext-linkage splits the 16 labels into 8 two-vertex blocks "
+    "whose basic algebra is the expected 8-dimensional quiver algebra"
+)
+def verify_block_structure(ctx: AlgebraContext) -> Counterexamples:
+    """Ext-linkage blocks and the basic algebra of each block, verified.
 
-    Returns a payload describing the blocks and a report covering: the
-    pairing of labels into blocks, the per-block dimension count, and the
-    quiver-with-relations shape of End(P_1 + P_2) for every block.
+    The report covers: the pairing of labels into blocks, the per-block
+    dimension count, and the quiver-with-relations shape of End(P_1 + P_2)
+    for every block.
     """
     f = ctx.field
     labels = all_labels(ctx)
     projs = {lab: projective(ctx, *lab) for lab in labels}
-    count = 0
-    bad = None
     links: dict[tuple[int, int], set] = {}
     for lab in labels:
         P = projs[lab]
@@ -1167,161 +1134,104 @@ def block_structure(ctx: AlgebraContext) -> tuple[dict, CheckReport]:
         layer1 = top_multiplicities(sub_rep(P, rows, f"rad({P.label})"))
         links[lab] = set(layer1)
         expect = {partner_label(ctx, *lab): 2}
-        if layer1 != expect:
-            bad = f"radical layer of {P.label} is {layer1}, expected double {expect}"
-            break
-        count += 1
+        yield None if layer1 == expect else (
+            f"radical layer of {P.label} is {layer1}, expected double {expect}"
+        )
     blocks = []
-    if bad is None:
-        seen = set()
-        for lab in labels:
-            if lab in seen:
-                continue
-            comp = {lab} | links[lab]
-            seen |= comp
-            blocks.append(sorted(comp))
-        if len(blocks) != ctx.half:
-            bad = f"expected {ctx.half} blocks, found {len(blocks)}"
-        else:
-            count += len(blocks)
-    basic = []
-    if bad is None:
-        for comp in blocks:
-            dimsum = 0
-            for (i, j) in comp:
-                dimsum += projs[(i, j)].dim * (ctx.N - 2 * i + 1)
-            if dimsum != 2 * ctx.N * ctx.N:
-                bad = f"block {comp} spans dimension {dimsum}, expected {2 * ctx.N * ctx.N}"
-                break
-            count += 1
-    if bad is None:
-        for comp in blocks:
-            lab1, lab2 = comp
-            P1, P2 = projs[lab1], projs[lab2]
-            end1 = hom_space(P1, P1)
-            end2 = hom_space(P2, P2)
-            h12 = hom_space(P1, P2)
-            h21 = hom_space(P2, P1)
-            dims = (len(end1), len(h12), len(h21), len(end2))
-            if dims != (2, 2, 2, 2):
-                bad = f"Hom dimensions {dims} between {P1.label}, {P2.label} are off"
-                break
-            count += 4
-            sigma = {}
-            ok = True
-            for key, endos, P in (("1", end1, P1), ("2", end2, P2)):
-                rad = None
-                gram_rows = []
-                for a in range(2):
-                    row = {}
-                    for b in range(2):
-                        t = map_trace(f, compose_maps(f, endos[a], endos[b]))
-                        if not t.is_zero():
-                            row[b] = t
-                    gram_rows.append(row)
-                ns = nullspace_basis(f, gram_rows, 2)
-                if len(ns) != 1:
-                    bad = f"End({P.label}) is not local"
-                    ok = False
-                    break
-                sol = ns[0]
-                mat: SparseMap = {}
-                for t, cf in sol.items():
-                    mat = add_scaled_map(f, mat, endos[t], cf)
-                if not mat:
-                    bad = f"socle endomorphism of {P.label} vanished"
-                    ok = False
-                    break
-                sigma[key] = mat
-                count += 1
-            if not ok:
-                break
-            s1, s2 = sigma["1"], sigma["2"]
-            m1 = [[None, None], [None, None]]
-            try:
-                for a in range(2):
-                    for b in range(2):
-                        m1[a][b] = _ratio_to(f, compose_maps(f, h21[a], h12[b]), s1)
-            except ConstructionError as exc:
-                bad = f"{exc} (between {P1.label} and {P2.label})"
-                break
-            det = m1[0][0] * m1[1][1] - m1[0][1] * m1[1][0]
-            if det.is_zero():
-                bad = f"pairing of arrows between {P1.label}, {P2.label} is degenerate"
-                break
-            count += 1
-            inv = det.inverse()
-            g0 = add_scaled_map(f, add_scaled_map(f, {}, h21[0], m1[1][1] * inv),
-                                h21[1], -(m1[0][1] * inv))
-            g1 = add_scaled_map(f, add_scaled_map(f, {}, h21[0], -(m1[1][0] * inv)),
-                                h21[1], m1[0][0] * inv)
-            gs = [g0, g1]
-            try:
-                for a in range(2):
-                    for b in range(2):
-                        got = _ratio_to(f, compose_maps(f, gs[a], h12[b]), s1)
-                        want = f.one if a == b else f.zero
-                        if got != want:
-                            raise ConstructionError("arrow normalization failed")
-                        count += 1
-                aup = [[None, None], [None, None]]
-                for a in range(2):
-                    for b in range(2):
-                        aup[a][b] = _ratio_to(f, compose_maps(f, h12[a], gs[b]), s2)
-            except ConstructionError as exc:
-                bad = f"{exc} (between {P1.label} and {P2.label})"
-                break
-            if not aup[0][1].is_zero() or not aup[1][0].is_zero():
-                bad = f"opposite composites mix arrows between {P1.label}, {P2.label}"
-                break
-            if aup[0][0].is_zero() or aup[0][0] != aup[1][1]:
-                bad = f"opposite composites are not a common scalar on {P1.label}, {P2.label}"
-                break
-            count += 3
-            for arrow in h12:
-                if compose_maps(f, arrow, s1) or compose_maps(f, s2, arrow):
-                    bad = "an arrow fails to kill the socle endomorphism"
-                    break
-                count += 1
-            if bad:
-                break
-            for arrow in gs:
-                if compose_maps(f, arrow, s2) or compose_maps(f, s1, arrow):
-                    bad = "a reverse arrow fails to kill the socle endomorphism"
-                    break
-                count += 1
-            if bad:
-                break
-            basic.append({
-                "labels": [f"S({2 * i},{j})" for (i, j) in comp],
-                "hom_dims": list(dims),
-                "loop_scalar": scalar_to_str(aup[0][0]),
-                "basic_dim": sum(dims),
-            })
-    payload = {
-        "blocks": [[f"S({2 * i},{j})" for (i, j) in comp] for comp in blocks],
-        "basic_algebras": basic,
-    }
-    report = CheckReport(
-        statement="Ext-linkage splits the 16 labels into 8 two-vertex blocks "
-                  "whose basic algebra is the expected 8-dimensional quiver algebra",
-        passed=bad is None,
-        instances=count,
-        counterexample=bad,
-    )
-    return payload, report
+    seen = set()
+    for lab in labels:
+        if lab in seen:
+            continue
+        comp = {lab} | links[lab]
+        seen |= comp
+        blocks.append(sorted(comp))
+    for comp in blocks:
+        yield None if len(comp) == 2 else f"block {comp} does not have two labels"
+    for comp in blocks:
+        dimsum = 0
+        for (i, j) in comp:
+            dimsum += projs[(i, j)].dim * (ctx.N - 2 * i + 1)
+        yield None if dimsum == 2 * ctx.N * ctx.N else (
+            f"block {comp} spans dimension {dimsum}, expected {2 * ctx.N * ctx.N}"
+        )
+    for lab1, lab2 in blocks:
+        P1, P2 = projs[lab1], projs[lab2]
+        pair = f"{P1.label}, {P2.label}"
+        end1 = hom_space(P1, P1)
+        end2 = hom_space(P2, P2)
+        h12 = hom_space(P1, P2)
+        h21 = hom_space(P2, P1)
+        dims = (len(end1), len(h12), len(h21), len(end2))
+        for d in dims:
+            yield None if d == 2 else f"Hom dimensions {dims} between {pair} are off"
+        sigma = {}
+        for key, endos, P in (("1", end1, P1), ("2", end2, P2)):
+            gram_rows = []
+            for a in range(2):
+                row = {}
+                for b in range(2):
+                    t = map_trace(f, compose_maps(f, endos[a], endos[b]))
+                    if not t.is_zero():
+                        row[b] = t
+                gram_rows.append(row)
+            ns = nullspace_basis(f, gram_rows, 2)
+            if len(ns) != 1:
+                yield f"End({P.label}) is not local"
+            mat: SparseMap = {}
+            for t, cf in ns[0].items():
+                mat = add_scaled_map(f, mat, endos[t], cf)
+            yield None if mat else f"socle endomorphism of {P.label} vanished"
+            sigma[key] = mat
+        s1, s2 = sigma["1"], sigma["2"]
+        try:
+            m1 = [[_ratio_to(f, compose_maps(f, h21[a], h12[b]), s1) for b in range(2)]
+                  for a in range(2)]
+        except ConstructionError as exc:
+            yield f"{exc} (between {P1.label} and {P2.label})"
+        det = m1[0][0] * m1[1][1] - m1[0][1] * m1[1][0]
+        yield f"pairing of arrows between {pair} is degenerate" if det.is_zero() else None
+        inv = det.inverse()
+        g0 = add_scaled_map(f, add_scaled_map(f, {}, h21[0], m1[1][1] * inv),
+                            h21[1], -(m1[0][1] * inv))
+        g1 = add_scaled_map(f, add_scaled_map(f, {}, h21[0], -(m1[1][0] * inv)),
+                            h21[1], m1[0][0] * inv)
+        gs = [g0, g1]
+        try:
+            for a in range(2):
+                for b in range(2):
+                    got = _ratio_to(f, compose_maps(f, gs[a], h12[b]), s1)
+                    want = f.one if a == b else f.zero
+                    yield None if got == want else (
+                        f"arrow normalization failed (between {P1.label} and {P2.label})"
+                    )
+            aup = [[_ratio_to(f, compose_maps(f, h12[a], gs[b]), s2) for b in range(2)]
+                   for a in range(2)]
+        except ConstructionError as exc:
+            yield f"{exc} (between {P1.label} and {P2.label})"
+        for off in (aup[0][1], aup[1][0]):
+            yield None if off.is_zero() else f"opposite composites mix arrows between {pair}"
+        yield None if not aup[0][0].is_zero() and aup[0][0] == aup[1][1] else (
+            f"opposite composites are not a common scalar on {pair}"
+        )
+        for arrow in h12:
+            killed = not compose_maps(f, arrow, s1) and not compose_maps(f, s2, arrow)
+            yield None if killed else "an arrow fails to kill the socle endomorphism"
+        for arrow in gs:
+            killed = not compose_maps(f, arrow, s2) and not compose_maps(f, s1, arrow)
+            yield None if killed else "a reverse arrow fails to kill the socle endomorphism"
 
 
 # -- cross-check against the regular module ---------------------------------------
 
 
-def verify_projective_vs_ideal(ctx: AlgebraContext, i: int, j: int) -> CheckReport:
+@verifier(
+    lambda ctx, i, j: f"matrix model of P({2 * i},{j}) matches the left ideal model inside u"
+)
+def verify_projective_vs_ideal(ctx: AlgebraContext, i: int, j: int) -> Counterexamples:
     """Check the matrix model of projective(i, j) against the left ideal
     generated inside u itself, ending in an isomorphism test."""
     f = ctx.field
     N = ctx.N
-    count = 0
-    bad = None
     alpha = ctx.alpha_vec(i, j)
     gamma = ctx.gamma_vec(i, j)
     achain = [alpha]
@@ -1333,82 +1243,52 @@ def verify_projective_vs_ideal(ctx: AlgebraContext, i: int, j: int) -> CheckRepo
     for s in range(N):
         fa = ctx.F * achain[s]
         want = achain[s - 1].scale(_chain(ctx, i, j, s + 1)[2]) if s >= 1 else zero
-        if fa != want:
-            bad = f"F action on a-chain vector {s} disagrees inside u"
-            break
-        count += 1
+        yield None if fa == want else f"F action on a-chain vector {s} disagrees inside u"
         fg = ctx.F * gchain[s]
         want = gchain[s - 1].scale(_chain_g_f(f, i, s)) if s >= 1 else zero
         t = s + 2 * i - 2
         if 0 <= t <= N - 1:
             want = want + achain[t].scale(f.qpow(-s))
-        if fg != want:
-            bad = f"F action on generator chain vector {s} disagrees inside u"
-            break
-        count += 1
-    if bad is None:
-        P = projective(ctx, i, j)
-        for s in range(N):
-            for vec, idx in ((achain[s], s), (gchain[s], N + s)):
-                kv = ctx.k * vec
-                khv = ctx.khat * vec
-                if kv != vec.scale(f.qpow(P.kexp[idx])) or \
-                   khv != vec.scale(f.qpow(P.khatexp[idx])):
-                    bad = f"group action on chain vector {idx} disagrees inside u"
-                    break
-                count += 2
-            if bad:
-                break
-        if bad is None:
-            coords = [ctx.coords(v) for v in achain + gchain]
-            if rank(f, coords) != 2 * N:
-                bad = "chain vectors are linearly dependent inside u"
-            else:
-                count += 1
-                ideal = ctx.left_ideal_basis(gamma)
-                if len(ideal) != 2 * N:
-                    bad = f"left ideal of the generator has dimension {len(ideal)}"
-                else:
-                    count += 1
-                    solver = SpanSolver(f, coords, top=ctx.dim)
-                    E: SparseMap = {}
-                    F: SparseMap = {}
-                    vecs = achain + gchain
-                    for mp, gen in ((E, ctx.E), (F, ctx.F)):
-                        for c in range(2 * N):
-                            img = ctx.coords(gen * vecs[c])
-                            if not img:
-                                continue
-                            co = solver.coords(img)
-                            if co is None:
-                                bad = "chain span is not closed under the algebra action"
-                                break
-                            col = {r: s for r, s in enumerate(co) if not s.is_zero()}
-                            if col:
-                                mp[c] = col
-                        if bad:
-                            break
-                    if bad is None:
-                        ideal_rep = Representation(
-                            ctx, f"ideal({2 * i},{j})",
-                            list(P.kexp), list(P.khatexp), E, F, None,
-                        )
-                        rel = ideal_rep.check_relations()
-                        if not rel.passed:
-                            bad = rel.counterexample
-                        elif not iso_test(ideal_rep, P):
-                            bad = "ideal model and matrix model are not isomorphic"
-                        else:
-                            count += 2
-    return CheckReport(
-        statement=f"matrix model of P({2 * i},{j}) matches the left ideal model inside u",
-        passed=bad is None,
-        instances=count,
-        counterexample=bad,
+        yield None if fg == want else (
+            f"F action on generator chain vector {s} disagrees inside u"
+        )
+    P = projective(ctx, i, j)
+    for s in range(N):
+        for vec, idx in ((achain[s], s), (gchain[s], N + s)):
+            bad = f"group action on chain vector {idx} disagrees inside u"
+            yield None if ctx.k * vec == vec.scale(f.qpow(P.kexp[idx])) else bad
+            yield None if ctx.khat * vec == vec.scale(f.qpow(P.khatexp[idx])) else bad
+    vecs = achain + gchain
+    coords = [ctx.coords(v) for v in vecs]
+    yield None if rank(f, coords) == 2 * N else "chain vectors are linearly dependent inside u"
+    ideal = ctx.left_ideal_basis(gamma)
+    yield None if len(ideal) == 2 * N else (
+        f"left ideal of the generator has dimension {len(ideal)}"
     )
+    solver = SpanSolver(f, coords, top=ctx.dim)
+    E: SparseMap = {}
+    F: SparseMap = {}
+    for mp, gen in ((E, ctx.E), (F, ctx.F)):
+        for c in range(2 * N):
+            img = ctx.coords(gen * vecs[c])
+            if not img:
+                continue
+            co = solver.coords(img)
+            if co is None:
+                yield "chain span is not closed under the algebra action"
+            col = {r: s for r, s in enumerate(co) if not s.is_zero()}
+            if col:
+                mp[c] = col
+    ideal_rep = Representation(
+        ctx, f"ideal({2 * i},{j})", list(P.kexp), list(P.khatexp), E, F, None,
+    )
+    rel = ideal_rep.check_relations()
+    yield rel.counterexample
+    yield None if iso_test(ideal_rep, P) else "ideal model and matrix model are not isomorphic"
 
 
-def verify_structure_counts(ctx: AlgebraContext) -> CheckReport:
+@verifier("simple and projective censuses match the stated counts")
+def verify_structure_counts(ctx: AlgebraContext) -> Counterexamples:
     """Census of the module category: simple dimensions, projective covers,
     block dimensions.
 
@@ -1418,152 +1298,101 @@ def verify_structure_counts(ctx: AlgebraContext) -> CheckReport:
     partner involution pairs the labels into n^2/2 blocks of total
     dimension 2n^4, exhausting dim u.
     """
-    start = time.time()
-    count = 0
-    bad = None
     N = ctx.N
     labels = all_labels(ctx)
-    statement = "simple and projective censuses match the stated counts"
-
-    def report() -> CheckReport:
-        return CheckReport(statement, bad is None, count, bad, time.time() - start)
-
     dims = sorted(simple(ctx, i, j).dim for i, j in labels)
-    count += 1
-    if dims != sorted(2 * list(range(1, N, 2))):
-        bad = f"simple dimensions are {dims}"
-        return report()
-    count += 1
-    if max(dims) >= 2 * N:
-        bad = "a simple module is at least as large as a projective"
-        return report()
+    yield None if dims == sorted(2 * list(range(1, N, 2))) else f"simple dimensions are {dims}"
+    yield None if max(dims) < 2 * N else "a simple module is at least as large as a projective"
     for i, j in labels:
         P = projective(ctx, i, j)
-        count += 1
-        if P.dim != 2 * N:
-            bad = f"P({2 * i},{j}) has dimension {P.dim}"
-            return report()
-        count += 1
-        if top_multiplicities(P) != {(i, j): 1}:
-            bad = f"P({2 * i},{j}) does not have simple top S({2 * i},{j})"
-            return report()
-        count += 1
-        if socle_multiplicities(P) != {(i, j): 1}:
-            bad = f"P({2 * i},{j}) does not have simple socle S({2 * i},{j})"
-            return report()
+        yield None if P.dim == 2 * N else f"P({2 * i},{j}) has dimension {P.dim}"
+        yield None if top_multiplicities(P) == {(i, j): 1} else (
+            f"P({2 * i},{j}) does not have simple top S({2 * i},{j})"
+        )
+        yield None if socle_multiplicities(P) == {(i, j): 1} else (
+            f"P({2 * i},{j}) does not have simple socle S({2 * i},{j})"
+        )
     seen = set()
     block_total = 0
     for i, j in labels:
         ip, jp = partner_label(ctx, i, j)
-        count += 1
-        if (ip, jp) == (i, j) or partner_label(ctx, ip, jp) != (i, j) or jp == j:
-            bad = f"partner pairing misbehaves at ({i},{j})"
-            return report()
+        ok = (ip, jp) != (i, j) and partner_label(ctx, ip, jp) == (i, j) and jp != j
+        yield None if ok else f"partner pairing misbehaves at ({i},{j})"
         if (i, j) in seen:
             continue
         seen.update({(i, j), (ip, jp)})
         block_dim = 2 * N * simple(ctx, i, j).dim + 2 * N * simple(ctx, ip, jp).dim
-        count += 1
-        if block_dim != 2 * N * N:
-            bad = f"block of ({i},{j}) has dimension {block_dim}"
-            return report()
+        yield None if block_dim == 2 * N * N else f"block of ({i},{j}) has dimension {block_dim}"
         block_total += block_dim
-    count += 2
-    if len(seen) != len(labels) or block_total != ctx.dim:
-        bad = "blocks do not exhaust the algebra"
-    return report()
+    yield None if len(seen) == len(labels) else "blocks do not exhaust the algebra"
+    yield None if block_total == ctx.dim else "blocks do not exhaust the algebra"
 
 
-def verify_family_constructors(ctx: AlgebraContext, lmax: int = 3) -> CheckReport:
+@verifier("strand families, (co)syzygies, and tubes behave as stated")
+def verify_family_constructors(ctx: AlgebraContext, lmax: int = 3) -> Counterexamples:
     """Every strand family is well-defined with the stated dimension, the
     first (co)syzygies are the one-strand modules, the two-strand syzygy
     lands on the partner label, and the tubes separate parameters."""
-    start = time.time()
-    count = 0
-    bad = None
     f = ctx.field
     N = ctx.N
-    statement = "strand families, (co)syzygies, and tubes behave as stated"
 
-    def report() -> CheckReport:
-        return CheckReport(statement, bad is None, count, bad, time.time() - start)
+    def well_defined(M: Representation, dim: int) -> Counterexamples:
+        yield None if M.dim == dim else f"{M.label} has dimension {M.dim}"
+        rel = M.check_relations()
+        yield None if rel.passed else f"{M.label}: {rel.counterexample}"
 
     params = (f.one, -f.one, f.from_int(2))
     for i, j in all_labels(ctx):
         for l in range(0, lmax + 1):
-            for fam, disp in ((family_V, "V"), (family_Vt, "Vt")):
-                M = fam(ctx, i, j, l)
-                count += 1
-                if M.dim != (l + 1) * (2 * i - 1) + l * (N - 2 * i + 1):
-                    bad = f"{disp}({2 * i},{j};{l}) has dimension {M.dim}"
-                    return report()
-                rel = M.check_relations()
-                count += 1
-                if not rel.passed:
-                    bad = f"{M.label}: {rel.counterexample}"
-                    return report()
+            for fam in (family_V, family_Vt):
+                yield from well_defined(
+                    fam(ctx, i, j, l), (l + 1) * (2 * i - 1) + l * (N - 2 * i + 1)
+                )
         for l in range(1, lmax + 1):
             mods = [family_W(ctx, i, j, l), family_Wt(ctx, i, j, l)]
             mods.extend(family_T(ctx, i, j, l, lam) for lam in params)
             for M in mods:
-                count += 1
-                if M.dim != l * N:
-                    bad = f"{M.label} has dimension {M.dim}"
-                    return report()
-                rel = M.check_relations()
-                count += 1
-                if not rel.passed:
-                    bad = f"{M.label}: {rel.counterexample}"
-                    return report()
+                yield from well_defined(M, l * N)
     for i, j in all_labels(ctx):
         ip, jp = partner_label(ctx, i, j)
         S = simple(ctx, i, j)
-        count += 2
-        if not iso_test(family_V(ctx, i, j, 0), simple(ctx, ip, jp)):
-            bad = f"V({2 * i},{j};0) is not the partner simple"
-            return report()
-        if not iso_test(family_Vt(ctx, i, j, 0), simple(ctx, ip, jp)):
-            bad = f"Vt({2 * i},{j};0) is not the partner simple"
-            return report()
-        count += 2
-        if not iso_test(syzygy(S), family_V(ctx, i, j, 1)):
-            bad = f"the syzygy of S({2 * i},{j}) is not V({2 * i},{j};1)"
-            return report()
-        if not iso_test(cosyzygy(S), family_Vt(ctx, i, j, 1)):
-            bad = f"the cosyzygy of S({2 * i},{j}) is not Vt({2 * i},{j};1)"
-            return report()
+        yield None if iso_test(family_V(ctx, i, j, 0), simple(ctx, ip, jp)) else (
+            f"V({2 * i},{j};0) is not the partner simple"
+        )
+        yield None if iso_test(family_Vt(ctx, i, j, 0), simple(ctx, ip, jp)) else (
+            f"Vt({2 * i},{j};0) is not the partner simple"
+        )
+        yield None if iso_test(syzygy(S), family_V(ctx, i, j, 1)) else (
+            f"the syzygy of S({2 * i},{j}) is not V({2 * i},{j};1)"
+        )
+        yield None if iso_test(cosyzygy(S), family_Vt(ctx, i, j, 1)) else (
+            f"the cosyzygy of S({2 * i},{j}) is not Vt({2 * i},{j};1)"
+        )
     for i, j in ((1, 0), (3, 1), (ctx.half, 0), (2, 1)):
         ip, jp = partner_label(ctx, i, j)
         S = simple(ctx, i, j)
-        count += 2
-        if not iso_test(syzygy(syzygy(S)), family_V(ctx, ip, jp, 2)):
-            bad = f"the second syzygy of S({2 * i},{j}) is not V on the partner label"
-            return report()
-        if not iso_test(cosyzygy(cosyzygy(S)), family_Vt(ctx, ip, jp, 2)):
-            bad = f"the second cosyzygy of S({2 * i},{j}) is not Vt on the partner label"
-            return report()
+        yield None if iso_test(syzygy(syzygy(S)), family_V(ctx, ip, jp, 2)) else (
+            f"the second syzygy of S({2 * i},{j}) is not V on the partner label"
+        )
+        yield None if iso_test(cosyzygy(cosyzygy(S)), family_Vt(ctx, ip, jp, 2)) else (
+            f"the second cosyzygy of S({2 * i},{j}) is not Vt on the partner label"
+        )
     for l in range(1, lmax + 1):
         tubes = [family_T(ctx, 2, 0, l, lam) for lam in params]
-        count += 1
-        if not iso_test(tubes[0], family_T(ctx, 2, 0, l, f.one)):
-            bad = f"T(4,0;{l};1) fails to be isomorphic to a fresh copy of itself"
-            return report()
+        yield None if iso_test(tubes[0], family_T(ctx, 2, 0, l, f.one)) else (
+            f"T(4,0;{l};1) fails to be isomorphic to a fresh copy of itself"
+        )
         for a in range(len(tubes)):
             for b in range(a + 1, len(tubes)):
-                count += 1
-                if iso_test(tubes[a], tubes[b]):
-                    bad = f"tubes with distinct parameters coincide at l={l}"
-                    return report()
-        count += 1
-        if iso_test(family_W(ctx, 2, 0, l), family_Wt(ctx, 2, 0, l)):
-            bad = f"W(4,0;{l}) and Wt(4,0;{l}) are isomorphic"
-            return report()
-    count += 2
-    if not iso_test(family_W(ctx, 2, 0, 1), verma(ctx, 2, 0)):
-        bad = "W(4,0;1) is not the standard module M(4,0)"
-    elif iso_test(family_W(ctx, 2, 0, 2), family_T(ctx, 2, 0, 2, f.one)):
-        bad = "W(4,0;2) coincides with the closed tube T(4,0;2;1)"
-    return report()
+                same = iso_test(tubes[a], tubes[b])
+                yield f"tubes with distinct parameters coincide at l={l}" if same else None
+        same = iso_test(family_W(ctx, 2, 0, l), family_Wt(ctx, 2, 0, l))
+        yield f"W(4,0;{l}) and Wt(4,0;{l}) are isomorphic" if same else None
+    yield None if iso_test(family_W(ctx, 2, 0, 1), verma(ctx, 2, 0)) else (
+        "W(4,0;1) is not the standard module M(4,0)"
+    )
+    same = iso_test(family_W(ctx, 2, 0, 2), family_T(ctx, 2, 0, 2, f.one))
+    yield "W(4,0;2) coincides with the closed tube T(4,0;2;1)" if same else None
 
 
 # -- serialization -----------------------------------------------------------------

@@ -18,7 +18,7 @@ from uqsl2.moncat import tensor_reports
 from uqsl2.qgroup import AlgebraContext
 from uqsl2.quasihopf import QuasiHopfData, axiom_reports
 from uqsl2.reps import (
-    block_structure,
+    verify_block_structure,
     verify_family_constructors,
     verify_structure_counts,
 )
@@ -56,8 +56,7 @@ def test_commutation_sweep(actx, capsys):
 
 def test_structure_census_and_quiver(actx, capsys):
     start = time.time()
-    _, quiver = block_structure(actx)
-    reports = [verify_structure_counts(actx), quiver]
+    reports = [verify_structure_counts(actx), verify_block_structure(actx)]
     _gate("structure census and block quiver", reports, 600, start, capsys)
 
 

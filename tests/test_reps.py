@@ -14,7 +14,6 @@ from uqsl2.errors import (
 from uqsl2.linalg import rank
 from uqsl2.reps import (
     all_labels,
-    block_structure,
     cosyzygy,
     direct_sum,
     exps_from_class,
@@ -38,6 +37,7 @@ from uqsl2.reps import (
     sub_rep,
     syzygy,
     top_multiplicities,
+    verify_block_structure,
     verify_projective_vs_ideal,
     verma,
 )
@@ -247,13 +247,13 @@ def test_relation_checker_catches_perturbations(actx):
 
 
 def test_block_structure(actx):
-    payload, report = block_structure(actx)
+    report = verify_block_structure(actx)
     assert report.passed, report.counterexample
-    assert len(payload["blocks"]) == 8
-    assert ["S(2,0)", "S(16,1)"] in payload["blocks"]
-    for basic in payload["basic_algebras"]:
-        assert basic["basic_dim"] == 8
-        assert basic["hom_dims"] == [2, 2, 2, 2]
+    # 16 radical layers, 8 two-label blocks, 8 block dimensions, then per
+    # block 4 Hom dimensions and 14 quiver relations
+    assert report.instances == 16 + 8 + 8 + 8 * 18
+    assert report.wall_time > 0
+    assert partner_label(actx, 1, 0) == (8, 1)
 
 
 def test_projective_matches_left_ideal(actx):
