@@ -8,6 +8,10 @@ N-th root of unity q; qbar = q^n is the canonical primitive n-th root.
 For n a power of two, Phi_N = x^(N/2) + 1 and reduction is a sign fold,
 which is the hot path.  For other n divisible by 4 a precomputed reduction
 table handles the general Phi_N.
+
+`FieldContext.residue_field()` gives the residue field F_p of one prime
+above p, with zeta sent to a primitive N-th root of unity omega in F_p.  It
+serves certificates only: a rank over F_p bounds the exact rank from below.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import math
 from fractions import Fraction
 
 from .errors import (
+    ConstructionError,
     ContextMismatchError,
     DivisionByZeroError,
     InvalidArgumentError,
@@ -148,6 +153,9 @@ class Scalar:
 class FieldContext:
     """Arithmetic context for Q(zeta_N) with N = n^2, 4 | n."""
 
+    # Elimination strips the integer content of rows over this field.
+    has_content = True
+
     def __init__(self, n: int):
         if not isinstance(n, int) or n < 4 or n % 4 != 0:
             raise UnsupportedParameterError(
@@ -187,6 +195,7 @@ class FieldContext:
         self.q = self._qpow[1]
         self.qbar = self._qpow[n % self.N]
         self.minus_one = self._qpow[self.N // 2]
+        self._residue_field: ResidueField | None = None
 
     # -- construction ----------------------------------------------------
 
@@ -237,6 +246,16 @@ class FieldContext:
 
     def sign(self, parity: int) -> Scalar:
         return self.one if parity % 2 == 0 else self.minus_one
+
+    def image(self, s: Scalar) -> Scalar:
+        """The image of a scalar of this field: the scalar itself."""
+        return s
+
+    def residue_field(self) -> "ResidueField":
+        """The residue field F_p of this context, built on first use."""
+        if self._residue_field is None:
+            self._residue_field = ResidueField(self)
+        return self._residue_field
 
     # -- core arithmetic ---------------------------------------------------
 
@@ -328,6 +347,109 @@ class FieldContext:
 
     def __repr__(self) -> str:
         return f"FieldContext(n={self.n})"
+
+
+def _is_prime(m: int) -> bool:
+    """Trial division; the residue field only needs primes near 2^30."""
+    return m > 1 and all(m % d for d in range(2, math.isqrt(m) + 1))
+
+
+class Residue:
+    """An element of the residue field F_p, as an integer in 0..p-1."""
+
+    __slots__ = ("v", "p")
+
+    def __init__(self, v: int, p: int):
+        self.v = v
+        self.p = p
+
+    def __add__(self, other: "Residue") -> "Residue":
+        p = self.p
+        return Residue((self.v + other.v) % p, p)
+
+    def __sub__(self, other: "Residue") -> "Residue":
+        p = self.p
+        return Residue((self.v - other.v) % p, p)
+
+    def __neg__(self) -> "Residue":
+        p = self.p
+        return Residue(-self.v % p, p)
+
+    def __mul__(self, other: "Residue") -> "Residue":
+        p = self.p
+        return Residue(self.v * other.v % p, p)
+
+    def inverse(self) -> "Residue":
+        if not self.v:
+            raise DivisionByZeroError("inverse of zero in F_p")
+        return Residue(pow(self.v, -1, self.p), self.p)
+
+    def is_zero(self) -> bool:
+        return not self.v
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Residue):
+            return NotImplemented
+        return self.v == other.v and self.p == other.p
+
+    def __repr__(self) -> str:
+        return f"Residue({self.v} mod {self.p})"
+
+
+class ResidueField:
+    """F_p for the smallest prime p = 1 (mod N) above 2^30, with zeta sent
+    to a primitive N-th root of unity omega.
+
+    Reduction is the ring map Z[zeta]_(P) -> F_p at the prime P = (p, zeta -
+    omega); it refuses a scalar whose denominator p divides.  Linear algebra
+    over F_p computes the rank of the reduced matrix, which is at most the
+    rank of the exact one.
+    """
+
+    # Residues have no integer content to strip.
+    has_content = False
+
+    def __init__(self, exact: FieldContext):
+        N = exact.N
+        p = -(-2**30 // N) * N + 1
+        while not _is_prime(p):
+            p += N
+        prime_factors = [r for r in range(2, N + 1) if N % r == 0 and _is_prime(r)]
+        x = 2
+        while True:
+            omega = pow(x, (p - 1) // N, p)
+            if all(pow(omega, N // r, p) != 1 for r in prime_factors):
+                break
+            x += 1
+        value = 0
+        for c in reversed(exact.phi_poly):
+            value = (value * omega + c) % p
+        if value:
+            raise ConstructionError(f"omega = {omega} is not a root of Phi_N modulo {p}")
+        self.exact = exact
+        self.p = p
+        self.omega = omega
+        self._omega_pows = [pow(omega, k, p) for k in range(exact.degree)]
+        self.zero = Residue(0, p)
+        self.one = Residue(1, p)
+
+    def reduce(self, s: Scalar) -> Residue:
+        """The residue of s; refuses a denominator divisible by p."""
+        if s.ctx is not self.exact:
+            raise ContextMismatchError("scalar from a different field context")
+        p = self.p
+        if s.den % p == 0:
+            raise DivisionByZeroError(f"{s!r} is not p-integral for p = {p}")
+        acc = 0
+        for a, w in zip(s.num, self._omega_pows):
+            if a:
+                acc += a * w
+        return Residue(acc * pow(s.den, -1, p) % p, p)
+
+    image = reduce
+
+    def __repr__(self) -> str:
+        return f"ResidueField(p={self.p}, omega={self.omega})"
 
 
 def make_context(n: int) -> FieldContext:

@@ -3,6 +3,8 @@
 Vectors are dicts mapping column index to a nonzero Scalar.  Elimination is
 division-free (cross-multiplication) with per-row content stripping, so the
 only field inversions happen once per solved system, not once per pivot.
+The same code runs over a residue field F_p, whose elements have no content
+to strip.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ def _cross_eliminate(ctx: FieldContext, row: Row, piv_col: int, piv_row: Row) ->
         else:
             out[c] = -t
     out.pop(piv_col, None)
-    return _strip_content(ctx, out)
+    return _strip_content(ctx, out) if ctx.has_content else out
 
 
 class Echelon:

@@ -23,6 +23,7 @@ from .cyclo import Scalar
 from .errors import (
     ConstructionError,
     ContextMismatchError,
+    DivisionByZeroError,
     InvalidArgumentError,
     RepresentationError,
 )
@@ -687,6 +688,16 @@ def verify_unit_object(ctx: AlgebraContext) -> Counterexamples:
                 yield None if same_arrays and iso_test(T, X) else f"{T.label} vs {X.label}"
 
 
+def _top(M: Representation, labels) -> dict[Label, int]:
+    """Nonzero dim Hom(M, S) over M's field, for S the simples in labels."""
+    out: dict[Label, int] = {}
+    for lab in labels:
+        t = hom_to_simple(M, lab[0], lab[1], dim_only=True)
+        if t:
+            out[lab] = t
+    return out
+
+
 def _cover_certificate(
     T: Representation, expected: dict[SummandKey, int]
 ) -> str | None:
@@ -697,6 +708,25 @@ def _cover_certificate(
     T between equal dimensions, hence is an isomorphism.  Composition counts
     from the graded character are checked first; they bound the top, so only
     labels with a nonzero count need a Hom solve.
+
+    The tops are first solved over the residue field F_p (`T.mod_p()`), by
+    the same Hom solver.  This is a one-sided certificate:
+
+    - The Hom constraints over F_p are the reductions of the exact ones, and
+      reduction mod p can only lower a rank, so each mod-p Hom dimension is
+      an upper bound on the exact one: true top <= mod-p top, label by label.
+    - Suppose the mod-p tops equal `want_top`, and the exact dimension check
+      and the exact character-peeled composition counts pass.  A label
+      outside the counts is no composition factor, so its true top is 0.
+      The projective cover P(true top) surjects onto T, and every
+      indecomposable projective has dimension 2n^2, so sum(true top) >=
+      dim T / 2n^2 = sum(want_top).
+    - With the pointwise bound this forces true top = want_top, so T is a
+      quotient of P(want_top) of the same dimension: T = (+)P(want_top).
+
+    When the mod-p tops differ from `want_top`, or an entry of T is not
+    p-integral, the exact tops decide, so a failing input gets the same
+    counterexample either way.
     """
     ctx = T.ctx
     if any(kind != "P" for (kind, _, _) in expected):
@@ -712,11 +742,13 @@ def _cover_certificate(
     counts = composition_counts(T)
     if counts != want_counts:
         return f"composition counts {counts} differ from expected {want_counts}"
-    got_top: dict[Label, int] = {}
-    for lab in counts:
-        t = hom_to_simple(T, lab[0], lab[1], dim_only=True)
-        if t:
-            got_top[lab] = t
+    try:
+        residue_module = T.mod_p()
+    except DivisionByZeroError:
+        residue_module = None
+    if residue_module is not None and _top(residue_module, counts) == want_top:
+        return None
+    got_top = _top(T, counts)
     if got_top != want_top:
         return f"top {got_top} differs from expected {want_top}"
     return None

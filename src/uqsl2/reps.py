@@ -55,7 +55,8 @@ class Representation:
 
     E[c] and F[c] hold the image of basis vector c as {row: coefficient}.
     grades, when present, give an internal height with E of degree +1 and
-    F of degree -1.
+    F of degree -1.  The coefficients live in `field`: ctx.field, or its
+    residue field F_p for a module made by `mod_p`.
     """
 
     __slots__ = (
@@ -132,6 +133,29 @@ class Representation:
 
     def apply_F(self, vec: Col) -> Col:
         return self.apply_map(self.F, vec)
+
+    def mod_p(self) -> "Representation":
+        """This module with E and F reduced to the residue field F_p of its
+        field; entries that vanish mod p are dropped.  Raises
+        DivisionByZeroError on an entry that is not p-integral."""
+        res = self.field.residue_field()
+
+        def reduce(mp: SparseMap) -> SparseMap:
+            out: SparseMap = {}
+            for c, col in mp.items():
+                rcol = {}
+                for r, s in col.items():
+                    t = res.reduce(s)
+                    if not t.is_zero():
+                        rcol[r] = t
+                if rcol:
+                    out[c] = rcol
+            return out
+
+        R = Representation(self.ctx, self.label, self.kexp, self.khatexp,
+                           reduce(self.E), reduce(self.F), self.grades)
+        R.field = res
+        return R
 
     def apply_group(self, eps: int, c: int, vec: Col) -> Col:
         f = self.field
@@ -508,6 +532,7 @@ def hom_to_simple(M: Representation, i: int, j: int, dim_only: bool = False):
     _check_label(M.ctx, i, j)
     f = M.field
     d, classes, fc = _simple_chain_data(M.ctx, i, j)
+    fc = [f.image(c) for c in fc]
     chi_top = classes[d]
     var_rows = M.class_indices().get(chi_top, ())
     if not var_rows:
@@ -1114,7 +1139,7 @@ def _ratio_to(f_ctx: FieldContext, A: SparseMap, B: SparseMap) -> Scalar:
 
 
 @verifier(
-    "Ext-linkage splits the 16 labels into 8 two-vertex blocks "
+    lambda ctx: f"Ext-linkage splits the {ctx.N} labels into {ctx.half} two-vertex blocks "
     "whose basic algebra is the expected 8-dimensional quiver algebra"
 )
 def verify_block_structure(ctx: AlgebraContext) -> Counterexamples:

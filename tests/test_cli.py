@@ -4,8 +4,6 @@ import json
 import subprocess
 import sys
 
-import pytest
-
 from uqsl2.cli import main
 from uqsl2.report import CheckReport
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from uqsl2.cyclo import (
+    Residue,
     cyclotomic_polynomial,
     make_context,
     qint,
@@ -85,6 +86,41 @@ def test_inverse_random():
         a = ctx.from_coeffs(coeffs)
         assert a * a.inverse() == ctx.one
         assert a / a == ctx.one
+
+
+def test_residue_field_is_a_ring_map():
+    ctx = make_context(4)
+    assert ctx._residue_field is None  # built on first use only
+    res = ctx.residue_field()
+    assert ctx.residue_field() is res
+    p, N = res.p, ctx.N
+    assert p > 2**30 and p % N == 1
+    assert not any(m % N == 1 for m in range(2**30 + 1, p) if pow(2, m - 1, m) == 1)
+    assert pow(res.omega, N, p) == 1 and pow(res.omega, N // 2, p) != 1
+    assert res.reduce(ctx.q) == res.image(ctx.q) == Residue(res.omega, p)
+    assert res.reduce(ctx.minus_one) == -res.one
+    rng = random.Random(5)
+
+    def rand_scalar():
+        return ctx.from_coeffs(
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(8)]
+        )
+
+    for _ in range(40):
+        a, b = rand_scalar(), rand_scalar()
+        ra, rb = res.reduce(a), res.reduce(b)
+        assert res.reduce(a * b) == ra * rb
+        assert res.reduce(a + b) == ra + rb
+        assert res.reduce(a - b) == ra - rb
+        assert res.reduce(-a) == -ra
+        if not ra.is_zero():
+            assert ra * ra.inverse() == res.one
+    assert res.reduce(ctx.zero).is_zero()
+    with pytest.raises(DivisionByZeroError):
+        res.zero.inverse()
+    with pytest.raises(DivisionByZeroError):
+        res.reduce(ctx.from_fraction(Fraction(1, p)))
+    assert res.reduce(ctx.from_fraction(Fraction(p, 3))).is_zero()
 
 
 def test_inverse_of_zero_raises():

@@ -1,5 +1,6 @@
 """The package's public names: every export resolves, no module keeps memo
-state of its own, and only the verifier runner builds a CheckReport."""
+state of its own, only the verifier runner builds a CheckReport, and mod-p
+arithmetic stays inside the one certificate that uses it."""
 
 import ast
 import importlib
@@ -51,3 +52,47 @@ def test_reports_come_from_the_runner():
         assert "time.time" not in calls, path.name
         if path.name != "report.py":
             assert not [c for c in calls if c.split(".")[-1] == "CheckReport"], path.name
+
+
+# Names that reach the residue field F_p: its classes, the accessor that
+# builds it, and the Representation helper that reduces a module to it.
+RESIDUE_NAMES = frozenset({"Residue", "ResidueField", "residue_field", "mod_p"})
+# Where they may appear: cyclo defines them, the helper and the P (x) S cover
+# certificate use them.  Every other verdict stays exact.
+RESIDUE_SCOPES = {"cyclo.py": None, "reps.py": "Representation.mod_p",
+                  "moncat.py": "_cover_certificate"}
+
+
+def _residue_uses(tree: ast.AST) -> list[tuple[str, str]]:
+    """(enclosing qualified def, name) for every residue name in a module."""
+    out = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+            if node.name in RESIDUE_NAMES:
+                out.append((scope, node.name))
+        names = []
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.alias):
+            names = [node.name, node.asname]
+        out.extend((scope, name) for name in names if name in RESIDUE_NAMES)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return out
+
+
+def test_residue_field_stays_in_the_cover_certificate():
+    package = pathlib.Path(uqsl2.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        allowed = RESIDUE_SCOPES.get(path.name, "")
+        if allowed is None:
+            continue
+        for scope, name in _residue_uses(ast.parse(path.read_text(encoding="utf-8"))):
+            inside = allowed and (scope == allowed or scope.startswith(allowed + "."))
+            assert inside, f"{path.name}: {name} used in {scope or 'module scope'}"

@@ -1,14 +1,19 @@
 """Tensor products, fusion rules, and the decomposition engine."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
+from uqsl2 import moncat
 from uqsl2.errors import (
-    ConstructionError,
     ContextMismatchError,
+    DivisionByZeroError,
     InvalidArgumentError,
     RepresentationError,
 )
 from uqsl2.moncat import (
+    _cover_certificate,
     clebsch_gordan_table,
     composition_counts,
     decompose,
@@ -28,6 +33,7 @@ from uqsl2.reps import (
     Representation,
     all_labels,
     family_W,
+    hom_to_simple,
     partner_label,
     projective,
     simple,
@@ -297,3 +303,134 @@ def test_summand_names(actx):
     assert summand_name(("P", 1, 0)) == "P(2,0)"
     assert summand_dim(actx, ("S", 7, 1)) == 3
     assert summand_dim(actx, ("P", 1, 0)) == 32
+
+
+# -- the P (x) S cover certificate over F_p and its exact fallback -------------------
+
+
+def _fusion_case(ctx, i1, i2):
+    """Which of the four cases of projective_simple_rule a label pair is in."""
+    return (2 * i1 - 1 >= ctx.N - 2 * i2 + 1, i1 <= i2)
+
+
+def _sampled_ps_products(ctx):
+    """Six of the 512 P(x)S / S(x)P products, drawn with Random(0): one per
+    fusion case, then two more, with the factor order alternating.
+
+    Products are kept to dim <= 288; a case with nothing that small (i1 > i2
+    with a projective tail needs dim S(2i2) >= 11) takes its smallest dim.
+    """
+    rng = random.Random(0)
+    labels = all_labels(ctx)
+    pairs = [(a, b) for a in labels for b in labels]
+
+    def dim(pair):
+        return 2 * ctx.N * (ctx.N - 2 * pair[1][0] + 1)
+
+    picks = []
+    for case in sorted({_fusion_case(ctx, a[0], b[0]) for a, b in pairs}):
+        pool = [pr for pr in pairs if _fusion_case(ctx, pr[0][0], pr[1][0]) == case]
+        cap = max(288, min(dim(pr) for pr in pool))
+        picks.append(rng.choice([pr for pr in pool if dim(pr) <= cap]))
+    picks += rng.sample([pr for pr in pairs if dim(pr) <= 288], 2)
+    out = []
+    for k, ((i1, j1), (i2, j2)) in enumerate(picks):
+        P, S = projective(ctx, i1, j1), simple(ctx, i2, j2)
+        T = tensor(P, S) if k % 2 == 0 else tensor(S, P)
+        out.append((T, projective_simple_rule(ctx, i1, j1, i2, j2), _fusion_case(ctx, i1, i2)))
+    return out
+
+
+def test_residue_tops_match_exact_tops(actx):
+    products = _sampled_ps_products(actx)
+    assert len({case for _, _, case in products}) == 4
+    assert {T.label[0] for T, _, _ in products} == {"P", "S"}
+    for T, expected, _ in products:
+        R = T.mod_p()
+        assert R.field is actx.field.residue_field()
+        for i, j in composition_counts(T):
+            got = hom_to_simple(R, i, j, dim_only=True)
+            assert got == hom_to_simple(T, i, j, dim_only=True), (T.label, i, j)
+        assert _cover_certificate(T, expected) is None
+
+
+def _spy_hom_fields(monkeypatch):
+    """Record the field of every Hom solve the certificate makes."""
+    seen = []
+    real = moncat.hom_to_simple
+
+    def spy(M, i, j, dim_only=False):
+        seen.append(M.field)
+        return real(M, i, j, dim_only)
+
+    monkeypatch.setattr(moncat, "hom_to_simple", spy)
+    return seen
+
+
+def _small_product(ctx):
+    return tensor(projective(ctx, 2, 0), simple(ctx, 7, 1)), projective_simple_rule(ctx, 2, 0, 7, 1)
+
+
+def test_cover_certificate_falls_back_on_a_broken_residue_module(actx, monkeypatch):
+    T, expected = _small_product(actx)
+    real = Representation.mod_p
+
+    def zero_one_entry(self):
+        # E sends basis vector 48 = (16, 0) of P(4,0) (x) S(14,1) to 49 and 51;
+        # without the first arrow the mod-p tops shrink to {(3, 1): 1}.
+        R = real(self)
+        del R.E[48][49]
+        return R
+
+    monkeypatch.setattr(Representation, "mod_p", zero_one_entry)
+    seen = _spy_hom_fields(monkeypatch)
+    assert _cover_certificate(T, expected) is None
+    residue = actx.field.residue_field()
+    assert residue in seen and actx.field in seen  # mod-p tops mismatched, exact decided
+    assert seen[-1] is actx.field
+
+
+def test_cover_certificate_failure_strings_are_the_exact_ones(actx, monkeypatch):
+    T, expected = _small_product(actx)
+    bumped = dict(expected)
+    bumped[("P", 1, 1)] += 1
+    assert _cover_certificate(T, bumped) == "dimension 96 differs from the expected cover"
+    # One summand moved to its block partner keeps the dimension and the
+    # composition counts, so only the tops can tell.
+    moved = dict(expected)
+    del moved[("P", 1, 1)]
+    moved[("P", 8, 0)] = 1
+    seen = _spy_hom_fields(monkeypatch)
+    assert _cover_certificate(T, moved) == (
+        "top {(1, 1): 1, (2, 0): 1, (3, 1): 1} differs from expected "
+        "{(3, 1): 1, (2, 0): 1, (8, 0): 1}"
+    )
+    assert actx.field.residue_field() in seen and seen[-1] is actx.field
+
+
+def test_cover_certificate_refuses_a_non_p_integral_entry(actx, monkeypatch):
+    T, expected = _small_product(actx)
+    f = actx.field
+    p = f.residue_field().p
+    # The same module in a basis whose vector c0 is scaled by 1/p: the E and
+    # F entries of column c0 get p in their denominators.
+    c0 = next(c for c in sorted(T.E) if c in T.F)
+    scale = f.from_fraction(Fraction(1, p))
+    unscale = f.from_fraction(p)
+
+    def rescaled(mp):
+        out = {}
+        for c, col in mp.items():
+            out[c] = {
+                r: s * (scale if c == c0 else f.one) * (unscale if r == c0 else f.one)
+                for r, s in col.items()
+            }
+        return out
+
+    T2 = Representation(actx, T.label, T.kexp, T.khatexp, rescaled(T.E), rescaled(T.F), T.grades)
+    assert any(s.den % p == 0 for s in T2.E[c0].values())
+    with pytest.raises(DivisionByZeroError):
+        T2.mod_p()
+    seen = _spy_hom_fields(monkeypatch)
+    assert _cover_certificate(T2, expected) is None
+    assert seen and all(field is f for field in seen)

@@ -1,10 +1,7 @@
 import random
 
-import pytest
-
 from uqsl2.qgroup import AlgebraElement
 from uqsl2.quasihopf import (
-    QuasiHopfData,
     TensorElement,
     axiom_reports,
     tensor_of,

@@ -11,7 +11,6 @@ from uqsl2.errors import (
     InvalidArgumentError,
     RepresentationError,
 )
-from uqsl2.linalg import rank
 from uqsl2.reps import (
     all_labels,
     cosyzygy,
@@ -254,6 +253,16 @@ def test_block_structure(actx):
     assert report.instances == 16 + 8 + 8 + 8 * 18
     assert report.wall_time > 0
     assert partner_label(actx, 1, 0) == (8, 1)
+    assert report.statement.startswith("Ext-linkage splits the 16 labels into 8 two-vertex")
+
+
+def test_block_structure_statement_follows_n(monkeypatch):
+    from uqsl2.qgroup import AlgebraContext
+
+    monkeypatch.setattr(reps, "all_labels", lambda ctx: [])
+    report = verify_block_structure(AlgebraContext(8))
+    assert report.passed and report.instances == 0
+    assert "64 labels into 32 two-vertex blocks" in report.statement
 
 
 def test_projective_matches_left_ideal(actx):
