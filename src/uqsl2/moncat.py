@@ -34,7 +34,6 @@ from .reps import (
     Representation,
     all_labels,
     direct_sum,
-    hom_to_simple,
     iso_test,
     partner_label,
     projective,
@@ -688,16 +687,6 @@ def verify_unit_object(ctx: AlgebraContext) -> Counterexamples:
                 yield None if same_arrays and iso_test(T, X) else f"{T.label} vs {X.label}"
 
 
-def _top(M: Representation, labels) -> dict[Label, int]:
-    """Nonzero dim Hom(M, S) over M's field, for S the simples in labels."""
-    out: dict[Label, int] = {}
-    for lab in labels:
-        t = hom_to_simple(M, lab[0], lab[1], dim_only=True)
-        if t:
-            out[lab] = t
-    return out
-
-
 def _cover_certificate(
     T: Representation, expected: dict[SummandKey, int]
 ) -> str | None:
@@ -746,9 +735,9 @@ def _cover_certificate(
         residue_module = T.mod_p()
     except DivisionByZeroError:
         residue_module = None
-    if residue_module is not None and _top(residue_module, counts) == want_top:
+    if residue_module is not None and top_multiplicities(residue_module, counts) == want_top:
         return None
-    got_top = _top(T, counts)
+    got_top = top_multiplicities(T, counts)
     if got_top != want_top:
         return f"top {got_top} differs from expected {want_top}"
     return None
@@ -772,18 +761,6 @@ def verify_projective_simple_tensors(ctx: AlgebraContext) -> Counterexamples:
                 yield None if fail is None else f"{T.label}: {fail}"
 
 
-def decompose_standard_product(
-    ctx: AlgebraContext, left: SummandKey, right: SummandKey
-) -> DecompositionResult:
-    """Engine decomposition of a product of named modules, memoized on ctx."""
-    key = ("product", left, right)
-    hit = ctx.memo.get(key)
-    if hit is None:
-        T = tensor(summand_module(ctx, left), summand_module(ctx, right))
-        hit = ctx.memo[key] = decompose(T)
-    return hit
-
-
 def _engine_matches(
     ctx: AlgebraContext,
     left: SummandKey,
@@ -791,7 +768,7 @@ def _engine_matches(
     expected: dict[SummandKey, int],
 ) -> str | None:
     name = f"{summand_name(left)}(x){summand_name(right)}"
-    dec = decompose_standard_product(ctx, left, right)
+    dec = decompose(tensor(summand_module(ctx, left), summand_module(ctx, right)))
     if not dec.ok:
         return f"{name}: {'; '.join(dec.violations)}"
     if dec.summands != expected:
@@ -881,6 +858,12 @@ def verify_three_dim_fusion(ctx: AlgebraContext) -> Counterexamples:
     S(n^2,j1) (x) S(n^2-2,j2) is the matching three-dimensional simple;
     S(2,j1) (x) S(n^2-2,j2) adds one projective; for 2 <= i <= n^2/2 - 1
     the product S(2i,j1) (x) S(n^2-2,j2) is the three-term ladder.
+
+    The stated sums are checked against `simple_simple_rule`, and the first
+    two by explicit isomorphisms.  Engine agreement is not repeated: the
+    S (x) S sweep in `verify_simple_simple_tensors` decides engine = rule on
+    every pair, these included.  One instance counts per ladder pair; the
+    S(2,j1) case yields only on a rule mismatch.
     """
     h = ctx.half
     for j1 in (0, 1):
@@ -892,9 +875,8 @@ def verify_three_dim_fusion(ctx: AlgebraContext) -> Counterexamples:
                 ("S", 2, (j1 + j2) % 2): 1,
                 ("P", 1, (j1 + j2 + 1) % 2): 1,
             }
-            fail = _engine_matches(ctx, ("S", 1, j1), ("S", h - 1, j2), expected)
-            if fail is not None:
-                yield fail
+            if expected != simple_simple_rule(ctx, 1, j1, h - 1, j2):
+                yield f"{T.label}: stated sum disagrees with the general rule"
             parts = [
                 simple(ctx, 2, (j1 + j2) % 2),
                 projective(ctx, 1, (j1 + j2 + 1) % 2),
@@ -908,12 +890,10 @@ def verify_three_dim_fusion(ctx: AlgebraContext) -> Counterexamples:
                     ("S", i, (j1 + j2 + 1) % 2): 1,
                     ("S", i - 1, (j1 + j2) % 2): 1,
                 }
-                if expected != simple_simple_rule(ctx, i, j1, h - 1, j2):
-                    yield (
-                        f"S({2 * i},{j1})(x)S({2 * (h - 1)},{j2}): "
-                        "ladder disagrees with the general rule"
-                    )
-                yield _engine_matches(ctx, ("S", i, j1), ("S", h - 1, j2), expected)
+                yield None if expected == simple_simple_rule(ctx, i, j1, h - 1, j2) else (
+                    f"S({2 * i},{j1})(x)S({2 * (h - 1)},{j2}): "
+                    "ladder disagrees with the general rule"
+                )
 
 
 @verifier("graded characters tile every fusion product")

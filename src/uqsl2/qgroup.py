@@ -162,12 +162,6 @@ class AlgebraElement:
         """Heights d - a of the monomials present."""
         return {key[3] - key[0] for key in self.terms}
 
-    def homogeneous_component(self, s: int) -> "AlgebraElement":
-        return AlgebraElement(
-            self.ctx,
-            {k: v for k, v in self.terms.items() if k[3] - k[0] == s},
-        )
-
     def coefficient(self, key: MonKey) -> Scalar:
         return self.terms.get(key, self.ctx.field.zero)
 
@@ -253,11 +247,6 @@ class AlgebraContext:
 
     def from_group(self, g: GroupElem) -> AlgebraElement:
         return self.group_elem(g.eps, g.c)
-
-    def scalar_elem(self, s: Scalar) -> AlgebraElement:
-        if s.is_zero():
-            return self.zero_elem
-        return AlgebraElement(self, {(0, 0, 0, 0): s})
 
     # -- rewriting core ----------------------------------------------------
 

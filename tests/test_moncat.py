@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from uqsl2 import moncat
+from uqsl2 import reps
 from uqsl2.errors import (
     ContextMismatchError,
     DivisionByZeroError,
@@ -17,7 +17,6 @@ from uqsl2.moncat import (
     clebsch_gordan_table,
     composition_counts,
     decompose,
-    decompose_standard_product,
     projective_simple_rule,
     relative_graded_character,
     simple_simple_rule,
@@ -198,12 +197,12 @@ def test_fusion_table_rows(actx):
 
 
 def test_engine_decomposes_frozen_products(actx):
-    res = decompose_standard_product(actx, ("S", 1, 0), ("S", 1, 0))
+    res = decompose(tensor(simple(actx, 1, 0), simple(actx, 1, 0)))
     assert res.ok, res.violations
     assert res.summands == simple_simple_rule(actx, 1, 0, 1, 0)
     assert res.verified_dim == 225
 
-    res2 = decompose_standard_product(actx, ("S", 2, 0), ("S", 3, 1))
+    res2 = decompose(tensor(simple(actx, 2, 0), simple(actx, 3, 1)))
     assert res2.ok, res2.violations
     assert res2.summands == simple_simple_rule(actx, 2, 0, 3, 1)
     assert res2.verified_dim == 143
@@ -214,14 +213,14 @@ def test_engine_decomposes_frozen_products(actx):
 def test_fresh_context_has_cold_memo(actx):
     from uqsl2.qgroup import AlgebraContext
 
-    key = ("S", 1, 0)
-    warm = decompose_standard_product(actx, key, key)
-    assert ("product", key, key) in actx.memo
+    key = ("graded_char", ("S", 3, 1))
+    warm = composition_counts(simple(actx, 3, 1))
+    assert key in actx.memo
     fresh = AlgebraContext(4)
     assert fresh.memo == {}
-    cold = decompose_standard_product(fresh, key, key)
-    assert cold is not warm
-    assert cold.ok and cold.summands == warm.summands
+    cold = composition_counts(simple(fresh, 3, 1))
+    assert fresh.memo[key] is not actx.memo[key]
+    assert cold == warm == {(3, 1): 1}
 
 
 def test_peel_counts_known_modules(actx):
@@ -357,13 +356,13 @@ def test_residue_tops_match_exact_tops(actx):
 def _spy_hom_fields(monkeypatch):
     """Record the field of every Hom solve the certificate makes."""
     seen = []
-    real = moncat.hom_to_simple
+    real = reps.hom_to_simple
 
     def spy(M, i, j, dim_only=False):
         seen.append(M.field)
         return real(M, i, j, dim_only)
 
-    monkeypatch.setattr(moncat, "hom_to_simple", spy)
+    monkeypatch.setattr(reps, "hom_to_simple", spy)
     return seen
 
 

@@ -61,7 +61,19 @@ def _drop_first_summand(rule):
 
 
 def _fail_engine(*args, **kwargs):
-    raise AssertionError("the engine ran after the dimension check failed")
+    raise AssertionError("the engine ran where no check needs it")
+
+
+def _flip_one_parity(rule):
+    """S(12,1) (x) S(14,0) is stated with S(14,0) in place of S(14,1)."""
+
+    def flipped(ctx, i1, j1, i2, j2):
+        out = dict(rule(ctx, i1, j1, i2, j2))
+        if (i1, j1, i2, j2) == (6, 1, 7, 0):
+            out[("S", 7, 0)] = out.pop(("S", 7, 1))
+        return out
+
+    return flipped
 
 
 def _zero_shift(self, x, h):
@@ -108,7 +120,7 @@ FAULTS = [
         lambda ctx: moncat.verify_simple_simple_tensors(ctx),
         [
             (moncat, "simple_simple_rule", _drop_first_summand),
-            (moncat, "decompose_standard_product", lambda _: _fail_engine),
+            (moncat, "decompose", lambda _: _fail_engine),
         ],
         "simple-by-simple products match the fusion rule, every summand is "
         "simple or projective, and the mixed case with i1 > i2 reads both "
@@ -144,13 +156,31 @@ FAULTS = [
         5,
         "character mismatch at (1, 0) x (2, 0)",
     ),
+    (
+        lambda ctx: moncat.verify_simple_tensor_isomorphisms(ctx),
+        [(moncat, "simple_simple_rule", _flip_one_parity)],
+        "sampled simple-by-simple products are isomorphic to the stated sums",
+        1,
+        "S(12,1)(x)S(14,0)",
+    ),
+    (
+        lambda ctx: k0ring.verify_fusion_consistency(ctx),
+        [
+            (k0ring, "_expand_products", _extra_unit_class),
+            (moncat, "decompose", lambda _: _fail_engine),
+        ],
+        "K0 products equal the composition classes of tensor products",
+        19,
+        "structure constants at (1, 0) x (2, 0) differ from the composition "
+        "counts of the tensor module",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "run, faults, statement, instances, counterexample",
     FAULTS,
-    ids=["moncat", "qgroup", "reps", "quasihopf", "k0ring"],
+    ids=["moncat", "qgroup", "reps", "quasihopf", "k0ring", "iso-undecided", "k0-fusion"],
 )
 def test_injected_fault_is_reported(
     monkeypatch, run, faults, statement, instances, counterexample
