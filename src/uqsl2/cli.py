@@ -52,10 +52,22 @@ class RunConfig:
     out: str | None = None
 
 
-def build_context(cfg: RunConfig) -> AlgebraContext:
-    if cfg.n <= 0 or cfg.n % 4 != 0:
-        raise UnsupportedParameterError(f"n must be a positive multiple of 4, got {cfg.n}")
-    return AlgebraContext(cfg.n)
+# Size bounds, checked before anything is built: dim u = n^6 (262144 at
+# n = 8), and a strand module of length l has dimension about 16*l at n = 4.
+MAX_N = 8
+MAX_L = 32
+
+
+def check_n(n: int) -> None:
+    if n <= 0 or n % 4 != 0:
+        raise UnsupportedParameterError(f"n must be a positive multiple of 4, got {n}")
+    if n > MAX_N:
+        raise UnsupportedParameterError(f"n must be at most {MAX_N}, got {n}")
+
+
+def check_l(l: int | None) -> None:
+    if l is not None and l > MAX_L:
+        raise InvalidArgumentError(f"l must be at most {MAX_L}, got {l}")
 
 
 def _emit(text: str, cfg: RunConfig) -> None:
@@ -101,7 +113,7 @@ def suite_reports(ctx: AlgebraContext, suite: str, seed: int, slow: bool) -> lis
 
 
 def cmd_verify(suite: str, cfg: RunConfig) -> int:
-    ctx = build_context(cfg)
+    ctx = AlgebraContext(cfg.n)
     reports = suite_reports(ctx, suite, cfg.seed, cfg.slow)
     for r in reports:
         print(f"[time] {r.statement}: {r.wall_time:.1f}s", file=sys.stderr)
@@ -203,7 +215,7 @@ def module_payload(M: Representation) -> dict:
 
 
 def cmd_module(args: argparse.Namespace, cfg: RunConfig) -> int:
-    ctx = build_context(cfg)
+    ctx = AlgebraContext(cfg.n)
     M = build_module(ctx, args.family, args.i, args.j, args.l, args.lam)
     payload = module_payload(M)
     if cfg.fmt == "json":
@@ -252,6 +264,8 @@ def parse_label(ctx: AlgebraContext, text: str, lam: int | None) -> Representati
         raise InvalidArgumentError(f"label {text!r} has non-integer parts") from exc
     if family in TWO_ARG_FAMILIES and len(nums) == 2:
         return build_module(ctx, family, nums[0], nums[1], None, None)
+    if len(nums) == 3:
+        check_l(nums[2])
     if family in THREE_ARG_FAMILIES and len(nums) == 3:
         return build_module(ctx, family, nums[0], nums[1], nums[2], None)
     if family == "T" and len(nums) == 3:
@@ -260,7 +274,7 @@ def parse_label(ctx: AlgebraContext, text: str, lam: int | None) -> Representati
 
 
 def cmd_tensor(args: argparse.Namespace, cfg: RunConfig) -> int:
-    ctx = build_context(cfg)
+    ctx = AlgebraContext(cfg.n)
     left = parse_label(ctx, args.left, args.lam)
     right = parse_label(ctx, args.right, args.lam)
     result = decompose(tensor(left, right))
@@ -312,7 +326,7 @@ def cmd_tensor(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_table(kind: str, cfg: RunConfig) -> int:
-    ctx = build_context(cfg)
+    ctx = AlgebraContext(cfg.n)
     if kind == "cg-ss":
         rows = clebsch_gordan_table(ctx, "SxS")
         fields = ["left", "right", "summand", "multiplicity"]
@@ -395,6 +409,8 @@ def main(argv: list[str] | None = None) -> int:
         out=args.out,
     )
     try:
+        check_n(cfg.n)
+        check_l(getattr(args, "l", None))
         if args.command == "verify":
             return cmd_verify(args.suite, cfg)
         if args.command == "module":

@@ -5,9 +5,15 @@ of Q[x]/(Phi_N), stored as an integer tuple with a single positive
 denominator and reduced eagerly.  The class of x is the canonical primitive
 N-th root of unity q; qbar = q^n is the canonical primitive n-th root.
 
-For n a power of two, Phi_N = x^(N/2) + 1 and reduction is a sign fold,
-which is the hot path.  For other n divisible by 4 a precomputed reduction
-table handles the general Phi_N.
+For n a power of two, Phi_N = x^m + 1 with m = N/2, and the hot path uses
+integers only:
+- reduction is a sign fold (negacyclic convolution);
+- a factor +-x^k with denominator 1, a signed power of q, multiplies by a
+  negacyclic shift that skips normalization (`Scalar.__mul__`);
+- the inverse is a norm tower down to a nonzero integer
+  (`FieldContext.inverse`).
+For other n divisible by 4 a precomputed reduction table handles the
+general Phi_N, and the inverse runs the extended Euclid algorithm over Q.
 
 `FieldContext.residue_field()` gives the residue field F_p of one prime
 above p, with zeta sent to a primitive N-th root of unity omega in F_p.  It
@@ -44,6 +50,55 @@ def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
     if any(num):
         raise ArithmeticError("nonzero remainder in polynomial division")
     return out
+
+
+def _negacyclic_mul(a, b) -> list[int]:
+    """The product of two integer coefficient vectors of length m modulo x^m + 1."""
+    m = len(a)
+    out = [0] * m
+    for i in range(m):
+        ai = a[i]
+        if not ai:
+            continue
+        for j in range(m):
+            bj = b[j]
+            if not bj:
+                continue
+            k = i + j
+            if k < m:
+                out[k] += ai * bj
+            else:
+                out[k - m] -= ai * bj
+    return out
+
+
+def _norm_tower(a: list[int]) -> tuple[list[int], int]:
+    """(p, r) with a * p = r modulo x^m + 1, m = len(a) a power of two and r a
+    nonzero integer; a must be nonzero.
+
+    Write a = e(x^2) + x*o(x^2).  Then a(x)*a(-x) = e(y)^2 - y*o(y)^2 with
+    y = x^2 is even, so it lies in Z[y]/(y^(m/2) + 1), and one step halves
+    the degree.  With c*p' = r there, p = a(-x)*p'(x^2) = e*p' - x*o*p'.
+
+    The root of x^m + 1 is a primitive 2m-th root of unity zeta, and
+    sigma: zeta -> -zeta = zeta^(m+1) is a Galois automorphism because m + 1
+    is odd.  So a != 0 gives sigma(a) != 0 and a norm a*sigma(a) != 0 at every
+    step, and the tower ends at a nonzero integer.
+    """
+    m = len(a)
+    if m == 1:
+        return [1], a[0]
+    e = a[0::2]
+    o = a[1::2]
+    ee = _negacyclic_mul(e, e)
+    oo = _negacyclic_mul(o, o)
+    # e^2 - y*o^2, where y*o^2 is o^2 shifted up one place with a sign wrap.
+    c = [ee[0] + oo[-1]] + [u - v for u, v in zip(ee[1:], oo)]
+    q, r = _norm_tower(c)
+    p = [0] * m
+    p[0::2] = _negacyclic_mul(e, q)
+    p[1::2] = [-v for v in _negacyclic_mul(o, q)]
+    return p, r
 
 
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
@@ -97,10 +152,34 @@ class Scalar:
         return Scalar(self.ctx, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
+        """The product; a factor +-x^k (a signed power of q) is a shift.
+
+        Over x^m + 1, multiplying by x^s for 0 <= s < 2m moves coefficient i
+        to i + s and flips its sign each time it wraps past m.  That permutes
+        the coordinates up to sign, so the integer content and the
+        denominator stay as they are: the product is already normalized and
+        equals what `_make` would return.  `_unit_shift` is empty unless
+        Phi_N = x^m + 1, so other N always take the general path.
+        """
         ctx = self.ctx
         if other.ctx is not ctx:
             raise ContextMismatchError("scalars from different field contexts")
-        return ctx._make(ctx._mul_num(self.num, other.num), self.den * other.den)
+        shift = ctx._unit_shift
+        moved = self
+        s = shift.get(other.num) if other.den == 1 else None
+        if s is None:
+            s = shift.get(self.num) if self.den == 1 else None
+            if s is None:
+                return ctx._make(ctx._mul_num(self.num, other.num), self.den * other.den)
+            moved = other
+        a = moved.num
+        m = len(a)
+        if s < m:
+            num = tuple([-c for c in a[m - s:]]) + a[: m - s]
+        else:
+            s -= m
+            num = a[m - s:] + tuple([-c for c in a[: m - s]])
+        return Scalar(ctx, num, moved.den)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inverse()
@@ -180,6 +259,17 @@ class FieldContext:
                     cur = [a - lead * c for a, c in zip(cur, phi_poly[:-1])]
                 rows.append(tuple(cur))
             self._red_rows = rows
+        # num of +-x^k -> s in [0, 2m) with +-x^k = x^s, for the shift path of
+        # Scalar.__mul__; empty when Phi_N is not x^m + 1.
+        self._unit_shift: dict[tuple[int, ...], int] = {}
+        if self._fold:
+            m = self.degree
+            for k in range(m):
+                num = [0] * m
+                num[k] = 1
+                self._unit_shift[tuple(num)] = k
+                num[k] = -1
+                self._unit_shift[tuple(num)] = k + m
         self.zero = Scalar(self, (0,) * self.degree, 1)
         one = [0] * self.degree
         one[0] = 1
@@ -260,23 +350,9 @@ class FieldContext:
     # -- core arithmetic ---------------------------------------------------
 
     def _mul_num(self, a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-        m = self.degree
-        out = [0] * m
         if self._fold:
-            for i in range(m):
-                ai = a[i]
-                if not ai:
-                    continue
-                for j in range(m):
-                    bj = b[j]
-                    if not bj:
-                        continue
-                    k = i + j
-                    if k < m:
-                        out[k] += ai * bj
-                    else:
-                        out[k - m] -= ai * bj
-            return out
+            return _negacyclic_mul(a, b)
+        m = self.degree
         tmp = [0] * (2 * m - 1)
         for i in range(m):
             ai = a[i]
@@ -298,8 +374,25 @@ class FieldContext:
         return out
 
     def inverse(self, s: Scalar) -> Scalar:
+        """The inverse of a nonzero scalar.
+
+        When Phi_N = x^m + 1 the norm tower (`_norm_tower`) gives an integer
+        vector p and a nonzero integer r with num * p = r, so
+        s^-1 = den * p / r, normalized once by `_make`.  Every scalar has one
+        normalized form (positive denominator, coprime to the content of
+        num), so the result equals the extended Euclid one coordinate by
+        coordinate.  Other N run `_euclid_inverse`.
+        """
         if s.is_zero():
             raise DivisionByZeroError("inverse of zero in Q(zeta_N)")
+        if self._fold:
+            p, r = _norm_tower(list(s.num))
+            den = s.den
+            return self._make([den * c for c in p], r)
+        return self._euclid_inverse(s)
+
+    def _euclid_inverse(self, s: Scalar) -> Scalar:
+        """The inverse of a nonzero scalar by extended Euclid over Q against Phi_N."""
 
         def trim(p: list[Fraction]) -> list[Fraction]:
             while p and not p[-1]:

@@ -1,8 +1,11 @@
 """Sparse exact linear algebra over Q(zeta_N).
 
 Vectors are dicts mapping column index to a nonzero Scalar.  Elimination is
-division-free (cross-multiplication) with per-row content stripping, so the
-only field inversions happen once per solved system, not once per pivot.
+division-free (cross-multiplication) with per-row content stripping, so
+reducing a row against the pivots inverts nothing.  `Echelon.add` inverts
+once per new pivot row whose leading entry is not 1, to make the row monic;
+`nullspace_basis` divides once per back-substitution step and
+`SpanSolver.coords` inverts once per query.
 The same code runs over a residue field F_p, whose elements have no content
 to strip.
 """

@@ -32,10 +32,30 @@ def test_rejects_bad_labels_and_families(capsys):
         (["module", "simple", "--i", "9", "--j", "0"], 2),
         (["module", "V", "--i", "1", "--j", "0", "--l", "-1"], 2),
         (["module", "T", "--i", "2", "--j", "1", "--l", "1", "--lambda", "0"], 2),
+        (["verify", "--suite", "k0", "--n", "12"], 2),
+        (["module", "V", "--i", "1", "--j", "0", "--l", "33"], 2),
     ]
     for argv, want in table:
         code, _, err = run_main(argv, capsys)
         assert code == want, (argv, code, err)
+
+
+def test_size_bounds_are_checked_before_building(capsys, monkeypatch):
+    # A context built past validation would raise here and exit 3, not 2.
+    def refuse(n):
+        raise AssertionError(f"AlgebraContext({n}) built")
+
+    monkeypatch.setattr("uqsl2.cli.AlgebraContext", refuse)
+    table = [
+        (["verify", "--suite", "k0", "--n", "12"], "at most 8"),
+        (["table", "k0", "--n", str(10**9)], "at most 8"),
+        (["module", "V", "--i", "1", "--j", "0", "--l", "33"], "at most 32"),
+        (["module", "T", "--i", "2", "--j", "1", "--l", str(10**9), "--lambda", "1"], "at most 32"),
+    ]
+    for argv, bound in table:
+        code, out, err = run_main(argv, capsys)
+        assert code == 2 and out == "", (argv, code, err)
+        assert bound in err, (argv, err)
 
 
 def test_removed_cache_flag_is_a_usage_error():

@@ -191,3 +191,101 @@ def test_general_reduction_path_matches_fold():
     assert half == ctx.minus_one
     a = ctx.qpow(100) + ctx.from_int(3)
     assert a * a.inverse() == ctx.one
+
+
+def _seeded_scalars(ctx, rng, count):
+    """Units, rationals, two-term and dense scalars, each drawn with and
+    without denominators, in turn."""
+    m = ctx.degree
+    out = []
+    for t in range(count):
+        kind, with_den = t % 4, t % 8 >= 4
+
+        def coeff(bound):
+            c = 0
+            while not c:
+                c = rng.randint(-bound, bound)
+            return Fraction(c, rng.randint(2, 9)) if with_den else Fraction(c)
+
+        coeffs = [Fraction(0)] * m
+        if kind == 0:  # +-x^k, or a rational multiple of it
+            coeffs[rng.randrange(m)] = coeff(1) if not with_den else coeff(5)
+        elif kind == 1:
+            coeffs[0] = coeff(50)
+        elif kind == 2:
+            for k in rng.sample(range(m), 2):
+                coeffs[k] = coeff(9)
+        else:
+            coeffs = [coeff(4) if rng.random() < 0.8 else Fraction(0) for _ in range(m)]
+            coeffs[rng.randrange(m)] = coeff(4)
+        out.append(ctx.from_coeffs(coeffs))
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_norm_tower_inverse_matches_euclid(n):
+    ctx = make_context(n)
+    assert ctx._fold  # Phi_N = x^(N/2) + 1: the norm tower runs
+    rng = random.Random(20 + n)
+    for a in _seeded_scalars(ctx, rng, 200):
+        inv = a.inverse()
+        euclid = ctx._euclid_inverse(a)
+        assert (inv.num, inv.den) == (euclid.num, euclid.den)
+        assert hash(inv) == hash(euclid)
+        assert a * inv == ctx.one
+    with pytest.raises(DivisionByZeroError):
+        ctx.zero.inverse()
+
+
+def test_non_power_of_two_inverse_runs_euclid(monkeypatch):
+    ctx = make_context(12)
+    assert not ctx._fold
+    calls = []
+    euclid = ctx._euclid_inverse
+    monkeypatch.setattr(ctx, "_euclid_inverse", lambda s: calls.append(s) or euclid(s))
+    rng = random.Random(12)
+    for a in [ctx.qpow(100) + ctx.from_int(3)] + _seeded_scalars(ctx, rng, 4):
+        assert a * a.inverse() == ctx.one
+    assert len(calls) == 5
+    with pytest.raises(DivisionByZeroError):
+        ctx.zero.inverse()
+
+
+def _times_x(ctx, coeffs):
+    """coeffs * x modulo Phi_N, by one step of long division."""
+    lead = coeffs[-1]
+    shifted = [Fraction(0)] + coeffs[:-1]
+    return [c - lead * p for c, p in zip(shifted, ctx.phi_poly)]
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_shift_path_matches_general_product(n):
+    ctx = make_context(n)
+    m = ctx.degree
+    assert len(ctx._unit_shift) == 2 * m
+    rng = random.Random(30 + n)
+    scalars = _seeded_scalars(ctx, rng, 100)
+    for k in range(2 * m):
+        unit = ctx.qpow(k)  # +x^k for k < m, -x^(k-m) above
+        assert ctx._unit_shift[unit.num] == k and unit.den == 1
+        for a in scalars:
+            want = ctx._make(ctx._mul_num(a.num, unit.num), a.den)
+            for got in (a * unit, unit * a):
+                assert (got.num, got.den) == (want.num, want.den)
+                assert hash(got) == hash(want)
+
+
+def test_general_reduction_path_products_by_powers_of_q():
+    # n = 12: Phi_144 is not x^72 + 1, so no factor takes the shift path and
+    # each product by q^k must equal k steps of multiplication by x.
+    ctx = make_context(12)
+    assert ctx._unit_shift == {}
+    rng = random.Random(44)
+    for a in _seeded_scalars(ctx, rng, 8):
+        ref = list(a.to_fractions())
+        for k in range(ctx.N):
+            want = ctx.from_coeffs(ref)
+            unit = ctx.qpow(k)
+            assert a * unit == want and unit * a == want
+            ref = _times_x(ctx, ref)
+        assert ctx.from_coeffs(ref) == a  # q^N = 1
