@@ -108,7 +108,7 @@ def suite_reports(ctx: AlgebraContext, suite: str, seed: int, slow: bool) -> lis
     if suite in ("tensor", "all"):
         out.extend(tensor_reports(ctx, seed=seed))
     if suite in ("k0", "all"):
-        out.extend(k0_reports(ctx, seed=seed, slow=slow))
+        out.extend(k0_reports(ctx))
     return out
 
 

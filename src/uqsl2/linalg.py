@@ -1,11 +1,16 @@
 """Sparse exact linear algebra over Q(zeta_N).
 
-Vectors are dicts mapping column index to a nonzero Scalar.  Elimination is
-division-free (cross-multiplication) with per-row content stripping, so
-reducing a row against the pivots inverts nothing.  `Echelon.add` inverts
-once per new pivot row whose leading entry is not 1, to make the row monic;
-`nullspace_basis` divides once per back-substitution step and
-`SpanSolver.coords` inverts once per query.
+A sparse vector is a dict from a hashable key (a column index, a PBW
+monomial key, a tuple of them) to a nonzero Scalar: it never stores a zero.
+Every sum into one goes through `_add_into` or `_axpy`, which drop a key
+whose sum cancels.
+
+Elimination is division-free (cross-multiplication) with per-row content
+stripping, so reducing a row against the pivots inverts nothing.
+`Echelon.add` inverts once per new pivot row whose leading entry is not 1,
+to make the row monic, and `SpanSolver.coords` inverts once per query;
+back-substitution in `nullspace_basis` divides by nothing, since every
+stored pivot is 1.
 The same code runs over a residue field F_p, whose elements have no content
 to strip.
 """
@@ -17,6 +22,36 @@ import math
 from .cyclo import FieldContext, Scalar
 
 Row = dict[int, Scalar]
+
+
+def _add_into(d: dict, key, s) -> None:
+    """d[key] += s, dropping the key if the sum is zero."""
+    cur = d.get(key)
+    if cur is not None:
+        s = cur + s
+    if s.is_zero():
+        d.pop(key, None)
+    else:
+        d[key] = s
+
+
+def _axpy(d: dict, vec: dict, s) -> None:
+    """d += s * vec, dropping every key whose sum is zero.
+
+    One multiply per entry of vec, also when s is zero; a zero s leaves d
+    as it was.  vec stores no zero, so s * v is zero only when s is.
+    """
+    keep_new = not s.is_zero()
+    for key, v in vec.items():
+        t = s * v
+        if key in d:
+            t = d[key] + t
+            if t.is_zero():
+                del d[key]
+            else:
+                d[key] = t
+        elif keep_new:
+            d[key] = t
 
 
 def _strip_content(ctx: FieldContext, row: Row) -> Row:
@@ -53,16 +88,7 @@ def _cross_eliminate(ctx: FieldContext, row: Row, piv_col: int, piv_row: Row) ->
         out = dict(row)
     else:
         out = {c: piv * s for c, s in row.items()}
-    for c, s in piv_row.items():
-        t = coef * s
-        if c in out:
-            u = out[c] - t
-            if u.is_zero():
-                del out[c]
-            else:
-                out[c] = u
-        else:
-            out[c] = -t
+    _axpy(out, piv_row, -coef)
     out.pop(piv_col, None)
     return _strip_content(ctx, out) if ctx.has_content else out
 
@@ -245,6 +271,7 @@ def nullspace_basis(ctx: FieldContext, rows, ncols: int) -> list[Row]:
                 if c != col and c in vec:
                     acc = acc + s * vec[c]
             if not acc.is_zero():
-                vec[col] = -(acc / row[col])
+                # Echelon.add stores every pivot row monic: row[col] is one.
+                vec[col] = -acc
         basis.append(vec)
     return basis

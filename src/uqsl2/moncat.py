@@ -27,6 +27,7 @@ from .errors import (
     InvalidArgumentError,
     RepresentationError,
 )
+from .linalg import _add_into
 from .qgroup import AlgebraContext, AlgebraElement
 from .quasihopf import QuasiHopfData
 from .report import CheckReport, Counterexamples, verifier
@@ -51,20 +52,6 @@ SummandKey = tuple[str, int, int]  # ("S" | "P", i, j)
 
 
 # -- acting and tensoring ---------------------------------------------------------
-
-
-def _accumulate(col: Col, row: int, s: Scalar) -> None:
-    if s.is_zero():
-        return
-    cur = col.get(row)
-    if cur is None:
-        col[row] = s
-        return
-    tot = cur + s
-    if tot.is_zero():
-        del col[row]
-    else:
-        col[row] = tot
 
 
 def _k_class(ctx: AlgebraContext, e: int) -> int:
@@ -117,22 +104,22 @@ def tensor(M: Representation, N: Representation, label: str | None = None) -> Re
             if EM:
                 flat_inv_b = f.qpow(w)
                 for ra, s in EM.items():
-                    _accumulate(ecol, ra * dN + b, s * flat_inv_b)
+                    _add_into(ecol, ra * dN + b, s * flat_inv_b)
             for rb, s in N.E.get(b, {}).items():
                 if right_class[rb] == 0:
-                    _accumulate(ecol, base + rb, s * q_kinv_a)
+                    _add_into(ecol, base + rb, s * q_kinv_a)
                 else:
-                    _accumulate(ecol, base + rb, s)
+                    _add_into(ecol, base + rb, s)
             if ecol:
                 E[colidx] = ecol
             fcol: Col = {}
             if FM:
                 flat_b = f.qpow(-w)
                 for ra, s in FM.items():
-                    _accumulate(fcol, ra * dN + b, s * flat_b)
+                    _add_into(fcol, ra * dN + b, s * flat_b)
             scale = q_khat_a if w == 0 else q_kinvkhat_a
             for rb, s in N.F.get(b, {}).items():
-                _accumulate(fcol, base + rb, s * scale)
+                _add_into(fcol, base + rb, s * scale)
             if fcol:
                 F[colidx] = fcol
     name = label if label is not None else f"{M.label}(x){N.label}"
@@ -160,7 +147,7 @@ def tensor_action_from_coproduct(
                 col = out.setdefault(ca * dN + cb, {})
                 for ra, sa in cola.items():
                     for rb, sb in colb.items():
-                        _accumulate(col, ra * dN + rb, s * sa * sb)
+                        _add_into(col, ra * dN + rb, s * sa * sb)
     return {c: col for c, col in out.items() if col}
 
 

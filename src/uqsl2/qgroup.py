@@ -27,6 +27,7 @@ from .errors import (
     ContextMismatchError,
     InvalidArgumentError,
 )
+from .linalg import _add_into
 from .report import Counterexamples, verifier
 
 MonKey = tuple[int, int, int, int]  # (a, eps, c, d)
@@ -102,12 +103,7 @@ class AlgebraElement:
         self._check(other)
         out = dict(self.terms)
         for key, s in other.terms.items():
-            cur = out.get(key)
-            t = s if cur is None else cur + s
-            if t.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = t
+            _add_into(out, key, s)
         return AlgebraElement(self.ctx, out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -267,9 +263,9 @@ class AlgebraContext:
             # E F^a = q F (E F^(a-1)) + q^(2a-1) F^(a-1) (k^-1 khat) - q F^(a-1)
             acc: dict[MonKey, Scalar] = {}
             for a1, e1, c1, d1, s in self.ef(1, a - 1):
-                self._accum(acc, (a1 + 1, e1, c1, d1), f.q * s)
-            self._accum(acc, (a - 1, 1, (n + 1) % self.half, 0), f.qpow(2 * a - 1))
-            self._accum(acc, (a - 1, 0, 0, 0), -f.q)
+                _add_into(acc, (a1 + 1, e1, c1, d1), f.q * s)
+            _add_into(acc, (a - 1, 1, (n + 1) % self.half, 0), f.qpow(2 * a - 1))
+            _add_into(acc, (a - 1, 0, 0, 0), -f.q)
             out = [(k[0], k[1], k[2], k[3], v) for k, v in sorted(acc.items())]
         else:
             # E^d F^a = E * (E^(d-1) F^a)
@@ -281,19 +277,10 @@ class AlgebraContext:
                     # E^d2 g = q^(-w*d2) g E^d2
                     eps, c = _group_mul(n, e2, c2, e1, c1)
                     coeff = f.qpow(-w * d2) * t * s
-                    self._accum(acc, (a2, eps, c, d2 + d1), coeff)
+                    _add_into(acc, (a2, eps, c, d2 + d1), coeff)
             out = [(k[0], k[1], k[2], k[3], v) for k, v in sorted(acc.items())]
         self._ef[key] = out
         return out
-
-    @staticmethod
-    def _accum(acc: dict[MonKey, Scalar], key: MonKey, s: Scalar) -> None:
-        cur = acc.get(key)
-        t = s if cur is None else cur + s
-        if t.is_zero():
-            acc.pop(key, None)
-        else:
-            acc[key] = t
 
     def mono_mul(self, k1: MonKey, k2: MonKey) -> tuple[tuple[MonKey, Scalar], ...]:
         """Memoized product of two PBW monomials as (key, coeff) pairs."""
@@ -328,7 +315,7 @@ class AlgebraContext:
             for k2, s2 in y.terms.items():
                 s12 = s1 * s2
                 for key, t in self.mono_mul(k1, k2):
-                    self._accum(acc, key, t * s12)
+                    _add_into(acc, key, t * s12)
         return AlgebraElement(self, acc)
 
     # -- coordinates --------------------------------------------------------

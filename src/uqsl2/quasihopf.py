@@ -27,6 +27,7 @@ import random
 
 from .cyclo import Scalar
 from .errors import ContextMismatchError, InvalidArgumentError
+from .linalg import _add_into
 from .qgroup import AlgebraContext, AlgebraElement, GroupElem, MonKey
 from .report import CheckReport, Counterexamples, verifier
 
@@ -47,12 +48,7 @@ class TensorElement:
         self._check(other)
         out = dict(self.terms)
         for key, s in other.terms.items():
-            cur = out.get(key)
-            t = s if cur is None else cur + s
-            if t.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = t
+            _add_into(out, key, s)
         return TensorElement(self.ctx, self.legs, out)
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
@@ -80,15 +76,7 @@ class TensorElement:
                     coeff = s12
                     for _, t in combo:
                         coeff = coeff * t
-                    if coeff.is_zero():
-                        continue
-                    key = tuple(mk for mk, _ in combo)
-                    cur = acc.get(key)
-                    tval = coeff if cur is None else cur + coeff
-                    if tval.is_zero():
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = tval
+                    _add_into(acc, tuple(mk for mk, _ in combo), coeff)
         return TensorElement(ctx, self.legs, acc)
 
     def is_zero(self) -> bool:
@@ -137,14 +125,7 @@ def tensor_of(*factors: AlgebraElement) -> TensorElement:
         keys, vals = nkeys, nvals
     acc: dict[tuple, Scalar] = {}
     for key, s in zip(keys, vals):
-        if s.is_zero():
-            continue
-        cur = acc.get(key)
-        t = s if cur is None else cur + s
-        if t.is_zero():
-            acc.pop(key, None)
-        else:
-            acc[key] = t
+        _add_into(acc, key, s)
     return TensorElement(ctx, len(factors), acc)
 
 
@@ -277,14 +258,7 @@ class QuasiHopfData:
         acc: dict[tuple, Scalar] = {}
         for key, s in tens.terms.items():
             for (ka, kb), t in self.delta_mono(key[leg]).terms.items():
-                nk = key[:leg] + (ka, kb) + key[leg + 1:]
-                st = s * t
-                cur = acc.get(nk)
-                tot = st if cur is None else cur + st
-                if tot.is_zero():
-                    acc.pop(nk, None)
-                else:
-                    acc[nk] = tot
+                _add_into(acc, key[:leg] + (ka, kb) + key[leg + 1:], s * t)
         return TensorElement(self.actx, tens.legs + 1, acc)
 
     def counit_on_leg(self, tens: TensorElement, leg: int) -> TensorElement:
@@ -293,13 +267,7 @@ class QuasiHopfData:
             a, _, _, d = key[leg]
             if a or d:
                 continue
-            nk = key[:leg] + key[leg + 1:]
-            cur = acc.get(nk)
-            tot = s if cur is None else cur + s
-            if tot.is_zero():
-                acc.pop(nk, None)
-            else:
-                acc[nk] = tot
+            _add_into(acc, key[:leg] + key[leg + 1:], s)
         return TensorElement(self.actx, tens.legs - 1, acc)
 
     # -- zigzags ---------------------------------------------------------------

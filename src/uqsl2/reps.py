@@ -19,7 +19,7 @@ from .errors import (
     InvalidArgumentError,
     RepresentationError,
 )
-from .linalg import BlockKernel, Echelon, SpanSolver, nullspace_basis, rank
+from .linalg import BlockKernel, Echelon, SpanSolver, _add_into, _axpy, nullspace_basis, rank
 from .qgroup import AlgebraContext, AlgebraElement
 from .report import Counterexamples, verifier
 
@@ -116,18 +116,8 @@ class Representation:
         out: Col = {}
         for c, s in vec.items():
             col = mp.get(c)
-            if not col:
-                continue
-            for r, a in col.items():
-                t = s * a
-                if r in out:
-                    u = out[r] + t
-                    if u.is_zero():
-                        del out[r]
-                    else:
-                        out[r] = u
-                else:
-                    out[r] = t
+            if col:
+                _axpy(out, col, s)
         return out
 
     def apply_E(self, vec: Col) -> Col:
@@ -182,13 +172,7 @@ class Representation:
                 if not w:
                     break
                 w = self.apply_F(w)
-            for r, t in w.items():
-                u = out.get(r)
-                v = s * t if u is None else u + s * t
-                if v.is_zero():
-                    out.pop(r, None)
-                else:
-                    out[r] = v
+            _axpy(out, w, s)
         return out
 
     def act_matrix(self, x: AlgebraElement) -> SparseMap:
@@ -277,17 +261,8 @@ class Representation:
             lam = self._classes[c][0]
             want = f.one - f.qpow(lam)
             diff = dict(fe)
-            for r, s in ef.items():
-                t = diff.get(r, f.zero) - qinv * s
-                if t.is_zero():
-                    diff.pop(r, None)
-                else:
-                    diff[r] = t
-            t = diff.get(c, f.zero) - want
-            if t.is_zero():
-                diff.pop(c, None)
-            else:
-                diff[c] = t
+            _axpy(diff, ef, -qinv)
+            _add_into(diff, c, -want)
             yield f"q-commutator of F and E is wrong on vector {c}" if diff else None
         if self.grades is not None:
             for mp, step, nm in ((self.E, 1, "E"), (self.F, -1, "F")):
@@ -534,7 +509,7 @@ def hom_to_simple(M: Representation, i: int, j: int, dim_only: bool = False):
     _check_label(M.ctx, i, j)
     f = M.field
     d, classes, fc = _simple_chain_data(M.ctx, i, j)
-    fc = [f.image(c) for c in fc]
+    minus_fc = [-f.image(c) for c in fc]
     chi_top = classes[d]
     var_rows = M.class_indices().get(chi_top, ())
     if not var_rows:
@@ -549,14 +524,7 @@ def hom_to_simple(M: Representation, i: int, j: int, dim_only: bool = False):
         kern.add(pi(M.column_E_power(c, d + 1)))
         for t in range(d):
             row = pi(M.column_F_then_E(c, d - t))
-            coef = fc[t + 1]
-            if not coef.is_zero():
-                for p, s in pi(M.column_E_power(c, d - t - 1)).items():
-                    v = row.get(p, f.zero) - coef * s
-                    if v.is_zero():
-                        row.pop(p, None)
-                    else:
-                        row[p] = v
+            _axpy(row, pi(M.column_E_power(c, d - t - 1)), minus_fc[t + 1])
             kern.add(row)
         kern.add(pi(M.column_F_then_E(c, 0)))
         if kern.saturated:
@@ -595,17 +563,11 @@ def hom_from_simple(M: Representation, i: int, j: int, dim_only: bool = False):
     exprs.append([M.column_F_then_E(r, 0) for r in var_rows])
     exprs.append([echains[r][d + 1] for r in var_rows])
     for t in range(1, d + 1):
-        coef = fc[t]
+        coef = -fc[t]
         pieces = []
         for r in var_rows:
-            vec = dict(M.apply_F(echains[r][t]))
-            if not coef.is_zero():
-                for rr, s in echains[r][t - 1].items():
-                    v = vec.get(rr, f.zero) - coef * s
-                    if v.is_zero():
-                        vec.pop(rr, None)
-                    else:
-                        vec[rr] = v
+            vec = M.apply_F(echains[r][t])
+            _axpy(vec, echains[r][t - 1], coef)
             pieces.append(vec)
         exprs.append(pieces)
     kern = BlockKernel(f, _var_groups(M, var_rows))
@@ -627,14 +589,8 @@ def hom_from_simple(M: Representation, i: int, j: int, dim_only: bool = False):
             col: Col = {}
             for pos, r in enumerate(var_rows):
                 cf = sol.get(pos)
-                if cf is None:
-                    continue
-                for rr, s in echains[r][t].items():
-                    v = col.get(rr, f.zero) + cf * s
-                    if v.is_zero():
-                        col.pop(rr, None)
-                    else:
-                        col[rr] = v
+                if cf is not None:
+                    _axpy(col, echains[r][t], cf)
             if col:
                 mat[t] = col
         mats.append(mat)
@@ -822,25 +778,14 @@ def hom_space(M: Representation, N: Representation) -> list[SparseMap]:
             if colc:
                 for m, a in colc.items():
                     for r in nidx.get(mclass[m], ()):
-                        row = eq.setdefault(r, {})
-                        p = var_pos[(r, m)]
-                        v = row.get(p, f.zero) + a
-                        if v.is_zero():
-                            row.pop(p, None)
-                        else:
-                            row[p] = v
+                        _add_into(eq.setdefault(r, {}), var_pos[(r, m)], a)
             for s in nidx.get(mclass[c], ()):
                 colN = mapN.get(s)
                 if not colN:
                     continue
                 p = var_pos[(s, c)]
                 for r, b in colN.items():
-                    row = eq.setdefault(r, {})
-                    v = row.get(p, f.zero) - b
-                    if v.is_zero():
-                        row.pop(p, None)
-                    else:
-                        row[p] = v
+                    _add_into(eq.setdefault(r, {}), p, -b)
             rows.extend(r for r in eq.values() if r)
     mats = []
     for sol in nullspace_basis(f, rows, len(variables)):
@@ -852,21 +797,15 @@ def hom_space(M: Representation, N: Representation) -> list[SparseMap]:
     return mats
 
 
-def compose_maps(f_ctx: FieldContext, A: SparseMap, B: SparseMap) -> SparseMap:
+def compose_maps(A: SparseMap, B: SparseMap) -> SparseMap:
     """Matrix of A after B (B: L->M, A: M->N)."""
     out: SparseMap = {}
     for l, colB in B.items():
         acc: Col = {}
         for m, b in colB.items():
             colA = A.get(m)
-            if not colA:
-                continue
-            for r, a in colA.items():
-                v = acc.get(r, f_ctx.zero) + b * a
-                if v.is_zero():
-                    acc.pop(r, None)
-                else:
-                    acc[r] = v
+            if colA:
+                _axpy(acc, colA, b)
         if acc:
             out[l] = acc
     return out
@@ -881,27 +820,31 @@ def map_trace(f_ctx: FieldContext, A: SparseMap) -> Scalar:
     return acc
 
 
-def add_scaled_map(f_ctx: FieldContext, A: SparseMap, B: SparseMap, s: Scalar) -> SparseMap:
+def add_scaled_map(A: SparseMap, B: SparseMap, s: Scalar) -> SparseMap:
     out: SparseMap = {c: dict(col) for c, col in A.items()}
     for c, col in B.items():
         dst = out.setdefault(c, {})
-        for r, b in col.items():
-            v = dst.get(r, f_ctx.zero) + s * b
-            if v.is_zero():
-                dst.pop(r, None)
-            else:
-                dst[r] = v
+        _axpy(dst, col, s)
         if not dst:
             del out[c]
     return out
 
 
-def map_rank(f_ctx: FieldContext, A: SparseMap) -> int:
-    return rank(f_ctx, list(A.values()))
-
-
 def _is_invertible(f_ctx: FieldContext, A: SparseMap, dim: int) -> bool:
-    return len(A) == dim and map_rank(f_ctx, A) == dim
+    return len(A) == dim and rank(f_ctx, list(A.values())) == dim
+
+
+def _trace_gram(f_ctx: FieldContext, endos: list[SparseMap]) -> list[Col]:
+    """Rows of the Gram matrix tr(endos[a] endos[b]) of the trace form."""
+    rows = []
+    for A in endos:
+        row = {}
+        for b, B in enumerate(endos):
+            t = map_trace(f_ctx, compose_maps(A, B))
+            if not t.is_zero():
+                row[b] = t
+        rows.append(row)
+    return rows
 
 
 def _end_is_local(f_ctx: FieldContext, endos: list[SparseMap]) -> bool:
@@ -910,18 +853,7 @@ def _end_is_local(f_ctx: FieldContext, endos: list[SparseMap]) -> bool:
     The radical of the trace form is the Jacobson radical (faithful module,
     characteristic zero), so the form's rank equals dim End/rad.
     """
-    k = len(endos)
-    if k == 0:
-        return False
-    gram_rows = []
-    for a in range(k):
-        row = {}
-        for b in range(k):
-            t = map_trace(f_ctx, compose_maps(f_ctx, endos[a], endos[b]))
-            if not t.is_zero():
-                row[b] = t
-        gram_rows.append(row)
-    return rank(f_ctx, gram_rows) == 1
+    return bool(endos) and rank(f_ctx, _trace_gram(f_ctx, endos)) == 1
 
 
 def iso_test(M: Representation, N: Representation) -> bool | None:
@@ -949,13 +881,13 @@ def iso_test(M: Representation, N: Representation) -> bool | None:
     if len(fwd) > 1:
         acc: SparseMap = {}
         for t, T in enumerate(fwd):
-            acc = add_scaled_map(f, acc, T, f.one)
+            acc = add_scaled_map(acc, T, f.one)
             if t and _is_invertible(f, acc, M.dim):
                 return True
         for shift in (1, 3):
             acc = {}
             for t, T in enumerate(fwd):
-                acc = add_scaled_map(f, acc, T, f.qpow(shift * t + 1))
+                acc = add_scaled_map(acc, T, f.qpow(shift * t + 1))
             if _is_invertible(f, acc, M.dim):
                 return True
     bwd = hom_space(N, M)
@@ -965,18 +897,18 @@ def iso_test(M: Representation, N: Representation) -> bool | None:
     if _end_is_local(f, end_m):
         for g in bwd:
             for t in fwd:
-                w = compose_maps(f, g, t)
+                w = compose_maps(g, t)
                 for h in end_m:
-                    if not map_trace(f, compose_maps(f, w, h)).is_zero():
+                    if not map_trace(f, compose_maps(w, h)).is_zero():
                         return True
         return False
     end_n = hom_space(N, N)
     if _end_is_local(f, end_n):
         for t in fwd:
             for g in bwd:
-                w = compose_maps(f, t, g)
+                w = compose_maps(t, g)
                 for h in end_n:
-                    if not map_trace(f, compose_maps(f, w, h)).is_zero():
+                    if not map_trace(f, compose_maps(w, h)).is_zero():
                         return True
         return False
     return None
@@ -1046,7 +978,11 @@ def cosyzygy(M: Representation) -> Representation:
             for psi in cands:
                 rows: dict[int, dict[int, Scalar]] = {}
                 for t, kv in enumerate(K):
-                    img = psi_apply(f, psi, kv)
+                    img: Col = {}
+                    for c, s in kv.items():
+                        col = psi.get(c)
+                        if col:
+                            _axpy(img, col, s)
                     for r, s in img.items():
                         rows.setdefault(r, {})[t] = s
                 ns = nullspace_basis(f, list(rows.values()), len(K))
@@ -1057,7 +993,13 @@ def cosyzygy(M: Representation) -> Representation:
                 raise ConstructionError(f"no injective envelope found for {M.label}")
             psi, ns = best
             picks.append(psi)
-            K = [combine_cols(f, K, sol) for sol in ns]
+            combined = []
+            for sol in ns:
+                vec: Col = {}
+                for t, cf in sol.items():
+                    _axpy(vec, K[t], cf)
+                combined.append(vec)
+            K = combined
         selected.extend((P, psi) for psi in picks)
         expect = hom_from_simple(M, i, j, dim_only=True)
         if len(picks) != expect:
@@ -1083,33 +1025,6 @@ def cosyzygy(M: Representation) -> Representation:
     return quotient_rep(hull, image_cols, f"cosyzygy({M.label})")
 
 
-def psi_apply(f_ctx: FieldContext, psi: SparseMap, vec: Col) -> Col:
-    out: Col = {}
-    for c, s in vec.items():
-        col = psi.get(c)
-        if not col:
-            continue
-        for r, a in col.items():
-            v = out.get(r, f_ctx.zero) + s * a
-            if v.is_zero():
-                out.pop(r, None)
-            else:
-                out[r] = v
-    return out
-
-
-def combine_cols(f_ctx: FieldContext, basis: list[Col], coeffs: dict[int, Scalar]) -> Col:
-    out: Col = {}
-    for t, cf in coeffs.items():
-        for r, s in basis[t].items():
-            v = out.get(r, f_ctx.zero) + cf * s
-            if v.is_zero():
-                out.pop(r, None)
-            else:
-                out[r] = v
-    return out
-
-
 # -- block structure -------------------------------------------------------------
 
 
@@ -1123,7 +1038,7 @@ def _ratio_to(f_ctx: FieldContext, A: SparseMap, B: SparseMap) -> Scalar:
     r0, b0 = next(iter(col0.items()))
     a0 = A.get(c0, {}).get(r0, f_ctx.zero)
     lam = a0 / b0
-    diff = add_scaled_map(f_ctx, A, B, -lam)
+    diff = add_scaled_map(A, B, -lam)
     if diff:
         raise ConstructionError("map is not proportional to the socle endomorphism")
     return lam
@@ -1182,45 +1097,37 @@ def verify_block_structure(ctx: AlgebraContext) -> Counterexamples:
             yield None if d == 2 else f"Hom dimensions {dims} between {pair} are off"
         sigma = {}
         for key, endos, P in (("1", end1, P1), ("2", end2, P2)):
-            gram_rows = []
-            for a in range(2):
-                row = {}
-                for b in range(2):
-                    t = map_trace(f, compose_maps(f, endos[a], endos[b]))
-                    if not t.is_zero():
-                        row[b] = t
-                gram_rows.append(row)
-            ns = nullspace_basis(f, gram_rows, 2)
+            ns = nullspace_basis(f, _trace_gram(f, endos), 2)
             if len(ns) != 1:
                 yield f"End({P.label}) is not local"
             mat: SparseMap = {}
             for t, cf in ns[0].items():
-                mat = add_scaled_map(f, mat, endos[t], cf)
+                mat = add_scaled_map(mat, endos[t], cf)
             yield None if mat else f"socle endomorphism of {P.label} vanished"
             sigma[key] = mat
         s1, s2 = sigma["1"], sigma["2"]
         try:
-            m1 = [[_ratio_to(f, compose_maps(f, h21[a], h12[b]), s1) for b in range(2)]
+            m1 = [[_ratio_to(f, compose_maps(h21[a], h12[b]), s1) for b in range(2)]
                   for a in range(2)]
         except ConstructionError as exc:
             yield f"{exc} (between {P1.label} and {P2.label})"
         det = m1[0][0] * m1[1][1] - m1[0][1] * m1[1][0]
         yield f"pairing of arrows between {pair} is degenerate" if det.is_zero() else None
         inv = det.inverse()
-        g0 = add_scaled_map(f, add_scaled_map(f, {}, h21[0], m1[1][1] * inv),
+        g0 = add_scaled_map(add_scaled_map({}, h21[0], m1[1][1] * inv),
                             h21[1], -(m1[0][1] * inv))
-        g1 = add_scaled_map(f, add_scaled_map(f, {}, h21[0], -(m1[1][0] * inv)),
+        g1 = add_scaled_map(add_scaled_map({}, h21[0], -(m1[1][0] * inv)),
                             h21[1], m1[0][0] * inv)
         gs = [g0, g1]
         try:
             for a in range(2):
                 for b in range(2):
-                    got = _ratio_to(f, compose_maps(f, gs[a], h12[b]), s1)
+                    got = _ratio_to(f, compose_maps(gs[a], h12[b]), s1)
                     want = f.one if a == b else f.zero
                     yield None if got == want else (
                         f"arrow normalization failed (between {P1.label} and {P2.label})"
                     )
-            aup = [[_ratio_to(f, compose_maps(f, h12[a], gs[b]), s2) for b in range(2)]
+            aup = [[_ratio_to(f, compose_maps(h12[a], gs[b]), s2) for b in range(2)]
                    for a in range(2)]
         except ConstructionError as exc:
             yield f"{exc} (between {P1.label} and {P2.label})"
@@ -1230,10 +1137,10 @@ def verify_block_structure(ctx: AlgebraContext) -> Counterexamples:
             f"opposite composites are not a common scalar on {pair}"
         )
         for arrow in h12:
-            killed = not compose_maps(f, arrow, s1) and not compose_maps(f, s2, arrow)
+            killed = not compose_maps(arrow, s1) and not compose_maps(s2, arrow)
             yield None if killed else "an arrow fails to kill the socle endomorphism"
         for arrow in gs:
-            killed = not compose_maps(f, arrow, s2) and not compose_maps(f, s1, arrow)
+            killed = not compose_maps(arrow, s2) and not compose_maps(s1, arrow)
             yield None if killed else "a reverse arrow fails to kill the socle endomorphism"
 
 

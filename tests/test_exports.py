@@ -1,6 +1,7 @@
 """The package's public names: every export resolves, no module keeps memo
-state of its own, only the verifier runner builds a CheckReport, and mod-p
-arithmetic stays inside the one certificate that uses it."""
+state of its own, only the verifier runner builds a CheckReport, mod-p
+arithmetic stays inside the one certificate that uses it, and only the
+linalg kernel prunes a cancelled entry from a sparse vector."""
 
 import ast
 import importlib
@@ -96,3 +97,57 @@ def test_residue_field_stays_in_the_cover_certificate():
         for scope, name in _residue_uses(ast.parse(path.read_text(encoding="utf-8"))):
             inside = allowed and (scope == allowed or scope.startswith(allowed + "."))
             assert inside, f"{path.name}: {name} used in {scope or 'module scope'}"
+
+
+# The two functions that add into a sparse vector and drop what cancels.
+KERNEL = {("linalg.py", "_add_into"), ("linalg.py", "_axpy")}
+
+
+def _is_zero_test(node: ast.expr) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+        node = node.operand
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "is_zero")
+
+
+def _prunes(stmts: list[ast.stmt]) -> bool:
+    """Whether the statements delete a subscript or call a .pop method."""
+    for stmt in stmts:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Delete) and any(
+                isinstance(t, ast.Subscript) for t in node.targets
+            ):
+                return True
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "pop"):
+                return True
+    return False
+
+
+def _pruning_branches(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing function, line) of every `if x.is_zero():` branch that
+    deletes an entry."""
+    out = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.If) and _is_zero_test(node.test) and (
+            _prunes(node.body) or _prunes(node.orelse)
+        ):
+            out.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return out
+
+
+def test_only_the_kernel_prunes_sparse_vectors():
+    package = pathlib.Path(uqsl2.__file__).parent
+    seen = set()
+    for path in sorted(package.glob("*.py")):
+        for scope, line in _pruning_branches(ast.parse(path.read_text(encoding="utf-8"))):
+            seen.add((path.name, scope))
+            assert (path.name, scope) in KERNEL, f"{path.name}:{line} in {scope or 'module'}"
+    assert seen == KERNEL

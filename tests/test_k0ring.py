@@ -131,9 +131,7 @@ def test_presentation_report(actx):
 
 
 def test_ring_axioms_report(actx):
-    rep = verify_ring_axioms(actx, seed=7, samples=64)
-    assert rep.passed, rep.counterexample
-    rep = verify_ring_axioms(actx, slow=True)
+    rep = verify_ring_axioms(actx)
     assert rep.passed, rep.counterexample
     assert rep.instances == 16 + 256 + 4096
 

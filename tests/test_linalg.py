@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from uqsl2.cyclo import make_context
-from uqsl2.linalg import Echelon, SpanSolver, nullspace_basis, rank
+from uqsl2.linalg import Echelon, SpanSolver, _add_into, _axpy, nullspace_basis, rank
 
 
 def _ctx():
@@ -47,22 +47,12 @@ def test_span_solver_roundtrip():
         coeffs = [ctx.from_int(rng.randint(-2, 2)) for _ in range(4)]
         target = {}
         for cf, row in zip(coeffs, basis):
-            for c, s in row.items():
-                t = target.get(c, ctx.zero) + cf * s
-                if t.is_zero():
-                    target.pop(c, None)
-                else:
-                    target[c] = t
+            _axpy(target, row, cf)
         got = SpanSolver(ctx, basis, top=6).coords(target)
         assert got is not None
         rebuilt = {}
         for cf, row in zip(got, basis):
-            for c, s in row.items():
-                t = rebuilt.get(c, ctx.zero) + cf * s
-                if t.is_zero():
-                    rebuilt.pop(c, None)
-                else:
-                    rebuilt[c] = t
+            _axpy(rebuilt, row, cf)
         assert rebuilt == target
 
 
@@ -82,3 +72,52 @@ def test_echelon_contains():
     ech.add({1: ctx.one, 2: ctx.one})
     assert ech.contains({0: ctx.one, 2: ctx.minus_one})
     assert not ech.contains({0: ctx.one, 2: ctx.one})
+
+
+def test_add_into_drops_a_cancelled_key():
+    ctx = _ctx()
+    d = {0: ctx.q, 1: ctx.one}
+    _add_into(d, 0, -ctx.q)
+    assert d == {1: ctx.one}
+    _add_into(d, 2, ctx.zero)
+    assert d == {1: ctx.one}
+
+
+def test_axpy_by_zero_leaves_the_vector_alone():
+    ctx = _ctx()
+    d = {0: ctx.q, 3: ctx.one}
+    _axpy(d, {0: ctx.one, 1: ctx.qpow(5)}, ctx.zero)
+    assert d == {0: ctx.q, 3: ctx.one}
+
+
+def test_kernel_takes_tuple_keys():
+    ctx = _ctx()
+    d = {((0, 0, 0, 0), (1, 0, 0, 0)): ctx.one}
+    _axpy(d, {((0, 0, 0, 0), (1, 0, 0, 0)): ctx.one, ((1, 0, 0, 0),): ctx.q}, ctx.minus_one)
+    assert d == {((1, 0, 0, 0),): -ctx.q}
+    _add_into(d, ((1, 0, 0, 0),), ctx.q)
+    assert d == {}
+
+
+def test_axpy_matches_a_dense_reference():
+    ctx = _ctx()
+    rng = random.Random(23)
+    ncols = 8
+    cancelled = 0
+    for _ in range(200):
+        d = _rand_row(ctx, rng, ncols, density=0.4)
+        vec = _rand_row(ctx, rng, ncols, density=0.4)
+        s = ctx.from_coeffs([Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(4)])
+        if rng.random() < 0.3:
+            # s = 1 and vec[c] = -d[c] on some keys: those entries cancel.
+            s = ctx.one
+            for c in d:
+                if rng.random() < 0.5:
+                    vec[c] = -d[c]
+        want = [d.get(c, ctx.zero) + s * vec.get(c, ctx.zero) for c in range(ncols)]
+        before = set(d)
+        _axpy(d, vec, s)
+        cancelled += len(before - set(d))
+        assert all(not v.is_zero() for v in d.values())
+        assert [d.get(c, ctx.zero) for c in range(ncols)] == want
+    assert cancelled
