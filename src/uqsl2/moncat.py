@@ -363,67 +363,45 @@ def _add_summand(
     out[key] = out.get(key, 0) + mult
 
 
+def _fusion_rule(
+    ctx: AlgebraContext, i1: int, j1: int, i2: int, j2: int, kind: str, tail: int,
+    out: dict[SummandKey, int],
+) -> dict[SummandKey, int]:
+    """Add to `out` the head kind(N-2|i1-i2|-2l, j1+j2+l), then `tail` copies
+    of each P(N-2i1-2i2+2-2l, j1+j2+l-1) of the projective tail, N = n^2.
+
+    There is no tail exactly when 2*i1 - 1 >= N - 2*i2 + 1, i.e.
+    i1 + i2 > n^2/2; the head then has N - 2*max(i1, i2) + 1 terms, and
+    otherwise 2*min(i1, i2) - 1.
+    """
+    N, half = ctx.N, ctx.half
+    head = N - 2 * max(i1, i2) + 1 if i1 + i2 > half else 2 * min(i1, i2) - 1
+    for l in range(head):
+        _add_summand(ctx, out, kind, N - 2 * abs(i1 - i2) - 2 * l, j1 + j2 + l, 1)
+    for l in range(half - i1 - i2 + 1):
+        _add_summand(ctx, out, "P", N - 2 * i1 - 2 * i2 + 2 - 2 * l, j1 + j2 + l - 1, tail)
+    return out
+
+
 def simple_simple_rule(
     ctx: AlgebraContext, i1: int, j1: int, i2: int, j2: int
 ) -> dict[SummandKey, int]:
-    """Expected summands of S(2*i1,j1) (x) S(2*i2,j2), by the four cases.
-
-    The case split is on 2*i1 - 1 >= n^2 - 2*i2 + 1 (all summands simple)
-    versus the strict opposite (a projective tail appears), refined by
-    i1 <= i2.  Both orders of each case give the same multiset.
-    """
-    N, half = ctx.N, ctx.half
-    out: dict[SummandKey, int] = {}
-    if 2 * i1 - 1 >= N - 2 * i2 + 1:
-        if i1 <= i2:
-            for l in range(N - 2 * i2 + 1):
-                _add_summand(ctx, out, "S", N + 2 * i1 - 2 * i2 - 2 * l, j1 + j2 + l, 1)
-        else:
-            for l in range(N - 2 * i1 + 1):
-                _add_summand(ctx, out, "S", N - 2 * i1 + 2 * i2 - 2 * l, j1 + j2 + l, 1)
-    else:
-        if i1 <= i2:
-            for l in range(2 * i1 - 1):
-                _add_summand(ctx, out, "S", N + 2 * i1 - 2 * i2 - 2 * l, j1 + j2 + l, 1)
-        else:
-            for l in range(2 * i2 - 1):
-                _add_summand(ctx, out, "S", N - 2 * i1 + 2 * i2 - 2 * l, j1 + j2 + l, 1)
-        for l in range(half - i1 - i2 + 1):
-            _add_summand(
-                ctx, out, "P", N - 2 * i1 - 2 * i2 + 2 - 2 * l, j1 + j2 + l - 1, 1
-            )
-    return out
+    """Expected summands of S(2*i1,j1) (x) S(2*i2,j2): the simples
+    S(N-2|i1-i2|-2l), N = n^2, plus a projective tail when i1 + i2 <= n^2/2.
+    Both orders give the same multiset."""
+    return _fusion_rule(ctx, i1, j1, i2, j2, "S", 1, {})
 
 
 def projective_simple_rule(
     ctx: AlgebraContext, i1: int, j1: int, i2: int, j2: int
 ) -> dict[SummandKey, int]:
-    """Expected summands of P(2*i1,j1) (x) S(2*i2,j2); always projective."""
-    N, half = ctx.N, ctx.half
+    """Expected summands of P(2*i1,j1) (x) S(2*i2,j2); always projective:
+    the simple-simple rule with S -> P and P -> 2P, after 2P(2i1-2i2-2l) for
+    l < i1 - i2."""
     out: dict[SummandKey, int] = {}
-    if 2 * i1 - 1 >= N - 2 * i2 + 1:
-        if i1 <= i2:
-            for l in range(N - 2 * i2 + 1):
-                _add_summand(ctx, out, "P", N + 2 * i1 - 2 * i2 - 2 * l, j1 + j2 + l, 1)
-        else:
-            for l in range(i1 - i2):
-                _add_summand(ctx, out, "P", 2 * i1 - 2 * i2 - 2 * l, j1 + j2 + l, 2)
-            for l in range(N - 2 * i1 + 1):
-                _add_summand(ctx, out, "P", N - 2 * i1 + 2 * i2 - 2 * l, j1 + j2 + l, 1)
-    else:
-        if i1 <= i2:
-            for l in range(2 * i1 - 1):
-                _add_summand(ctx, out, "P", N + 2 * i1 - 2 * i2 - 2 * l, j1 + j2 + l, 1)
-        else:
-            for l in range(i1 - i2):
-                _add_summand(ctx, out, "P", 2 * i1 - 2 * i2 - 2 * l, j1 + j2 + l, 2)
-            for l in range(2 * i2 - 1):
-                _add_summand(ctx, out, "P", N - 2 * i1 + 2 * i2 - 2 * l, j1 + j2 + l, 1)
-        for l in range(half - i1 - i2 + 1):
-            _add_summand(
-                ctx, out, "P", N - 2 * i1 - 2 * i2 + 2 - 2 * l, j1 + j2 + l - 1, 2
-            )
-    return out
+    for l in range(i1 - i2):
+        _add_summand(ctx, out, "P", 2 * i1 - 2 * i2 - 2 * l, j1 + j2 + l, 2)
+    return _fusion_rule(ctx, i1, j1, i2, j2, "P", 2, out)
 
 
 # -- decomposition engine ---------------------------------------------------------
@@ -688,9 +666,11 @@ def _cover_certificate(
     The tops are first solved over the residue field F_p (`T.mod_p()`), by
     the same Hom solver.  This is a one-sided certificate:
 
-    - The Hom constraints over F_p are the reductions of the exact ones, and
-      reduction mod p can only lower a rank, so each mod-p Hom dimension is
-      an upper bound on the exact one: true top <= mod-p top, label by label.
+    - The Hom constraints over F_p are the reductions of the exact ones
+      (the tops are socles of the transpose, and transposing commutes with
+      reduction), and reduction mod p can only lower a rank, so each mod-p
+      Hom dimension is an upper bound on the exact one: true top <= mod-p
+      top, label by label.
     - Suppose the mod-p tops equal `want_top`, and the exact dimension check
       and the exact character-peeled composition counts pass.  A label
       outside the counts is no composition factor, so its true top is 0.
@@ -772,7 +752,7 @@ def _engine_matches(
     "factors as simple"
 )
 def verify_simple_simple_tensors(ctx: AlgebraContext) -> Counterexamples:
-    """Full sweep: S (x) S decomposes per the four-case fusion rule.
+    """Full sweep: S (x) S decomposes per the fusion rule.
 
     Every ordered pair runs through the radical-filtration engine with all
     guards.  A passing sweep also decides the two other claims in the

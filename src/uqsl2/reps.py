@@ -63,7 +63,7 @@ class Representation:
 
     __slots__ = (
         "ctx", "field", "dim", "kexp", "khatexp", "E", "F", "grades", "label",
-        "_classes", "_class_indices", "_epows", "_fepows",
+        "_classes", "_class_indices", "_epows", "_transpose",
     )
 
     def __init__(self, ctx: AlgebraContext, label: str, kexp, khatexp,
@@ -102,7 +102,7 @@ class Representation:
             idx.setdefault(ch, []).append(r)
         self._class_indices = {ch: tuple(rs) for ch, rs in idx.items()}
         self._epows: dict[int, list[Col]] = {}
-        self._fepows: dict[int, list[Col]] = {}
+        self._transpose: Representation | None = None
 
     # -- basic linear action ------------------------------------------------
 
@@ -191,16 +191,6 @@ class Representation:
         if chain is None:
             chain = [{c: self.field.one}]
             self._epows[c] = chain
-        while len(chain) <= s:
-            chain.append(self.apply_E(chain[-1]))
-        return chain[s]
-
-    def column_F_then_E(self, c: int, s: int) -> Col:
-        """E^s applied to F(basis vector c), cached."""
-        chain = self._fepows.get(c)
-        if chain is None:
-            chain = [dict(self.F.get(c, {}))]
-            self._fepows[c] = chain
         while len(chain) <= s:
             chain.append(self.apply_E(chain[-1]))
         return chain[s]
@@ -499,58 +489,49 @@ def _var_groups(M: Representation, var_rows) -> list[list[int]]:
     return [by_g[g] for g in sorted(by_g)]
 
 
-def hom_to_simple(M: Representation, i: int, j: int, dim_only: bool = False):
-    """Hom(M, S(2i,j)).
+def transpose(M: Representation) -> Representation:
+    """The tau-dual M^t: M's group exponents, grades and field, with
+    E := F^T and F := E^T.  Kept on M once built, so the label solves of
+    `top_multiplicities` and `radical_rows` share its E-power columns.
 
-    A morphism is recovered from the single functional pairing M with the
-    top vector of the simple; the F action and the two chain ends give the
-    complete set of linear constraints on that functional.
+    tau (E <-> F, k and khat fixed) is an anti-automorphism of u: it fixes
+    the group relations and FE - q^-1 EF = 1 - k^-1 khat (tau(FE) = FE),
+    sends k E k^-1 = q^n E to the F relation k^-1 F k = q^n F, and swaps
+    E^(n^2) = 0 with F^(n^2) = 0.  So M* with x.phi = phi o tau(x) is a
+    module; in the dual basis it is M^t, where F^T raises the grade as E
+    does.  Hence:
+
+    - f -> f^T is a bijection Hom(M, N) = Hom(N^t, M^t);
+    - S^t is simple with the character of S, and the simples have distinct
+      characters, so S^t = S and dim Hom(M, S) = dim Hom(S, M^t): the top
+      of M is the socle of M^t, and rad M, the joint kernel of the maps
+      M -> S, is the annihilator of soc M^t, the span of the images of the
+      maps S -> M^t;
+    - a projective cover P -> M^t transposes to an essential embedding
+      M -> P^t with P^t injective (Hom(-, P^t) = Hom(P, (-)^t) is exact),
+      so cosyzygy(M) = syzygy(M^t)^t.
     """
-    _check_label(M.ctx, i, j)
-    f = M.field
-    d, classes, fc = _simple_chain_data(M.ctx, i, j)
-    minus_fc = [-f.image(c) for c in fc]
-    chi_top = classes[d]
-    var_rows = M.class_indices().get(chi_top, ())
-    if not var_rows:
-        return 0 if dim_only else []
-    var_pos = {r: t for t, r in enumerate(var_rows)}
+    if M._transpose is None:
+        def flip(mp: SparseMap) -> SparseMap:
+            out: SparseMap = {}
+            for c, col in mp.items():
+                for r, s in col.items():
+                    out.setdefault(r, {})[c] = s
+            return out
 
-    def pi(vec: Col) -> dict[int, Scalar]:
-        return {var_pos[r]: s for r, s in vec.items() if r in var_pos}
-
-    kern = BlockKernel(f, _var_groups(M, var_rows))
-    for c in range(M.dim):
-        kern.add(pi(M.column_E_power(c, d + 1)))
-        for t in range(d):
-            row = pi(M.column_F_then_E(c, d - t))
-            _axpy(row, pi(M.column_E_power(c, d - t - 1)), minus_fc[t + 1])
-            kern.add(row)
-        kern.add(pi(M.column_F_then_E(c, 0)))
-        if kern.saturated:
-            return 0 if dim_only else []
-    if dim_only:
-        return kern.dim()
-    mats = []
-    for psi in kern.basis():
-        mat: SparseMap = {}
-        for c in range(M.dim):
-            col: Col = {}
-            for t in range(d + 1):
-                acc = f.zero
-                for p, s in pi(M.column_E_power(c, d - t)).items():
-                    if p in psi:
-                        acc = acc + s * psi[p]
-                if not acc.is_zero():
-                    col[t] = acc
-            if col:
-                mat[c] = col
-        mats.append(mat)
-    return mats
+        T = Representation(M.ctx, f"{M.label}^t", M.kexp, M.khatexp,
+                           flip(M.F), flip(M.E), M.grades)
+        T.field = M.field
+        M._transpose = T
+    return M._transpose
 
 
 def hom_from_simple(M: Representation, i: int, j: int, dim_only: bool = False):
-    """Hom(S(2i,j), M), parametrized by the image of the lowest weight vector."""
+    """Hom(S(2i,j), M), parametrized by the image of the lowest weight vector.
+
+    This is the one Hom solver against a simple; maps M -> S(2i,j) are read
+    from Hom(S(2i,j), M^t) through `transpose`.
+    """
     _check_label(M.ctx, i, j)
     f = M.field
     d, classes, fc = _simple_chain_data(M.ctx, i, j)
@@ -560,10 +541,10 @@ def hom_from_simple(M: Representation, i: int, j: int, dim_only: bool = False):
         return 0 if dim_only else []
     exprs = []  # each: list over vars of Col, all required to sum to zero
     echains = {r: [M.column_E_power(r, s) for s in range(d + 2)] for r in var_rows}
-    exprs.append([M.column_F_then_E(r, 0) for r in var_rows])
+    exprs.append([M.F.get(r, {}) for r in var_rows])
     exprs.append([echains[r][d + 1] for r in var_rows])
     for t in range(1, d + 1):
-        coef = -fc[t]
+        coef = -f.image(fc[t])
         pieces = []
         for r in var_rows:
             vec = M.apply_F(echains[r][t])
@@ -600,11 +581,13 @@ def hom_from_simple(M: Representation, i: int, j: int, dim_only: bool = False):
 def top_multiplicities(
     M: Representation, labels: Iterable[tuple[int, int]] | None = None
 ) -> dict[tuple[int, int], int]:
-    """Nonzero dim Hom(M, S) over M's field, for S the simples in `labels`
-    (default: every label), keyed in the order the labels are given."""
+    """Nonzero dim Hom(M, S) = dim Hom(S, M^t) over M's field, for S the
+    simples in `labels` (default: every label), keyed in the order the
+    labels are given."""
+    Mt = transpose(M)
     out = {}
     for i, j in all_labels(M.ctx) if labels is None else labels:
-        t = hom_to_simple(M, i, j, dim_only=True)
+        t = hom_from_simple(Mt, i, j, dim_only=True)
         if t:
             out[(i, j)] = t
     return out
@@ -620,20 +603,16 @@ def socle_multiplicities(M: Representation) -> dict[tuple[int, int], int]:
 
 
 def radical_rows(M: Representation) -> list[Col]:
-    """Basis of rad M: the joint kernel of all maps onto simples.
+    """Basis of rad M: the annihilator of soc M^t, whose functionals are the
+    image columns of the maps S -> M^t.
 
     When M is graded the kernel is computed one grade at a time (the radical
     of a graded module is graded), which keeps the elimination local and the
     output basis grade-pure.
     """
-    functionals = []
-    for i, j in all_labels(M.ctx):
-        for mat in hom_to_simple(M, i, j):
-            by_row: dict[int, Col] = {}
-            for c, col in mat.items():
-                for t, s in col.items():
-                    by_row.setdefault(t, {})[c] = s
-            functionals.extend(by_row.values())
+    Mt = transpose(M)
+    functionals = [col for i, j in all_labels(M.ctx)
+                   for mat in hom_from_simple(Mt, i, j) for col in mat.values()]
     if M.grades is None:
         return nullspace_basis(M.field, functionals, M.dim)
     by_grade: dict[int, list[int]] = {}
@@ -958,71 +937,10 @@ def syzygy(M: Representation) -> Representation:
 
 
 def cosyzygy(M: Representation) -> Representation:
-    """Cokernel of an injective envelope of M."""
-    ctx = M.ctx
-    f = M.field
-    selected = []
-    for i, j in all_labels(ctx):
-        socs = hom_from_simple(M, i, j)
-        if not socs:
-            continue
-        K: list[Col] = []
-        for mat in socs:
-            K.extend(dict(col) for col in mat.values())
-        P = projective(ctx, i, j)
-        cands = hom_space(M, P)
-        picks = []
-        while K:
-            best = None
-            best_dim = len(K)
-            for psi in cands:
-                rows: dict[int, dict[int, Scalar]] = {}
-                for t, kv in enumerate(K):
-                    img: Col = {}
-                    for c, s in kv.items():
-                        col = psi.get(c)
-                        if col:
-                            _axpy(img, col, s)
-                    for r, s in img.items():
-                        rows.setdefault(r, {})[t] = s
-                ns = nullspace_basis(f, list(rows.values()), len(K))
-                if len(ns) < best_dim:
-                    best = (psi, ns)
-                    best_dim = len(ns)
-            if best is None:
-                raise ConstructionError(f"no injective envelope found for {M.label}")
-            psi, ns = best
-            picks.append(psi)
-            combined = []
-            for sol in ns:
-                vec: Col = {}
-                for t, cf in sol.items():
-                    _axpy(vec, K[t], cf)
-                combined.append(vec)
-            K = combined
-        selected.extend((P, psi) for psi in picks)
-        expect = hom_from_simple(M, i, j, dim_only=True)
-        if len(picks) != expect:
-            raise ConstructionError("envelope used an unexpected number of summands")
-    offsets = []
-    total = 0
-    for P, _ in selected:
-        offsets.append(total)
-        total += P.dim
-    image_cols = []
-    for c in range(M.dim):
-        vec: Col = {}
-        for b, (P, psi) in enumerate(selected):
-            col = psi.get(c)
-            if col:
-                off = offsets[b]
-                for r, s in col.items():
-                    vec[off + r] = s
-        image_cols.append(vec)
-    if rank(f, image_cols) != M.dim:
-        raise ConstructionError(f"embedding of {M.label} into its envelope is not injective")
-    hull = direct_sum([P for P, _ in selected], f"hull({M.label})")
-    return quotient_rep(hull, image_cols, f"cosyzygy({M.label})")
+    """Cokernel of an injective envelope of M: syzygy(M^t)^t (see `transpose`)."""
+    C = transpose(syzygy(transpose(M)))
+    C.label = f"cosyzygy({M.label})"
+    return C
 
 
 # -- block structure -------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The package's public names: every export resolves, no module keeps memo
 state of its own, only the verifier runner builds a CheckReport, mod-p
-arithmetic stays inside the one certificate that uses it, and only the
-linalg kernel prunes a cancelled entry from a sparse vector."""
+arithmetic stays inside the one certificate that uses it, only the linalg
+kernel prunes a cancelled entry from a sparse vector, and one Hom solver
+builds a BlockKernel."""
 
 import ast
 import importlib
@@ -30,20 +31,23 @@ def test_no_module_level_caches():
         assert not cached, (info.name, cached)
 
 
+def _call_name(node: ast.Call) -> str | None:
+    """Dotted name of the called function, e.g. "CheckReport", "time.time"."""
+    parts = []
+    func = node.func
+    while isinstance(func, ast.Attribute):
+        parts.append(func.attr)
+        func = func.value
+    if not isinstance(func, ast.Name):
+        return None
+    parts.append(func.id)
+    return ".".join(reversed(parts))
+
+
 def _calls(tree: ast.AST) -> list[str]:
-    """Dotted names of every call in a module, e.g. "CheckReport", "time.time"."""
-    out = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            parts = []
-            func = node.func
-            while isinstance(func, ast.Attribute):
-                parts.append(func.attr)
-                func = func.value
-            if isinstance(func, ast.Name):
-                parts.append(func.id)
-                out.append(".".join(reversed(parts)))
-    return out
+    """Dotted names of every call in a module."""
+    return [name for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and (name := _call_name(node))]
 
 
 def test_reports_come_from_the_runner():
@@ -151,3 +155,30 @@ def test_only_the_kernel_prunes_sparse_vectors():
             seen.add((path.name, scope))
             assert (path.name, scope) in KERNEL, f"{path.name}:{line} in {scope or 'module'}"
     assert seen == KERNEL
+
+
+def _constructors(tree: ast.AST, name: str) -> list[str]:
+    """Enclosing function of every call that constructs `name`."""
+    out = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call) and (_call_name(node) or "").split(".")[-1] == name:
+            out.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return out
+
+
+def test_one_hom_solver_builds_a_block_kernel():
+    """Tops, radicals and socles all go through `reps.hom_from_simple`
+    (tops as socles of the transpose); a second solver must not come back."""
+    package = pathlib.Path(uqsl2.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [(path.name, scope) for scope in _constructors(tree, "BlockKernel")]
+    assert found == [("reps.py", "hom_from_simple")]

@@ -32,10 +32,10 @@ from uqsl2.reps import (
     Representation,
     all_labels,
     family_W,
-    hom_to_simple,
     partner_label,
     projective,
     simple,
+    top_multiplicities,
     verma,
 )
 
@@ -308,7 +308,8 @@ def test_summand_names(actx):
 
 
 def _fusion_case(ctx, i1, i2):
-    """Which of the four cases of projective_simple_rule a label pair is in."""
+    """Which of the four fusion cases (projective tail or not, i1 <= i2 or
+    not) a label pair is in."""
     return (2 * i1 - 1 >= ctx.N - 2 * i2 + 1, i1 <= i2)
 
 
@@ -348,21 +349,21 @@ def test_residue_tops_match_exact_tops(actx):
         R = T.mod_p()
         assert R.field is actx.field.residue_field()
         for i, j in composition_counts(T):
-            got = hom_to_simple(R, i, j, dim_only=True)
-            assert got == hom_to_simple(T, i, j, dim_only=True), (T.label, i, j)
+            got = top_multiplicities(R, [(i, j)])
+            assert got == top_multiplicities(T, [(i, j)]), (T.label, i, j)
         assert _cover_certificate(T, expected) is None
 
 
 def _spy_hom_fields(monkeypatch):
     """Record the field of every Hom solve the certificate makes."""
     seen = []
-    real = reps.hom_to_simple
+    real = reps.hom_from_simple
 
     def spy(M, i, j, dim_only=False):
         seen.append(M.field)
         return real(M, i, j, dim_only)
 
-    monkeypatch.setattr(reps, "hom_to_simple", spy)
+    monkeypatch.setattr(reps, "hom_from_simple", spy)
     return seen
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ from uqsl2.errors import (
     InvalidArgumentError,
     RepresentationError,
 )
+from uqsl2.moncat import tensor
 from uqsl2.reps import (
     all_labels,
     cosyzygy,
@@ -23,7 +25,6 @@ from uqsl2.reps import (
     family_Wt,
     hom_from_simple,
     hom_space,
-    hom_to_simple,
     iso_test,
     partner_label,
     projective,
@@ -35,6 +36,7 @@ from uqsl2.reps import (
     sub_rep,
     syzygy,
     top_multiplicities,
+    transpose,
     verify_block_structure,
     verify_projective_vs_ideal,
     verma,
@@ -75,8 +77,48 @@ def test_schur_between_simples(actx):
         S = simple(actx, i1, j1)
         for i2, j2 in all_labels(actx):
             want = 1 if (i1, j1) == (i2, j2) else 0
-            assert hom_to_simple(S, i2, j2, dim_only=True) == want
+            assert hom_from_simple(transpose(S), i2, j2, dim_only=True) == want
             assert hom_from_simple(S, i2, j2, dim_only=True) == want
+
+
+def test_hom_from_simple_over_the_residue_field(actx):
+    # the simple's F coefficients are mapped into the module's field F_p
+    assert hom_from_simple(projective(actx, 3, 1).mod_p(), 3, 1, dim_only=True) == 1
+
+
+def _solver_sample(ctx):
+    """Every constructor family at l <= 2 on four labels, four S(x)S and two
+    P(x)S products, drawn with Random(4)."""
+    rng = random.Random(4)
+    labels = all_labels(ctx)
+    lam = ctx.field.from_int(2)
+    out = []
+    for i, j in rng.sample(labels, 4):
+        out += [simple(ctx, i, j), verma(ctx, i, j), projective(ctx, i, j)]
+        out += [fam(ctx, i, j, l) for fam in (family_V, family_Vt) for l in range(3)]
+        out += [fam(ctx, i, j, l) for fam in (family_W, family_Wt) for l in (1, 2)]
+        out += [family_T(ctx, i, j, l, lam) for l in (1, 2)]
+    small = [lab for lab in labels if simple(ctx, *lab).dim <= 7]
+    for _ in range(4):
+        out.append(tensor(simple(ctx, *rng.choice(small)), simple(ctx, *rng.choice(small))))
+    for _ in range(2):
+        out.append(tensor(projective(ctx, *rng.choice(labels)), simple(ctx, *rng.choice(small))))
+    return out
+
+
+def test_one_solver_matches_hom_space(actx):
+    simples = {lab: simple(actx, *lab) for lab in all_labels(actx)}
+    for M in _solver_sample(actx):
+        Mt = transpose(M)
+        assert Mt.check_relations().passed, M.label
+        Mtt = transpose(Mt)
+        assert (Mtt.E, Mtt.F, Mtt.kexp, Mtt.khatexp, Mtt.grades) == (
+            M.E, M.F, M.kexp, M.khatexp, M.grades
+        ), M.label
+        tops = {lab: len(hom_space(M, S)) for lab, S in simples.items()}
+        socles = {lab: len(hom_space(S, M)) for lab, S in simples.items()}
+        assert top_multiplicities(M) == {k: v for k, v in tops.items() if v}, M.label
+        assert socle_multiplicities(M) == {k: v for k, v in socles.items() if v}, M.label
 
 
 def test_exps_from_class_roundtrip(actx):
