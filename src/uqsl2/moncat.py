@@ -38,7 +38,7 @@ from .reps import (
     iso_test,
     partner_label,
     projective,
-    radical_rows,
+    radical,
     simple,
     socle_multiplicities,
     sub_rep,
@@ -441,18 +441,18 @@ def decompose(M: Representation) -> DecompositionResult:
     ctx = M.ctx
     labels = all_labels(ctx)
     dims = {(i, j): ctx.N - 2 * i + 1 for (i, j) in labels}
-    tops = top_multiplicities(M)
+    tops, rows = radical(M)
     socles = socle_multiplicities(M)
     violations: list[str] = []
     layer_tops: list[dict[Label, int]] = [tops]
     layer_dims: list[int] = [M.dim]
     R = M
     for depth in (1, 2):
-        rows = radical_rows(R)
         if not rows:
             break
         R = sub_rep(R, rows, f"rad^{depth}({M.label})")
-        layer_tops.append(top_multiplicities(R))
+        layer_top, rows = radical(R)
+        layer_tops.append(layer_top)
         layer_dims.append(R.dim)
     t1 = layer_tops[1] if len(layer_tops) > 1 else {}
     t2 = layer_tops[2] if len(layer_tops) > 2 else {}
@@ -614,14 +614,16 @@ def verify_tensor_coproduct_consistency(ctx: AlgebraContext) -> Counterexamples:
         )
 
 
+# Number of random products verify_tensor_relations checks.
+TENSOR_RELATION_SAMPLES = 20
+
+
 @verifier("random tensor products satisfy the defining relations")
-def verify_tensor_relations(
-    ctx: AlgebraContext, seed: int = 0, count: int = 20
-) -> Counterexamples:
+def verify_tensor_relations(ctx: AlgebraContext, seed: int = 0) -> Counterexamples:
     """Random tensor products of standard modules are modules."""
     rng = random.Random(seed)
     labels = all_labels(ctx)
-    for _ in range(count):
+    for _ in range(TENSOR_RELATION_SAMPLES):
         i1, j1 = labels[rng.randrange(len(labels))]
         i2, j2 = labels[rng.randrange(len(labels))]
         if rng.random() < 0.25:

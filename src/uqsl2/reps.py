@@ -63,7 +63,7 @@ class Representation:
 
     __slots__ = (
         "ctx", "field", "dim", "kexp", "khatexp", "E", "F", "grades", "label",
-        "_classes", "_class_indices", "_epows", "_transpose",
+        "_classes", "_class_indices",
     )
 
     def __init__(self, ctx: AlgebraContext, label: str, kexp, khatexp,
@@ -101,8 +101,6 @@ class Representation:
         for r, ch in enumerate(classes):
             idx.setdefault(ch, []).append(r)
         self._class_indices = {ch: tuple(rs) for ch, rs in idx.items()}
-        self._epows: dict[int, list[Col]] = {}
-        self._transpose: Representation | None = None
 
     # -- basic linear action ------------------------------------------------
 
@@ -182,18 +180,6 @@ class Representation:
             if col:
                 out[c] = col
         return out
-
-    # -- cached iterated columns --------------------------------------------
-
-    def column_E_power(self, c: int, s: int) -> Col:
-        """E^s applied to basis vector c, cached."""
-        chain = self._epows.get(c)
-        if chain is None:
-            chain = [{c: self.field.one}]
-            self._epows[c] = chain
-        while len(chain) <= s:
-            chain.append(self.apply_E(chain[-1]))
-        return chain[s]
 
     # -- characters ----------------------------------------------------------
 
@@ -390,11 +376,6 @@ def projective(ctx: AlgebraContext, i: int, j: int) -> Representation:
     return _assemble(ctx, f"P({2 * i},{j})", eig, epairs, fpairs, grades)
 
 
-def projective_generator_index(ctx: AlgebraContext) -> int:
-    """Column index of the generator gamma inside projective(ctx, i, j)."""
-    return ctx.N
-
-
 def verma(ctx: AlgebraContext, i: int, j: int) -> Representation:
     """The standard module E^s.alpha, s < n^2, with one broken F-arrow."""
     _check_label(ctx, i, j)
@@ -491,8 +472,7 @@ def _var_groups(M: Representation, var_rows) -> list[list[int]]:
 
 def transpose(M: Representation) -> Representation:
     """The tau-dual M^t: M's group exponents, grades and field, with
-    E := F^T and F := E^T.  Kept on M once built, so the label solves of
-    `top_multiplicities` and `radical_rows` share its E-power columns.
+    E := F^T and F := E^T, built fresh on each call.
 
     tau (E <-> F, k and khat fixed) is an anti-automorphism of u: it fixes
     the group relations and FE - q^-1 EF = 1 - k^-1 khat (tau(FE) = FE),
@@ -511,19 +491,17 @@ def transpose(M: Representation) -> Representation:
       M -> P^t with P^t injective (Hom(-, P^t) = Hom(P, (-)^t) is exact),
       so cosyzygy(M) = syzygy(M^t)^t.
     """
-    if M._transpose is None:
-        def flip(mp: SparseMap) -> SparseMap:
-            out: SparseMap = {}
-            for c, col in mp.items():
-                for r, s in col.items():
-                    out.setdefault(r, {})[c] = s
-            return out
+    def flip(mp: SparseMap) -> SparseMap:
+        out: SparseMap = {}
+        for c, col in mp.items():
+            for r, s in col.items():
+                out.setdefault(r, {})[c] = s
+        return out
 
-        T = Representation(M.ctx, f"{M.label}^t", M.kexp, M.khatexp,
-                           flip(M.F), flip(M.E), M.grades)
-        T.field = M.field
-        M._transpose = T
-    return M._transpose
+    T = Representation(M.ctx, f"{M.label}^t", M.kexp, M.khatexp,
+                       flip(M.F), flip(M.E), M.grades)
+    T.field = M.field
+    return T
 
 
 def hom_from_simple(M: Representation, i: int, j: int, dim_only: bool = False):
@@ -540,7 +518,12 @@ def hom_from_simple(M: Representation, i: int, j: int, dim_only: bool = False):
     if not var_rows:
         return 0 if dim_only else []
     exprs = []  # each: list over vars of Col, all required to sum to zero
-    echains = {r: [M.column_E_power(r, s) for s in range(d + 2)] for r in var_rows}
+    echains = {}  # r -> [E^s e_r for s = 0 .. d+1]
+    for r in var_rows:
+        chain = [{r: f.one}]
+        for _ in range(d + 1):
+            chain.append(M.apply_E(chain[-1]))
+        echains[r] = chain
     exprs.append([M.F.get(r, {}) for r in var_rows])
     exprs.append([echains[r][d + 1] for r in var_rows])
     for t in range(1, d + 1):
@@ -602,19 +585,37 @@ def socle_multiplicities(M: Representation) -> dict[tuple[int, int], int]:
     return out
 
 
-def radical_rows(M: Representation) -> list[Col]:
-    """Basis of rad M: the annihilator of soc M^t, whose functionals are the
-    image columns of the maps S -> M^t.
+def radical(M: Representation) -> tuple[dict[tuple[int, int], int], list[Col]]:
+    """The top multiplicities of M and a basis of rad M, from one Hom solve
+    per label.
 
-    When M is graded the kernel is computed one grade at a time (the radical
-    of a graded module is graded), which keeps the elimination local and the
-    output basis grade-pure.
+    `hom_from_simple(M^t, i, j)` returns a basis of Hom(S(2i,j), M^t).  Its
+    size is dim Hom(M, S(2i,j)), the multiplicity of S(2i,j) in the top of
+    M, and the image columns of its maps span the S(2i,j)-part of soc M^t
+    (see `transpose`).  Over all labels those columns span soc M^t, and as
+    functionals on M their joint kernel is rad M.  So one solve per label
+    gives both the tops and the radical, and no label is solved twice.
+    Nor do two labels share work: the solve for (i, j) has one unknown per
+    vector of M^t in the class chi0 = ((-2i) mod n^2, j) of the lowest
+    weight vector of S(2i,j), and 2i runs over distinct residues mod n^2,
+    so the start classes of different labels are disjoint, and the
+    E-chains one solve builds are never needed by another.
+
+    Tops are nonzero counts keyed in label order, as `top_multiplicities`
+    gives them.  When M is graded the kernel is computed one grade at a
+    time (the radical of a graded module is graded), which keeps the
+    elimination local and the output basis grade-pure.
     """
+    tops: dict[tuple[int, int], int] = {}
+    functionals: list[Col] = []
     Mt = transpose(M)
-    functionals = [col for i, j in all_labels(M.ctx)
-                   for mat in hom_from_simple(Mt, i, j) for col in mat.values()]
+    for i, j in all_labels(M.ctx):
+        maps = hom_from_simple(Mt, i, j)
+        if maps:
+            tops[(i, j)] = len(maps)
+        functionals.extend(col for mat in maps for col in mat.values())
     if M.grades is None:
-        return nullspace_basis(M.field, functionals, M.dim)
+        return tops, nullspace_basis(M.field, functionals, M.dim)
     by_grade: dict[int, list[int]] = {}
     for r in range(M.dim):
         by_grade.setdefault(M.grades[r], []).append(r)
@@ -628,7 +629,7 @@ def radical_rows(M: Representation) -> list[Col]:
                 rows_g.append(rg)
         for vec in nullspace_basis(M.field, rows_g, len(cols)):
             out.append({cols[p]: s for p, s in vec.items()})
-    return out
+    return tops, out
 
 
 def sub_rep(M: Representation, vectors: list[Col], label: str) -> Representation:
@@ -670,43 +671,6 @@ def sub_rep(M: Representation, vectors: list[Col], label: str) -> Representation
             if col:
                 mp[jdx] = col
     return Representation(M.ctx, label, kexp, khatexp, E, F, grades)
-
-
-def quotient_rep(M: Representation, vectors: list[Col], label: str) -> Representation:
-    """The quotient of M by the span of class-pure vectors (must be invariant)."""
-    ech = Echelon(M.field)
-    for vec in vectors:
-        ech.add(dict(vec))
-    pivots = set(ech.pivot_rows)
-    keep = [c for c in range(M.dim) if c not in pivots]
-    pos = {c: t for t, c in enumerate(keep)}
-    tag = M.dim  # cross-elimination rescales rows; the tag records the factor
-
-    def project(vec: Col) -> Col:
-        lifted = dict(vec)
-        lifted[tag] = M.field.one
-        rem = ech.reduce(lifted)
-        inv = rem.pop(tag).inverse()
-        out: Col = {}
-        for c, s in rem.items():
-            if c not in pos:
-                raise RepresentationError(f"projection out of {M.label} left a pivot entry")
-            out[pos[c]] = s * inv
-        return out
-
-    kexp = [M.kexp[c] for c in keep]
-    khatexp = [M.khatexp[c] for c in keep]
-    E: SparseMap = {}
-    F: SparseMap = {}
-    for mp, src in ((E, M.E), (F, M.F)):
-        for c in keep:
-            col = src.get(c)
-            if not col:
-                continue
-            out = project(dict(col))
-            if out:
-                mp[pos[c]] = out
-    return Representation(M.ctx, label, kexp, khatexp, E, F, None)
 
 
 def direct_sum(parts: list[Representation], label: str) -> Representation:
@@ -900,12 +864,12 @@ def syzygy(M: Representation) -> Representation:
     """Kernel of a projective cover of M."""
     ctx = M.ctx
     f = M.field
+    tops, rows = radical(M)
     ech = Echelon(f)
-    for row in radical_rows(M):
+    for row in rows:
         ech.add(dict(row))
-    tops = top_multiplicities(M)
     blocks = []
-    gen = projective_generator_index(ctx)
+    gen = ctx.N  # column of the generator gamma, the start of P's second E-chain
     for i, j in all_labels(ctx):
         if (i, j) not in tops:
             continue
@@ -979,7 +943,7 @@ def verify_block_structure(ctx: AlgebraContext) -> Counterexamples:
     links: dict[tuple[int, int], set] = {}
     for lab in labels:
         P = projs[lab]
-        rows = radical_rows(P)
+        _, rows = radical(P)
         layer1 = top_multiplicities(sub_rep(P, rows, f"rad({P.label})"))
         links[lab] = set(layer1)
         expect = {partner_label(ctx, *lab): 2}
@@ -1169,8 +1133,12 @@ def verify_structure_counts(ctx: AlgebraContext) -> Counterexamples:
     yield None if block_total == ctx.dim else "blocks do not exhaust the algebra"
 
 
+# Largest strand count l at which verify_family_constructors builds each family.
+FAMILY_LMAX = 3
+
+
 @verifier("strand families, (co)syzygies, and tubes behave as stated")
-def verify_family_constructors(ctx: AlgebraContext, lmax: int = 3) -> Counterexamples:
+def verify_family_constructors(ctx: AlgebraContext) -> Counterexamples:
     """Every strand family is well-defined with the stated dimension, the
     first (co)syzygies are the one-strand modules, the two-strand syzygy
     lands on the partner label, and the tubes separate parameters."""
@@ -1184,12 +1152,12 @@ def verify_family_constructors(ctx: AlgebraContext, lmax: int = 3) -> Counterexa
 
     params = (f.one, -f.one, f.from_int(2))
     for i, j in all_labels(ctx):
-        for l in range(0, lmax + 1):
+        for l in range(0, FAMILY_LMAX + 1):
             for fam in (family_V, family_Vt):
                 yield from well_defined(
                     fam(ctx, i, j, l), (l + 1) * (2 * i - 1) + l * (N - 2 * i + 1)
                 )
-        for l in range(1, lmax + 1):
+        for l in range(1, FAMILY_LMAX + 1):
             mods = [family_W(ctx, i, j, l), family_Wt(ctx, i, j, l)]
             mods.extend(family_T(ctx, i, j, l, lam) for lam in params)
             for M in mods:
@@ -1218,7 +1186,7 @@ def verify_family_constructors(ctx: AlgebraContext, lmax: int = 3) -> Counterexa
         yield None if iso_test(cosyzygy(cosyzygy(S)), family_Vt(ctx, ip, jp, 2)) else (
             f"the second cosyzygy of S({2 * i},{j}) is not Vt on the partner label"
         )
-    for l in range(1, lmax + 1):
+    for l in range(1, FAMILY_LMAX + 1):
         tubes = [family_T(ctx, 2, 0, l, lam) for lam in params]
         yield None if iso_test(tubes[0], family_T(ctx, 2, 0, l, f.one)) else (
             f"T(4,0;{l};1) fails to be isomorphic to a fresh copy of itself"

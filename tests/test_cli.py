@@ -1,5 +1,6 @@
 """Command-line driver: parsing, exit codes, formats, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -182,3 +183,45 @@ def test_console_script_entry():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("uqsl2 ")
+
+
+# sha256 of stdout for commands whose output must not drift when the
+# engine is refactored: the three tables, one module of every family and
+# tensor products that exercise the decomposition engine.
+GOLDEN_STDOUT = {
+    ("table", "cg-ss"): "e64527b008597be6ed1b7c925bb04078c331852e3db5678bb1ec7732d7b69312",
+    ("table", "cg-ps"): "6fdaf5280de681d2471851586b24492b0a892276317972cdacbc447a63043c3e",
+    ("table", "k0"): "0435dd410572bbb05edf70291348eea07e0253d4938af9a4c2d0c3d9a80b9bda",
+    ("module", "simple", "--i", "3", "--j", "1", "--format", "json"):
+        "1ed4b323b1b0aeddd521f03759f6fda67b407d0ae414fde6ca5691f085dfa3b7",
+    ("module", "projective", "--i", "3", "--j", "1", "--format", "json"):
+        "3a27664b6097567c1a9b399a5b485fcd086bdb27cf7ed35888bae89ab8d86d3a",
+    ("module", "verma", "--i", "3", "--j", "1", "--format", "json"):
+        "3825a3b0ac338d87ac106448a309feb109bf06dfc5fe27788c9b3f3d0dba27ee",
+    ("module", "V", "--i", "3", "--j", "1", "--l", "2", "--format", "json"):
+        "c9a083231144e4c1096e968b86a40000c535980c3473ec719bb97860d269217e",
+    ("module", "Vt", "--i", "3", "--j", "1", "--l", "2", "--format", "json"):
+        "3e6dcb8f5a8ca2142775e7ea671e45a1c1b3ea21557ea5b80ef6c3f59ca6fbc3",
+    ("module", "W", "--i", "3", "--j", "1", "--l", "2", "--format", "json"):
+        "3434fd4b433e918c7d89290be7b2690d1aa75cd229a2cac6790b1d938b94232d",
+    ("module", "Wt", "--i", "3", "--j", "1", "--l", "2", "--format", "json"):
+        "70db7cc32d761e92070962d5b498acd8c4db0fc982c6e896456ca5e7179e6a22",
+    ("module", "T", "--i", "3", "--j", "1", "--l", "2", "--lambda", "2", "--format", "json"):
+        "b9de94b897b5bf205df7daf3c55d7be61aa092257822efd15f99df3ba9b1889a",
+    ("tensor", "simple:1,0", "simple:1,0", "--format", "json"):
+        "c39b468c43105b517b8ae809cb67a3595f4927d7f78bd3eb531e2a276d805e65",
+    ("tensor", "W:1,0,2", "simple:1,0", "--format", "json"):
+        "01d0b063e8ea19249035591c641945157584cf6182603a620598885fbcb384c9",
+    ("tensor", "projective:3,1", "simple:7,0", "--format", "json"):
+        "af3941822a3f82b8bcd0fb17b392cf821b29df67ccab497be781db962967ad3c",
+}
+
+
+def test_golden_stdout(capsys):
+    drifted = []
+    for argv, digest in GOLDEN_STDOUT.items():
+        code, out, err = run_main(list(argv), capsys)
+        assert code == 0, (argv, err)
+        if hashlib.sha256(out.encode()).hexdigest() != digest:
+            drifted.append(" ".join(argv))
+    assert not drifted, drifted

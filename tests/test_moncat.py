@@ -210,6 +210,29 @@ def test_engine_decomposes_frozen_products(actx):
     assert res2.evidence["composition_counts"]
 
 
+def test_no_module_is_solved_twice_for_a_label(actx, monkeypatch):
+    # A solve is keyed by the module's label and dimension, not its id:
+    # transpose builds a fresh M^t on every call, so a repeated solve on
+    # M^t would arrive on a new object.
+    calls = []
+    solve = reps.hom_from_simple
+
+    def spy(M, i, j, dim_only=False):
+        calls.append((M.label, M.dim, i, j))
+        return solve(M, i, j, dim_only)
+
+    monkeypatch.setattr(reps, "hom_from_simple", spy)
+    # (1,0)x(7,1) has a projective tail, so the engine walks two radical
+    # layers; (5,0)x(6,1) is semisimple.
+    for (i1, j1), (i2, j2) in (((1, 0), (7, 1)), ((5, 0), (6, 1))):
+        res = decompose(tensor(simple(actx, i1, j1), simple(actx, i2, j2)))
+        assert res.summands == simple_simple_rule(actx, i1, j1, i2, j2)
+    reps.syzygy(simple(actx, 3, 0))
+    assert calls
+    repeated = sorted({c for c in calls if calls.count(c) > 1})
+    assert not repeated, repeated[:4]
+
+
 def test_fresh_context_has_cold_memo(actx):
     from uqsl2.qgroup import AlgebraContext
 
