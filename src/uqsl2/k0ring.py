@@ -41,12 +41,9 @@ def _expand_products(
 
 def basis_product(ctx: AlgebraContext, k1: Label, k2: Label) -> dict[Label, int]:
     """Structure constants of [S_k1]*[S_k2] in the simple-class basis."""
-    hit = ctx.memo.get(("basis", k1, k2))
-    if hit is None:
-        hit = ctx.memo[("basis", k1, k2)] = _expand_products(
-            ctx, k1[0], k1[1], k2[0], k2[1], 2, 2
-        )
-    return hit
+    return ctx.cached(
+        ("basis", k1, k2), lambda: _expand_products(ctx, k1[0], k1[1], k2[0], k2[1], 2, 2)
+    )
 
 
 class K0Element:
@@ -239,18 +236,13 @@ def f_poly(ctx: AlgebraContext, m: int, j: int) -> PresPoly:
     f_{2(m+1),j} = (x - g) f_{2m,j} - f_{2(m-1),j}, with g^2 -> 1."""
     if not (0 <= m <= ctx.half - 1) or j not in (0, 1):
         raise InvalidArgumentError(f"bad f-polynomial index ({m}, {j})")
-    hit = ctx.memo.get(("f_poly", m, j))
-    if hit is not None:
-        return hit
     if m == 0:
-        out = pres_one() if j == 0 else pres_g()
-    elif m == 1:
-        out = pres_x() if j == 0 else pres_x() * pres_g()
-    else:
-        xg = pres_x() - pres_g()
-        out = xg * f_poly(ctx, m - 1, j) - f_poly(ctx, m - 2, j)
-    ctx.memo[("f_poly", m, j)] = out
-    return out
+        return pres_one() if j == 0 else pres_g()
+    if m == 1:
+        return pres_x() if j == 0 else pres_x() * pres_g()
+    return ctx.cached(("f_poly", m, j), lambda: (
+        (pres_x() - pres_g()) * f_poly(ctx, m - 1, j) - f_poly(ctx, m - 2, j)
+    ))
 
 
 def second_ideal_generator(ctx: AlgebraContext) -> PresPoly:

@@ -62,7 +62,7 @@ def _k_class(ctx: AlgebraContext, e: int) -> int:
     return (e // ctx.n) % ctx.n
 
 
-def tensor(M: Representation, N: Representation, label: str | None = None) -> Representation:
+def tensor(M: Representation, N: Representation) -> Representation:
     """The module M (x) N with the coproduct action, written in closed form.
 
     Basis vector (a, b) gets column index a*dim(N) + b; group exponents and
@@ -122,8 +122,7 @@ def tensor(M: Representation, N: Representation, label: str | None = None) -> Re
                 _add_into(fcol, base + rb, s * scale)
             if fcol:
                 F[colidx] = fcol
-    name = label if label is not None else f"{M.label}(x){N.label}"
-    return Representation(ctx, name, kexp, khatexp, E, F, grades)
+    return Representation(ctx, f"{M.label}(x){N.label}", kexp, khatexp, E, F, grades)
 
 
 def tensor_action_from_coproduct(
@@ -192,10 +191,7 @@ def _total_dim(ctx: AlgebraContext, summands: dict[SummandKey, int]) -> int:
 
 
 def _summand_character(ctx: AlgebraContext, key: SummandKey) -> dict[Label, int]:
-    hit = ctx.memo.get(("char", key))
-    if hit is None:
-        hit = ctx.memo[("char", key)] = summand_module(ctx, key).character()
-    return hit
+    return ctx.cached(("char", key), lambda: summand_module(ctx, key).character())
 
 
 def relative_graded_character(M: Representation) -> dict[tuple[int, int, int], int]:
@@ -208,12 +204,9 @@ def relative_graded_character(M: Representation) -> dict[tuple[int, int, int], i
 def _summand_graded_character(
     ctx: AlgebraContext, key: SummandKey
 ) -> dict[tuple[int, int, int], int]:
-    hit = ctx.memo.get(("graded_char", key))
-    if hit is None:
-        hit = ctx.memo[("graded_char", key)] = relative_graded_character(
-            summand_module(ctx, key)
-        )
-    return hit
+    return ctx.cached(
+        ("graded_char", key), lambda: relative_graded_character(summand_module(ctx, key))
+    )
 
 
 def char_product(
@@ -451,7 +444,12 @@ def decompose(M: Representation) -> DecompositionResult:
         if not rows:
             break
         R = sub_rep(R, rows, f"rad^{depth}({M.label})")
-        layer_top, rows = radical(R)
+        if depth == 1:
+            layer_top, rows = radical(R)
+        else:
+            # rad^3 M is never read: semisimplicity of rad^2 M is checked
+            # below through dimensions.
+            layer_top = top_multiplicities(R)
         layer_tops.append(layer_top)
         layer_dims.append(R.dim)
     t1 = layer_tops[1] if len(layer_tops) > 1 else {}
@@ -639,7 +637,8 @@ def verify_tensor_relations(ctx: AlgebraContext, seed: int = 0) -> Counterexampl
 
 @verifier("the one-dimensional module of trivial class is a tensor unit")
 def verify_unit_object(ctx: AlgebraContext) -> Counterexamples:
-    """S(n^2,0) is a left and right unit on all simples and projectives."""
+    """S(n^2,0) is a left and right unit on all simples and projectives:
+    both products carry the very arrays of the module itself."""
     unit = simple(ctx, ctx.half, 0)
     for kind in ("S", "P"):
         for i, j in all_labels(ctx):
@@ -651,7 +650,7 @@ def verify_unit_object(ctx: AlgebraContext) -> Counterexamples:
                     and T.E == X.E
                     and T.F == X.F
                 )
-                yield None if same_arrays and iso_test(T, X) else f"{T.label} vs {X.label}"
+                yield None if same_arrays else f"{T.label} vs {X.label}"
 
 
 def _cover_certificate(

@@ -18,6 +18,7 @@ elements with the conjugation weight w(g): g E = q^w(g) E g.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 
 from . import linalg
@@ -33,58 +34,10 @@ from .report import Counterexamples, verifier
 MonKey = tuple[int, int, int, int]  # (a, eps, c, d)
 
 
-class GroupElem:
-    """A grouplike k^eps * khat^c; eps in {0,1}, c modulo n^2/2."""
-
-    __slots__ = ("n", "eps", "c")
-
-    def __init__(self, n: int, eps: int, c: int):
-        self.n = n
-        self.eps = eps & 1
-        self.c = c % (n * n // 2)
-
-    def __mul__(self, other: "GroupElem") -> "GroupElem":
-        if other.n != self.n:
-            raise ContextMismatchError("group elements from different contexts")
-        n = self.n
-        e = self.eps + other.eps
-        # k^2 = khat^-n folds the carried k into the khat exponent.
-        return GroupElem(n, e & 1, self.c + other.c - n * (e >> 1))
-
-    def inverse(self) -> "GroupElem":
-        n = self.n
-        if self.eps == 0:
-            return GroupElem(n, 0, -self.c)
-        # (k khat^c)^-1 = k^-1 khat^-c = k khat^(n-c)
-        return GroupElem(n, 1, n - self.c)
-
-    def __pow__(self, t: int) -> "GroupElem":
-        acc = GroupElem(self.n, 0, 0)
-        base = self if t >= 0 else self.inverse()
-        for _ in range(abs(t)):
-            acc = acc * base
-        return acc
-
-    @property
-    def weight(self) -> int:
-        """w with g E = q^w E g and g F = q^-w F g, taken mod n^2."""
-        n = self.n
-        return (n * self.eps + (n - 2) * self.c) % (n * n)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GroupElem):
-            return NotImplemented
-        return (self.n, self.eps, self.c) == (other.n, other.eps, other.c)
-
-    def __hash__(self) -> int:
-        return hash((self.eps, self.c))
-
-    def __repr__(self) -> str:
-        return f"GroupElem(k^{self.eps} khat^{self.c})"
-
-
 def _group_mul(n: int, e1: int, c1: int, e2: int, c2: int) -> tuple[int, int]:
+    """(eps, c) of k^e1 khat^c1 * k^e2 khat^c2, with c modulo n^2/2."""
     e = e1 + e2
+    # k^2 = khat^-n folds the carried k into the khat exponent.
     return e & 1, (c1 + c2 - n * (e >> 1)) % (n * n // 2)
 
 
@@ -189,8 +142,11 @@ class AlgebraElement:
 class AlgebraContext:
     """Structure tables for u at a fixed n: rewriting, idempotents, vectors.
 
-    Memo state lives here: the rewrite tables and vectors below, and `memo`,
-    where moncat and k0ring keep results keyed by (tag, *args).  A fresh
+    Memo state lives here.  The hot rewrite tables `_ef` and `_mono_cache`
+    are plain dicts; every other lazily built value (idempotents, flat,
+    alpha and gamma vectors, coproduct and antipode of monomials, the
+    reassociator, moncat characters, k0ring products) sits in `memo` under
+    a key (tag, *args), read and written only through `cached`.  A fresh
     context starts cold.
     """
 
@@ -218,12 +174,13 @@ class AlgebraContext:
         self._mono_cache: dict[tuple[MonKey, MonKey], tuple[tuple[MonKey, Scalar], ...]] = {}
         self.memo: dict[tuple, object] = {}
 
-        self._idem1: list[AlgebraElement] | None = None
-        self._idem_e: dict[tuple[int, int], AlgebraElement] = {}
-        self._flat: AlgebraElement | None = None
-        self._flat_inv: AlgebraElement | None = None
-        self._alpha: dict[tuple[int, int], AlgebraElement] = {}
-        self._gamma: dict[tuple[int, int], AlgebraElement] = {}
+    def cached(self, key: tuple, build: Callable[[], object]):
+        """memo[key], set to build() on first use."""
+        try:
+            return self.memo[key]
+        except KeyError:
+            value = self.memo[key] = build()
+            return value
 
     # -- constructors ----------------------------------------------------
 
@@ -241,12 +198,10 @@ class AlgebraContext:
             return self.zero_elem
         return AlgebraElement(self, {(a, eps & 1, c % self.half, d): coeff})
 
-    def from_group(self, g: GroupElem) -> AlgebraElement:
-        return self.group_elem(g.eps, g.c)
-
     # -- rewriting core ----------------------------------------------------
 
     def _weight(self, eps: int, c: int) -> int:
+        """w with g E = q^w E g and g F = q^-w F g for g = k^eps khat^c."""
         return (self.n * eps + (self.n - 2) * c) % self.N
 
     def ef(self, d: int, a: int) -> list[tuple[int, int, int, int, Scalar]]:
@@ -329,83 +284,60 @@ class AlgebraContext:
 
     # -- idempotents and distinguished elements -----------------------------
 
-    def idempotent_1(self, i: int) -> AlgebraElement:
-        """1_i = (1/n) sum_j (qbar^(n-i))^j k^j, the qbar^i-eigenprojector of k."""
-        if not 0 <= i < self.n:
-            raise InvalidArgumentError(f"idempotent index {i} outside 0..{self.n - 1}")
-        if self._idem1 is None:
-            f = self.field
-            inv_n = f.from_fraction(Fraction(1, self.n))
-            family = []
-            for ii in range(self.n):
-                acc = self.zero_elem
-                kpow = self.one_elem
-                for j in range(self.n):
-                    acc = acc + kpow.scale(f.qbarpow((self.n - ii) * j) * inv_n)
-                    kpow = kpow * self.k
-                family.append(acc)
-            self._idem1 = family
-        return self._idem1[i]
-
-    def flat(self) -> AlgebraElement:
-        if self._flat is None:
-            f = self.field
-            acc = self.zero_elem
-            for i in range(self.n):
-                acc = acc + self.idempotent_1(i).scale(f.qpow(-i))
-            self._flat = acc
-        return self._flat
-
-    def flat_inv(self) -> AlgebraElement:
-        if self._flat_inv is None:
-            f = self.field
-            acc = self.zero_elem
-            for i in range(self.n):
-                acc = acc + self.idempotent_1(i).scale(f.qpow(i))
-            self._flat_inv = acc
-        return self._flat_inv
-
-    def varphi_idempotent(self, i: int) -> AlgebraElement:
-        """phi_2i = (1/(n^2/2)) sum_t q^(-2it) (k^-1 khat)^t."""
+    def _projector(self, g: AlgebraElement, order: int, e: int) -> AlgebraElement:
+        """(1/order) sum_t q^(-e t) g^t, the q^e-eigenprojector of a grouplike
+        g with g^order = 1."""
         f = self.field
-        inv = f.from_fraction(Fraction(1, self.half))
+        inv = f.from_fraction(Fraction(1, order))
         acc = self.zero_elem
         power = self.one_elem
-        for t in range(self.half):
-            acc = acc + power.scale(f.qpow(-2 * i * t) * inv)
-            power = power * self.kinv_khat
+        for t in range(order):
+            acc = acc + power.scale(f.qpow(-e * t) * inv)
+            power = power * g
         return acc
+
+    def idempotent_1(self, i: int) -> AlgebraElement:
+        """1_i, the qbar^i = q^(n i)-eigenprojector of k."""
+        if not 0 <= i < self.n:
+            raise InvalidArgumentError(f"idempotent index {i} outside 0..{self.n - 1}")
+        return self.cached(("idempotent_1", i), lambda: self._projector(self.k, self.n, self.n * i))
+
+    def flat(self) -> AlgebraElement:
+        return self.cached(("flat",), lambda: self._build_flat(-1))
+
+    def flat_inv(self) -> AlgebraElement:
+        return self.cached(("flat_inv",), lambda: self._build_flat(+1))
+
+    def _build_flat(self, sign: int) -> AlgebraElement:
+        """sum_i q^(sign i) 1_i: flat for sign -1, its inverse for +1."""
+        acc = self.zero_elem
+        for i in range(self.n):
+            acc = acc + self.idempotent_1(i).scale(self.field.qpow(sign * i))
+        return acc
+
+    def varphi_idempotent(self, i: int) -> AlgebraElement:
+        """phi_2i, the q^(2i)-eigenprojector of k^-1 khat."""
+        return self._projector(self.kinv_khat, self.half, 2 * i)
 
     def half_idempotent(self, j: int) -> AlgebraElement:
         """The projector (1 + (-1)^j k khat^(n/2)) / 2."""
-        f = self.field
-        half = f.from_fraction(Fraction(1, 2))
-        signed = self.k_khat_half.scale(f.sign(j))
-        return (self.one_elem + signed).scale(half)
+        return self._projector(self.k_khat_half, 2, self.half * j)
 
     def idempotent_e(self, i: int, j: int) -> AlgebraElement:
         """Primitive idempotent e_{2i,j} of u^0, 1 <= i <= n^2/2, j in {0,1}."""
         if not (1 <= i <= self.half and j in (0, 1)):
             raise InvalidArgumentError(f"bad idempotent label ({i}, {j})")
-        key = (i, j)
-        hit = self._idem_e.get(key)
-        if hit is None:
-            hit = self.varphi_idempotent(i) * self.half_idempotent(j)
-            self._idem_e[key] = hit
-        return hit
+        return self.cached(
+            ("idempotent_e", i, j),
+            lambda: self.varphi_idempotent(i) * self.half_idempotent(j),
+        )
 
     def alpha_vec(self, i: int, j: int) -> AlgebraElement:
         """alpha_{2i,j} = F^(n^2-1) e_{2i,j}."""
-        key = (i, j)
-        hit = self._alpha.get(key)
-        if hit is None:
-            e = self.idempotent_e(i, j)
-            hit = AlgebraElement(
-                self,
-                {(self.N - 1, eps, c, 0): s for (_, eps, c, _), s in e.terms.items()},
-            )
-            self._alpha[key] = hit
-        return hit
+        return self.cached(("alpha_vec", i, j), lambda: AlgebraElement(self, {
+            (self.N - 1, eps, c, 0): s
+            for (_, eps, c, _), s in self.idempotent_e(i, j).terms.items()
+        }))
 
     def beta_vec(self, i: int, j: int) -> AlgebraElement:
         """beta_{2i,j} = E^(2i-2) alpha_{2i,j}."""
@@ -432,10 +364,9 @@ class AlgebraContext:
         beta; the top candidate (d = 2i-1) is killed by F and its coefficient
         is set to zero.
         """
-        key = (i, j)
-        hit = self._gamma.get(key)
-        if hit is not None:
-            return hit
+        return self.cached(("gamma_vec", i, j), lambda: self._build_gamma(i, j))
+
+    def _build_gamma(self, i: int, j: int) -> AlgebraElement:
         f = self.field
         beta = self.beta_vec(i, j)
         # Bucket beta by E-degree.
@@ -468,7 +399,6 @@ class AlgebraContext:
         probe = self.f_power(self.N - 1) * (self.e_power(self.N - 1) * gamma)
         if probe.is_zero():
             raise ConstructionError("F^(n^2-1) E^(n^2-1) gamma vanished")
-        self._gamma[key] = gamma
         return gamma
 
     def _ratio(self, target: AlgebraElement, image: AlgebraElement) -> Scalar:

@@ -28,7 +28,7 @@ import random
 from .cyclo import Scalar
 from .errors import ContextMismatchError, InvalidArgumentError
 from .linalg import _add_into
-from .qgroup import AlgebraContext, AlgebraElement, GroupElem, MonKey
+from .qgroup import AlgebraContext, AlgebraElement, MonKey
 from .report import CheckReport, Counterexamples, verifier
 
 UNIT_KEY: MonKey = (0, 0, 0, 0)
@@ -166,10 +166,6 @@ class QuasiHopfData:
         self._dF_pows: list[TensorElement] = [unit_tensor(actx, 2)]
         self._sE_pows: list[AlgebraElement] = [actx.one_elem]
         self._sF_pows: list[AlgebraElement] = [actx.one_elem]
-        self._delta_memo: dict[MonKey, TensorElement] = {}
-        self._antipode_memo: dict[MonKey, AlgebraElement] = {}
-        self._phi: TensorElement | None = None
-        self._phi_inv: TensorElement | None = None
 
     # -- structure maps ------------------------------------------------------
 
@@ -179,21 +175,20 @@ class QuasiHopfData:
         return pows[t]
 
     def delta_mono(self, key: MonKey) -> TensorElement:
-        hit = self._delta_memo.get(key)
-        if hit is not None:
-            return hit
+        return self.actx.cached(("delta_mono", key), lambda: self._build_delta(key))
+
+    def _build_delta(self, key: MonKey) -> TensorElement:
+        """D(F^a g E^d) = D(F)^a (g (x) g) D(E)^d."""
         a, eps, c, d = key
+        gk = (0, eps, c, 0)
+        dg = TensorElement(self.actx, 2, {(gk, gk): self.actx.field.one})
         if a == 0 and d == 0:
-            gk = (0, eps, c, 0)
-            out = TensorElement(self.actx, 2, {(gk, gk): self.actx.field.one})
-        else:
-            out = self._power(self._dF_pows, self.delta_F, a)
-            gk = (0, eps, c, 0)
-            if eps or c:
-                out = out * TensorElement(self.actx, 2, {(gk, gk): self.actx.field.one})
-            if d:
-                out = out * self._power(self._dE_pows, self.delta_E, d)
-        self._delta_memo[key] = out
+            return dg
+        out = self._power(self._dF_pows, self.delta_F, a)
+        if eps or c:
+            out = out * dg
+        if d:
+            out = out * self._power(self._dE_pows, self.delta_E, d)
         return out
 
     def delta(self, x: AlgebraElement) -> TensorElement:
@@ -211,15 +206,16 @@ class QuasiHopfData:
         return out
 
     def antipode_mono(self, key: MonKey) -> AlgebraElement:
-        hit = self._antipode_memo.get(key)
-        if hit is not None:
-            return hit
+        return self.actx.cached(("antipode_mono", key), lambda: self._build_antipode(key))
+
+    def _build_antipode(self, key: MonKey) -> AlgebraElement:
+        """S(F^a g E^d) = S(E)^d g^-1 S(F)^a."""
         a, eps, c, d = key
-        ginv = self.actx.from_group(GroupElem(self.actx.n, eps, c).inverse())
+        # (k^eps khat^c)^-1 = k^eps khat^(eps n - c), since k^-1 = k khat^n.
+        ginv = self.actx.group_elem(eps, eps * self.actx.n - c)
         out = self._power(self._sE_pows, self.S_E, d) * ginv
         if a:
             out = out * self._power(self._sF_pows, self.S_F, a)
-        self._antipode_memo[key] = out
         return out
 
     def antipode(self, x: AlgebraElement) -> AlgebraElement:
@@ -229,14 +225,10 @@ class QuasiHopfData:
         return out
 
     def phi(self) -> TensorElement:
-        if self._phi is None:
-            self._phi = self._build_phi(-1)
-        return self._phi
+        return self.actx.cached(("phi",), lambda: self._build_phi(-1))
 
     def phi_inv(self) -> TensorElement:
-        if self._phi_inv is None:
-            self._phi_inv = self._build_phi(+1)
-        return self._phi_inv
+        return self.actx.cached(("phi_inv",), lambda: self._build_phi(+1))
 
     def _build_phi(self, sign: int) -> TensorElement:
         actx = self.actx
@@ -272,25 +264,18 @@ class QuasiHopfData:
 
     # -- zigzags ---------------------------------------------------------------
 
-    def zigzag_left(self, x: AlgebraElement) -> AlgebraElement:
-        """sum S(x_(1)) alpha x_(2) over the coproduct terms of x."""
+    def zigzags(self, x: AlgebraElement) -> tuple[AlgebraElement, AlgebraElement]:
+        """(sum S(x_(1)) alpha x_(2), sum x_(1) beta S(x_(2))) over the
+        coproduct terms of x, from one walk over D(x)."""
         actx = self.actx
-        out = actx.zero_elem
+        one = actx.field.one
+        left = right = actx.zero_elem
         for (ka, kb), s in self.delta(x).terms.items():
-            piece = self.antipode_mono(ka) * self.alpha_elem * AlgebraElement(
-                actx, {kb: actx.field.one}
-            )
-            out = out + piece.scale(s)
-        return out
-
-    def zigzag_right(self, x: AlgebraElement) -> AlgebraElement:
-        """sum x_(1) beta S(x_(2)) over the coproduct terms of x."""
-        actx = self.actx
-        out = actx.zero_elem
-        for (ka, kb), s in self.delta(x).terms.items():
-            piece = AlgebraElement(actx, {ka: actx.field.one}) * self.beta_elem * self.antipode_mono(kb)
-            out = out + piece.scale(s)
-        return out
+            xa = AlgebraElement(actx, {ka: one})
+            xb = AlgebraElement(actx, {kb: one})
+            left = left + (self.antipode_mono(ka) * self.alpha_elem * xb).scale(s)
+            right = right + (xa * self.beta_elem * self.antipode_mono(kb)).scale(s)
+        return left, right
 
     # -- verification ------------------------------------------------------------
 
@@ -459,9 +444,10 @@ class QuasiHopfData:
         for key in keys:
             x = AlgebraElement(actx, {key: actx.field.one})
             eps_x = self.counit(x)
-            ok = self.zigzag_left(x) == self.alpha_elem.scale(eps_x)
+            left, right = self.zigzags(x)
+            ok = left == self.alpha_elem.scale(eps_x)
             yield None if ok else f"left zigzag at monomial {key}"
-            ok = self.zigzag_right(x) == self.beta_elem.scale(eps_x)
+            ok = right == self.beta_elem.scale(eps_x)
             yield None if ok else f"right zigzag at monomial {key}"
         # Reassociator zigzags.
         acc = actx.zero_elem

@@ -1,8 +1,8 @@
 """The package's public names: every export resolves, no module keeps memo
 state of its own, only the verifier runner builds a CheckReport, mod-p
 arithmetic stays inside the one certificate that uses it, only the linalg
-kernel prunes a cancelled entry from a sparse vector, and one Hom solver
-builds a BlockKernel."""
+kernel prunes a cancelled entry from a sparse vector, one Hom solver
+builds a BlockKernel, and only `AlgebraContext.cached` touches the memo."""
 
 import ast
 import importlib
@@ -182,3 +182,35 @@ def test_one_hom_solver_builds_a_block_kernel():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found += [(path.name, scope) for scope in _constructors(tree, "BlockKernel")]
     assert found == [("reps.py", "hom_from_simple")]
+
+
+def _memo_uses(tree: ast.AST) -> list[tuple[str, str, int]]:
+    """(enclosing qualified def, load/store, line) of every `.memo` attribute."""
+    out = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Attribute) and node.attr == "memo":
+            out.append((scope, type(node.ctx).__name__, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return out
+
+
+def test_memo_is_read_only_through_cached():
+    """`AlgebraContext.cached` is the one reader and writer of `memo`; the
+    constructor only creates it.  A get/compute/store block elsewhere must
+    not come back."""
+    package = pathlib.Path(uqsl2.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope, kind, line in _memo_uses(tree):
+            found.append((path.name, scope, kind))
+            assert (path.name, scope) == ("qgroup.py", "AlgebraContext.cached") or (
+                path.name, scope, kind) == ("qgroup.py", "AlgebraContext.__init__", "Store"
+            ), f"{path.name}:{line} uses .memo in {scope or 'module scope'}"
+    assert ("qgroup.py", "AlgebraContext.cached", "Load") in found

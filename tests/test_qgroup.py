@@ -5,7 +5,7 @@ import pytest
 from uqsl2 import linalg
 from uqsl2.cyclo import qint
 from uqsl2.errors import ContextMismatchError, InvalidArgumentError
-from uqsl2.qgroup import AlgebraContext, AlgebraElement, GroupElem
+from uqsl2.qgroup import AlgebraContext, AlgebraElement, _group_mul
 
 
 def test_generator_relations(actx):
@@ -36,18 +36,24 @@ def test_perturbed_relations_fail(actx):
     assert actx.k * E * actx.kinv != E.scale(f.qbarpow(-1))
 
 
-def test_group_elem_encoding():
-    n = 4
-    k = GroupElem(n, 1, 0)
-    khat = GroupElem(n, 0, 1)
-    assert k * k == GroupElem(n, 0, (-n) % (n * n // 2))
-    assert (khat ** n) * k * k == GroupElem(n, 0, 0)
-    elems = [GroupElem(n, e, c) for e in (0, 1) for c in range(n * n // 2)]
-    assert len(set(elems)) == n * n
-    for g in elems:
-        assert g * g.inverse() == GroupElem(n, 0, 0)
-    assert GroupElem(n, 1, n + 1).weight == (n * n - 2) % (n * n)
-    assert GroupElem(n, 1, n // 2).weight == n * n // 2
+def test_group_elem_encoding(actx):
+    n, half = actx.n, actx.half
+    k, khat = actx.k, actx.khat
+    assert k * k == actx.group_elem(0, -n)
+    assert _group_mul(n, 1, 0, 1, 0) == (0, (-n) % half)
+    assert (khat ** n) * k * k == actx.one_elem
+    labels = [(e, c) for e in (0, 1) for c in range(half)]
+    elems = {g: actx.group_elem(*g) for g in labels}
+    assert len(set(elems.values())) == n * n
+    for g1, x1 in elems.items():
+        for g2, x2 in elems.items():
+            assert x1 * x2 == elems[_group_mul(n, *g1, *g2)]
+        # The inverse as the antipode forms it: k^-1 = k khat^n.
+        eps, c = g1
+        assert _group_mul(n, eps, c, eps, eps * n - c) == (0, 0)
+        assert x1 * actx.group_elem(eps, eps * n - c) == actx.one_elem
+    assert actx._weight(1, n + 1) == (n * n - 2) % (n * n)
+    assert actx._weight(1, n // 2) == n * n // 2
 
 
 def test_group_weight_is_conjugation_phase(actx):
@@ -55,7 +61,7 @@ def test_group_weight_is_conjugation_phase(actx):
     for eps in (0, 1):
         for c in range(actx.half):
             g = actx.group_elem(eps, c)
-            w = GroupElem(actx.n, eps, c).weight
+            w = actx._weight(eps, c)
             assert g * actx.E == (actx.E * g).scale(f.qpow(w))
             assert g * actx.F == (actx.F * g).scale(f.qpow(-w))
 
