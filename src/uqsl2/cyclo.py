@@ -16,8 +16,17 @@ For other n divisible by 4 a precomputed reduction table handles the
 general Phi_N, and the inverse runs the extended Euclid algorithm over Q.
 
 `FieldContext.residue_field()` gives the residue field F_p of one prime
-above p, with zeta sent to a primitive N-th root of unity omega in F_p.  It
-serves certificates only: a rank over F_p bounds the exact rank from below.
+above p, with zeta sent to a primitive N-th root of unity omega in F_p.  Its
+elements are plain ints in [0, p).  It serves certificates only: a rank over
+F_p bounds the exact rank from below.
+
+Each field supplies the sparse kernel that linalg and reps call through the
+field they hold: `axpy` (d += s * vec, dropping what cancels),
+`cross_eliminate` (clear one column of a row against a monic pivot row),
+`inverse` and `neg`.  A sparse vector is a dict from a hashable key to a
+nonzero scalar: it never stores a zero.  Over Q(zeta_N) every sum into one
+goes through `_add_into` or `_axpy`, which drop a key whose sum cancels;
+over F_p, through `ResidueField.axpy`.
 """
 
 from __future__ import annotations
@@ -229,11 +238,59 @@ class Scalar:
         return f"Scalar({scalar_to_str(self)})"
 
 
+def _add_into(d: dict, key, s: Scalar) -> None:
+    """d[key] += s, dropping the key if the sum is zero."""
+    cur = d.get(key)
+    if cur is not None:
+        s = cur + s
+    if s.is_zero():
+        d.pop(key, None)
+    else:
+        d[key] = s
+
+
+def _axpy(d: dict, vec: dict, s: Scalar) -> None:
+    """d += s * vec, dropping every key whose sum is zero.
+
+    One multiply per entry of vec, also when s is zero; a zero s leaves d
+    as it was.  vec stores no zero, so s * v is zero only when s is.
+    """
+    keep_new = not s.is_zero()
+    for key, v in vec.items():
+        t = s * v
+        if key in d:
+            t = d[key] + t
+            if t.is_zero():
+                del d[key]
+            else:
+                d[key] = t
+        elif keep_new:
+            d[key] = t
+
+
+def _strip_content(ctx: "FieldContext", row: dict) -> dict:
+    """Scale a row by a rational so integer content is 1; returns a new dict."""
+    if not row:
+        return row
+    g = 0
+    lden = 1
+    for s in row.values():
+        lden = lden * s.den // math.gcd(lden, s.den)
+        for a in s.num:
+            if a:
+                g = math.gcd(g, a)
+    if g == 0:
+        return {}
+    if g == 1 and lden == 1:
+        return row
+    out = {}
+    for c, s in row.items():
+        out[c] = ctx._make([a * lden for a in s.num], s.den * g)
+    return out
+
+
 class FieldContext:
     """Arithmetic context for Q(zeta_N) with N = n^2, 4 | n."""
-
-    # Elimination strips the integer content of rows over this field.
-    has_content = True
 
     def __init__(self, n: int):
         if not isinstance(n, int) or n < 4 or n % 4 != 0:
@@ -341,11 +398,35 @@ class FieldContext:
         """The image of a scalar of this field: the scalar itself."""
         return s
 
+    def neg(self, s: Scalar) -> Scalar:
+        return -s
+
     def residue_field(self) -> "ResidueField":
         """The residue field F_p of this context, built on first use."""
         if self._residue_field is None:
             self._residue_field = ResidueField(self)
         return self._residue_field
+
+    # -- the sparse kernel -------------------------------------------------
+
+    axpy = staticmethod(_axpy)
+
+    def cross_eliminate(self, row: dict, piv_col, piv_row: dict) -> dict:
+        """Return piv*row - coef*piv_row, clearing piv_col from row.
+
+        Monic pivot rows take the subtraction-only path, which keeps scalar
+        sizes bounded; integer gcd stripping alone cannot contain the
+        coefficient growth of repeated cyclotomic cross-multiplication.
+        """
+        coef = row[piv_col]
+        piv = piv_row[piv_col]
+        if piv == self.one:
+            out = dict(row)
+        else:
+            out = {c: piv * s for c, s in row.items()}
+        _axpy(out, piv_row, -coef)
+        out.pop(piv_col, None)
+        return _strip_content(self, out)
 
     # -- core arithmetic ---------------------------------------------------
 
@@ -447,60 +528,19 @@ def _is_prime(m: int) -> bool:
     return m > 1 and all(m % d for d in range(2, math.isqrt(m) + 1))
 
 
-class Residue:
-    """An element of the residue field F_p, as an integer in 0..p-1."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v: int, p: int):
-        self.v = v
-        self.p = p
-
-    def __add__(self, other: "Residue") -> "Residue":
-        p = self.p
-        return Residue((self.v + other.v) % p, p)
-
-    def __sub__(self, other: "Residue") -> "Residue":
-        p = self.p
-        return Residue((self.v - other.v) % p, p)
-
-    def __neg__(self) -> "Residue":
-        p = self.p
-        return Residue(-self.v % p, p)
-
-    def __mul__(self, other: "Residue") -> "Residue":
-        p = self.p
-        return Residue(self.v * other.v % p, p)
-
-    def inverse(self) -> "Residue":
-        if not self.v:
-            raise DivisionByZeroError("inverse of zero in F_p")
-        return Residue(pow(self.v, -1, self.p), self.p)
-
-    def is_zero(self) -> bool:
-        return not self.v
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Residue):
-            return NotImplemented
-        return self.v == other.v and self.p == other.p
-
-    def __repr__(self) -> str:
-        return f"Residue({self.v} mod {self.p})"
-
-
 class ResidueField:
     """F_p for the smallest prime p = 1 (mod N) above 2^30, with zeta sent
     to a primitive N-th root of unity omega.
 
+    An element is a plain int in [0, p); a product of two fits in 61 bits.
     Reduction is the ring map Z[zeta]_(P) -> F_p at the prime P = (p, zeta -
     omega); it refuses a scalar whose denominator p divides.  Linear algebra
     over F_p computes the rank of the reduced matrix, which is at most the
     rank of the exact one.
     """
 
-    # Residues have no integer content to strip.
-    has_content = False
+    zero = 0
+    one = 1
 
     def __init__(self, exact: FieldContext):
         N = exact.N
@@ -523,10 +563,8 @@ class ResidueField:
         self.p = p
         self.omega = omega
         self._omega_pows = [pow(omega, k, p) for k in range(exact.degree)]
-        self.zero = Residue(0, p)
-        self.one = Residue(1, p)
 
-    def reduce(self, s: Scalar) -> Residue:
+    def reduce(self, s: Scalar) -> int:
         """The residue of s; refuses a denominator divisible by p."""
         if s.ctx is not self.exact:
             raise ContextMismatchError("scalar from a different field context")
@@ -537,9 +575,46 @@ class ResidueField:
         for a, w in zip(s.num, self._omega_pows):
             if a:
                 acc += a * w
-        return Residue(acc * pow(s.den, -1, p) % p, p)
+        return acc * pow(s.den, -1, p) % p
 
     image = reduce
+
+    def neg(self, s: int) -> int:
+        return -s % self.p
+
+    def inverse(self, s: int) -> int:
+        if not s:
+            raise DivisionByZeroError("inverse of zero in F_p")
+        return pow(s, -1, self.p)
+
+    # -- the sparse kernel -------------------------------------------------
+
+    def axpy(self, d: dict, vec: dict, s: int) -> None:
+        """d += s * vec mod p, dropping every key whose sum is 0.
+
+        vec stores no zero and p is prime, so s * v is 0 only when s is,
+        and then d stays as it was.
+        """
+        if not s:
+            return
+        p = self.p
+        for key, v in vec.items():
+            t = d.get(key)
+            if t is None:
+                d[key] = s * v % p
+            else:
+                t = (t + s * v) % p
+                if t:
+                    d[key] = t
+                else:
+                    del d[key]
+
+    def cross_eliminate(self, row: dict, piv_col, piv_row: dict) -> dict:
+        """row - row[piv_col] * piv_row, for a pivot row that is monic at
+        piv_col: the entry at piv_col cancels, and `axpy` drops it."""
+        out = dict(row)
+        self.axpy(out, piv_row, self.p - row[piv_col])
+        return out
 
     def __repr__(self) -> str:
         return f"ResidueField(p={self.p}, omega={self.omega})"

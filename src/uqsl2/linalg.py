@@ -1,96 +1,24 @@
-"""Sparse exact linear algebra over Q(zeta_N).
+"""Sparse linear algebra over a field: Q(zeta_N) or its residue field F_p.
 
-A sparse vector is a dict from a hashable key (a column index, a PBW
-monomial key, a tuple of them) to a nonzero Scalar: it never stores a zero.
-Every sum into one goes through `_add_into` or `_axpy`, which drop a key
-whose sum cancels.
+Rows are sparse vectors, dicts from a column index to a nonzero scalar of
+the field.  Every algorithm here holds its field (`ctx`) and calls its
+sparse kernel (`axpy`, `cross_eliminate`, `inverse`, `neg`; see cyclo), so
+one code path serves both fields: over Q(zeta_N) the kernel is exact and
+strips the integer content of each eliminated row, over F_p it works on
+ints reduced mod p.
 
-Elimination is division-free (cross-multiplication) with per-row content
-stripping, so reducing a row against the pivots inverts nothing.
-`Echelon.add` inverts once per new pivot row whose leading entry is not 1,
-to make the row monic, and `SpanSolver.coords` inverts once per query;
-back-substitution in `nullspace_basis` divides by nothing, since every
-stored pivot is 1.
-The same code runs over a residue field F_p, whose elements have no content
-to strip.
+Elimination is against monic pivot rows, so reducing a row against the
+pivots inverts nothing.  `Echelon.add` inverts once per new pivot row whose
+leading entry is not 1, to make the row monic, and `SpanSolver.coords`
+inverts once per query; back-substitution in `nullspace_basis` divides by
+nothing, since every stored pivot is 1.
 """
 
 from __future__ import annotations
 
-import math
-
 from .cyclo import FieldContext, Scalar
 
 Row = dict[int, Scalar]
-
-
-def _add_into(d: dict, key, s) -> None:
-    """d[key] += s, dropping the key if the sum is zero."""
-    cur = d.get(key)
-    if cur is not None:
-        s = cur + s
-    if s.is_zero():
-        d.pop(key, None)
-    else:
-        d[key] = s
-
-
-def _axpy(d: dict, vec: dict, s) -> None:
-    """d += s * vec, dropping every key whose sum is zero.
-
-    One multiply per entry of vec, also when s is zero; a zero s leaves d
-    as it was.  vec stores no zero, so s * v is zero only when s is.
-    """
-    keep_new = not s.is_zero()
-    for key, v in vec.items():
-        t = s * v
-        if key in d:
-            t = d[key] + t
-            if t.is_zero():
-                del d[key]
-            else:
-                d[key] = t
-        elif keep_new:
-            d[key] = t
-
-
-def _strip_content(ctx: FieldContext, row: Row) -> Row:
-    """Scale a row by a rational so integer content is 1; returns a new dict."""
-    if not row:
-        return row
-    g = 0
-    lden = 1
-    for s in row.values():
-        lden = lden * s.den // math.gcd(lden, s.den)
-        for a in s.num:
-            if a:
-                g = math.gcd(g, a)
-    if g == 0:
-        return {}
-    if g == 1 and lden == 1:
-        return row
-    out: Row = {}
-    for c, s in row.items():
-        out[c] = ctx._make([a * lden for a in s.num], s.den * g)
-    return out
-
-
-def _cross_eliminate(ctx: FieldContext, row: Row, piv_col: int, piv_row: Row) -> Row:
-    """Return piv*row - coef*piv_row, clearing piv_col from row.
-
-    Monic pivot rows take the subtraction-only path, which keeps scalar
-    sizes bounded; integer gcd stripping alone cannot contain the
-    coefficient growth of repeated cyclotomic cross-multiplication.
-    """
-    coef = row[piv_col]
-    piv = piv_row[piv_col]
-    if piv == ctx.one:
-        out = dict(row)
-    else:
-        out = {c: piv * s for c, s in row.items()}
-    _axpy(out, piv_row, -coef)
-    out.pop(piv_col, None)
-    return _strip_content(ctx, out) if ctx.has_content else out
 
 
 class Echelon:
@@ -116,7 +44,7 @@ class Echelon:
                     hit = c
             if hit is None:
                 break
-            row = _cross_eliminate(ctx, row, hit, self.pivot_rows[hit])
+            row = ctx.cross_eliminate(row, hit, self.pivot_rows[hit])
         return row
 
     def add(self, row: Row) -> bool:
@@ -128,11 +56,13 @@ class Echelon:
         rem = self.reduce(row)
         if not rem:
             return False
+        ctx = self.ctx
         col = min(rem.keys())
         lead = rem[col]
-        if lead != self.ctx.one:
-            inv = lead.inverse()
-            rem = {c: inv * s for c, s in rem.items()}
+        if lead != ctx.one:
+            monic: Row = {}
+            ctx.axpy(monic, rem, ctx.inverse(lead))
+            rem = monic
         self.pivot_rows[col] = rem
         return True
 
@@ -238,40 +168,43 @@ class SpanSolver:
         sigma = rem.get(self.top)
         if sigma is None:
             return None
-        inv = sigma.inverse()
-        coeffs = [ctx.zero] * self.k
-        for c, s in rem.items():
-            if c > self.top:
-                coeffs[c - self.top - 1] = -(s * inv)
-        return coeffs
+        tags = {c - self.top - 1: s for c, s in rem.items() if c > self.top}
+        coeffs: Row = {}
+        ctx.axpy(coeffs, tags, ctx.neg(ctx.inverse(sigma)))
+        return [coeffs.get(t, ctx.zero) for t in range(self.k)]
 
 
 def nullspace_basis(ctx: FieldContext, rows, ncols: int) -> list[Row]:
     """Basis of {x : row . x = 0 for every row}, x over columns 0..ncols-1.
 
     One basis vector per free column, computed by back-substitution through
-    the pivot rows in decreasing column order.
+    the pivot rows in decreasing column order.  Each pivot row is monic at
+    its pivot column, so x[col] = -(sum of row[c] * x[c] over c > col).
+    Those sums are gathered column by column: once x[c] is known, `axpy`
+    adds x[c] times column c of the pivot rows to every pending sum.
     """
     ech = Echelon(ctx)
     for row in rows:
         if row:
             ech.add(row)
     pivots = ech.pivot_rows
+    # above[c]: {pivot column: entry at c} over the pivot rows, for c > pivot.
+    above: dict[int, Row] = {}
+    for col, row in pivots.items():
+        for c, s in row.items():
+            if c != col:
+                above.setdefault(c, {})[col] = s
+    order = sorted(pivots, reverse=True)
     basis = []
     for free in range(ncols):
         if free in pivots:
             continue
         vec: Row = {free: ctx.one}
-        for col in sorted(pivots.keys(), reverse=True):
-            if col >= free:
-                continue
-            row = pivots[col]
-            acc = ctx.zero
-            for c, s in row.items():
-                if c != col and c in vec:
-                    acc = acc + s * vec[c]
-            if not acc.is_zero():
-                # Echelon.add stores every pivot row monic: row[col] is one.
-                vec[col] = -acc
+        sums = dict(above.get(free, {}))
+        for col in order:
+            acc = sums.pop(col, None)
+            if acc is not None:
+                x = vec[col] = ctx.neg(acc)
+                ctx.axpy(sums, above.get(col, {}), x)
         basis.append(vec)
     return basis

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .cyclo import Scalar
+from .cyclo import Scalar, _add_into
 from .errors import (
     ConstructionError,
     ContextMismatchError,
@@ -27,7 +27,6 @@ from .errors import (
     InvalidArgumentError,
     RepresentationError,
 )
-from .linalg import _add_into
 from .qgroup import AlgebraContext, AlgebraElement
 from .quasihopf import QuasiHopfData
 from .report import CheckReport, Counterexamples, verifier

@@ -22,13 +22,12 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from . import linalg
-from .cyclo import Scalar, make_context, qint, scalar_to_str
+from .cyclo import Scalar, _add_into, make_context, qint, scalar_to_str
 from .errors import (
     ConstructionError,
     ContextMismatchError,
     InvalidArgumentError,
 )
-from .linalg import _add_into
 from .report import Counterexamples, verifier
 
 MonKey = tuple[int, int, int, int]  # (a, eps, c, d)

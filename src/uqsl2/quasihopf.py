@@ -25,9 +25,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from .cyclo import Scalar
+from .cyclo import Scalar, _add_into
 from .errors import ContextMismatchError, InvalidArgumentError
-from .linalg import _add_into
 from .qgroup import AlgebraContext, AlgebraElement, MonKey
 from .report import CheckReport, Counterexamples, verifier
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .cyclo import FieldContext, Scalar, qint, scalar_to_str
+from .cyclo import FieldContext, Scalar, _add_into, _axpy, qint, scalar_to_str
 from .errors import (
     ConstructionError,
     ContextMismatchError,
@@ -19,7 +19,7 @@ from .errors import (
     InvalidArgumentError,
     RepresentationError,
 )
-from .linalg import BlockKernel, Echelon, SpanSolver, _add_into, _axpy, nullspace_basis, rank
+from .linalg import BlockKernel, Echelon, SpanSolver, nullspace_basis, rank
 from .qgroup import AlgebraContext, AlgebraElement
 from .report import Counterexamples, verifier
 
@@ -111,11 +111,12 @@ class Representation:
         return self._class_indices
 
     def apply_map(self, mp: SparseMap, vec: Col) -> Col:
+        axpy = self.field.axpy
         out: Col = {}
         for c, s in vec.items():
             col = mp.get(c)
             if col:
-                _axpy(out, col, s)
+                axpy(out, col, s)
         return out
 
     def apply_E(self, vec: Col) -> Col:
@@ -126,7 +127,9 @@ class Representation:
 
     def mod_p(self) -> "Representation":
         """This module with E and F reduced to the residue field F_p of its
-        field; entries that vanish mod p are dropped.  Raises
+        field: every entry becomes an int in [0, p), and entries that vanish
+        mod p are dropped.  The residue field supplies the kernel that
+        `apply_map`, the Hom solver and linalg then run on.  Raises
         DivisionByZeroError on an entry that is not p-integral."""
         res = self.field.residue_field()
 
@@ -136,7 +139,7 @@ class Representation:
                 rcol = {}
                 for r, s in col.items():
                     t = res.reduce(s)
-                    if not t.is_zero():
+                    if t:
                         rcol[r] = t
                 if rcol:
                     out[c] = rcol
@@ -258,14 +261,18 @@ def _chain(ctx: AlgebraContext, i: int, j: int, v: int):
     The class is ((2i-2v) mod n^2, (v+j) mod 2) and the grade is v-n^2.  F
     sends v to v-1 with coefficient (w-1)_{1/q}(1-q^{2i-w}), w = (v-1) mod
     n^2 + 1, which vanishes exactly at v = 1 and at v = 2i, mod n^2.
+    The triple is immutable, so it is memoised on ctx and shared.
     """
-    f = ctx.field
-    N = ctx.N
-    w = (v - 1) % N + 1
-    coef = f.one - f.qpow(2 * i - w)
-    if not coef.is_zero():
-        coef = qint(f, w - 1, f.qpow(-1)) * coef
-    return ((2 * i - 2 * v) % N, (v + j) % 2), v - N, coef
+    def build():
+        f = ctx.field
+        N = ctx.N
+        w = (v - 1) % N + 1
+        coef = f.one - f.qpow(2 * i - w)
+        if not coef.is_zero():
+            coef = qint(f, w - 1, f.qpow(-1)) * coef
+        return ((2 * i - 2 * v) % N, (v + j) % 2), v - N, coef
+
+    return ctx.cached(("chain", i, j, v), build)
 
 
 def _chain_g_f(f: FieldContext, i: int, s: int) -> Scalar:
@@ -527,11 +534,11 @@ def hom_from_simple(M: Representation, i: int, j: int, dim_only: bool = False):
     exprs.append([M.F.get(r, {}) for r in var_rows])
     exprs.append([echains[r][d + 1] for r in var_rows])
     for t in range(1, d + 1):
-        coef = -f.image(fc[t])
+        coef = f.neg(f.image(fc[t]))
         pieces = []
         for r in var_rows:
             vec = M.apply_F(echains[r][t])
-            _axpy(vec, echains[r][t - 1], coef)
+            f.axpy(vec, echains[r][t - 1], coef)
             pieces.append(vec)
         exprs.append(pieces)
     kern = BlockKernel(f, _var_groups(M, var_rows))
@@ -554,7 +561,7 @@ def hom_from_simple(M: Representation, i: int, j: int, dim_only: bool = False):
             for pos, r in enumerate(var_rows):
                 cf = sol.get(pos)
                 if cf is not None:
-                    _axpy(col, echains[r][t], cf)
+                    f.axpy(col, echains[r][t], cf)
             if col:
                 mat[t] = col
         mats.append(mat)
@@ -791,10 +798,14 @@ def _trace_gram(f_ctx: FieldContext, endos: list[SparseMap]) -> list[Col]:
 
 
 def _end_is_local(f_ctx: FieldContext, endos: list[SparseMap]) -> bool:
-    """End is local iff the trace form on it has rank exactly one.
+    """True when the trace form on End has rank one, which proves End local.
 
-    The radical of the trace form is the Jacobson radical (faithful module,
-    characteristic zero), so the form's rank equals dim End/rad.
+    The radical of the trace form is the Jacobson radical J (faithful module,
+    characteristic zero), so the form's rank equals dim End/J, and rank one
+    makes End/J the ground field: End is local.  The test is one-sided.  A
+    local End whose End/J is a division algebra of dimension above one over
+    Q(zeta) has a higher rank, so False does not refute locality; `iso_test`
+    returns None (undecided) when neither side passes.
     """
     return bool(endos) and rank(f_ctx, _trace_gram(f_ctx, endos)) == 1
 
@@ -804,8 +815,9 @@ def iso_test(M: Representation, N: Representation) -> bool | None:
 
     Looks for an invertible intertwiner directly, then settles the negative
     case through the trace-form radical of the endomorphism algebra, which
-    is exact when either side is indecomposable.  When no invertible map is
-    found and both sides decompose, the test cannot decide and returns None;
+    is exact when the trace form proves either side's End local
+    (`_end_is_local`).  When no invertible map is found and neither side
+    passes, the test cannot decide and returns None;
     callers must treat None as neither a proof nor a disproof.
     """
     if M.ctx is not N.ctx:

@@ -1,7 +1,7 @@
 """The package's public names: every export resolves, no module keeps memo
 state of its own, only the verifier runner builds a CheckReport, mod-p
-arithmetic stays inside the one certificate that uses it, only the linalg
-kernel prunes a cancelled entry from a sparse vector, one Hom solver
+arithmetic stays inside the one certificate that uses it, only the fields'
+sparse kernels prune a cancelled entry from a sparse vector, one Hom solver
 builds a BlockKernel, and only `AlgebraContext.cached` touches the memo."""
 
 import ast
@@ -103,15 +103,44 @@ def test_residue_field_stays_in_the_cover_certificate():
             assert inside, f"{path.name}: {name} used in {scope or 'module scope'}"
 
 
-# The two functions that add into a sparse vector and drop what cancels.
-KERNEL = {("linalg.py", "_add_into"), ("linalg.py", "_axpy")}
+# The functions that add into a sparse vector and drop what cancels: the
+# exact kernel over Q(zeta_N) and the int kernel over F_p.
+KERNEL = {("cyclo.py", "_add_into"), ("cyclo.py", "_axpy"), ("cyclo.py", "ResidueField.axpy")}
 
 
-def _is_zero_test(node: ast.expr) -> bool:
+def _is_mod(node: ast.AST) -> bool:
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+
+
+def _residue_names(scope: ast.AST) -> set[str]:
+    """Names a def binds to a value reduced with `%` (`t = ... % p`,
+    `t %= p`): the ints of an F_p kernel, whose zero test is plain truth."""
+    out = set()
+    for node in ast.walk(scope):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.NamedExpr)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if node.value is not None and (
+                any(_is_mod(n) for n in ast.walk(node.value))
+                or isinstance(getattr(node, "op", None), ast.Mod)
+            ):
+                out.update(t.id for t in targets if isinstance(t, ast.Name))
+    return out
+
+
+def _is_zero_test(node: ast.expr, residues: set[str]) -> bool:
+    """`x.is_zero()`, or the truth of (or `== 0` on) an int reduced mod p."""
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
         node = node.operand
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "is_zero")
+    if (isinstance(node, ast.Compare) and len(node.ops) == 1
+            and isinstance(node.ops[0], (ast.Eq, ast.NotEq))
+            and isinstance(node.comparators[0], ast.Constant)
+            and node.comparators[0].value == 0):
+        node = node.left
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Attribute) and node.func.attr == "is_zero"
+    if isinstance(node, ast.Name):
+        return node.id in residues
+    return _is_mod(node)
 
 
 def _prunes(stmts: list[ast.stmt]) -> bool:
@@ -129,21 +158,22 @@ def _prunes(stmts: list[ast.stmt]) -> bool:
 
 
 def _pruning_branches(tree: ast.AST) -> list[tuple[str, int]]:
-    """(enclosing function, line) of every `if x.is_zero():` branch that
+    """(enclosing qualified def, line) of every zero-test branch that
     deletes an entry."""
     out = []
 
-    def visit(node: ast.AST, scope: str) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = node.name
-        if isinstance(node, ast.If) and _is_zero_test(node.test) and (
+    def visit(node: ast.AST, scope: str, residues: set[str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+            residues = _residue_names(node)
+        if isinstance(node, ast.If) and _is_zero_test(node.test, residues) and (
             _prunes(node.body) or _prunes(node.orelse)
         ):
             out.append((scope, node.lineno))
         for child in ast.iter_child_nodes(node):
-            visit(child, scope)
+            visit(child, scope, residues)
 
-    visit(tree, "")
+    visit(tree, "", set())
     return out
 
 

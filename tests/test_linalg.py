@@ -1,10 +1,11 @@
-"""Exact sparse elimination: rank, nullspaces, span membership."""
+"""Sparse elimination over Q(zeta_16) and its residue field F_p: rank,
+nullspaces, span membership, and the fields' axpy kernels."""
 
 import random
 from fractions import Fraction
 
-from uqsl2.cyclo import make_context
-from uqsl2.linalg import Echelon, SpanSolver, _add_into, _axpy, nullspace_basis, rank
+from uqsl2.cyclo import _add_into, _axpy, make_context
+from uqsl2.linalg import Echelon, SpanSolver, nullspace_basis, rank
 
 
 def _ctx():
@@ -99,8 +100,15 @@ def test_kernel_takes_tuple_keys():
     assert d == {}
 
 
+def _reduce_row(res, row):
+    return {c: t for c, s in row.items() if (t := res.reduce(s))}
+
+
 def test_axpy_matches_a_dense_reference():
+    """The exact kernel against dense sums, and the F_p kernel against the
+    reduction of the exact result."""
     ctx = _ctx()
+    res = ctx.residue_field()
     rng = random.Random(23)
     ncols = 8
     cancelled = 0
@@ -115,9 +123,63 @@ def test_axpy_matches_a_dense_reference():
                 if rng.random() < 0.5:
                     vec[c] = -d[c]
         want = [d.get(c, ctx.zero) + s * vec.get(c, ctx.zero) for c in range(ncols)]
+        rd = _reduce_row(res, d)
         before = set(d)
         _axpy(d, vec, s)
         cancelled += len(before - set(d))
         assert all(not v.is_zero() for v in d.values())
         assert [d.get(c, ctx.zero) for c in range(ncols)] == want
+        res.axpy(rd, _reduce_row(res, vec), res.reduce(s))
+        assert rd == _reduce_row(res, d)
     assert cancelled
+
+
+def test_rank_and_nullspace_over_both_fields():
+    """Seeded p-integral systems over Q(zeta_16) with dependent rows, solved
+    through the same entry points over Q(zeta_16) and over F_p."""
+    ctx = _ctx()
+    res = ctx.residue_field()
+    p = res.p
+    rng = random.Random(31)
+
+    def dot(field, row, vec):
+        if field is res:
+            return sum(s * vec.get(c, 0) for c, s in row.items()) % p
+        acc = ctx.zero
+        for c, s in row.items():
+            if c in vec:
+                acc = acc + s * vec[c]
+        return acc
+
+    dropped = 0
+    for _ in range(30):
+        ncols = rng.randint(3, 9)
+        rows = [_rand_row(ctx, rng, ncols, density=0.5) for _ in range(rng.randint(1, 5))]
+        for _ in range(rng.randint(0, 3)):
+            combo = {}
+            for row in rows:
+                _axpy(combo, row, ctx.from_coeffs([Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                                                    for _ in range(4)]))
+            rows.append(combo)
+        reduced = [_reduce_row(res, row) for row in rows]
+        exact_rank, residue_rank = rank(ctx, rows), rank(res, reduced)
+        assert residue_rank <= exact_rank
+        assert residue_rank == exact_rank
+        dropped += len(rows) - exact_rank
+        for field, system, r in ((ctx, rows, exact_rank), (res, reduced, residue_rank)):
+            basis = nullspace_basis(field, system, ncols)
+            assert len(basis) == ncols - r
+            for vec in basis:
+                assert all(dot(field, row, vec) == field.zero for row in system)
+        ech = Echelon(res)
+        for row in reduced:
+            ech.add(row)
+        stored = list(ech.pivot_rows.values()) + nullspace_basis(res, reduced, ncols)
+        assert all(type(s) is int and 1 <= s < p for row in stored for s in row.values())
+        if ech.rank:
+            target = {}
+            coeffs = [rng.randrange(p) for _ in ech.pivot_rows]
+            for cf, row in zip(coeffs, ech.pivot_rows.values()):
+                res.axpy(target, row, cf)
+            assert SpanSolver(res, list(ech.pivot_rows.values()), top=ncols).coords(target) == coeffs
+    assert dropped

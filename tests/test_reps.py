@@ -313,7 +313,7 @@ def test_block_structure_statement_follows_n(monkeypatch):
 
 
 def test_projective_matches_left_ideal(actx):
-    for i, j in ((1, 0), (5, 1)):
+    for i, j in all_labels(actx):
         rep = verify_projective_vs_ideal(actx, i, j)
         assert rep.passed, rep.counterexample
 
