@@ -1,5 +1,12 @@
 """Command-line driver: build modules, run verification suites, export tables.
 
+Every command builds its result once, as three views: a JSON payload, a CSV
+table (with an optional `# uqsl2 ...` comment line) and text lines.
+`_render` writes the view that `--format` selects; `table` has no text view
+and writes its CSV table instead.  `main` is the one place that checks the
+size bounds, dispatches through `COMMANDS` and writes to stdout or to the
+`--out` file.
+
 Exit codes: 0 success, 1 a verified statement failed, 2 invalid input,
 3 I/O or internal failure.  All stdout output is deterministic for a fixed
 configuration (including the seed); timings go to stderr only.
@@ -12,7 +19,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .errors import InvalidArgumentError, UQSL2Error, UnsupportedParameterError
@@ -42,16 +48,6 @@ from .reps import (
 SUITES = ("axioms", "lemmas", "tensor", "k0", "all")
 TABLE_KINDS = ("cg-ss", "cg-ps", "k0")
 
-
-@dataclass
-class RunConfig:
-    n: int = 4
-    fmt: str = "text"
-    seed: int = 0
-    slow: bool = False
-    out: str | None = None
-
-
 # Size bounds, checked before anything is built: dim u = n^6 (262144 at
 # n = 8), and a strand module of length l has dimension about 16*l at n = 4.
 MAX_N = 8
@@ -70,14 +66,6 @@ def check_l(l: int | None) -> None:
         raise InvalidArgumentError(f"l must be at most {MAX_L}, got {l}")
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.out is None:
-        sys.stdout.write(text)
-        return
-    with open(cfg.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def _jsonable(value):
     """Make evidence dictionaries JSON-safe: stringify non-scalar keys."""
     if isinstance(value, dict):
@@ -89,6 +77,33 @@ def _jsonable(value):
     if isinstance(value, (int, float, str, bool)) or value is None:
         return value
     return str(value)
+
+
+def _render(args: argparse.Namespace, payload: dict, fields: list[str], rows: list[dict],
+            text: list[str] | None, comment: str = "") -> str:
+    """The view of one result that `--format` selects: the JSON payload, the
+    CSV table (after a `# uqsl2 <version> <comment>` line when a comment is
+    given), or the text lines; a result without text lines shows its CSV."""
+    if args.fmt == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    if args.fmt == "text" and text is not None:
+        return "\n".join(text) + "\n"
+    buf = io.StringIO()
+    if comment:
+        buf.write(f"# uqsl2 {__version__} {comment}\n")
+    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _counts(mult: dict[tuple[int, int], int]) -> dict[str, int]:
+    """Simple multiplicities keyed by printed name, in label order."""
+    return {summand_name(("S", i, j)): m for (i, j), m in sorted(mult.items())}
+
+
+def _listing(head: str, named: dict[str, int]) -> str:
+    return f"{head}: " + (", ".join(f"{k} x{v}" for k, v in named.items()) or "-")
 
 
 # -- verify -------------------------------------------------------------------------
@@ -112,63 +127,44 @@ def suite_reports(ctx: AlgebraContext, suite: str, seed: int, slow: bool) -> lis
     return out
 
 
-def cmd_verify(suite: str, cfg: RunConfig) -> int:
-    ctx = AlgebraContext(cfg.n)
-    reports = suite_reports(ctx, suite, cfg.seed, cfg.slow)
+def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
+    reports = suite_reports(AlgebraContext(args.n), args.suite, args.seed, args.slow)
     for r in reports:
         print(f"[time] {r.statement}: {r.wall_time:.1f}s", file=sys.stderr)
-    if cfg.fmt == "json":
-        checks = []
-        for r in reports:
-            d = r.to_dict()
-            d.pop("wall_time", None)
-            checks.append(d)
-        payload = {
-            "suite": suite,
-            "version": __version__,
-            "n": cfg.n,
-            "seed": cfg.seed,
-            "status": "pass" if all(r.passed for r in reports) else "fail",
-            "checks": checks,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", cfg)
-    elif cfg.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(
-            buf,
-            fieldnames=["statement", "status", "instances", "counterexample"],
-            lineterminator="\n",
-        )
-        writer.writeheader()
-        for r in reports:
-            writer.writerow(
-                {
-                    "statement": r.statement,
-                    "status": "pass" if r.passed else "fail",
-                    "instances": r.instances,
-                    "counterexample": r.counterexample or "",
-                }
-            )
-        _emit(buf.getvalue(), cfg)
-    else:
-        lines = []
-        for r in reports:
-            mark = "PASS" if r.passed else "FAIL"
-            lines.append(f"{mark}  {r.statement}  [instances={r.instances}]")
-            if r.counterexample:
-                lines.append(f"      counterexample: {r.counterexample}")
-        good = sum(1 for r in reports if r.passed)
-        lines.append(
-            f"suite {suite}: {good}/{len(reports)} checks passed (n={cfg.n}, seed={cfg.seed})"
-        )
-        _emit("\n".join(lines) + "\n", cfg)
-    return 0 if all(r.passed for r in reports) else 1
+    passed = all(r.passed for r in reports)
+    payload = {"suite": args.suite, "version": __version__, "n": args.n, "seed": args.seed,
+               "status": "pass" if passed else "fail",
+               "checks": [{k: v for k, v in r.to_dict().items() if k != "wall_time"}
+                          for r in reports]}
+    rows = [{"statement": r.statement, "status": "pass" if r.passed else "fail",
+             "instances": r.instances, "counterexample": r.counterexample or ""}
+            for r in reports]
+    text = []
+    for r in reports:
+        text.append(f"{'PASS' if r.passed else 'FAIL'}  {r.statement}  [instances={r.instances}]")
+        if r.counterexample:
+            text.append(f"      counterexample: {r.counterexample}")
+    good = sum(1 for r in reports if r.passed)
+    text.append(f"suite {args.suite}: {good}/{len(reports)} checks passed "
+                f"(n={args.n}, seed={args.seed})")
+    fields = ["statement", "status", "instances", "counterexample"]
+    return (0 if passed else 1), _render(args, payload, fields, rows, text)
 
 
 # -- module -------------------------------------------------------------------------
 
-TWO_ARG_FAMILIES = {"simple": simple, "projective": projective, "verma": verma}
-THREE_ARG_FAMILIES = {"V": family_V, "Vt": family_Vt, "W": family_W, "Wt": family_Wt}
+# name -> (constructor, whether it takes --l), in the order `module --help`
+# lists them; T also takes --lambda, its tube parameter.
+FAMILIES = {
+    "projective": (projective, False),
+    "simple": (simple, False),
+    "verma": (verma, False),
+    "V": (family_V, True),
+    "Vt": (family_Vt, True),
+    "W": (family_W, True),
+    "Wt": (family_Wt, True),
+    "T": (family_T, True),
+}
 
 
 def build_module(
@@ -181,74 +177,38 @@ def build_module(
 ) -> Representation:
     if i is None or j is None:
         raise InvalidArgumentError("--i and --j are required")
-    if family in TWO_ARG_FAMILIES:
-        return TWO_ARG_FAMILIES[family](ctx, i, j)
-    if family in THREE_ARG_FAMILIES:
-        if l is None:
-            raise InvalidArgumentError(f"family {family} needs --l")
-        return THREE_ARG_FAMILIES[family](ctx, i, j, l)
+    if family not in FAMILIES:
+        raise InvalidArgumentError(f"unknown family {family!r}")
+    make, takes_l = FAMILIES[family]
     if family == "T":
         if l is None or lam is None:
             raise InvalidArgumentError("family T needs --l and --lambda")
-        return family_T(ctx, i, j, l, ctx.field.from_int(lam))
-    raise InvalidArgumentError(f"unknown family {family!r}")
+        return make(ctx, i, j, l, ctx.field.from_int(lam))
+    if not takes_l:
+        return make(ctx, i, j)
+    if l is None:
+        raise InvalidArgumentError(f"family {family} needs --l")
+    return make(ctx, i, j, l)
 
 
-def module_payload(M: Representation) -> dict:
-    classes: dict[str, int] = {}
+def cmd_module(args: argparse.Namespace) -> tuple[int, str]:
+    M = build_module(AlgebraContext(args.n), args.family, args.i, args.j, args.l, args.lam)
+    character: dict[str, int] = {}
     for r in range(M.dim):
-        grade = M.grades[r] if M.grades is not None else None
-        key = str((M.kexp[r], M.khatexp[r], grade))
-        classes[key] = classes.get(key, 0) + 1
-    tops = {
-        summand_name(("S", i, j)): m for (i, j), m in sorted(top_multiplicities(M).items())
-    }
-    socles = {
-        summand_name(("S", i, j)): m
-        for (i, j), m in sorted(socle_multiplicities(M).items())
-    }
-    out = rep_to_dict(M)
-    out["character"] = dict(sorted(classes.items()))
-    out["top"] = tops
-    out["socle"] = socles
-    return out
-
-
-def cmd_module(args: argparse.Namespace, cfg: RunConfig) -> int:
-    ctx = AlgebraContext(cfg.n)
-    M = build_module(ctx, args.family, args.i, args.j, args.l, args.lam)
-    payload = module_payload(M)
-    if cfg.fmt == "json":
-        _emit(json.dumps({"version": __version__, "n": cfg.n, **payload}, indent=2) + "\n", cfg)
-    elif cfg.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(
-            buf,
-            fieldnames=["index", "k_exponent", "khat_exponent", "grade"],
-            lineterminator="\n",
-        )
-        buf.write(f"# uqsl2 {__version__} module={M.label} n={cfg.n}\n")
-        writer.writeheader()
-        for r in range(M.dim):
-            writer.writerow(
-                {
-                    "index": r,
-                    "k_exponent": M.kexp[r],
-                    "khat_exponent": M.khatexp[r],
-                    "grade": M.grades[r] if M.grades is not None else "",
-                }
-            )
-        _emit(buf.getvalue(), cfg)
-    else:
-        lines = [f"{M.label}: dim {M.dim}"]
-        if M.grades is not None:
-            lines.append(f"grades {min(M.grades)}..{max(M.grades)}")
-        lines.append("top: " + (", ".join(f"{k} x{v}" for k, v in payload["top"].items()) or "-"))
-        lines.append(
-            "socle: " + (", ".join(f"{k} x{v}" for k, v in payload["socle"].items()) or "-")
-        )
-        _emit("\n".join(lines) + "\n", cfg)
-    return 0
+        key = str((M.kexp[r], M.khatexp[r], M.grades[r] if M.grades is not None else None))
+        character[key] = character.get(key, 0) + 1
+    top = _counts(top_multiplicities(M))
+    socle = _counts(socle_multiplicities(M))
+    payload = {"version": __version__, "n": args.n, **rep_to_dict(M),
+               "character": dict(sorted(character.items())), "top": top, "socle": socle}
+    rows = [{"index": r, "k_exponent": M.kexp[r], "khat_exponent": M.khatexp[r],
+             "grade": M.grades[r] if M.grades is not None else ""} for r in range(M.dim)]
+    text = [f"{M.label}: dim {M.dim}"]
+    if M.grades is not None:
+        text.append(f"grades {min(M.grades)}..{max(M.grades)}")
+    text += [_listing("top", top), _listing("socle", socle)]
+    fields = ["index", "k_exponent", "khat_exponent", "grade"]
+    return 0, _render(args, payload, fields, rows, text, f"module={M.label} n={args.n}")
 
 
 # -- tensor -------------------------------------------------------------------------
@@ -262,103 +222,62 @@ def parse_label(ctx: AlgebraContext, text: str, lam: int | None) -> Representati
         nums = [int(p) for p in rest.split(",")]
     except ValueError as exc:
         raise InvalidArgumentError(f"label {text!r} has non-integer parts") from exc
-    if family in TWO_ARG_FAMILIES and len(nums) == 2:
-        return build_module(ctx, family, nums[0], nums[1], None, None)
     if len(nums) == 3:
         check_l(nums[2])
-    if family in THREE_ARG_FAMILIES and len(nums) == 3:
-        return build_module(ctx, family, nums[0], nums[1], nums[2], None)
-    if family == "T" and len(nums) == 3:
-        return build_module(ctx, family, nums[0], nums[1], nums[2], lam)
-    raise InvalidArgumentError(f"label {text!r} has the wrong shape for family {family!r}")
+    if family not in FAMILIES or len(nums) != (3 if FAMILIES[family][1] else 2):
+        raise InvalidArgumentError(f"label {text!r} has the wrong shape for family {family!r}")
+    i, j, *l = nums
+    return build_module(ctx, family, i, j, l[0] if l else None, lam)
 
 
-def cmd_tensor(args: argparse.Namespace, cfg: RunConfig) -> int:
-    ctx = AlgebraContext(cfg.n)
+def cmd_tensor(args: argparse.Namespace) -> tuple[int, str]:
+    ctx = AlgebraContext(args.n)
     left = parse_label(ctx, args.left, args.lam)
     right = parse_label(ctx, args.right, args.lam)
     result = decompose(tensor(left, right))
-    payload = {
-        "version": __version__,
-        "n": cfg.n,
-        "left": left.label,
-        "right": right.label,
-        "dim": left.dim * right.dim,
-        "status": "decomposed" if result.ok else "hypothesis-violation",
-        "summands": {
-            summand_name(k): m
-            for k, m in sorted(result.summands.items(), key=lambda kv: summand_name(kv[0]))
-        },
-        "violations": list(result.violations),
-        "evidence": _jsonable(result.evidence),
+    summands = {
+        summand_name(k): m
+        for k, m in sorted(result.summands.items(), key=lambda kv: summand_name(kv[0]))
     }
-    if cfg.fmt == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", cfg)
-    elif cfg.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(
-            buf, fieldnames=["left", "right", "summand", "multiplicity"], lineterminator="\n"
-        )
-        writer.writeheader()
-        for name, m in payload["summands"].items():
-            writer.writerow(
-                {"left": left.label, "right": right.label, "summand": name, "multiplicity": m}
-            )
-        _emit(buf.getvalue(), cfg)
+    payload = {"version": __version__, "n": args.n, "left": left.label, "right": right.label,
+               "dim": left.dim * right.dim,
+               "status": "decomposed" if result.ok else "hypothesis-violation",
+               "summands": summands, "violations": list(result.violations),
+               "evidence": _jsonable(result.evidence)}
+    rows = [{"left": left.label, "right": right.label, "summand": name, "multiplicity": m}
+            for name, m in summands.items()]
+    text = [f"{left.label} (x) {right.label}: dim {payload['dim']}"]
+    if result.ok:
+        text.append("summands: " + ", ".join(f"{name} x{m}" for name, m in summands.items()))
     else:
-        lines = [f"{left.label} (x) {right.label}: dim {payload['dim']}"]
-        if result.ok:
-            lines.append(
-                "summands: "
-                + ", ".join(f"{name} x{m}" for name, m in payload["summands"].items())
-            )
-        else:
-            lines.append("hypothesis-violation:")
-            lines.extend(f"  {v}" for v in result.violations)
-        _emit("\n".join(lines) + "\n", cfg)
+        text.append("hypothesis-violation:")
+        text.extend(f"  {v}" for v in result.violations)
     standard = all(
         lab.partition(":")[0] in ("simple", "projective") for lab in (args.left, args.right)
     )
-    return 1 if standard and not result.ok else 0
+    fields = ["left", "right", "summand", "multiplicity"]
+    return (1 if standard and not result.ok else 0), _render(args, payload, fields, rows, text)
 
 
 # -- table --------------------------------------------------------------------------
 
 
-def cmd_table(kind: str, cfg: RunConfig) -> int:
-    ctx = AlgebraContext(cfg.n)
-    if kind == "cg-ss":
-        rows = clebsch_gordan_table(ctx, "SxS")
-        fields = ["left", "right", "summand", "multiplicity"]
-    elif kind == "cg-ps":
-        rows = clebsch_gordan_table(ctx, "PxS")
-        fields = ["left", "right", "summand", "multiplicity"]
-    elif kind == "k0":
-        rows = k0_table(ctx)
-        fields = ["left", "right", "class", "coefficient"]
+def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
+    ctx = AlgebraContext(args.n)
+    if args.kind == "k0":
+        rows, fields = k0_table(ctx), ["left", "right", "class", "coefficient"]
     else:
-        raise InvalidArgumentError(f"unknown table kind {kind!r}")
-    if cfg.fmt == "json":
-        payload = {
-            "table": kind,
-            "version": __version__,
-            "n": cfg.n,
-            "seed": cfg.seed,
-            "rows": rows,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", cfg)
-    else:
-        buf = io.StringIO()
-        buf.write(f"# uqsl2 {__version__} table={kind} n={cfg.n} seed={cfg.seed}\n")
-        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-        _emit(buf.getvalue(), cfg)
-    return 0
+        rows = clebsch_gordan_table(ctx, "SxS" if args.kind == "cg-ss" else "PxS")
+        fields = ["left", "right", "summand", "multiplicity"]
+    payload = {"table": args.kind, "version": __version__, "n": args.n, "seed": args.seed,
+               "rows": rows}
+    comment = f"table={args.kind} n={args.n} seed={args.seed}"
+    return 0, _render(args, payload, fields, rows, None, comment)
 
 
 # -- argument parsing ---------------------------------------------------------------
+
+COMMANDS = {"verify": cmd_verify, "module": cmd_module, "tensor": cmd_tensor, "table": cmd_table}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -382,7 +301,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=SUITES, default="all")
 
     p = sub.add_parser("module", parents=[common], help="emit one module")
-    p.add_argument("family", choices=sorted(TWO_ARG_FAMILIES) + sorted(THREE_ARG_FAMILIES) + ["T"])
+    p.add_argument("family", choices=list(FAMILIES))
     p.add_argument("--i", type=int)
     p.add_argument("--j", type=int)
     p.add_argument("--l", type=int)
@@ -399,27 +318,17 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig(
-        n=args.n,
-        fmt=args.fmt,
-        seed=args.seed,
-        slow=args.slow,
-        out=args.out,
-    )
+    args = make_parser().parse_args(argv)
     try:
-        check_n(cfg.n)
+        check_n(args.n)
         check_l(getattr(args, "l", None))
-        if args.command == "verify":
-            return cmd_verify(args.suite, cfg)
-        if args.command == "module":
-            return cmd_module(args, cfg)
-        if args.command == "tensor":
-            return cmd_tensor(args, cfg)
-        if args.command == "table":
-            return cmd_table(args.kind, cfg)
-        raise InvalidArgumentError(f"unknown command {args.command!r}")
+        code, output = COMMANDS[args.command](args)
+        if args.out is None:
+            sys.stdout.write(output)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(output)
+        return code
     except (UnsupportedParameterError, InvalidArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

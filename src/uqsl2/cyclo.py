@@ -412,20 +412,16 @@ class FieldContext:
     axpy = staticmethod(_axpy)
 
     def cross_eliminate(self, row: dict, piv_col, piv_row: dict) -> dict:
-        """Return piv*row - coef*piv_row, clearing piv_col from row.
+        """row - row[piv_col] * piv_row with its integer content stripped,
+        for a pivot row that is monic at piv_col (`Echelon.add` stores only
+        monic rows): the entry at piv_col cancels, and `_axpy` drops it.
 
-        Monic pivot rows take the subtraction-only path, which keeps scalar
-        sizes bounded; integer gcd stripping alone cannot contain the
-        coefficient growth of repeated cyclotomic cross-multiplication.
+        Subtracting against a monic row keeps scalar sizes bounded; integer
+        gcd stripping alone cannot contain the coefficient growth of
+        repeated cyclotomic cross-multiplication.
         """
-        coef = row[piv_col]
-        piv = piv_row[piv_col]
-        if piv == self.one:
-            out = dict(row)
-        else:
-            out = {c: piv * s for c, s in row.items()}
-        _axpy(out, piv_row, -coef)
-        out.pop(piv_col, None)
+        out = dict(row)
+        _axpy(out, piv_row, -row[piv_col])
         return _strip_content(self, out)
 
     # -- core arithmetic ---------------------------------------------------
@@ -563,6 +559,7 @@ class ResidueField:
         self.p = p
         self.omega = omega
         self._omega_pows = [pow(omega, k, p) for k in range(exact.degree)]
+        self._qpow = [pow(omega, e, p) for e in range(N)]
 
     def reduce(self, s: Scalar) -> int:
         """The residue of s; refuses a denominator divisible by p."""
@@ -578,6 +575,10 @@ class ResidueField:
         return acc * pow(s.den, -1, p) % p
 
     image = reduce
+
+    def qpow(self, exponent: int) -> int:
+        """omega^exponent, the residue of q^exponent, for any integer exponent."""
+        return self._qpow[exponent % self.exact.N]
 
     def neg(self, s: int) -> int:
         return -s % self.p

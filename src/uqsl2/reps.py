@@ -57,8 +57,9 @@ class Representation:
 
     E[c] and F[c] hold the image of basis vector c as {row: coefficient}.
     grades, when present, give an internal height with E of degree +1 and
-    F of degree -1.  The coefficients live in `field`: ctx.field, or its
-    residue field F_p for a module made by `mod_p`.
+    F of degree -1.  The coefficients live in `field`: ctx.field (the
+    default), or its residue field F_p for a module made by `mod_p`; every
+    operation on the module runs that field's kernel.
     """
 
     __slots__ = (
@@ -67,9 +68,9 @@ class Representation:
     )
 
     def __init__(self, ctx: AlgebraContext, label: str, kexp, khatexp,
-                 E: SparseMap, F: SparseMap, grades=None):
+                 E: SparseMap, F: SparseMap, grades=None, field=None):
         self.ctx = ctx
-        self.field = ctx.field
+        self.field = ctx.field if field is None else field
         self.dim = len(kexp)
         if len(khatexp) != self.dim:
             raise RepresentationError("k and khat exponent lists differ in length")
@@ -145,15 +146,15 @@ class Representation:
                     out[c] = rcol
             return out
 
-        R = Representation(self.ctx, self.label, self.kexp, self.khatexp,
-                           reduce(self.E), reduce(self.F), self.grades)
-        R.field = res
-        return R
+        return Representation(self.ctx, self.label, self.kexp, self.khatexp,
+                              reduce(self.E), reduce(self.F), self.grades, res)
 
     def apply_group(self, eps: int, c: int, vec: Col) -> Col:
         f = self.field
-        return {r: f.qpow(eps * self.kexp[r] + c * self.khatexp[r]) * s
-                for r, s in vec.items()}
+        out: Col = {}
+        for r, s in vec.items():
+            f.axpy(out, {r: s}, f.qpow(eps * self.kexp[r] + c * self.khatexp[r]))
+        return out
 
     def act_vec(self, x: AlgebraElement, vec: Col) -> Col:
         """Apply an algebra element (normal form F^a k^eps khat^c E^d)."""
@@ -173,7 +174,7 @@ class Representation:
                 if not w:
                     break
                 w = self.apply_F(w)
-            _axpy(out, w, s)
+            self.field.axpy(out, w, self.field.image(s))
         return out
 
     def act_matrix(self, x: AlgebraElement) -> SparseMap:
@@ -232,17 +233,17 @@ class Representation:
                     if not v:
                         break
                 yield f"{nm}^(n^2) does not vanish on vector {c}" if v else None
-        qinv = f.qpow(-1)
+        # FE - q^-1 EF = 1 - k^-1 khat, and k^-1 khat = q^lam on vector c;
+        # the right side is an exact scalar sent into this module's field
+        exact = ctx.field
+        minus_qinv = f.neg(f.qpow(-1))
         for c in range(self.dim):
             unit: Col = {c: f.one}
-            fe = self.apply_F(self.apply_E(unit))
-            ef = self.apply_E(self.apply_F(unit))
-            lam = self._classes[c][0]
-            want = f.one - f.qpow(lam)
-            diff = dict(fe)
-            _axpy(diff, ef, -qinv)
-            _add_into(diff, c, -want)
-            yield f"q-commutator of F and E is wrong on vector {c}" if diff else None
+            lhs = self.apply_F(self.apply_E(unit))
+            f.axpy(lhs, self.apply_E(self.apply_F(unit)), minus_qinv)
+            rhs = f.image(exact.one - exact.qpow(self._classes[c][0]))
+            ok = lhs == ({c: rhs} if rhs else {})
+            yield None if ok else f"q-commutator of F and E is wrong on vector {c}"
         if self.grades is not None:
             for mp, step, nm in ((self.E, 1, "E"), (self.F, -1, "F")):
                 for c, col in mp.items():
@@ -460,20 +461,19 @@ def _simple_chain_data(ctx: AlgebraContext, i: int, j: int):
     return len(chain) - 1, [c[0] for c in chain], [c[2] for c in chain]
 
 
-def _var_groups(M: Representation, var_rows) -> list[list[int]]:
-    """Hom-solver variable positions grouped so no constraint row crosses
-    groups.
+def _grade_blocks(M: Representation, rows) -> list[list[int]]:
+    """Positions in `rows` (basis vectors of M) grouped by grade, grades
+    ascending; an ungraded module is a single grade block.
 
-    Constraint vectors are images of single basis columns under fixed words
-    in E and F, so when M is graded every constraint row is grade-pure and
-    the elimination splits into one small block per grade of the variable
-    cells.  Ungraded modules fall back to a single block.
+    The Hom solver's constraint vectors are images of single basis columns
+    under fixed words in E and F, so when M is graded every constraint row
+    is grade-pure and its elimination splits into one small block per grade
+    of the variable cells; likewise the radical of a graded module is graded.
     """
-    if M.grades is None:
-        return [list(range(len(var_rows)))]
+    grades = M.grades if M.grades is not None else (0,) * M.dim
     by_g: dict[int, list[int]] = {}
-    for t, r in enumerate(var_rows):
-        by_g.setdefault(M.grades[r], []).append(t)
+    for t, r in enumerate(rows):
+        by_g.setdefault(grades[r], []).append(t)
     return [by_g[g] for g in sorted(by_g)]
 
 
@@ -505,10 +505,8 @@ def transpose(M: Representation) -> Representation:
                 out.setdefault(r, {})[c] = s
         return out
 
-    T = Representation(M.ctx, f"{M.label}^t", M.kexp, M.khatexp,
-                       flip(M.F), flip(M.E), M.grades)
-    T.field = M.field
-    return T
+    return Representation(M.ctx, f"{M.label}^t", M.kexp, M.khatexp,
+                          flip(M.F), flip(M.E), M.grades, M.field)
 
 
 def hom_from_simple(M: Representation, i: int, j: int, dim_only: bool = False):
@@ -541,7 +539,7 @@ def hom_from_simple(M: Representation, i: int, j: int, dim_only: bool = False):
             f.axpy(vec, echains[r][t - 1], coef)
             pieces.append(vec)
         exprs.append(pieces)
-    kern = BlockKernel(f, _var_groups(M, var_rows))
+    kern = BlockKernel(f, _grade_blocks(M, var_rows))
     for pieces in exprs:
         coord_rows: dict[int, dict[int, Scalar]] = {}
         for pos, vec in enumerate(pieces):
@@ -568,28 +566,25 @@ def hom_from_simple(M: Representation, i: int, j: int, dim_only: bool = False):
     return mats
 
 
-def top_multiplicities(
+def socle_multiplicities(
     M: Representation, labels: Iterable[tuple[int, int]] | None = None
 ) -> dict[tuple[int, int], int]:
-    """Nonzero dim Hom(M, S) = dim Hom(S, M^t) over M's field, for S the
-    simples in `labels` (default: every label), keyed in the order the
-    labels are given."""
-    Mt = transpose(M)
+    """Nonzero dim Hom(S, M) over M's field, for S the simples in `labels`
+    (default: every label), keyed in the order the labels are given."""
     out = {}
     for i, j in all_labels(M.ctx) if labels is None else labels:
-        t = hom_from_simple(Mt, i, j, dim_only=True)
-        if t:
-            out[(i, j)] = t
-    return out
-
-
-def socle_multiplicities(M: Representation) -> dict[tuple[int, int], int]:
-    out = {}
-    for i, j in all_labels(M.ctx):
         s = hom_from_simple(M, i, j, dim_only=True)
         if s:
             out[(i, j)] = s
     return out
+
+
+def top_multiplicities(
+    M: Representation, labels: Iterable[tuple[int, int]] | None = None
+) -> dict[tuple[int, int], int]:
+    """Nonzero dim Hom(M, S) = dim Hom(S, M^t): the socle of M^t (see
+    `transpose`), for the simples in `labels`, keyed in the order given."""
+    return socle_multiplicities(transpose(M), labels)
 
 
 def radical(M: Representation) -> tuple[dict[tuple[int, int], int], list[Col]]:
@@ -609,9 +604,9 @@ def radical(M: Representation) -> tuple[dict[tuple[int, int], int], list[Col]]:
     E-chains one solve builds are never needed by another.
 
     Tops are nonzero counts keyed in label order, as `top_multiplicities`
-    gives them.  When M is graded the kernel is computed one grade at a
-    time (the radical of a graded module is graded), which keeps the
-    elimination local and the output basis grade-pure.
+    gives them.  The kernel is computed one grade block at a time (the
+    radical of a graded module is graded), which keeps the elimination
+    local and the output basis grade-pure.
     """
     tops: dict[tuple[int, int], int] = {}
     functionals: list[Col] = []
@@ -621,13 +616,8 @@ def radical(M: Representation) -> tuple[dict[tuple[int, int], int], list[Col]]:
         if maps:
             tops[(i, j)] = len(maps)
         functionals.extend(col for mat in maps for col in mat.values())
-    if M.grades is None:
-        return tops, nullspace_basis(M.field, functionals, M.dim)
-    by_grade: dict[int, list[int]] = {}
-    for r in range(M.dim):
-        by_grade.setdefault(M.grades[r], []).append(r)
     out: list[Col] = []
-    for _, cols in sorted(by_grade.items()):
+    for cols in _grade_blocks(M, range(M.dim)):
         pos = {c: t for t, c in enumerate(cols)}
         rows_g = []
         for row in functionals:
@@ -646,7 +636,7 @@ def sub_rep(M: Representation, vectors: list[Col], label: str) -> Representation
     inherits the grading.
     """
     if not vectors:
-        return Representation(M.ctx, label, (), (), {}, {}, None)
+        return Representation(M.ctx, label, (), (), {}, {}, None, M.field)
     kexp = []
     khatexp = []
     grades: list[int] | None = [] if M.grades is not None else None
@@ -674,16 +664,16 @@ def sub_rep(M: Representation, vectors: list[Col], label: str) -> Representation
             coords = solver.coords(img)
             if coords is None:
                 raise RepresentationError(f"subspace of {M.label} is not invariant")
-            col = {t: s for t, s in enumerate(coords) if not s.is_zero()}
+            col = {t: s for t, s in enumerate(coords) if s}
             if col:
                 mp[jdx] = col
-    return Representation(M.ctx, label, kexp, khatexp, E, F, grades)
+    return Representation(M.ctx, label, kexp, khatexp, E, F, grades, M.field)
 
 
 def direct_sum(parts: list[Representation], label: str) -> Representation:
     if not parts:
         raise InvalidArgumentError("direct sum needs at least one summand")
-    ctx = parts[0].ctx
+    ctx, field = parts[0].ctx, parts[0].field
     kexp = []
     khatexp = []
     grades = []
@@ -694,6 +684,8 @@ def direct_sum(parts: list[Representation], label: str) -> Representation:
     for p in parts:
         if p.ctx is not ctx:
             raise ContextMismatchError("direct sum across different contexts")
+        if p.field is not field:
+            raise ContextMismatchError("direct sum across different fields")
         kexp.extend(p.kexp)
         khatexp.extend(p.khatexp)
         if graded:
@@ -702,7 +694,7 @@ def direct_sum(parts: list[Representation], label: str) -> Representation:
             for c, col in src.items():
                 mp[off + c] = {off + r: s for r, s in col.items()}
         off += p.dim
-    return Representation(ctx, label, kexp, khatexp, E, F, grades if graded else None)
+    return Representation(ctx, label, kexp, khatexp, E, F, grades if graded else None, field)
 
 
 def hom_space(M: Representation, N: Representation) -> list[SparseMap]:

@@ -225,3 +225,45 @@ def test_golden_stdout(capsys):
         if hashlib.sha256(out.encode()).hexdigest() != digest:
             drifted.append(" ".join(argv))
     assert not drifted, drifted
+
+
+# sha256 of stdout for the views GOLDEN_STDOUT leaves out, so that every
+# command is pinned in every format it offers: the k0 suite in all three,
+# the text and CSV views of a module and of two tensor products (one
+# decomposed, one a hypothesis violation), and the JSON view of the tables.
+GOLDEN_VIEWS = {
+    ("verify", "--suite", "k0", "--format", "text"):
+        "a72512ac46ec5bcf185f9595893e95a3a9f83a924e01d0fe28b61df79d7b115f",
+    ("verify", "--suite", "k0", "--format", "json"):
+        "eb95295ae74a09c0b425f5b766765981ac2393bed13c9b7ef924f68756b83626",
+    ("verify", "--suite", "k0", "--format", "csv"):
+        "d1587f697b152974d5c0ea93cee39fa052aef86bee34440e198492217a794fd6",
+    ("module", "V", "--i", "3", "--j", "1", "--l", "2", "--format", "text"):
+        "2259b899571c427f66caf5757ddd504a37cfb69e500c4042cb84926ba77071d2",
+    ("module", "V", "--i", "3", "--j", "1", "--l", "2", "--format", "csv"):
+        "a10711f141e3754f3e7e0ab491e98103a0287d8804f619873fa913832e2917d7",
+    ("tensor", "simple:1,0", "simple:1,0", "--format", "text"):
+        "8aa853ff0c0279d84c44f3dce062d2797ed50c90774b976d78226ccb1fef9dde",
+    ("tensor", "simple:1,0", "simple:1,0", "--format", "csv"):
+        "2d3fa295192a4ed2a9ccb9b3a2faea02f255676023f123cf77753799f47ef67f",
+    ("tensor", "W:1,0,2", "simple:1,0", "--format", "text"):
+        "4a25c471b899b3590026111338d97ee29b7abc2f6bd01168f228c7cbcb8433f2",
+    ("tensor", "W:1,0,2", "simple:1,0", "--format", "csv"):
+        "7ca9bf2cd7772ecb46eddc2e9ecd89b977cce55afa7f375ac33addd219c0bc94",
+    ("table", "cg-ss", "--format", "json"):
+        "e3b382deaba46b03e3276b5f37c0aed28cbbea6f7395a04e59a5250c5462e1c6",
+    ("table", "cg-ps", "--format", "json"):
+        "a7fb9f82d57868b89c08c512ca871e9f166fba50cb1a507e05f9ad51f7d4ebfb",
+    ("table", "k0", "--format", "json"):
+        "d8ca1b8184261cca8a3b49f38f66e37fdfd6c4b542e4ac565f9015adbde50977",
+}
+
+
+def test_golden_views(capsys):
+    drifted = []
+    for argv, digest in GOLDEN_VIEWS.items():
+        code, out, err = run_main(list(argv), capsys)
+        assert code == 0, (argv, err)
+        if hashlib.sha256(out.encode()).hexdigest() != digest:
+            drifted.append(" ".join(argv))
+    assert not drifted, drifted

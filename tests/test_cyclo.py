@@ -125,6 +125,13 @@ def test_residue_field_is_a_ring_map():
     assert res.reduce(ctx.from_fraction(Fraction(p, 3))) == 0
 
 
+def test_residue_qpow_is_the_reduced_power_of_q():
+    ctx = make_context(4)
+    res = ctx.residue_field()
+    for e in range(-ctx.N, 2 * ctx.N):
+        assert res.qpow(e) == res.reduce(ctx.qpow(e)), e
+
+
 def test_inverse_of_zero_raises():
     ctx = make_context(4)
     with pytest.raises(DivisionByZeroError):

@@ -2,7 +2,10 @@
 state of its own, only the verifier runner builds a CheckReport, mod-p
 arithmetic stays inside the one certificate that uses it, only the fields'
 sparse kernels prune a cancelled entry from a sparse vector, one Hom solver
-builds a BlockKernel, and only `AlgebraContext.cached` touches the memo."""
+builds a BlockKernel, only `AlgebraContext.cached` touches the memo, and the
+command line has one output path (`test_cli_has_one_output_path`: only
+`cli._render` dumps JSON or builds a CSV writer, only `cli.main` writes to
+stdout or opens the `--out` file)."""
 
 import ast
 import importlib
@@ -244,3 +247,48 @@ def test_memo_is_read_only_through_cached():
                 path.name, scope, kind) == ("qgroup.py", "AlgebraContext.__init__", "Store"
             ), f"{path.name}:{line} uses .memo in {scope or 'module scope'}"
     assert ("qgroup.py", "AlgebraContext.cached", "Load") in found
+
+
+# The one output path of the command line: `_render` turns a result into the
+# view that --format selects, and `main` writes it to stdout or --out.  A
+# print without file=sys.stderr counts as a stdout write.
+OUTPUT_PATH = {"dumps": "_render", "DictWriter": "_render", "stdout": "main", "open": "main"}
+
+
+def _output_uses(tree: ast.AST) -> list[tuple[str, str]]:
+    """(enclosing def, what) for every JSON dump, CSV writer, stdout write
+    and `open` call in a module."""
+    out = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call):
+            name = (_call_name(node) or "").split(".")[-1]
+            if name in ("dumps", "DictWriter", "open"):
+                out.append((scope, name))
+            elif name == "print" and not any(
+                k.arg == "file" and ast.unparse(k.value) == "sys.stderr" for k in node.keywords
+            ):
+                out.append((scope, "stdout"))
+        if isinstance(node, ast.Attribute) and node.attr == "stdout":
+            out.append((scope, "stdout"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return out
+
+
+def _output_breaches(source: str) -> list[str]:
+    return [f"{what} in {scope or 'module scope'}"
+            for scope, what in _output_uses(ast.parse(source)) if OUTPUT_PATH[what] != scope]
+
+
+def test_cli_has_one_output_path():
+    source = (pathlib.Path(uqsl2.__file__).parent / "cli.py").read_text(encoding="utf-8")
+    assert not _output_breaches(source)
+    assert set(_output_uses(ast.parse(source))) == {(s, w) for w, s in OUTPUT_PATH.items()}
+    # an inline dump outside `_render` is caught
+    mutant = source + "\n\ndef cmd_extra(payload):\n    return json.dumps(payload)\n"
+    assert _output_breaches(mutant) == ["dumps in cmd_extra"]

@@ -8,6 +8,7 @@ import pytest
 
 from uqsl2 import reps
 from uqsl2.errors import (
+    ContextMismatchError,
     EigendataError,
     InvalidArgumentError,
     RepresentationError,
@@ -349,6 +350,39 @@ def test_act_vec_matches_matrix_action(actx):
     assert sum(P.graded_character().values()) == P.dim
     with pytest.raises(InvalidArgumentError):
         family_T(actx, 2, 0, 1, f.one).graded_character()
+
+
+def test_residue_module_runs_the_residue_kernel(actx):
+    """A module made by `mod_p` holds F_p from construction on: its relation
+    check, its algebra action and the modules built from it run the residue
+    kernel and keep that field."""
+    f = actx.field
+    res = f.residue_field()
+    for M in (simple(actx, 3, 1), projective(actx, 2, 0), family_V(actx, 2, 1, 1)):
+        R = M.mod_p()
+        rep = R.check_relations()
+        assert R.field is res and rep.passed, (M.label, rep.counterexample)
+        assert transpose(R).field is res
+    P = projective(actx, 2, 0)
+    R = P.mod_p()
+    v = {0: f.one, actx.N: f.qpow(5), 7: f.from_int(-3)}
+    rv = {r: res.reduce(s) for r, s in v.items()}
+    for x in (actx.E * actx.F * actx.khat + actx.k.scale(f.qpow(3)),
+              actx.F * actx.F * actx.E, actx.idempotent_e(2, 0)):
+        exact = {r: t for r, s in P.act_vec(x, v).items() if (t := res.reduce(s))}
+        assert R.act_vec(x, rv) == exact
+    whole = sub_rep(R, [{r: res.one} for r in range(R.dim)], "whole")
+    assert whole.field is res and whole.check_relations().passed
+    assert direct_sum([R, whole], "R+R").field is res
+    with pytest.raises(ContextMismatchError):
+        direct_sum([R, P], "mixed")
+    # a dropped F arrow breaks the q-commutator over F_p too
+    S = simple(actx, 3, 0)
+    broken_f = {c: dict(col) for c, col in S.F.items()}
+    del broken_f[1][0]
+    M = reps.Representation(actx, "broken", S.kexp, S.khatexp, S.E, broken_f, S.grades)
+    rep = M.mod_p().check_relations()
+    assert not rep.passed and "q-commutator" in rep.counterexample
 
 
 # sha256 of the canonical rep_to_dict dumps of every module below, one line
