@@ -26,7 +26,12 @@ field they hold: `axpy` (d += s * vec, dropping what cancels),
 `inverse` and `neg`.  A sparse vector is a dict from a hashable key to a
 nonzero scalar: it never stores a zero.  Over Q(zeta_N) every sum into one
 goes through `_add_into` or `_axpy`, which drop a key whose sum cancels;
-over F_p, through `ResidueField.axpy`.
+over F_p, through `ResidueField.axpy`.  `_add_into` tests its sum by truth,
+so it prunes int sums too.
+
+`Combination` is the one linear-combination type: an element of u, of
+u^(x m), of K0 or of Z[g,x] maps basis keys to nonzero Scalar or int
+coefficients, and its sum, product, equality and hash are written once.
 """
 
 from __future__ import annotations
@@ -238,15 +243,105 @@ class Scalar:
         return f"Scalar({scalar_to_str(self)})"
 
 
-def _add_into(d: dict, key, s: Scalar) -> None:
-    """d[key] += s, dropping the key if the sum is zero."""
+def _add_into(d: dict, key, s: Scalar | int) -> None:
+    """d[key] += s, dropping the key if the sum is zero.
+
+    s is a Scalar or an int; the sum is tested by its truth, which is False
+    exactly at zero for both.
+    """
     cur = d.get(key)
     if cur is not None:
         s = cur + s
-    if s.is_zero():
-        d.pop(key, None)
-    else:
+    if s:
         d[key] = s
+    else:
+        d.pop(key, None)
+
+
+class Combination:
+    """A finite linear combination of basis keys, with a bilinear product.
+
+    `terms` maps each basis key to a nonzero coefficient, a Scalar or an
+    int; every sum goes through `_add_into`, so no zero is stored.  The
+    linear structure, the product, equality and hashing are written here
+    once.  A subclass keeps its constructor, its space check `_mismatch`,
+    its repr, and its basis product: `_basis_product()` returns a function
+    (k1, k2) -> iterable of (key, coefficient) pairs, looked up once per
+    product.  The slots a subclass declares hold its space (a context, a
+    leg count), and a result lies in the space of its left operand.
+    """
+
+    __slots__ = ("terms",)
+
+    def _mismatch(self, other: "Combination") -> Exception | None:
+        """The error that combining with other raises, or None when both
+        lie in one space."""
+        return None
+
+    def _like(self, terms: dict) -> "Combination":
+        """An element of this space with the given terms."""
+        out = object.__new__(type(self))
+        for name in self.__slots__:
+            setattr(out, name, getattr(self, name))
+        out.terms = terms
+        return out
+
+    def _check(self, other: "Combination") -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        err = self._mismatch(other)
+        if err is not None:
+            raise err
+
+    def __add__(self, other: "Combination") -> "Combination":
+        self._check(other)
+        out = dict(self.terms)
+        for key, s in other.terms.items():
+            _add_into(out, key, s)
+        return self._like(out)
+
+    def __sub__(self, other: "Combination") -> "Combination":
+        return self + (-other)
+
+    def __neg__(self) -> "Combination":
+        return self._like({key: -s for key, s in self.terms.items()})
+
+    def scale(self, s) -> "Combination":
+        """s times this element; a zero s gives the zero element."""
+        if not s:
+            return self._like({})
+        return self._like({key: s * t for key, t in self.terms.items()})
+
+    def __mul__(self, other):
+        """The product with a combination, bilinear in the basis product;
+        any other factor is a coefficient and scales."""
+        if not isinstance(other, Combination):
+            return self.scale(other)
+        self._check(other)
+        product = self._basis_product()
+        acc: dict = {}
+        for k1, s1 in self.terms.items():
+            for k2, s2 in other.terms.items():
+                s12 = s1 * s2
+                for key, t in product(k1, k2):
+                    _add_into(acc, key, t * s12)
+        return self._like(acc)
+
+    __rmul__ = scale
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._mismatch(other) is None and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
 
 
 def _axpy(d: dict, vec: dict, s: Scalar) -> None:

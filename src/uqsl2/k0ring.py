@@ -7,12 +7,16 @@ through their composition series [P_{2i,j}] = 2[S_{2i,j}] + 2[S_partner].
 The presentation is verified by mapping g and x to the two generating
 classes, pushing the f-polynomials through, and checking the ideal
 generators die and the monomial basis is unimodular over Z.
+
+`K0Element` and `PresPoly` are `cyclo.Combination`s with int coefficients;
+their sums, like every int sum here, prune through `_add_into`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .cyclo import Combination, _add_into
 from .errors import ContextMismatchError, InvalidArgumentError
 from .moncat import composition_counts, simple_simple_rule, summand_name, tensor
 from .qgroup import AlgebraContext
@@ -31,12 +35,11 @@ def _expand_products(
     out: dict[Label, int] = {}
     for (kind, i, j), m in simple_simple_rule(ctx, i1, j1, i2, j2).items():
         if kind == "S":
-            out[(i, j)] = out.get((i, j), 0) + m
+            _add_into(out, (i, j), m)
         else:
-            pi, pj = partner_label(ctx, i, j)
-            out[(i, j)] = out.get((i, j), 0) + own * m
-            out[(pi, pj)] = out.get((pi, pj), 0) + partner * m
-    return {k: v for k, v in out.items() if v}
+            _add_into(out, (i, j), own * m)
+            _add_into(out, partner_label(ctx, i, j), partner * m)
+    return out
 
 
 def basis_product(ctx: AlgebraContext, k1: Label, k2: Label) -> dict[Label, int]:
@@ -46,86 +49,51 @@ def basis_product(ctx: AlgebraContext, k1: Label, k2: Label) -> dict[Label, int]
     )
 
 
-class K0Element:
+def _signed_sum(terms: dict[tuple[int, int], int], name, times: str) -> str:
+    """The terms as "c1<times>name(k1) + c2<times>name(k2) - ...", highest
+    first key first, with a coefficient of one left out."""
+    out = ""
+    for key in sorted(terms, key=lambda k: (-k[0], k[1])):
+        c = terms[key]
+        body = name(key)
+        if abs(c) != 1:
+            body = str(abs(c)) if body == "1" else f"{abs(c)}{times}{body}"
+        if not out:
+            out = body if c > 0 else f"-{body}"
+        else:
+            out += f" + {body}" if c > 0 else f" - {body}"
+    return out or "0"
+
+
+class K0Element(Combination):
     """Integer combination of simple classes with fusion multiplication."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx",)
 
-    def __init__(self, ctx: AlgebraContext, coeffs: dict[Label, int] | None = None):
+    def __init__(self, ctx: AlgebraContext, terms: dict[Label, int] | None = None):
         self.ctx = ctx
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}
+        self.terms = {k: v for k, v in (terms or {}).items() if v}
 
-    def _check(self, other: "K0Element") -> None:
+    def _mismatch(self, other: "K0Element") -> Exception | None:
         if self.ctx is not other.ctx:
-            raise ContextMismatchError("K0 elements live over different contexts")
+            return ContextMismatchError("K0 elements live over different contexts")
+        return None
 
-    def __add__(self, other: "K0Element") -> "K0Element":
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return K0Element(self.ctx, out)
-
-    def __sub__(self, other: "K0Element") -> "K0Element":
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) - v
-        return K0Element(self.ctx, out)
-
-    def __rmul__(self, c: int) -> "K0Element":
-        if not isinstance(c, int):
-            return NotImplemented
-        return K0Element(self.ctx, {k: c * v for k, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.__rmul__(other)
-        self._check(other)
-        out: dict[Label, int] = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                for k, m in basis_product(self.ctx, k1, k2).items():
-                    out[k] = out.get(k, 0) + c1 * c2 * m
-        return K0Element(self.ctx, out)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, K0Element):
-            return NotImplemented
-        return self.ctx is other.ctx and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.ctx.n, tuple(sorted(self.coeffs.items()))))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def _basis_product(self):
+        ctx = self.ctx
+        return lambda k1, k2: basis_product(ctx, k1, k2).items()
 
     def dim(self) -> int:
         """Image under the dimension homomorphism K0 -> Z."""
         N = self.ctx.N
-        return sum(c * (N - 2 * i + 1) for (i, j), c in self.coeffs.items())
+        return sum(c * (N - 2 * i + 1) for (i, j), c in self.terms.items())
 
     def sign(self) -> int:
         """Image under the parity character [S_{2i,j}] -> (-1)^j."""
-        return sum(c * (1 if j == 0 else -1) for (i, j), c in self.coeffs.items())
+        return sum(c * (1 if j == 0 else -1) for (i, j), c in self.terms.items())
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.coeffs, key=lambda k: (-k[0], k[1])):
-            c = self.coeffs[(i, j)]
-            name = f"[{summand_name(('S', i, j))}]"
-            if c == 1:
-                parts.append(name)
-            elif c == -1:
-                parts.append(f"-{name}")
-            else:
-                parts.append(f"{c}{name}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _signed_sum(self.terms, lambda k: f"[{summand_name(('S', *k))}]", "")
 
 
 def simple_class(ctx: AlgebraContext, i: int, j: int) -> K0Element:
@@ -147,76 +115,35 @@ def unit_class(ctx: AlgebraContext) -> K0Element:
 # -- the presentation ring Z[g,x]/(g^2-1) ------------------------------------------
 
 
-class PresPoly:
+def _monomial_product(k1: tuple[int, int], k2: tuple[int, int]):
+    """x^a1 g^b1 * x^a2 g^b2 = x^(a1+a2) g^(b1+b2), with g^2 = 1."""
+    return (((k1[0] + k2[0], (k1[1] + k2[1]) % 2), 1),)
+
+
+class PresPoly(Combination):
     """Integer polynomial in x and g with g^2 reduced to 1 eagerly.
 
-    Coefficients are keyed by (x-degree, g-degree) with g-degree in {0, 1}.
+    Terms are keyed by (x-degree, g-degree) with g-degree in {0, 1}.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: dict[tuple[int, int], int] | None = None):
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}
-        if any(b not in (0, 1) or a < 0 for (a, b) in self.coeffs):
+    def __init__(self, terms: dict[tuple[int, int], int] | None = None):
+        self.terms = {k: v for k, v in (terms or {}).items() if v}
+        if any(b not in (0, 1) or a < 0 for (a, b) in self.terms):
             raise InvalidArgumentError("PresPoly keys must be (x-degree >= 0, g-degree in {0,1})")
 
-    def __add__(self, other: "PresPoly") -> "PresPoly":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return PresPoly(out)
-
-    def __sub__(self, other: "PresPoly") -> "PresPoly":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) - v
-        return PresPoly(out)
-
-    def __rmul__(self, c: int) -> "PresPoly":
-        if not isinstance(c, int):
-            return NotImplemented
-        return PresPoly({k: c * v for k, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.__rmul__(other)
-        out: dict[tuple[int, int], int] = {}
-        for (a1, b1), c1 in self.coeffs.items():
-            for (a2, b2), c2 in other.coeffs.items():
-                k = (a1 + a2, (b1 + b2) % 2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return PresPoly(out)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PresPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def _basis_product(self):
+        return _monomial_product
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (a, b) in sorted(self.coeffs, key=lambda k: (-k[0], k[1])):
-            c = self.coeffs[(a, b)]
+        def body(key: tuple[int, int]) -> str:
+            a, b = key
             xs = "" if a == 0 else ("x" if a == 1 else f"x^{a}")
             gs = "g" if b else ""
-            body = f"{xs}{'*' if xs and gs else ''}{gs}" or "1"
-            if c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}" if body != "1" else str(c))
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+            return f"{xs}{'*' if xs and gs else ''}{gs}" or "1"
+
+        return _signed_sum(self.terms, body, "*")
 
 
 def pres_one() -> PresPoly:
@@ -275,18 +202,18 @@ def _upsilon(
                 else _expand_products(ctx, k1[0], k1[1], kb[0], kb[1], own, partner)
             )
             for k, m in prod.items():
-                out[k] = out.get(k, 0) + c1 * m
-        return {k: v for k, v in out.items() if v}
+                _add_into(out, k, c1 * m)
+        return out
 
-    xdeg = max((a for (a, b) in p.coeffs), default=0)
+    xdeg = max((a for (a, b) in p.terms), default=0)
     powers: list[dict[Label, int]] = [{(half, 0): 1}]
     for _ in range(xdeg):
         powers.append(mul_by(powers[-1], (half - 1, 0)))
     out: dict[Label, int] = {}
-    for (a, b), c in p.coeffs.items():
+    for (a, b), c in p.terms.items():
         vec = mul_by(powers[a], (half, 1)) if b else powers[a]
         for k, v in vec.items():
-            out[k] = out.get(k, 0) + c * v
+            _add_into(out, k, c * v)
     return K0Element(ctx, out)
 
 
@@ -344,7 +271,7 @@ def verify_presentation(ctx: AlgebraContext) -> Counterexamples:
     for b in (0, 1):
         for a in range(half):
             image = _upsilon(ctx, PresPoly({(a, b): 1}))
-            rows.append([image.coeffs.get(k, 0) for k in all_labels(ctx)])
+            rows.append([image.terms.get(k, 0) for k in all_labels(ctx)])
     det = _int_det(rows)
     yield None if det in (1, -1) else f"monomial basis matrix has determinant {det}"
     dies = _upsilon(ctx, rel, own=2, partner=1).is_zero()
@@ -410,7 +337,7 @@ def verify_fusion_consistency(ctx: AlgebraContext) -> Counterexamples:
     labels = all_labels(ctx)
     for i, j in labels:
         counts = composition_counts(projective(ctx, i, j))
-        yield None if counts == projective_class(ctx, i, j).coeffs else (
+        yield None if counts == projective_class(ctx, i, j).terms else (
             f"projective class at ({i},{j}) disagrees with its composition counts"
         )
     for k1 in labels:

@@ -258,13 +258,9 @@ def composition_counts(M: Representation) -> dict[Label, int] | None:
         shift = g_top - (N - 2 * i)
         for (l2, s2, g2), c in _summand_graded_character(ctx, ("S", i, j)).items():
             cell = (l2, s2, g2 + shift)
-            v = residual.get(cell, 0) - mult * c
-            if v < 0:
+            _add_into(residual, cell, -mult * c)
+            if residual.get(cell, 0) < 0:
                 return None
-            if v:
-                residual[cell] = v
-            else:
-                residual.pop(cell, None)
         counts[(i, j)] = counts.get((i, j), 0) + mult
     return counts
 
@@ -299,14 +295,10 @@ def solve_height_offsets(
     order = sorted(groups)
     remaining = {key: len(groups[key]) for key in order}
     lowest = {key: _lowest_cell(dict(key)) for key in order}
-    residual = dict(target)
+    residual: dict[tuple[int, int, int], int] = {}
+    for cell, c in target.items():
+        _add_into(residual, cell, c)
     placed: dict[tuple, list[int]] = {key: [] for key in order}
-
-    def strip(res: dict) -> None:
-        for cell in [c for c, v in res.items() if v == 0]:
-            del res[cell]
-
-    strip(residual)
 
     def rec() -> bool:
         if not residual:
@@ -325,8 +317,7 @@ def solve_height_offsets(
             if any(residual.get(cell, 0) < c for cell, c in shifted.items()):
                 continue
             for cell, c in shifted.items():
-                residual[cell] -= c
-            strip(residual)
+                _add_into(residual, cell, -c)
             remaining[key] -= 1
             placed[key].append(delta)
             if rec():
@@ -334,8 +325,7 @@ def solve_height_offsets(
             placed[key].pop()
             remaining[key] += 1
             for cell, c in shifted.items():
-                residual[cell] = residual.get(cell, 0) + c
-            strip(residual)
+                _add_into(residual, cell, c)
         return False
 
     if not rec():

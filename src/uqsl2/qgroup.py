@@ -14,6 +14,8 @@ n^2/2 and k^2 = khat^-n).  A monomial key is the flat tuple (a, eps, c, d).
 Multiplication reorders E past F with the memoized normal forms of
 E^d * F^a, built from E*F = q*F*E + q*(k^-1 khat - 1), and moves group
 elements with the conjugation weight w(g): g E = q^w(g) E g.
+`AlgebraElement` is a `cyclo.Combination` whose basis product is
+`AlgebraContext.mono_mul`; its sums prune through `_add_into`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from . import linalg
-from .cyclo import Scalar, _add_into, make_context, qint, scalar_to_str
+from .cyclo import Combination, Scalar, _add_into, make_context, qint, scalar_to_str
 from .errors import (
     ConstructionError,
     ContextMismatchError,
@@ -40,47 +42,22 @@ def _group_mul(n: int, e1: int, c1: int, e2: int, c2: int) -> tuple[int, int]:
     return e & 1, (c1 + c2 - n * (e >> 1)) % (n * n // 2)
 
 
-class AlgebraElement:
+class AlgebraElement(Combination):
     """Sparse Scalar combination of PBW monomials F^a k^eps khat^c E^d."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx",)
 
     def __init__(self, ctx: "AlgebraContext", terms: dict[MonKey, Scalar]):
         self.ctx = ctx
         self.terms = terms
 
-    # -- linear structure ---------------------------------------------
+    def _mismatch(self, other: "AlgebraElement") -> Exception | None:
+        if other.ctx is not self.ctx:
+            return ContextMismatchError("algebra elements from different contexts")
+        return None
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        out = dict(self.terms)
-        for key, s in other.terms.items():
-            _add_into(out, key, s)
-        return AlgebraElement(self.ctx, out)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.ctx, {k: -s for k, s in self.terms.items()})
-
-    def scale(self, s: Scalar) -> "AlgebraElement":
-        if s.is_zero():
-            return self.ctx.zero_elem
-        return AlgebraElement(self.ctx, {k: s * t for k, t in self.terms.items()})
-
-    # -- products -------------------------------------------------------
-
-    def __mul__(self, other):
-        if isinstance(other, Scalar):
-            return self.scale(other)
-        self._check(other)
-        return self.ctx._mul_elems(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, Scalar):
-            return self.scale(other)
-        return NotImplemented
+    def _basis_product(self):
+        return self.ctx.mono_mul
 
     def __pow__(self, t: int) -> "AlgebraElement":
         if t < 0:
@@ -90,32 +67,12 @@ class AlgebraElement:
             acc = acc * self
         return acc
 
-    # -- structure -------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.ctx is other.ctx and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
     def heights(self) -> set[int]:
         """Heights d - a of the monomials present."""
         return {key[3] - key[0] for key in self.terms}
 
     def coefficient(self, key: MonKey) -> Scalar:
         return self.terms.get(key, self.ctx.field.zero)
-
-    def _check(self, other: "AlgebraElement") -> None:
-        if other.ctx is not self.ctx:
-            raise ContextMismatchError("algebra elements from different contexts")
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -262,15 +219,6 @@ class AlgebraContext:
         result = tuple(out)
         self._mono_cache[memo_key] = result
         return result
-
-    def _mul_elems(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-        acc: dict[MonKey, Scalar] = {}
-        for k1, s1 in x.terms.items():
-            for k2, s2 in y.terms.items():
-                s12 = s1 * s2
-                for key, t in self.mono_mul(k1, k2):
-                    _add_into(acc, key, t * s12)
-        return AlgebraElement(self, acc)
 
     # -- coordinates --------------------------------------------------------
 

@@ -18,14 +18,19 @@ which satisfies the pentagon identity.  The antipode triple is
     S(F) = -(k^2 khat^-1 F (1 - 1_0) + k khat^-1 F 1_0) flat^-1 k^-1,
 
 extended as an algebra anti-homomorphism.
+
+`TensorElement`, an element of u^(x m), is a `cyclo.Combination` whose
+basis product is `mono_mul` leg by leg; its sums prune through `_add_into`.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from functools import reduce
+from operator import mul
 
-from .cyclo import Scalar, _add_into
+from .cyclo import Combination, Scalar, _add_into
 from .errors import ContextMismatchError, InvalidArgumentError
 from .qgroup import AlgebraContext, AlgebraElement, MonKey
 from .report import CheckReport, Counterexamples, verifier
@@ -33,61 +38,35 @@ from .report import CheckReport, Counterexamples, verifier
 UNIT_KEY: MonKey = (0, 0, 0, 0)
 
 
-class TensorElement:
+class TensorElement(Combination):
     """Sparse element of u^(x m), keyed by m-tuples of PBW monomial keys."""
 
-    __slots__ = ("ctx", "legs", "terms")
+    __slots__ = ("ctx", "legs")
 
     def __init__(self, ctx: AlgebraContext, legs: int, terms: dict[tuple, Scalar]):
         self.ctx = ctx
         self.legs = legs
         self.terms = terms
 
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        self._check(other)
-        out = dict(self.terms)
-        for key, s in other.terms.items():
-            _add_into(out, key, s)
-        return TensorElement(self.ctx, self.legs, out)
+    def _mismatch(self, other: "TensorElement") -> Exception | None:
+        if self.ctx is not other.ctx:
+            return ContextMismatchError("tensor elements from different contexts")
+        if self.legs != other.legs:
+            return InvalidArgumentError("tensor elements with different leg counts")
+        return None
 
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-other)
+    def _basis_product(self):
+        """Leg by leg: the monomial products of the m legs, tensored."""
+        mono_mul = self.ctx.mono_mul
+        legs = range(self.legs)
 
-    def __neg__(self) -> "TensorElement":
-        return TensorElement(self.ctx, self.legs, {k: -s for k, s in self.terms.items()})
+        def product(key1: tuple, key2: tuple):
+            parts = [mono_mul(key1[l], key2[l]) for l in legs]
+            for combo in itertools.product(*parts):
+                keys, coeffs = zip(*combo)
+                yield keys, reduce(mul, coeffs)
 
-    def scale(self, s: Scalar) -> "TensorElement":
-        if s.is_zero():
-            return TensorElement(self.ctx, self.legs, {})
-        return TensorElement(self.ctx, self.legs, {k: s * t for k, t in self.terms.items()})
-
-    def __mul__(self, other: "TensorElement") -> "TensorElement":
-        self._check(other)
-        ctx = self.ctx
-        acc: dict[tuple, Scalar] = {}
-        for key1, s1 in self.terms.items():
-            for key2, s2 in other.terms.items():
-                s12 = s1 * s2
-                parts = [ctx.mono_mul(key1[l], key2[l]) for l in range(self.legs)]
-                if any(not p for p in parts):
-                    continue
-                for combo in itertools.product(*parts):
-                    coeff = s12
-                    for _, t in combo:
-                        coeff = coeff * t
-                    _add_into(acc, tuple(mk for mk, _ in combo), coeff)
-        return TensorElement(ctx, self.legs, acc)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.ctx is other.ctx and self.legs == other.legs and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.legs, frozenset(self.terms.items())))
+        return product
 
     def insert_unit_leg(self, position: int) -> "TensorElement":
         """The image under u^(x m) -> u^(x m+1) inserting 1 at position."""
@@ -97,12 +76,6 @@ class TensorElement:
         }
         return TensorElement(self.ctx, self.legs + 1, out)
 
-    def _check(self, other: "TensorElement") -> None:
-        if self.ctx is not other.ctx:
-            raise ContextMismatchError("tensor elements from different contexts")
-        if self.legs != other.legs:
-            raise InvalidArgumentError("tensor elements with different leg counts")
-
     def __repr__(self) -> str:
         return f"TensorElement(legs={self.legs}, terms={len(self.terms)})"
 
@@ -110,22 +83,12 @@ class TensorElement:
 def tensor_of(*factors: AlgebraElement) -> TensorElement:
     """The tensor product of algebra elements, one per leg."""
     ctx = factors[0].ctx
-    keys: list[tuple] = [()]
-    vals: list[Scalar] = [ctx.field.one]
+    terms: dict[tuple, Scalar] = {(): ctx.field.one}
     for fac in factors:
         if fac.ctx is not ctx:
             raise ContextMismatchError("tensor factors from different contexts")
-        nkeys: list[tuple] = []
-        nvals: list[Scalar] = []
-        for key, s in zip(keys, vals):
-            for mk, t in fac.terms.items():
-                nkeys.append(key + (mk,))
-                nvals.append(s * t)
-        keys, vals = nkeys, nvals
-    acc: dict[tuple, Scalar] = {}
-    for key, s in zip(keys, vals):
-        _add_into(acc, key, s)
-    return TensorElement(ctx, len(factors), acc)
+        terms = {key + (mk,): s * t for key, s in terms.items() for mk, t in fac.terms.items()}
+    return TensorElement(ctx, len(factors), terms)
 
 
 def unit_tensor(ctx: AlgebraContext, legs: int) -> TensorElement:

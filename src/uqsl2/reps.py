@@ -698,9 +698,15 @@ def direct_sum(parts: list[Representation], label: str) -> Representation:
 
 
 def hom_space(M: Representation, N: Representation) -> list[SparseMap]:
-    """Basis of the space of module maps M -> N (columns over M, rows over N)."""
+    """Basis of the space of module maps M -> N (columns over M, rows over N).
+
+    Both modules must hold the exact field: the equations are summed by the
+    exact kernel, so a module made by `mod_p` is refused.
+    """
     if M.ctx is not N.ctx:
         raise ContextMismatchError("Hom between modules over different contexts")
+    if M.field is not M.ctx.field or N.field is not N.ctx.field:
+        raise ContextMismatchError("Hom needs modules over the exact field, not a residue field")
     f = M.field
     nidx = N.class_indices()
     variables = []
@@ -840,21 +846,17 @@ def iso_test(M: Representation, N: Representation) -> bool | None:
     bwd = hom_space(N, M)
     if not bwd:
         return False
-    end_m = hom_space(M, M)
-    if _end_is_local(f, end_m):
-        for g in bwd:
-            for t in fwd:
-                w = compose_maps(g, t)
-                for h in end_m:
-                    if not map_trace(f, compose_maps(w, h)).is_zero():
-                        return True
-        return False
-    end_n = hom_space(N, N)
-    if _end_is_local(f, end_n):
-        for t in fwd:
-            for g in bwd:
-                w = compose_maps(t, g)
-                for h in end_n:
+    # When End(X) is local, M and N are isomorphic exactly when some round
+    # trip X -> Y -> X lies outside the radical of End(X), the radical of
+    # its trace form.  End(N) is built only when End(M) fails the test.
+    for X, outer, inner in ((M, bwd, fwd), (N, fwd, bwd)):
+        end = hom_space(X, X)
+        if not _end_is_local(f, end):
+            continue
+        for a in outer:
+            for b in inner:
+                w = compose_maps(a, b)
+                for h in end:
                     if not map_trace(f, compose_maps(w, h)).is_zero():
                         return True
         return False

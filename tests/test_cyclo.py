@@ -1,4 +1,5 @@
-"""Field arithmetic in Q(zeta_16) and the generic cyclotomic machinery."""
+"""Field arithmetic in Q(zeta_16), the generic cyclotomic machinery, and the
+laws that every `Combination` (u, u(x)u, K0, Z[g,x]) shares."""
 
 import random
 from fractions import Fraction
@@ -13,10 +14,14 @@ from uqsl2.cyclo import (
     scalar_to_str,
 )
 from uqsl2.errors import (
+    ContextMismatchError,
     DivisionByZeroError,
     InvalidArgumentError,
     UnsupportedParameterError,
 )
+from uqsl2.k0ring import K0Element, pres_g, pres_one, pres_x, simple_class
+from uqsl2.qgroup import AlgebraContext, AlgebraElement
+from uqsl2.quasihopf import TensorElement, tensor_of
 
 
 def test_cyclotomic_polynomials_small():
@@ -298,3 +303,42 @@ def test_general_reduction_path_products_by_powers_of_q():
             assert a * unit == want and unit * a == want
             ref = _times_x(ctx, ref)
         assert ctx.from_coeffs(ref) == a  # q^N = 1
+
+
+def _combination_cases(actx, other):
+    """Per subclass of Combination: (an element x, the zero coefficient,
+    elements with the same terms in another space paired with the error
+    that `+` and `*` raise against them)."""
+    f = actx.field
+    u = actx.E * actx.F + actx.k.scale(f.qpow(3)) - actx.one_elem
+    t = tensor_of(actx.E, actx.k) + tensor_of(actx.F, actx.one_elem).scale(f.q)
+    k0 = simple_class(actx, 2, 0) * simple_class(actx, 3, 1) - 2 * simple_class(actx, 8, 0)
+    pres = (pres_x() - pres_g()) * pres_x() + 3 * pres_one()
+    return {
+        "u": (u, f.zero, [(AlgebraElement(other, dict(u.terms)), ContextMismatchError)]),
+        "u(x)u": (t, f.zero, [
+            (TensorElement(other, 2, dict(t.terms)), ContextMismatchError),
+            (TensorElement(actx, 3, dict(t.terms)), InvalidArgumentError),
+        ]),
+        "K0": (k0, 0, [(K0Element(other, dict(k0.terms)), ContextMismatchError)]),
+        "Z[g,x]": (pres, 0, []),
+    }
+
+
+@pytest.mark.parametrize("space", ["u", "u(x)u", "K0", "Z[g,x]"])
+def test_combination_laws(actx, space):
+    x, zero, foreign = _combination_cases(actx, AlgebraContext(4))[space]
+    assert x.terms and all(x.terms.values())
+    assert (x + (-x)).terms == {}
+    assert (x - x).terms == {}
+    assert x.scale(zero).terms == {} and (x * zero).is_zero() and not x * zero
+    y = (x + x) - x
+    assert y == x and hash(y) == hash(x) and y is not x
+    assert x * x == x * y
+    for alien, error in foreign:
+        assert alien.terms == x.terms
+        assert x != alien and alien != x
+        with pytest.raises(error):
+            x + alien
+        with pytest.raises(error):
+            x * alien

@@ -1,7 +1,8 @@
 """The package's public names: every export resolves, no module keeps memo
 state of its own, only the verifier runner builds a CheckReport, mod-p
 arithmetic stays inside the one certificate that uses it, only the fields'
-sparse kernels prune a cancelled entry from a sparse vector, one Hom solver
+sparse kernels prune a cancelled entry from a sparse vector (`_add_into`
+for the Scalar and int sums of every `Combination` too), one Hom solver
 builds a BlockKernel, only `AlgebraContext.cached` touches the memo, and the
 command line has one output path (`test_cli_has_one_output_path`: only
 `cli._render` dumps JSON or builds a CSV writer, only `cli.main` writes to
@@ -115,23 +116,32 @@ def _is_mod(node: ast.AST) -> bool:
     return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
 
 
-def _residue_names(scope: ast.AST) -> set[str]:
+def _is_sum(node: ast.AST) -> bool:
+    return isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+
+
+def _sum_names(scope: ast.AST) -> set[str]:
     """Names a def binds to a value reduced with `%` (`t = ... % p`,
-    `t %= p`): the ints of an F_p kernel, whose zero test is plain truth."""
+    `t %= p`), the ints of an F_p kernel, or to a `+` or `-` sum (`s = cur
+    + s`, `v -= c`), a Scalar or int sum: the names whose truth is a zero
+    test."""
     out = set()
     for node in ast.walk(scope):
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.NamedExpr)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            op = getattr(node, "op", None)
             if node.value is not None and (
                 any(_is_mod(n) for n in ast.walk(node.value))
-                or isinstance(getattr(node, "op", None), ast.Mod)
+                or _is_sum(node.value)
+                or isinstance(op, (ast.Mod, ast.Add, ast.Sub))
             ):
                 out.update(t.id for t in targets if isinstance(t, ast.Name))
     return out
 
 
-def _is_zero_test(node: ast.expr, residues: set[str]) -> bool:
-    """`x.is_zero()`, or the truth of (or `== 0` on) an int reduced mod p."""
+def _is_zero_test(node: ast.expr, sums: set[str]) -> bool:
+    """`x.is_zero()`, or the truth of (or `== 0` on) an int reduced mod p
+    or a name bound to a sum."""
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
         node = node.operand
     if (isinstance(node, ast.Compare) and len(node.ops) == 1
@@ -142,7 +152,7 @@ def _is_zero_test(node: ast.expr, residues: set[str]) -> bool:
     if isinstance(node, ast.Call):
         return isinstance(node.func, ast.Attribute) and node.func.attr == "is_zero"
     if isinstance(node, ast.Name):
-        return node.id in residues
+        return node.id in sums
     return _is_mod(node)
 
 
@@ -165,16 +175,16 @@ def _pruning_branches(tree: ast.AST) -> list[tuple[str, int]]:
     deletes an entry."""
     out = []
 
-    def visit(node: ast.AST, scope: str, residues: set[str]) -> None:
+    def visit(node: ast.AST, scope: str, sums: set[str]) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-            residues = _residue_names(node)
-        if isinstance(node, ast.If) and _is_zero_test(node.test, residues) and (
+            sums = _sum_names(node)
+        if isinstance(node, ast.If) and _is_zero_test(node.test, sums) and (
             _prunes(node.body) or _prunes(node.orelse)
         ):
             out.append((scope, node.lineno))
         for child in ast.iter_child_nodes(node):
-            visit(child, scope, residues)
+            visit(child, scope, sums)
 
     visit(tree, "", set())
     return out
@@ -188,6 +198,14 @@ def test_only_the_kernel_prunes_sparse_vectors():
             seen.add((path.name, scope))
             assert (path.name, scope) in KERNEL, f"{path.name}:{line} in {scope or 'module'}"
     assert seen == KERNEL
+    # an int sum pruned by hand (the old composition-count peel) is caught
+    mutant = ("def peel(residual, cell, c):\n"
+              "    v = residual.get(cell, 0) - c\n"
+              "    if v:\n"
+              "        residual[cell] = v\n"
+              "    else:\n"
+              "        residual.pop(cell, None)\n")
+    assert _pruning_branches(ast.parse(mutant)) == [("peel", 3)]
 
 
 def _constructors(tree: ast.AST, name: str) -> list[str]:

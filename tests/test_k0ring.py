@@ -82,8 +82,8 @@ def test_unit_class_is_identity(actx):
 
 
 def test_projective_class_expansion(actx):
-    assert projective_class(actx, 1, 0).coeffs == {(1, 0): 2, (8, 1): 2}
-    assert projective_class(actx, 5, 1).coeffs == {(5, 1): 2, (4, 0): 2}
+    assert projective_class(actx, 1, 0).terms == {(1, 0): 2, (8, 1): 2}
+    assert projective_class(actx, 5, 1).terms == {(5, 1): 2, (4, 0): 2}
 
 
 def test_element_arithmetic_and_repr(actx):

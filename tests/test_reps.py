@@ -385,6 +385,18 @@ def test_residue_module_runs_the_residue_kernel(actx):
     assert not rep.passed and "q-commutator" in rep.counterexample
 
 
+def test_hom_refuses_residue_modules(actx):
+    """The Hom solver sums through the exact kernel, so a module made by
+    `mod_p` is refused with a typed error rather than solved over
+    unreduced ints."""
+    S = simple(actx, 3, 1)
+    R = S.mod_p()
+    for call in (lambda: hom_space(R, R), lambda: iso_test(R, R),
+                 lambda: syzygy(R), lambda: cosyzygy(R), lambda: hom_space(S, R)):
+        with pytest.raises(ContextMismatchError):
+            call()
+
+
 # sha256 of the canonical rep_to_dict dumps of every module below, one line
 # each, in loop order: pins the exact basis order, classes, grades and
 # matrices of each constructor.
