@@ -32,12 +32,19 @@ so it prunes int sums too.
 `Combination` is the one linear-combination type: an element of u, of
 u^(x m), of K0 or of Z[g,x] maps basis keys to nonzero Scalar or int
 coefficients, and its sum, product, equality and hash are written once.
+A product of two Scalar combinations runs through the field's one integer
+kernel, `FieldContext.combination_product`.  Its basis product gives each
+structure constant as (key, e, v), the coefficient q^e * prod(v) of key,
+with v empty for a signed power of q.  The kernel works on integer vectors
+and calls `_make` once per output term; normalized form is unique, so the
+result equals the term-by-term Scalar sum.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 
 from .errors import (
     ConstructionError,
@@ -140,10 +147,22 @@ class Scalar:
 
     # -- ring structure ------------------------------------------------
 
-    def __add__(self, other: "Scalar") -> "Scalar":
-        ctx = self.ctx
-        if other.ctx is not ctx:
+    def _operand(self, other):
+        """other as a Scalar of this field: an int is lifted with
+        `from_int`, a Scalar of another field raises ContextMismatchError,
+        and any other type gives NotImplemented."""
+        if isinstance(other, Scalar):
             raise ContextMismatchError("scalars from different field contexts")
+        if isinstance(other, int):
+            return self.ctx.from_int(other)
+        return NotImplemented
+
+    def __add__(self, other: "Scalar | int") -> "Scalar":
+        ctx = self.ctx
+        if type(other) is not Scalar or other.ctx is not ctx:
+            other = self._operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         da, db = self.den, other.den
         if da == db:
             return ctx._make([a + b for a, b in zip(self.num, other.num)], da)
@@ -151,10 +170,14 @@ class Scalar:
             [a * db + b * da for a, b in zip(self.num, other.num)], da * db
         )
 
-    def __sub__(self, other: "Scalar") -> "Scalar":
+    __radd__ = __add__
+
+    def __sub__(self, other: "Scalar | int") -> "Scalar":
         ctx = self.ctx
-        if other.ctx is not ctx:
-            raise ContextMismatchError("scalars from different field contexts")
+        if type(other) is not Scalar or other.ctx is not ctx:
+            other = self._operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         da, db = self.den, other.den
         if da == db:
             return ctx._make([a - b for a, b in zip(self.num, other.num)], da)
@@ -162,10 +185,16 @@ class Scalar:
             [a * db - b * da for a, b in zip(self.num, other.num)], da * db
         )
 
+    def __rsub__(self, other: int) -> "Scalar":
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
+
     def __neg__(self) -> "Scalar":
         return Scalar(self.ctx, tuple(-a for a in self.num), self.den)
 
-    def __mul__(self, other: "Scalar") -> "Scalar":
+    def __mul__(self, other: "Scalar | int") -> "Scalar":
         """The product; a factor +-x^k (a signed power of q) is a shift.
 
         Over x^m + 1, multiplying by x^s for 0 <= s < 2m moves coefficient i
@@ -173,11 +202,15 @@ class Scalar:
         the coordinates up to sign, so the integer content and the
         denominator stay as they are: the product is already normalized and
         equals what `_make` would return.  `_unit_shift` is empty unless
-        Phi_N = x^m + 1, so other N always take the general path.
+        Phi_N = x^m + 1, so other N always take the general path.  An int
+        is lifted by `_operand`; the one type test costs the shift path
+        nothing measurable.
         """
         ctx = self.ctx
-        if other.ctx is not ctx:
-            raise ContextMismatchError("scalars from different field contexts")
+        if type(other) is not Scalar or other.ctx is not ctx:
+            other = self._operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         shift = ctx._unit_shift
         moved = self
         s = shift.get(other.num) if other.den == 1 else None
@@ -194,6 +227,8 @@ class Scalar:
             s -= m
             num = a[m - s:] + tuple([-c for c in a[: m - s]])
         return Scalar(ctx, num, moved.den)
+
+    __rmul__ = __mul__
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inverse()
@@ -266,9 +301,12 @@ class Combination:
     linear structure, the product, equality and hashing are written here
     once.  A subclass keeps its constructor, its space check `_mismatch`,
     its repr, and its basis product: `_basis_product()` returns a function
-    (k1, k2) -> iterable of (key, coefficient) pairs, looked up once per
-    product.  The slots a subclass declares hold its space (a context, a
-    leg count), and a result lies in the space of its left operand.
+    (k1, k2) -> iterable of structure constants, looked up once per
+    product.  With int coefficients a constant is a pair (key, int); with
+    Scalar ones, whose field `_field()` names, it is a triple (key, e, v)
+    for `FieldContext.combination_product`.  The slots a subclass declares
+    hold its space (a context, a leg count), and a result lies in the space
+    of its left operand.
     """
 
     __slots__ = ("terms",)
@@ -312,13 +350,22 @@ class Combination:
             return self._like({})
         return self._like({key: s * t for key, t in self.terms.items()})
 
+    def _field(self) -> "FieldContext | None":
+        """The field of the coefficients when they are Scalars, else None."""
+        return None
+
     def __mul__(self, other):
         """The product with a combination, bilinear in the basis product;
-        any other factor is a coefficient and scales."""
+        any other factor is a coefficient and scales.  Over Q(zeta_N) the
+        field's `combination_product` forms it; int coefficients sum
+        through `_add_into`."""
         if not isinstance(other, Combination):
             return self.scale(other)
         self._check(other)
         product = self._basis_product()
+        field = self._field()
+        if field is not None:
+            return self._like(field.combination_product(self.terms, other.terms, product))
         acc: dict = {}
         for k1, s1 in self.terms.items():
             for k2, s2 in other.terms.items():
@@ -518,6 +565,93 @@ class FieldContext:
         out = dict(row)
         _axpy(out, piv_row, -row[piv_col])
         return _strip_content(self, out)
+
+    def combination_product(self, terms1: dict, terms2: dict, product) -> dict:
+        """The terms of the product of two combinations over this field.
+
+        product(k1, k2) gives the structure constants of the basis as
+        triples (key, e, v): the coefficient of key in k1 * k2 is
+        q^e * prod(v), where v is a tuple of integral coefficient vectors,
+        empty when the constant is the signed power q^e itself.
+
+        Each operand is scaled to integer vectors over the lcm L of its
+        denominators and grouped by coefficient value, so one integer
+        product is formed per pair of distinct values, and only once some
+        basis product of that pair is nonempty; when one of the two vectors
+        is a signed power of q, the product is a shift of the other.  It is
+        multiplied by v only when v is not empty.  When Phi_N = x^m + 1,
+        q^e is a signed cyclic shift, a slice of the row r, -r, r; other N
+        multiply by q^e with `_mul_num`.  The contributions to one key add
+        into one int list,
+        normalized once by `_make(vec, L1 * L2)`.  Normalized form is
+        unique, so each term equals the sum of its Scalar products, and a
+        key whose sum is zero is dropped, as `_add_into` drops it.
+        """
+        groups1, den1 = self._integral_groups(terms1)
+        groups2, den2 = self._integral_groups(terms2)
+        mul = self._mul_num
+        fold = self._fold
+        m = self.degree
+        N = self.N
+        acc: dict = {}
+        for a, sa, keys1 in groups1:
+            for b, sb, keys2 in groups2:
+                # a * b as q^offset * base; a signed power of q is a shift
+                if sa is not None:
+                    base, offset = b, sa
+                elif sb is not None:
+                    base, offset = a, sb
+                else:
+                    base, offset = None, 0
+                rows: dict = {}
+                for k1 in keys1:
+                    for k2 in keys2:
+                        for key, e, v in product(k1, k2):
+                            row = rows.get(v)
+                            if row is None:
+                                if base is None:
+                                    base = mul(a, b)
+                                row = base
+                                for factor in v:
+                                    row = mul(row, factor)
+                                if fold:
+                                    row = [*row, *[-c for c in row], *row]
+                                rows[v] = row
+                            if fold:
+                                start = -(e + offset) % N
+                                term = row[start:start + m]
+                            else:
+                                term = mul(row, self._qpow[e % N].num)
+                            cur = acc.get(key)
+                            if cur is None:
+                                acc[key] = term
+                            else:
+                                cur[:] = map(add, cur, term)
+        den = den1 * den2
+        make = self._make
+        for key, vec in list(acc.items()):
+            s = make(vec, den)
+            if s.is_zero():
+                del acc[key]
+            else:
+                acc[key] = s
+        return acc
+
+    def _integral_groups(self, terms: dict) -> tuple[list[tuple], int]:
+        """([(vector, shift, keys)], L): L is the lcm of the denominators
+        of the coefficients, and each distinct coefficient, as an integer
+        vector over L, comes with the keys that carry it and with s when
+        that vector is the signed power q^s, else None."""
+        by_value: dict[Scalar, list] = {}
+        for key, s in terms.items():
+            by_value.setdefault(s, []).append(key)
+        den = math.lcm(*(s.den for s in by_value))
+        shift = self._unit_shift
+        groups = []
+        for s, keys in by_value.items():
+            vec = s.num if s.den == den else tuple(c * (den // s.den) for c in s.num)
+            groups.append((vec, shift.get(vec), keys))
+        return groups, den
 
     # -- core arithmetic ---------------------------------------------------
 

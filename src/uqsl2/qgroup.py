@@ -15,7 +15,11 @@ Multiplication reorders E past F with the memoized normal forms of
 E^d * F^a, built from E*F = q*F*E + q*(k^-1 khat - 1), and moves group
 elements with the conjugation weight w(g): g E = q^w(g) E g.
 `AlgebraElement` is a `cyclo.Combination` whose basis product is
-`AlgebraContext.mono_mul`; its sums prune through `_add_into`.
+`AlgebraContext.mono_mul`; its sums prune through `_add_into`.  The
+`_mono_cache` table holds the structure constants of u as (key, e, v), the
+coefficient q^e * prod(v), with v empty for a signed power of q; they are
+integral, and `FieldContext.combination_product` forms each product with
+one normalization per output term.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from . import linalg
-from .cyclo import Combination, Scalar, _add_into, make_context, qint, scalar_to_str
+from .cyclo import Combination, Scalar, _add_into, _axpy, make_context, qint, scalar_to_str
 from .errors import (
     ConstructionError,
     ContextMismatchError,
@@ -55,6 +59,9 @@ class AlgebraElement(Combination):
         if other.ctx is not self.ctx:
             return ContextMismatchError("algebra elements from different contexts")
         return None
+
+    def _field(self):
+        return self.ctx.field
 
     def _basis_product(self):
         return self.ctx.mono_mul
@@ -127,7 +134,7 @@ class AlgebraContext:
 
         # E^d F^a normal forms, filled on demand.
         self._ef: dict[tuple[int, int], list[tuple[int, int, int, int, Scalar]]] = {}
-        self._mono_cache: dict[tuple[MonKey, MonKey], tuple[tuple[MonKey, Scalar], ...]] = {}
+        self._mono_cache: dict[tuple[MonKey, MonKey], tuple[tuple[MonKey, int, tuple], ...]] = {}
         self.memo: dict[tuple, object] = {}
 
     def cached(self, key: tuple, build: Callable[[], object]):
@@ -193,13 +200,18 @@ class AlgebraContext:
         self._ef[key] = out
         return out
 
-    def mono_mul(self, k1: MonKey, k2: MonKey) -> tuple[tuple[MonKey, Scalar], ...]:
-        """Memoized product of two PBW monomials as (key, coeff) pairs."""
+    def mono_mul(self, k1: MonKey, k2: MonKey) -> tuple[tuple[MonKey, int, tuple], ...]:
+        """Memoized product of two PBW monomials as structure constants
+        (key, e, v): the coefficient q^e * prod(v) of key, in the form that
+        `FieldContext.combination_product` takes.  v is empty when the
+        coefficient is a signed power of q, and else holds its integer
+        coordinate vector; the constants of u are integral, which is
+        checked once per table entry."""
         memo_key = (k1, k2)
         hit = self._mono_cache.get(memo_key)
         if hit is not None:
             return hit
-        f = self.field
+        unit_shift = self.field._unit_shift
         n = self.n
         a1, e1, c1, d1 = k1
         a2, e2, c2, d2 = k2
@@ -211,11 +223,18 @@ class AlgebraContext:
             d = du + d2
             if a >= self.N or d >= self.N:
                 continue
+            if t.den != 1:
+                raise ConstructionError(f"structure constant {t!r} of {k1} * {k2} is not integral")
             # F^a1 g1 (F^au gu E^du) g2 E^d2:
             #   g1 F^au = q^(-w1*au) F^au g1,  E^du g2 = q^(-w2*du) g2 E^du
             eps, c = _group_mul(n, e1, c1, eu, cu)
             eps, c = _group_mul(n, eps, c, e2, c2)
-            out.append(((a, eps, c, d), f.qpow(-w1 * au - w2 * du) * t))
+            e = -w1 * au - w2 * du
+            shift = unit_shift.get(t.num)
+            if shift is None:
+                out.append(((a, eps, c, d), e % self.N, (t.num,)))
+            else:
+                out.append(((a, eps, c, d), (e + shift) % self.N, ()))
         result = tuple(out)
         self._mono_cache[memo_key] = result
         return result
@@ -236,12 +255,12 @@ class AlgebraContext:
         g with g^order = 1."""
         f = self.field
         inv = f.from_fraction(Fraction(1, order))
-        acc = self.zero_elem
+        acc: dict[MonKey, Scalar] = {}
         power = self.one_elem
         for t in range(order):
-            acc = acc + power.scale(f.qpow(-e * t) * inv)
+            _axpy(acc, power.terms, f.qpow(-e * t) * inv)
             power = power * g
-        return acc
+        return AlgebraElement(self, acc)
 
     def idempotent_1(self, i: int) -> AlgebraElement:
         """1_i, the qbar^i = q^(n i)-eigenprojector of k."""
@@ -257,10 +276,10 @@ class AlgebraContext:
 
     def _build_flat(self, sign: int) -> AlgebraElement:
         """sum_i q^(sign i) 1_i: flat for sign -1, its inverse for +1."""
-        acc = self.zero_elem
+        acc: dict[MonKey, Scalar] = {}
         for i in range(self.n):
-            acc = acc + self.idempotent_1(i).scale(self.field.qpow(sign * i))
-        return acc
+            _axpy(acc, self.idempotent_1(i).terms, self.field.qpow(sign * i))
+        return AlgebraElement(self, acc)
 
     def varphi_idempotent(self, i: int) -> AlgebraElement:
         """phi_2i, the q^(2i)-eigenprojector of k^-1 khat."""

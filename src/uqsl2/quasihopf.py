@@ -20,17 +20,19 @@ which satisfies the pentagon identity.  The antipode triple is
 extended as an algebra anti-homomorphism.
 
 `TensorElement`, an element of u^(x m), is a `cyclo.Combination` whose
-basis product is `mono_mul` leg by leg; its sums prune through `_add_into`.
+basis product is `mono_mul` leg by leg: the exponents e of the legs'
+structure constants (key, e, v) add as ints and their factors v
+concatenate, so no Scalar is built inside a product, and
+`FieldContext.combination_product` normalizes each output term once.  Its
+sums prune through `_add_into`, and the linear maps (coproduct, antipode,
+reassociator, zigzags) accumulate through `_axpy`.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
-from functools import reduce
-from operator import mul
 
-from .cyclo import Combination, Scalar, _add_into
+from .cyclo import Combination, Scalar, _add_into, _axpy
 from .errors import ContextMismatchError, InvalidArgumentError
 from .qgroup import AlgebraContext, AlgebraElement, MonKey
 from .report import CheckReport, Counterexamples, verifier
@@ -55,16 +57,21 @@ class TensorElement(Combination):
             return InvalidArgumentError("tensor elements with different leg counts")
         return None
 
-    def _basis_product(self):
-        """Leg by leg: the monomial products of the m legs, tensored."""
-        mono_mul = self.ctx.mono_mul
-        legs = range(self.legs)
+    def _field(self):
+        return self.ctx.field
 
-        def product(key1: tuple, key2: tuple):
-            parts = [mono_mul(key1[l], key2[l]) for l in legs]
-            for combo in itertools.product(*parts):
-                keys, coeffs = zip(*combo)
-                yield keys, reduce(mul, coeffs)
+    def _basis_product(self):
+        """Leg by leg: the monomial products of the m legs, tensored.  The
+        exponents e of the legs' constants (key, e, v) add as ints and
+        their factors v concatenate, so no Scalar is built."""
+        mono_mul = self.ctx.mono_mul
+
+        def product(key1: tuple, key2: tuple) -> list:
+            parts = [mono_mul(k1, k2) for k1, k2 in zip(key1, key2)]
+            out = [((key,), e, v) for key, e, v in parts[0]]
+            for part in parts[1:]:
+                out = [(keys + (key,), e + f, v + w) for keys, e, v in out for key, f, w in part]
+            return out
 
         return product
 
@@ -154,10 +161,10 @@ class QuasiHopfData:
         return out
 
     def delta(self, x: AlgebraElement) -> TensorElement:
-        out = TensorElement(self.actx, 2, {})
+        acc: dict[tuple, Scalar] = {}
         for key, s in x.terms.items():
-            out = out + self.delta_mono(key).scale(s)
-        return out
+            _axpy(acc, self.delta_mono(key).terms, s)
+        return TensorElement(self.actx, 2, acc)
 
     def counit(self, x: AlgebraElement) -> Scalar:
         f = self.actx.field
@@ -181,10 +188,10 @@ class QuasiHopfData:
         return out
 
     def antipode(self, x: AlgebraElement) -> AlgebraElement:
-        out = self.actx.zero_elem
+        acc: dict[MonKey, Scalar] = {}
         for key, s in x.terms.items():
-            out = out + self.antipode_mono(key).scale(s)
-        return out
+            _axpy(acc, self.antipode_mono(key).terms, s)
+        return AlgebraElement(self.actx, acc)
 
     def phi(self) -> TensorElement:
         return self.actx.cached(("phi",), lambda: self._build_phi(-1))
@@ -196,15 +203,16 @@ class QuasiHopfData:
         actx = self.actx
         f = actx.field
         n = actx.n
-        out = TensorElement(actx, 3, {})
+        acc: dict[tuple, Scalar] = {}
         for i in range(n):
             for j in range(n):
                 for k in range(n):
                     coeff = f.qbarpow(sign * i * ((j + k) // n))
-                    out = out + tensor_of(
+                    piece = tensor_of(
                         actx.idempotent_1(i), actx.idempotent_1(j), actx.idempotent_1(k)
-                    ).scale(coeff)
-        return out
+                    )
+                    _axpy(acc, piece.terms, coeff)
+        return TensorElement(actx, 3, acc)
 
     # -- leg maps ------------------------------------------------------------
 
@@ -231,13 +239,14 @@ class QuasiHopfData:
         coproduct terms of x, from one walk over D(x)."""
         actx = self.actx
         one = actx.field.one
-        left = right = actx.zero_elem
+        left: dict[MonKey, Scalar] = {}
+        right: dict[MonKey, Scalar] = {}
         for (ka, kb), s in self.delta(x).terms.items():
             xa = AlgebraElement(actx, {ka: one})
             xb = AlgebraElement(actx, {kb: one})
-            left = left + (self.antipode_mono(ka) * self.alpha_elem * xb).scale(s)
-            right = right + (xa * self.beta_elem * self.antipode_mono(kb)).scale(s)
-        return left, right
+            _axpy(left, (self.antipode_mono(ka) * self.alpha_elem * xb).terms, s)
+            _axpy(right, (xa * self.beta_elem * self.antipode_mono(kb)).terms, s)
+        return AlgebraElement(actx, left), AlgebraElement(actx, right)
 
     # -- verification ------------------------------------------------------------
 
@@ -412,7 +421,7 @@ class QuasiHopfData:
             ok = right == self.beta_elem.scale(eps_x)
             yield None if ok else f"right zigzag at monomial {key}"
         # Reassociator zigzags.
-        acc = actx.zero_elem
+        acc: dict[MonKey, Scalar] = {}
         for (k1, k2, k3), s in self.phi().terms.items():
             piece = (
                 AlgebraElement(actx, {k1: f.one})
@@ -421,9 +430,9 @@ class QuasiHopfData:
                 * self.alpha_elem
                 * AlgebraElement(actx, {k3: f.one})
             )
-            acc = acc + piece.scale(s)
-        yield None if acc == one else "reassociator zigzag"
-        acc = actx.zero_elem
+            _axpy(acc, piece.terms, s)
+        yield None if AlgebraElement(actx, acc) == one else "reassociator zigzag"
+        acc = {}
         for (k1, k2, k3), s in self.phi_inv().terms.items():
             piece = (
                 self.antipode_mono(k1)
@@ -432,8 +441,8 @@ class QuasiHopfData:
                 * self.beta_elem
                 * self.antipode_mono(k3)
             )
-            acc = acc + piece.scale(s)
-        yield None if acc == one else "inverse reassociator zigzag"
+            _axpy(acc, piece.terms, s)
+        yield None if AlgebraElement(actx, acc) == one else "inverse reassociator zigzag"
 
     @verifier("coproduct preserves the height grading")
     def verify_grading(self, seed: int = 0) -> Counterexamples:

@@ -21,7 +21,7 @@ from uqsl2.errors import (
 )
 from uqsl2.k0ring import K0Element, pres_g, pres_one, pres_x, simple_class
 from uqsl2.qgroup import AlgebraContext, AlgebraElement
-from uqsl2.quasihopf import TensorElement, tensor_of
+from uqsl2.quasihopf import TensorElement, tensor_of, unit_tensor
 
 
 def test_cyclotomic_polynomials_small():
@@ -327,6 +327,7 @@ def _combination_cases(actx, other):
 
 @pytest.mark.parametrize("space", ["u", "u(x)u", "K0", "Z[g,x]"])
 def test_combination_laws(actx, space):
+    f = actx.field
     x, zero, foreign = _combination_cases(actx, AlgebraContext(4))[space]
     assert x.terms and all(x.terms.values())
     assert (x + (-x)).terms == {}
@@ -335,6 +336,10 @@ def test_combination_laws(actx, space):
     y = (x + x) - x
     assert y == x and hash(y) == hash(x) and y is not x
     assert x * x == x * y
+    assert 2 * x == x + x == x * 2
+    if space in ("u", "u(x)u"):
+        assert f.q * x == x.scale(f.q) == x * f.q
+    assert f.q * 2 == f.from_int(2) * f.q == 2 * f.q
     for alien, error in foreign:
         assert alien.terms == x.terms
         assert x != alien and alien != x
@@ -342,3 +347,149 @@ def test_combination_laws(actx, space):
             x + alien
         with pytest.raises(error):
             x * alien
+
+
+def test_scalar_operands():
+    """An int operand is lifted into the field; a Scalar of another field
+    raises; any other type is left to the other operand."""
+    f, g = make_context(4), make_context(4)
+    assert 2 + f.q == f.q + 2 == f.from_int(2) + f.q
+    assert 1 - f.q == f.one - f.q and f.q - 1 == f.q - f.one
+    assert f.q * 0 == 0 * f.q == f.zero
+    assert sum([f.q, f.q, f.one]) == f.q + f.q + f.one
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(ContextMismatchError):
+            op(f.q, g.q)
+        with pytest.raises(TypeError):
+            op(f.q, "2")
+        with pytest.raises(TypeError):
+            op("2", f.q)
+    assert f.q.__mul__(1.5) is NotImplemented
+
+
+# Denominators of the random coefficients that the product kernel clears.
+KERNEL_DENS = (1, 2, 3, 7, 8)
+
+
+def _reference_product(f, terms1, terms2, product):
+    """The product term by term in Scalars, each structure constant
+    (key, e, v) built as q^e * prod(v): the loop the kernel replaces."""
+    acc = {}
+    factors = {}
+    for k1, s1 in terms1.items():
+        for k2, s2 in terms2.items():
+            for key, e, v in product(k1, k2):
+                t = s1 * s2 * f.qpow(e)
+                for vec in v:
+                    if vec not in factors:
+                        factors[vec] = f.from_coeffs(vec)
+                    t = t * factors[vec]
+                acc[key] = acc[key] + t if key in acc else t
+    return {key: s for key, s in acc.items() if s}
+
+
+def _assert_kernel_matches(f, x, y, product):
+    want = _reference_product(f, x.terms, y.terms, product)
+    got = f.combination_product(x.terms, y.terms, product)
+    assert got == want
+    assert all(got.values())
+    assert {k: (s.num, s.den) for k, s in got.items()} == {k: (s.num, s.den) for k, s in want.items()}
+    assert (x * y).terms == want
+
+
+def _random_coeff(f, rng, pool):
+    """A signed power of q, a small integer or a dense scalar, over a
+    denominator from KERNEL_DENS; a value already drawn comes back often,
+    so the kernel's grouping by value has repeats to group."""
+    if pool and rng.random() < 0.4:
+        return rng.choice(pool)
+    while True:
+        kind = rng.randrange(3)
+        if kind == 0:
+            s = f.qpow(rng.randrange(f.N))
+        elif kind == 1:
+            s = f.from_int(rng.choice((-3, -2, -1, 1, 2, 5)))
+        else:
+            s = f.from_coeffs([rng.randint(-4, 4) for _ in range(f.degree)])
+        s = s * f.from_fraction(Fraction(1, rng.choice(KERNEL_DENS)))
+        if s:
+            pool.append(s)
+            return s
+
+
+def _random_mono(actx, rng, top):
+    """A PBW key whose E and F exponents are small or near n^2 - 1, where
+    products truncate."""
+    exps = (0, 1, 2, 3) + ((actx.N - 2, actx.N - 1) if top else ())
+    return (rng.choice(exps), rng.randrange(2), rng.randrange(actx.half), rng.choice(exps))
+
+
+def _random_elem(actx, rng, pool, top=True):
+    f = actx.field
+    return AlgebraElement(actx, {
+        _random_mono(actx, rng, top): _random_coeff(f, rng, pool) for _ in range(rng.randint(1, 6))
+    })
+
+
+def _random_tensor(actx, rng, pool, legs):
+    f = actx.field
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        key = tuple(_random_mono(actx, rng, True) for _ in range(legs))
+        terms[key] = _random_coeff(f, rng, pool)
+    return TensorElement(actx, legs, terms)
+
+
+def test_product_kernel_matches_reference(actx, qh):
+    f = actx.field
+    rng = random.Random(15)
+    pool = []
+    for _ in range(120):
+        x, y = _random_elem(actx, rng, pool), _random_elem(actx, rng, pool)
+        _assert_kernel_matches(f, x, y, actx.mono_mul)
+    big = AlgebraContext(8)
+    pool8 = []
+    for _ in range(8):
+        x, y = _random_elem(big, rng, pool8, top=False), _random_elem(big, rng, pool8, top=False)
+        _assert_kernel_matches(big.field, x, y, big.mono_mul)
+    for legs in (2, 3):
+        for _ in range(20):
+            x, y = _random_tensor(actx, rng, pool, legs), _random_tensor(actx, rng, pool, legs)
+            _assert_kernel_matches(f, x, y, x._basis_product())
+    phi = qh.phi()
+    for _ in range(4):
+        x = _random_tensor(actx, rng, pool, 3)
+        _assert_kernel_matches(f, phi, x, x._basis_product())
+        _assert_kernel_matches(f, x, phi, x._basis_product())
+    # orthogonal idempotents: nonzero factors whose product cancels to zero
+    i0, i1 = actx.idempotent_1(0), actx.idempotent_1(1)
+    assert (i0 * i1).terms == {} and (i1 * i0).terms == {}
+    assert f.combination_product(i0.terms, i1.terms, actx.mono_mul) == {}
+    one = actx.one_elem
+    assert (tensor_of(i0, one) * tensor_of(i1, one)).terms == {}
+    assert (phi * qh.phi_inv()).terms == unit_tensor(actx, 3).terms
+
+
+def test_product_kernel_general_cyclotomic():
+    """n = 12: Phi_144 is not x^72 + 1, so q^e goes through the general
+    product; the toy constants include non-units and exponents e at and
+    above the degree 48 and above N."""
+    f = make_context(12)
+    assert not f._fold
+    big, other = f.from_coeffs([1, 1]), f.from_coeffs([2, 0, -1, 3])
+    assert f.degree == 48 and big.num not in f._unit_shift
+
+    def toy(k1, k2):
+        return [
+            ((k1 + k2) % 5, (7 * k1 + 11 * k2) % 48, ()),
+            ((k1 * k2) % 5, 48 + 13 * k1, (big.num,)),
+            ((k1 - k2) % 5, 100 + 30 * k2, (big.num, other.num)),
+        ]
+
+    rng = random.Random(12)
+    pool = []
+    for _ in range(6):
+        x = {k: _random_coeff(f, rng, pool) for k in rng.sample(range(5), 3)}
+        y = {k: _random_coeff(f, rng, pool) for k in rng.sample(range(5), 3)}
+        got = f.combination_product(x, y, toy)
+        assert got == _reference_product(f, x, y, toy) and all(got.values())

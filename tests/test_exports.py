@@ -2,8 +2,10 @@
 state of its own, only the verifier runner builds a CheckReport, mod-p
 arithmetic stays inside the one certificate that uses it, only the fields'
 sparse kernels prune a cancelled entry from a sparse vector (`_add_into`
-for the Scalar and int sums of every `Combination` too), one Hom solver
-builds a BlockKernel, only `AlgebraContext.cached` touches the memo, and the
+for the Scalar and int sums of every `Combination` too, and
+`FieldContext.combination_product` for the products of Scalar ones), only
+cyclo calls the integer product and normalization of Q(zeta_N), one Hom
+solver builds a BlockKernel, only `AlgebraContext.cached` touches the memo, and the
 command line has one output path (`test_cli_has_one_output_path`: only
 `cli._render` dumps JSON or builds a CSV writer, only `cli.main` writes to
 stdout or opens the `--out` file)."""
@@ -108,8 +110,10 @@ def test_residue_field_stays_in_the_cover_certificate():
 
 
 # The functions that add into a sparse vector and drop what cancels: the
-# exact kernel over Q(zeta_N) and the int kernel over F_p.
-KERNEL = {("cyclo.py", "_add_into"), ("cyclo.py", "_axpy"), ("cyclo.py", "ResidueField.axpy")}
+# exact kernels over Q(zeta_N), the product of two Scalar combinations
+# among them, and the int kernel over F_p.
+KERNEL = {("cyclo.py", "_add_into"), ("cyclo.py", "_axpy"),
+          ("cyclo.py", "FieldContext.combination_product"), ("cyclo.py", "ResidueField.axpy")}
 
 
 def _is_mod(node: ast.AST) -> bool:
@@ -206,6 +210,38 @@ def test_only_the_kernel_prunes_sparse_vectors():
               "    else:\n"
               "        residual.pop(cell, None)\n")
     assert _pruning_branches(ast.parse(mutant)) == [("peel", 3)]
+
+
+# The integer product and the normalization of Q(zeta_N).  Only cyclo names
+# them, so every product of Scalar coefficients runs through the field's
+# kernels and no module grows a second product loop.
+FIELD_INTERNALS = frozenset({"_negacyclic_mul", "_mul_num", "_make"})
+
+
+def _internal_uses(source: str) -> list[tuple[str, int]]:
+    """(name, line) of every call to, or other reference of, a field
+    internal: an alias such as `mul = f._mul_num` counts too."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if name in FIELD_INTERNALS:
+            out.append((name, node.lineno))
+    return sorted(out, key=lambda use: use[1])
+
+
+def test_field_products_stay_in_cyclo():
+    package = pathlib.Path(uqsl2.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        uses = _internal_uses(path.read_text(encoding="utf-8"))
+        if path.name == "cyclo.py":
+            assert {name for name, _ in uses} == FIELD_INTERNALS
+        else:
+            assert not uses, f"{path.name}: {uses}"
+    # a Scalar product written out by hand in another module is caught
+    mutant = ("def times(f, a, b):\n"
+              "    mul = f._mul_num\n"
+              "    return f._make(mul(a.num, b.num), a.den * b.den)\n")
+    assert [name for name, _ in _internal_uses(mutant)] == ["_mul_num", "_make"]
 
 
 def _constructors(tree: ast.AST, name: str) -> list[str]:
