@@ -66,9 +66,6 @@ class Echelon:
         self.pivot_rows[col] = rem
         return True
 
-    def contains(self, row: Row) -> bool:
-        return not self.reduce(row)
-
 
 class BlockKernel:
     """Kernel of a sparse system whose variables split into groups that no

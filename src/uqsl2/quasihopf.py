@@ -25,7 +25,10 @@ structure constants (key, e, v) add as ints and their factors v
 concatenate, so no Scalar is built inside a product, and
 `FieldContext.combination_product` normalizes each output term once.  Its
 sums prune through `_add_into`, and the linear maps (coproduct, antipode,
-reassociator, zigzags) accumulate through `_axpy`.
+reassociator) accumulate through `_axpy`.  The zigzags put each coproduct
+or reassociator coefficient into a one-term factor of their product, where
+the kernel groups it with equal values, and add the product's terms as they
+are.
 """
 
 from __future__ import annotations
@@ -238,14 +241,15 @@ class QuasiHopfData:
         """(sum S(x_(1)) alpha x_(2), sum x_(1) beta S(x_(2))) over the
         coproduct terms of x, from one walk over D(x)."""
         actx = self.actx
-        one = actx.field.one
         left: dict[MonKey, Scalar] = {}
         right: dict[MonKey, Scalar] = {}
         for (ka, kb), s in self.delta(x).terms.items():
-            xa = AlgebraElement(actx, {ka: one})
-            xb = AlgebraElement(actx, {kb: one})
-            _axpy(left, (self.antipode_mono(ka) * self.alpha_elem * xb).terms, s)
-            _axpy(right, (xa * self.beta_elem * self.antipode_mono(kb)).terms, s)
+            xa = AlgebraElement(actx, {ka: s})
+            xb = AlgebraElement(actx, {kb: s})
+            for key, v in (self.antipode_mono(ka) * self.alpha_elem * xb).terms.items():
+                _add_into(left, key, v)
+            for key, v in (xa * self.beta_elem * self.antipode_mono(kb)).terms.items():
+                _add_into(right, key, v)
         return AlgebraElement(actx, left), AlgebraElement(actx, right)
 
     # -- verification ------------------------------------------------------------
@@ -424,24 +428,26 @@ class QuasiHopfData:
         acc: dict[MonKey, Scalar] = {}
         for (k1, k2, k3), s in self.phi().terms.items():
             piece = (
-                AlgebraElement(actx, {k1: f.one})
+                AlgebraElement(actx, {k1: s})
                 * self.beta_elem
                 * self.antipode_mono(k2)
                 * self.alpha_elem
                 * AlgebraElement(actx, {k3: f.one})
             )
-            _axpy(acc, piece.terms, s)
+            for key, v in piece.terms.items():
+                _add_into(acc, key, v)
         yield None if AlgebraElement(actx, acc) == one else "reassociator zigzag"
         acc = {}
         for (k1, k2, k3), s in self.phi_inv().terms.items():
             piece = (
                 self.antipode_mono(k1)
                 * self.alpha_elem
-                * AlgebraElement(actx, {k2: f.one})
+                * AlgebraElement(actx, {k2: s})
                 * self.beta_elem
                 * self.antipode_mono(k3)
             )
-            _axpy(acc, piece.terms, s)
+            for key, v in piece.terms.items():
+                _add_into(acc, key, v)
         yield None if AlgebraElement(actx, acc) == one else "inverse reassociator zigzag"
 
     @verifier("coproduct preserves the height grading")

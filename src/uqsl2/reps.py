@@ -206,7 +206,19 @@ class Representation:
 
     @verifier(lambda self: f"defining relations hold on {self.label} (dim {self.dim})")
     def check_relations(self) -> Counterexamples:
-        """Verify every defining relation of u on this module."""
+        """Verify every defining relation of u on this module.
+
+        E^{n^2} = 0 and F^{n^2} = 0 are decided per basis vector c with a
+        certificate that can only fail safe.  `_walk_bounds` gives the length
+        of the longest path leaving c in the map's support graph, with an
+        arrow c -> r for every stored entry (r, c).  Because column c lists
+        every row where the map may be nonzero, E^k e_c lies in the span of
+        the basis vectors that walks of exactly k arrows from c reach.  So
+        when no walk of n^2 arrows leaves c, E^{n^2} e_c = 0 without any
+        arithmetic.  A stored zero only adds arrows, and so can only raise
+        the bound.  A vector that reaches a cycle or a path of n^2 arrows
+        runs the exact chain, which yields the same counterexample string.
+        """
         f = self.field
         ctx = self.ctx
         n, N = ctx.n, ctx.N
@@ -225,8 +237,13 @@ class Representation:
                     yield None if ok else (
                         f"{nm} entry ({r},{c}) breaks the group conjugation rule"
                     )
+        walks = ((_walk_bounds(self.E, self.dim, N), self.apply_E, "E"),
+                 (_walk_bounds(self.F, self.dim, N), self.apply_F, "F"))
         for c in range(self.dim):
-            for apply, nm in ((self.apply_E, "E"), (self.apply_F, "F")):
+            for bound, apply, nm in walks:
+                if bound[c] < N:
+                    yield None
+                    continue
                 v: Col = {c: f.one}
                 for _ in range(N):
                     v = apply(v)
@@ -251,6 +268,38 @@ class Representation:
                         yield None if self.grades[r] - self.grades[c] == step else (
                             f"{nm} entry ({r},{c}) is not homogeneous of degree {step}"
                         )
+
+
+def _walk_bounds(mp: SparseMap, dim: int, cap: int) -> list[int]:
+    """For each basis vector c < dim, the length of the longest path leaving
+    c in the support graph of mp, capped at `cap`; a vector that reaches a
+    cycle gets `cap`.
+
+    The graph has an arrow c -> r for every stored entry (r, c), so only the
+    keys of mp are read and the coefficients' field does not matter.  A
+    vector's bound is final once all its successors' are: sinks start a
+    queue, and each vector enters it when its last successor is settled.  A
+    vector never settled has a successor never settled, so in a finite graph
+    it reaches a cycle.  No recursion, so depth is not limited by the stack.
+    """
+    preds: dict[int, list[int]] = {}
+    pending: dict[int, int] = {}
+    for c, col in mp.items():
+        pending[c] = len(col)
+        for r in col:
+            preds.setdefault(r, []).append(c)
+    depth: dict[int, int] = {}
+    ready = [r for r in preds if not pending.get(r)]
+    while ready:
+        r = ready.pop()
+        up = depth.get(r, 0) + 1
+        for c in preds.get(r, ()):
+            if depth.get(c, 0) < up:
+                depth[c] = up
+            pending[c] -= 1
+            if not pending[c]:
+                ready.append(c)
+    return [cap if pending.get(c) else min(depth.get(c, 0), cap) for c in range(dim)]
 
 
 # -- the E-chain ---------------------------------------------------------------
@@ -1214,6 +1263,11 @@ def verify_family_constructors(ctx: AlgebraContext) -> Counterexamples:
 
 
 def rep_to_dict(M: Representation) -> dict:
+    """The module as a JSON-ready dict, entries written as exact scalars; a
+    module made by `mod_p` has no such entries and is refused."""
+    if M.field is not M.ctx.field:
+        raise ContextMismatchError("serialization needs a module over the exact field")
+
     def mat_dict(mp: SparseMap):
         return {str(c): {str(r): scalar_to_str(s) for r, s in sorted(col.items())}
                 for c, col in sorted(mp.items())}

@@ -293,6 +293,45 @@ def test_relation_checker_catches_perturbations(actx):
         reps.Representation(actx, "offset", bad_kexp, S.khatexp, S.E, S.F, None)
 
 
+def test_walk_bounds():
+    """Longest path leaving each vertex of a support graph, capped; a vertex
+    that reaches a cycle gets the cap."""
+    chain = {c: {c + 1: 1} for c in range(5)}
+    assert reps._walk_bounds(chain, 6, 16) == [5, 4, 3, 2, 1, 0]
+    assert reps._walk_bounds(chain, 6, 3) == [3, 3, 3, 2, 1, 0]
+    # 0 -> 1 -> 3 -> 4 and 0 -> 2 -> 4, plus 5 -> 2 and an isolated 6
+    dag = {0: {1: 1, 2: 1}, 1: {3: 1}, 2: {4: 1}, 3: {4: 1}, 5: {2: 1}}
+    assert reps._walk_bounds(dag, 7, 16) == [3, 2, 1, 1, 0, 2, 0]
+    # 0 -> 1 -> 2 -> 0, entered from 3; 4 hangs off the cycle, 5 loops on itself
+    cycle = {0: {1: 1, 4: 1}, 1: {2: 1}, 2: {0: 1}, 3: {0: 1}, 5: {5: 1}}
+    assert reps._walk_bounds(cycle, 6, 16) == [16, 16, 16, 16, 0, 16]
+
+
+def test_relation_checker_walks_cycles_exactly(actx):
+    """A vector on a cycle of E arrows cannot be certified by the path bound,
+    so it runs the exact chain and the nilpotency failure is reported."""
+    f = actx.field
+    E = {c: {(c + 1) % 8: f.one} for c in range(8)}
+    M = reps.Representation(actx, "8-cycle", [4 * c for c in range(8)],
+                            [2 * c for c in range(8)], E, {})
+    assert reps._walk_bounds(M.E, M.dim, actx.N) == [actx.N] * 8
+    rep = M.check_relations()
+    assert not rep.passed
+    assert rep.counterexample == "E^(n^2) does not vanish on vector 0"
+    # 16 group instances, 8 conjugation instances, then the failing chain
+    assert rep.instances == 25
+
+
+def test_relation_checker_exact_fallback_on_a_tensor(actx):
+    """In S(2,0) (x) S(2,0) some vectors start walks of n^2 arrows, so their
+    E- and F-chains run exactly, and the module still passes."""
+    T = tensor(simple(actx, 2, 0), simple(actx, 2, 0))
+    for mp in (T.E, T.F):
+        assert max(reps._walk_bounds(mp, T.dim, actx.N)) == actx.N
+    rep = T.check_relations()
+    assert rep.passed, rep.counterexample
+
+
 def test_block_structure(actx):
     report = verify_block_structure(actx)
     assert report.passed, report.counterexample
@@ -386,13 +425,14 @@ def test_residue_module_runs_the_residue_kernel(actx):
 
 
 def test_hom_refuses_residue_modules(actx):
-    """The Hom solver sums through the exact kernel, so a module made by
-    `mod_p` is refused with a typed error rather than solved over
-    unreduced ints."""
+    """The Hom solver sums through the exact kernel and serialization
+    writes exact scalars, so a module made by `mod_p` is refused with a
+    typed error rather than solved or written as unreduced ints."""
     S = simple(actx, 3, 1)
     R = S.mod_p()
     for call in (lambda: hom_space(R, R), lambda: iso_test(R, R),
-                 lambda: syzygy(R), lambda: cosyzygy(R), lambda: hom_space(S, R)):
+                 lambda: syzygy(R), lambda: cosyzygy(R), lambda: hom_space(S, R),
+                 lambda: rep_to_dict(R)):
         with pytest.raises(ContextMismatchError):
             call()
 
