@@ -282,13 +282,14 @@ COMMANDS = {"verify": cmd_verify, "module": cmd_module, "tensor": cmd_tensor, "t
 
 def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, default=4, help="order parameter, multiple of 4")
+    common.add_argument("--n", type=int, default=4, help="order parameter, 4 or 8")
     common.add_argument(
         "--format", choices=("text", "json", "csv"), default="text", dest="fmt"
     )
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
-    common.add_argument("--slow", action="store_true", help="run exhaustive variants")
     common.add_argument("--out", help="write output to this file instead of stdout")
+    # --seed only on the commands that print it: verify and table.
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
 
     parser = argparse.ArgumentParser(
         prog="uqsl2",
@@ -297,8 +298,9 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"uqsl2 {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p = sub.add_parser("verify", parents=[common, seeded], help="run a verification suite")
     p.add_argument("--suite", choices=SUITES, default="all")
+    p.add_argument("--slow", action="store_true", help="run exhaustive variants")
 
     p = sub.add_parser("module", parents=[common], help="emit one module")
     p.add_argument("family", choices=list(FAMILIES))
@@ -312,7 +314,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.add_argument("--lambda", type=int, dest="lam")
 
-    p = sub.add_parser("table", parents=[common], help="export a multiplication table")
+    p = sub.add_parser("table", parents=[common, seeded], help="export a multiplication table")
     p.add_argument("kind", choices=TABLE_KINDS)
     return parser
 

@@ -1,19 +1,16 @@
-"""Exact arithmetic in the cyclotomic field Q(zeta_N), N = n^2.
+"""Exact arithmetic in the cyclotomic field Q(zeta_N), N = n^2, for n a
+power of two (the CLI takes 4 and 8).
 
-Scalars are coefficient vectors over the power basis 1, x, ..., x^(phi(N)-1)
-of Q[x]/(Phi_N), stored as an integer tuple with a single positive
-denominator and reduced eagerly.  The class of x is the canonical primitive
-N-th root of unity q; qbar = q^n is the canonical primitive n-th root.
-
-For n a power of two, Phi_N = x^m + 1 with m = N/2, and the hot path uses
-integers only:
-- reduction is a sign fold (negacyclic convolution);
+Then Phi_N = x^m + 1 with m = N/2.  Scalars are coefficient vectors over the
+power basis 1, x, ..., x^(m-1) of Q[x]/(x^m + 1), stored as an integer tuple
+with a single positive denominator and reduced eagerly.  The class of x is
+the canonical primitive N-th root of unity q; qbar = q^n is the canonical
+primitive n-th root.  All arithmetic uses integers only:
+- reduction is a sign fold (negacyclic convolution, `_negacyclic_mul`);
 - a factor +-x^k with denominator 1, a signed power of q, multiplies by a
   negacyclic shift that skips normalization (`Scalar.__mul__`);
 - the inverse is a norm tower down to a nonzero integer
   (`FieldContext.inverse`).
-For other n divisible by 4 a precomputed reduction table handles the
-general Phi_N, and the inverse runs the extended Euclid algorithm over Q.
 
 `FieldContext.residue_field()` gives the residue field F_p of one prime
 above p, with zeta sent to a primitive N-th root of unity omega in F_p.  Its
@@ -53,24 +50,6 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedParameterError,
 )
-
-
-def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (low-to-high coefficients)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        if c % den[-1]:
-            raise ArithmeticError("inexact polynomial division")
-        c //= den[-1]
-        out[k] = c
-        if c:
-            for i, d in enumerate(den):
-                num[k + i] -= c * d
-    if any(num):
-        raise ArithmeticError("nonzero remainder in polynomial division")
-    return out
 
 
 def _negacyclic_mul(a, b) -> list[int]:
@@ -120,17 +99,6 @@ def _norm_tower(a: list[int]) -> tuple[list[int], int]:
     p[0::2] = _negacyclic_mul(e, q)
     p[1::2] = [-v for v in _negacyclic_mul(o, q)]
     return p, r
-
-
-def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
-    """Coefficients (low to high, monic) of the cyclotomic polynomial Phi_order."""
-    if order < 1:
-        raise InvalidArgumentError(f"order must be positive, got {order}")
-    poly = [-1] + [0] * (order - 1) + [1]  # x^order - 1
-    for d in range(1, order):
-        if order % d == 0:
-            poly = _poly_divexact(poly, list(cyclotomic_polynomial(d)))
-    return tuple(poly)
 
 
 class Scalar:
@@ -201,9 +169,9 @@ class Scalar:
         to i + s and flips its sign each time it wraps past m.  That permutes
         the coordinates up to sign, so the integer content and the
         denominator stay as they are: the product is already normalized and
-        equals what `_make` would return.  `_unit_shift` is empty unless
-        Phi_N = x^m + 1, so other N always take the general path.  An int
-        is lifted by `_operand`; the one type test costs the shift path
+        equals what `_make` would return.  Any other pair of factors is
+        multiplied by `_negacyclic_mul` and normalized once.  An int is
+        lifted by `_operand`; the one type test costs the shift path
         nothing measurable.
         """
         ctx = self.ctx
@@ -217,7 +185,7 @@ class Scalar:
         if s is None:
             s = shift.get(self.num) if self.den == 1 else None
             if s is None:
-                return ctx._make(ctx._mul_num(self.num, other.num), self.den * other.den)
+                return ctx._make(_negacyclic_mul(self.num, other.num), self.den * other.den)
             moved = other
         a = moved.num
         m = len(a)
@@ -432,51 +400,35 @@ def _strip_content(ctx: "FieldContext", row: dict) -> dict:
 
 
 class FieldContext:
-    """Arithmetic context for Q(zeta_N) with N = n^2, 4 | n."""
+    """Arithmetic context for Q(zeta_N) with N = n^2, n a power of two (the
+    CLI takes 4 and 8), so that Phi_N = x^m + 1 with m = N/2."""
 
     def __init__(self, n: int):
-        if not isinstance(n, int) or n < 4 or n % 4 != 0:
+        if not isinstance(n, int) or n < 4 or n & (n - 1):
             raise UnsupportedParameterError(
-                f"n must be a positive multiple of 4, got {n!r}"
+                f"n must be a power of two, at least 4, got {n!r}"
             )
         self.n = n
         self.N = n * n
-        phi_poly = cyclotomic_polynomial(self.N)
-        self.degree = len(phi_poly) - 1
-        self.phi_poly = phi_poly
-        # Phi_N = x^(N/2) + 1 exactly when N is a power of two.
-        self._fold = (self.N & (self.N - 1)) == 0
-        if not self._fold:
-            # x^t mod Phi_N for degree <= t <= 2*degree - 2, as integer rows.
-            rows = []
-            cur = [-c for c in phi_poly[:-1]]  # x^degree
-            rows.append(tuple(cur))
-            for _ in range(self.degree - 2):
-                cur = [0] + cur
-                lead = cur.pop()
-                if lead:
-                    cur = [a - lead * c for a, c in zip(cur, phi_poly[:-1])]
-                rows.append(tuple(cur))
-            self._red_rows = rows
+        m = self.degree = self.N // 2
+        self.phi_poly = (1,) + (0,) * (m - 1) + (1,)
         # num of +-x^k -> s in [0, 2m) with +-x^k = x^s, for the shift path of
-        # Scalar.__mul__; empty when Phi_N is not x^m + 1.
+        # Scalar.__mul__.
         self._unit_shift: dict[tuple[int, ...], int] = {}
-        if self._fold:
-            m = self.degree
-            for k in range(m):
-                num = [0] * m
-                num[k] = 1
-                self._unit_shift[tuple(num)] = k
-                num[k] = -1
-                self._unit_shift[tuple(num)] = k + m
-        self.zero = Scalar(self, (0,) * self.degree, 1)
-        one = [0] * self.degree
+        for k in range(m):
+            num = [0] * m
+            num[k] = 1
+            self._unit_shift[tuple(num)] = k
+            num[k] = -1
+            self._unit_shift[tuple(num)] = k + m
+        self.zero = Scalar(self, (0,) * m, 1)
+        one = [0] * m
         one[0] = 1
         self.one = Scalar(self, tuple(one), 1)
         self._qpow: list[Scalar] = []
         for t in range(self.N):
-            if t < self.degree:
-                num = [0] * self.degree
+            if t < m:
+                num = [0] * m
                 num[t] = 1
                 self._qpow.append(Scalar(self, tuple(num), 1))
             else:
@@ -579,18 +531,16 @@ class FieldContext:
         product is formed per pair of distinct values, and only once some
         basis product of that pair is nonempty; when one of the two vectors
         is a signed power of q, the product is a shift of the other.  It is
-        multiplied by v only when v is not empty.  When Phi_N = x^m + 1,
-        q^e is a signed cyclic shift, a slice of the row r, -r, r; other N
-        multiply by q^e with `_mul_num`.  The contributions to one key add
-        into one int list,
-        normalized once by `_make(vec, L1 * L2)`.  Normalized form is
-        unique, so each term equals the sum of its Scalar products, and a
-        key whose sum is zero is dropped, as `_add_into` drops it.
+        multiplied by v only when v is not empty.  q^e is a signed cyclic
+        shift, a slice of the row r, -r, r.  The contributions to one key
+        add into one int list, normalized once by `_make(vec, L1 * L2)`.
+        Normalized form is unique, so each term equals the sum of its Scalar
+        products, and a key whose sum is zero is dropped, as `_add_into`
+        drops it.
         """
         groups1, den1 = self._integral_groups(terms1)
         groups2, den2 = self._integral_groups(terms2)
-        mul = self._mul_num
-        fold = self._fold
+        mul = _negacyclic_mul
         m = self.degree
         N = self.N
         acc: dict = {}
@@ -614,14 +564,10 @@ class FieldContext:
                                 row = base
                                 for factor in v:
                                     row = mul(row, factor)
-                                if fold:
-                                    row = [*row, *[-c for c in row], *row]
+                                row = [*row, *[-c for c in row], *row]
                                 rows[v] = row
-                            if fold:
-                                start = -(e + offset) % N
-                                term = row[start:start + m]
-                            else:
-                                term = mul(row, self._qpow[e % N].num)
+                            start = -(e + offset) % N
+                            term = row[start:start + m]
                             cur = acc.get(key)
                             if cur is None:
                                 acc[key] = term
@@ -655,94 +601,19 @@ class FieldContext:
 
     # -- core arithmetic ---------------------------------------------------
 
-    def _mul_num(self, a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-        if self._fold:
-            return _negacyclic_mul(a, b)
-        m = self.degree
-        tmp = [0] * (2 * m - 1)
-        for i in range(m):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(m):
-                bj = b[j]
-                if bj:
-                    tmp[i + j] += ai * bj
-        out = tmp[:m]
-        for t in range(m, 2 * m - 1):
-            c = tmp[t]
-            if c:
-                row = self._red_rows[t - m]
-                for i in range(m):
-                    r = row[i]
-                    if r:
-                        out[i] += c * r
-        return out
-
     def inverse(self, s: Scalar) -> Scalar:
         """The inverse of a nonzero scalar.
 
-        When Phi_N = x^m + 1 the norm tower (`_norm_tower`) gives an integer
-        vector p and a nonzero integer r with num * p = r, so
-        s^-1 = den * p / r, normalized once by `_make`.  Every scalar has one
-        normalized form (positive denominator, coprime to the content of
-        num), so the result equals the extended Euclid one coordinate by
-        coordinate.  Other N run `_euclid_inverse`.
+        The norm tower (`_norm_tower`) gives an integer vector p and a
+        nonzero integer r with num * p = r, so s^-1 = den * p / r, normalized
+        once by `_make`.  Every scalar has one normalized form (positive
+        denominator, coprime to the content of num), so the result equals
+        the extended Euclid one coordinate by coordinate.
         """
         if s.is_zero():
             raise DivisionByZeroError("inverse of zero in Q(zeta_N)")
-        if self._fold:
-            p, r = _norm_tower(list(s.num))
-            den = s.den
-            return self._make([den * c for c in p], r)
-        return self._euclid_inverse(s)
-
-    def _euclid_inverse(self, s: Scalar) -> Scalar:
-        """The inverse of a nonzero scalar by extended Euclid over Q against Phi_N."""
-
-        def trim(p: list[Fraction]) -> list[Fraction]:
-            while p and not p[-1]:
-                p.pop()
-            return p
-
-        def polymul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-            out = [Fraction(0)] * (len(p) + len(q) - 1) if p and q else []
-            for i, pi in enumerate(p):
-                if pi:
-                    for j, qj in enumerate(q):
-                        out[i + j] += pi * qj
-            return out
-
-        def polydivmod(p: list[Fraction], q: list[Fraction]):
-            quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-            rem = list(p)
-            for k in range(len(quot) - 1, -1, -1):
-                c = rem[k + len(q) - 1] / q[-1]
-                quot[k] = c
-                if c:
-                    for i, d in enumerate(q):
-                        rem[k + i] -= c * d
-            return quot, trim(rem)
-
-        # Extended Euclid against Phi_N: maintain u with u * s == r (mod Phi_N).
-        r0 = trim([Fraction(c) for c in self.phi_poly])
-        r1 = trim([Fraction(x, s.den) for x in s.num])
-        u0: list[Fraction] = []
-        u1: list[Fraction] = [Fraction(1)]
-        while len(r1) > 1:
-            quot, rem = polydivmod(r0, r1)
-            prod = polymul(quot, u1)
-            nxt = [
-                (u0[i] if i < len(u0) else Fraction(0))
-                - (prod[i] if i < len(prod) else Fraction(0))
-                for i in range(max(len(u0), len(prod)))
-            ]
-            r0, r1 = r1, rem
-            u0, u1 = u1, trim(nxt)
-            if not r1:
-                raise DivisionByZeroError("scalar is a zero divisor modulo Phi_N")
-        c = r1[0]
-        return self.from_coeffs([x / c for x in u1])
+        p, r = _norm_tower(list(s.num))
+        return self._make([s.den * c for c in p], r)
 
     def __repr__(self) -> str:
         return f"FieldContext(n={self.n})"
@@ -851,7 +722,8 @@ class ResidueField:
 
 
 def make_context(n: int) -> FieldContext:
-    """Build the arithmetic context for Q(zeta_{n^2}).  Requires 4 | n."""
+    """Build the arithmetic context for Q(zeta_{n^2}); n a power of two (the
+    CLI takes 4 and 8)."""
     return FieldContext(n)
 
 

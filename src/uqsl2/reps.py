@@ -82,6 +82,13 @@ class Representation:
         self.grades = None if grades is None else tuple(grades)
         if self.grades is not None and len(self.grades) != self.dim:
             raise RepresentationError("grade list length mismatch")
+        for name, mp in (("E", E), ("F", F)):
+            # the column and row indices of every stored entry
+            used = set(mp).union(*mp.values())
+            if used and (min(used) < 0 or max(used) >= self.dim):
+                raise RepresentationError(
+                    f"{name} has an entry outside the basis 0..{self.dim - 1}"
+                )
         self.label = label
         classes = []
         half_turn = (ctx.n // 2)

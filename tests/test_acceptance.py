@@ -83,7 +83,7 @@ def test_grothendieck_ring(actx, capsys):
     _gate("Grothendieck ring presentation and products", k0_reports(actx), 30, start, capsys)
 
 
-def test_table_determinism(capsys):
+def test_table_determinism(capsys, child_env):
     start = time.time()
 
     def run():
@@ -91,6 +91,7 @@ def test_table_determinism(capsys):
             [sys.executable, "-m", "uqsl2.cli", "table", "cg-ss", "--n", "4"],
             capture_output=True,
             text=True,
+            env=child_env,
         )
 
     outputs = [run(), run()]

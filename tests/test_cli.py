@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from uqsl2.cli import main
 from uqsl2.report import CheckReport
 
@@ -59,16 +61,34 @@ def test_size_bounds_are_checked_before_building(capsys, monkeypatch):
         assert bound in err, (argv, err)
 
 
-def test_removed_cache_flag_is_a_usage_error():
+def test_removed_cache_flag_is_a_usage_error(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "uqsl2.cli", "table", "k0", "--cache", "x"],
         capture_output=True,
         text=True,
+        env=child_env,
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "usage: uqsl2" in proc.stderr
     assert "unrecognized arguments: --cache x" in proc.stderr
+
+
+def test_flags_a_command_ignores_are_usage_errors(capsys):
+    """--slow belongs to verify alone and --seed to verify and table, the
+    commands that use and print them; any other command refuses them."""
+    for argv in (
+        ["module", "simple", "--i", "1", "--j", "0", "--slow"],
+        ["tensor", "simple:1,0", "simple:1,0", "--seed", "1"],
+        ["module", "simple", "--i", "1", "--j", "0", "--seed", "1"],
+        ["tensor", "simple:1,0", "simple:1,0", "--slow"],
+        ["table", "k0", "--slow"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2, argv
+        assert captured.out == "" and "unrecognized arguments" in captured.err, argv
 
 
 def test_module_text_output(capsys):
@@ -177,9 +197,12 @@ def test_table_json_shape(capsys):
     assert payload["rows"][0]["left"] == "P(2,0)"
 
 
-def test_console_script_entry():
+def test_console_script_entry(child_env):
     proc = subprocess.run(
-        [sys.executable, "-m", "uqsl2.cli", "--version"], capture_output=True, text=True
+        [sys.executable, "-m", "uqsl2.cli", "--version"],
+        capture_output=True,
+        text=True,
+        env=child_env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("uqsl2 ")

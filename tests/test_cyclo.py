@@ -1,5 +1,5 @@
-"""Field arithmetic in Q(zeta_16), the generic cyclotomic machinery, and the
-laws that every `Combination` (u, u(x)u, K0, Z[g,x]) shares."""
+"""Field arithmetic in Q(zeta_16) and Q(zeta_64), the integer kernels, and
+the laws that every `Combination` (u, u(x)u, K0, Z[g,x]) shares."""
 
 import random
 from fractions import Fraction
@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from uqsl2.cyclo import (
-    cyclotomic_polynomial,
+    _negacyclic_mul,
     make_context,
     qint,
     scalar_from_str,
@@ -24,21 +24,8 @@ from uqsl2.qgroup import AlgebraContext, AlgebraElement
 from uqsl2.quasihopf import TensorElement, tensor_of, unit_tensor
 
 
-def test_cyclotomic_polynomials_small():
-    assert cyclotomic_polynomial(1) == (-1, 1)
-    assert cyclotomic_polynomial(2) == (1, 1)
-    assert cyclotomic_polynomial(4) == (1, 0, 1)
-    assert cyclotomic_polynomial(16) == (1, 0, 0, 0, 0, 0, 0, 0, 1)
-    # Phi_12 = x^4 - x^2 + 1
-    assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
-    # Phi_36 = x^12 - x^6 + 1
-    phi36 = cyclotomic_polynomial(36)
-    assert len(phi36) == 13
-    assert phi36[0] == 1 and phi36[6] == -1 and phi36[12] == 1
-
-
 def test_context_rejects_bad_n():
-    for bad in (0, 2, 3, 6, -4, 7):
+    for bad in (0, 2, 3, 6, -4, 7, 12, 20, 24):
         with pytest.raises(UnsupportedParameterError):
             make_context(bad)
 
@@ -92,8 +79,9 @@ def test_inverse_random():
         assert a / a == ctx.one
 
 
-def test_residue_field_is_a_ring_map():
-    ctx = make_context(4)
+@pytest.mark.parametrize("n", [4, 8])
+def test_residue_field_is_a_ring_map(n):
+    ctx = make_context(n)
     assert ctx._residue_field is None  # built on first use only
     res = ctx.residue_field()
     assert ctx.residue_field() is res
@@ -108,7 +96,7 @@ def test_residue_field_is_a_ring_map():
 
     def rand_scalar():
         return ctx.from_coeffs(
-            [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(8)]
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(ctx.degree)]
         )
 
     for _ in range(40):
@@ -192,21 +180,6 @@ def test_scalars_hashable_and_normalized():
     assert (a + c).is_zero()
 
 
-def test_general_reduction_path_matches_fold():
-    # n = 12 is not a power of two, so N = 144 uses reduction rows.
-    ctx = make_context(12)
-    assert ctx.degree == 48
-    q = ctx.q
-    acc = ctx.one
-    for _ in range(144):
-        acc = acc * q
-    assert acc == ctx.one
-    half = ctx.qpow(72)
-    assert half == ctx.minus_one
-    a = ctx.qpow(100) + ctx.from_int(3)
-    assert a * a.inverse() == ctx.one
-
-
 def _seeded_scalars(ctx, rng, count):
     """Units, rationals, two-term and dense scalars, each drawn with and
     without denominators, in turn."""
@@ -236,40 +209,69 @@ def _seeded_scalars(ctx, rng, count):
     return out
 
 
+def _euclid_inverse(ctx, s):
+    """The inverse of a nonzero scalar by extended Euclid over Q against Phi_N."""
+
+    def trim(p: list[Fraction]) -> list[Fraction]:
+        while p and not p[-1]:
+            p.pop()
+        return p
+
+    def polymul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
+        out = [Fraction(0)] * (len(p) + len(q) - 1) if p and q else []
+        for i, pi in enumerate(p):
+            if pi:
+                for j, qj in enumerate(q):
+                    out[i + j] += pi * qj
+        return out
+
+    def polydivmod(p: list[Fraction], q: list[Fraction]):
+        quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+        rem = list(p)
+        for k in range(len(quot) - 1, -1, -1):
+            c = rem[k + len(q) - 1] / q[-1]
+            quot[k] = c
+            if c:
+                for i, d in enumerate(q):
+                    rem[k + i] -= c * d
+        return quot, trim(rem)
+
+    # Extended Euclid against Phi_N: maintain u with u * s == r (mod Phi_N).
+    r0 = trim([Fraction(c) for c in ctx.phi_poly])
+    r1 = trim([Fraction(x, s.den) for x in s.num])
+    u0: list[Fraction] = []
+    u1: list[Fraction] = [Fraction(1)]
+    while len(r1) > 1:
+        quot, rem = polydivmod(r0, r1)
+        prod = polymul(quot, u1)
+        nxt = [
+            (u0[i] if i < len(u0) else Fraction(0))
+            - (prod[i] if i < len(prod) else Fraction(0))
+            for i in range(max(len(u0), len(prod)))
+        ]
+        r0, r1 = r1, rem
+        u0, u1 = u1, trim(nxt)
+        if not r1:
+            raise DivisionByZeroError("scalar is a zero divisor modulo Phi_N")
+    c = r1[0]
+    return ctx.from_coeffs([x / c for x in u1])
+
+
 @pytest.mark.parametrize("n", [4, 8])
 def test_norm_tower_inverse_matches_euclid(n):
+    """The norm tower against extended Euclid over Q, the inverse it
+    replaced, as the oracle: the same normalized num, den and hash."""
     ctx = make_context(n)
-    assert ctx._fold  # Phi_N = x^(N/2) + 1: the norm tower runs
+    assert ctx.phi_poly == (1,) + (0,) * (ctx.degree - 1) + (1,)  # x^(N/2) + 1
     rng = random.Random(20 + n)
     for a in _seeded_scalars(ctx, rng, 200):
         inv = a.inverse()
-        euclid = ctx._euclid_inverse(a)
+        euclid = _euclid_inverse(ctx, a)
         assert (inv.num, inv.den) == (euclid.num, euclid.den)
         assert hash(inv) == hash(euclid)
         assert a * inv == ctx.one
     with pytest.raises(DivisionByZeroError):
         ctx.zero.inverse()
-
-
-def test_non_power_of_two_inverse_runs_euclid(monkeypatch):
-    ctx = make_context(12)
-    assert not ctx._fold
-    calls = []
-    euclid = ctx._euclid_inverse
-    monkeypatch.setattr(ctx, "_euclid_inverse", lambda s: calls.append(s) or euclid(s))
-    rng = random.Random(12)
-    for a in [ctx.qpow(100) + ctx.from_int(3)] + _seeded_scalars(ctx, rng, 4):
-        assert a * a.inverse() == ctx.one
-    assert len(calls) == 5
-    with pytest.raises(DivisionByZeroError):
-        ctx.zero.inverse()
-
-
-def _times_x(ctx, coeffs):
-    """coeffs * x modulo Phi_N, by one step of long division."""
-    lead = coeffs[-1]
-    shifted = [Fraction(0)] + coeffs[:-1]
-    return [c - lead * p for c, p in zip(shifted, ctx.phi_poly)]
 
 
 @pytest.mark.parametrize("n", [4, 8])
@@ -283,26 +285,10 @@ def test_shift_path_matches_general_product(n):
         unit = ctx.qpow(k)  # +x^k for k < m, -x^(k-m) above
         assert ctx._unit_shift[unit.num] == k and unit.den == 1
         for a in scalars:
-            want = ctx._make(ctx._mul_num(a.num, unit.num), a.den)
+            want = ctx._make(_negacyclic_mul(a.num, unit.num), a.den)
             for got in (a * unit, unit * a):
                 assert (got.num, got.den) == (want.num, want.den)
                 assert hash(got) == hash(want)
-
-
-def test_general_reduction_path_products_by_powers_of_q():
-    # n = 12: Phi_144 is not x^72 + 1, so no factor takes the shift path and
-    # each product by q^k must equal k steps of multiplication by x.
-    ctx = make_context(12)
-    assert ctx._unit_shift == {}
-    rng = random.Random(44)
-    for a in _seeded_scalars(ctx, rng, 8):
-        ref = list(a.to_fractions())
-        for k in range(ctx.N):
-            want = ctx.from_coeffs(ref)
-            unit = ctx.qpow(k)
-            assert a * unit == want and unit * a == want
-            ref = _times_x(ctx, ref)
-        assert ctx.from_coeffs(ref) == a  # q^N = 1
 
 
 def _combination_cases(actx, other):
@@ -470,25 +456,25 @@ def test_product_kernel_matches_reference(actx, qh):
     assert (phi * qh.phi_inv()).terms == unit_tensor(actx, 3).terms
 
 
-def test_product_kernel_general_cyclotomic():
-    """n = 12: Phi_144 is not x^72 + 1, so q^e goes through the general
-    product; the toy constants include non-units and exponents e at and
-    above the degree 48 and above N."""
-    f = make_context(12)
-    assert not f._fold
+def test_product_kernel_wraps_exponents():
+    """Toy structure constants with non-unit factors v and exponents e that
+    are negative, at and above the degree 8 and above N = 16, so that the
+    signed cyclic shift wraps in both directions."""
+    f = make_context(4)
     big, other = f.from_coeffs([1, 1]), f.from_coeffs([2, 0, -1, 3])
-    assert f.degree == 48 and big.num not in f._unit_shift
+    assert big.num not in f._unit_shift and other.num not in f._unit_shift
 
     def toy(k1, k2):
         return [
-            ((k1 + k2) % 5, (7 * k1 + 11 * k2) % 48, ()),
-            ((k1 * k2) % 5, 48 + 13 * k1, (big.num,)),
-            ((k1 - k2) % 5, 100 + 30 * k2, (big.num, other.num)),
+            ((k1 + k2) % 5, (7 * k1 + 11 * k2) % 8, ()),
+            ((k1 * k2) % 5, 8 + 13 * k1, (big.num,)),
+            ((k1 - k2) % 5, 20 + 30 * k2, (big.num, other.num)),
+            ((2 * k1 + k2) % 5, -3 - 5 * k1, (other.num,)),
         ]
 
     rng = random.Random(12)
     pool = []
-    for _ in range(6):
+    for _ in range(12):
         x = {k: _random_coeff(f, rng, pool) for k in rng.sample(range(5), 3)}
         y = {k: _random_coeff(f, rng, pool) for k in rng.sample(range(5), 3)}
         got = f.combination_product(x, y, toy)

@@ -293,6 +293,19 @@ def test_relation_checker_catches_perturbations(actx):
         reps.Representation(actx, "offset", bad_kexp, S.khatexp, S.E, S.F, None)
 
 
+def test_constructor_rejects_entries_outside_the_basis(actx):
+    """An E or F entry whose row or column is not a basis index is refused
+    when the module is built; `check_relations` would otherwise index past
+    the exponent tuples."""
+    one = actx.field.one
+    cases = [({0: {5: one}}, {}), ({}, {0: {2: one}}), ({2: {0: one}}, {}), ({}, {-1: {0: one}})]
+    for E, F in cases:
+        with pytest.raises(RepresentationError, match="outside the basis"):
+            reps.Representation(actx, "bad", [0, 4], [0, 2], E, F)
+    M = reps.Representation(actx, "ok", [0, 4], [0, 2], {0: {1: one}}, {})
+    assert M.E == {0: {1: one}}
+
+
 def test_walk_bounds():
     """Longest path leaving each vertex of a support graph, capped; a vertex
     that reaches a cycle gets the cap."""
