@@ -656,11 +656,13 @@ def _cover_certificate(
     The tops are first solved over the residue field F_p (`T.mod_p()`), by
     the same Hom solver.  This is a one-sided certificate:
 
-    - The Hom constraints over F_p are the reductions of the exact ones
-      (the tops are socles of the transpose, and transposing commutes with
-      reduction), and reduction mod p can only lower a rank, so each mod-p
-      Hom dimension is an upper bound on the exact one: true top <= mod-p
-      top, label by label.
+    - The solver returns the dimension of the kernel of the full Hom
+      system over its field, whatever order its stages solve the equations
+      in (see `hom_from_simple`).  Over F_p that system is the reduction of
+      the exact one (the tops are socles of the transpose, and transposing
+      commutes with reduction), and reduction mod p can only lower a rank,
+      so each mod-p Hom dimension is an upper bound on the exact one: true
+      top <= mod-p top, label by label.
     - Suppose the mod-p tops equal `want_top`, and the exact dimension check
       and the exact character-peeled composition counts pass.  A label
       outside the counts is no composition factor, so its true top is 0.

@@ -518,13 +518,16 @@ def _simple_chain_data(ctx: AlgebraContext, i: int, j: int):
 
 
 def _grade_blocks(M: Representation, rows) -> list[list[int]]:
-    """Positions in `rows` (basis vectors of M) grouped by grade, grades
-    ascending; an ungraded module is a single grade block.
+    """Positions in `rows` (basis vectors of M, each standing for its
+    grade) grouped by grade, grades ascending; an ungraded module is a
+    single grade block.
 
-    The Hom solver's constraint vectors are images of single basis columns
-    under fixed words in E and F, so when M is graded every constraint row
-    is grade-pure and its elimination splits into one small block per grade
-    of the variable cells; likewise the radical of a graded module is graded.
+    Each stage of the Hom solver constrains grade-pure vectors of M (basis
+    vectors, then combinations read off one grade block of the stage
+    before), through fixed words in E and F, so when M is graded every
+    constraint row is grade-pure and its elimination splits into one small
+    block per grade of the unknowns; likewise the radical of a graded
+    module is graded.
     """
     grades = M.grades if M.grades is not None else (0,) * M.dim
     by_g: dict[int, list[int]] = {}
@@ -570,56 +573,82 @@ def hom_from_simple(M: Representation, i: int, j: int, dim_only: bool = False):
 
     This is the one Hom solver against a simple; maps M -> S(2i,j) are read
     from Hom(S(2i,j), M^t) through `transpose`.
+
+    S(2i,j) has a lowest weight vector x_0 in the class chi0 of chain
+    coordinate 2i, with x_t = E^t x_0 for t = 0..d, E x_d = 0 and
+    F x_t = c_t x_{t-1} (c_t the F-coefficients of the chain, F x_0 = 0).
+    A map is fixed by v, the image of x_0, a vector of M in class chi0, and
+    v gives a map exactly when
+
+        (1) F v = 0,  (2) E^{d+1} v = 0,  (3) F E^t v = c_t E^{t-1} v, t = 1..d.
+
+    The unknowns are the coordinates of v on the class-chi0 basis vectors
+    of M, and the system is solved in three stages, each over the kernel
+    basis of the stage before it: K1 = ker (1); K2 = the vectors of K1 that
+    satisfy (2), with E-chains built only from K1's basis; K3 = the vectors
+    of K2 that satisfy (3), with the residuals formed only for K2's basis
+    from its chains.  Each stage restricts the space to the solutions of a
+    subset of the same linear equations, and each kernel is exact, so
+    K3 = ker (1, 2, 3) over M's field whatever E and F are: the stages need
+    no fallback and do not assume that M is a module.  When M is a
+    u-module, F v = 0 and FE - q^{-1}EF = 1 - k^{-1}khat give (3) on all
+    of ker (1), so stage 3 removes nothing; that is what makes the stages
+    cheap, not what makes them right.
+
+    Every stage solves over a grade-pure basis, one `BlockKernel` block per
+    grade (`_grade_blocks`).  `dim_only` returns dim K3; otherwise each
+    basis vector v of K3 gives the map x_t -> E^t v, as {t: column}.
     """
     _check_label(M.ctx, i, j)
     f = M.field
     d, classes, fc = _simple_chain_data(M.ctx, i, j)
-    chi0 = classes[0]
-    var_rows = M.class_indices().get(chi0, ())
+    # chains[k] = [v_k, E v_k, ...] over the basis v_k of the current stage;
+    # stage 1 starts from the class-chi0 basis vectors and needs no chain.
+    var_rows = M.class_indices().get(classes[0], ())
     if not var_rows:
         return 0 if dim_only else []
-    exprs = []  # each: list over vars of Col, all required to sum to zero
-    echains = {}  # r -> [E^s e_r for s = 0 .. d+1]
-    for r in var_rows:
-        chain = [{r: f.one}]
-        for _ in range(d + 1):
-            chain.append(M.apply_E(chain[-1]))
-        echains[r] = chain
-    exprs.append([M.F.get(r, {}) for r in var_rows])
-    exprs.append([echains[r][d + 1] for r in var_rows])
-    for t in range(1, d + 1):
-        coef = f.neg(f.image(fc[t]))
-        pieces = []
-        for r in var_rows:
-            vec = M.apply_F(echains[r][t])
-            f.axpy(vec, echains[r][t - 1], coef)
-            pieces.append(vec)
-        exprs.append(pieces)
-    kern = BlockKernel(f, _grade_blocks(M, var_rows))
-    for pieces in exprs:
-        coord_rows: dict[int, dict[int, Scalar]] = {}
-        for pos, vec in enumerate(pieces):
-            for rr, s in vec.items():
-                coord_rows.setdefault(rr, {})[pos] = s
-        for row in coord_rows.values():
+    chains = [[{r: f.one}] for r in var_rows]
+    coefs = [f.neg(f.image(c)) for c in fc]
+    for stage in range(3):
+        # no stage starts empty: an empty kernel saturates and returns below
+        if stage == 0:
+            pieces = [[M.F.get(r, {})] for r in var_rows]
+        elif stage == 1:
+            for ch in chains:
+                for _ in range(d + 1):
+                    ch.append(M.apply_E(ch[-1]))
+            pieces = [[ch.pop()] for ch in chains]
+        else:
+            pieces = []
+            for ch in chains:
+                res = []
+                for t in range(1, d + 1):
+                    vec = M.apply_F(ch[t])
+                    f.axpy(vec, ch[t - 1], coefs[t])
+                    res.append(vec)
+                pieces.append(res)
+        kern = BlockKernel(f, _grade_blocks(M, [next(iter(ch[0])) for ch in chains]))
+        # one row per (equation, coordinate of M), over positions in chains
+        rows: dict[tuple[int, int], dict[int, Scalar]] = {}
+        for pos, vecs in enumerate(pieces):
+            for t, vec in enumerate(vecs):
+                for rr, s in vec.items():
+                    rows.setdefault((t, rr), {})[pos] = s
+        for row in rows.values():
             kern.add(row)
-        if kern.saturated:
-            return 0 if dim_only else []
-    if dim_only:
-        return kern.dim()
-    mats = []
-    for sol in kern.basis():
-        mat: SparseMap = {}
-        for t in range(d + 1):
-            col: Col = {}
-            for pos, r in enumerate(var_rows):
-                cf = sol.get(pos)
-                if cf is not None:
-                    f.axpy(col, echains[r][t], cf)
-            if col:
-                mat[t] = col
-        mats.append(mat)
-    return mats
+            if kern.saturated:
+                return 0 if dim_only else []
+        if dim_only and stage == 2:
+            return kern.dim()
+        new = []
+        for sol in kern.basis():
+            ch = [{} for _ in chains[0]]
+            for pos, cf in sol.items():
+                for col, vec in zip(ch, chains[pos]):
+                    f.axpy(col, vec, cf)
+            new.append(ch)
+        chains = new
+    return [{t: col for t, col in enumerate(ch) if col} for ch in chains]
 
 
 def socle_multiplicities(
@@ -656,8 +685,9 @@ def radical(M: Representation) -> tuple[dict[tuple[int, int], int], list[Col]]:
     Nor do two labels share work: the solve for (i, j) has one unknown per
     vector of M^t in the class chi0 = ((-2i) mod n^2, j) of the lowest
     weight vector of S(2i,j), and 2i runs over distinct residues mod n^2,
-    so the start classes of different labels are disjoint, and the
-    E-chains one solve builds are never needed by another.
+    so the start classes of different labels are disjoint.  A solve builds
+    E-chains only from vectors of ker F in its own start class, and a chain
+    is fixed by its start vector, so no two labels build the same chain.
 
     Tops are nonzero counts keyed in label order, as `top_multiplicities`
     gives them.  The kernel is computed one grade block at a time (the

@@ -13,9 +13,11 @@ from uqsl2.errors import (
     InvalidArgumentError,
     RepresentationError,
 )
+from uqsl2.linalg import rank
 from uqsl2.moncat import tensor
 from uqsl2.reps import (
     all_labels,
+    compose_maps,
     cosyzygy,
     direct_sum,
     exps_from_class,
@@ -106,7 +108,15 @@ def _solver_sample(ctx):
     return out
 
 
+def _flat(M, maps):
+    """Maps into M as rows over (source column, row of M), for a rank."""
+    return [{c * M.dim + r: s for c, col in mp.items() for r, s in col.items()} for mp in maps]
+
+
 def test_one_solver_matches_hom_space(actx):
+    """The solver's dimensions match the brute-force `hom_space`, and so do
+    its maps: each commutes with E and F, and they span Hom(S, M)."""
+    f = actx.field
     simples = {lab: simple(actx, *lab) for lab in all_labels(actx)}
     for M in _solver_sample(actx):
         Mt = transpose(M)
@@ -116,12 +126,39 @@ def test_one_solver_matches_hom_space(actx):
             M.E, M.F, M.kexp, M.khatexp, M.grades
         ), M.label
         tops = {lab: len(hom_space(M, S)) for lab, S in simples.items()}
-        socles = {lab: len(hom_space(S, M)) for lab, S in simples.items()}
+        socles = {}
+        for lab, S in simples.items():
+            want = hom_space(S, M)
+            got = hom_from_simple(M, *lab)
+            for mp in got:
+                assert compose_maps(mp, S.E) == compose_maps(M.E, mp), (M.label, lab)
+                assert compose_maps(mp, S.F) == compose_maps(M.F, mp), (M.label, lab)
+            both = rank(f, _flat(M, got + want))
+            assert rank(f, _flat(M, got)) == both == len(want), (M.label, lab)
+            socles[lab] = len(want)
         assert top_multiplicities(M) == {k: v for k, v in tops.items() if v}, M.label
         assert socle_multiplicities(M) == {k: v for k, v in socles.items() if v}, M.label
         rad_tops, rows = radical(M)
         assert rad_tops == top_multiplicities(M), M.label
         assert len(rows) == M.dim - sum(m * simples[k].dim for k, m in rad_tops.items()), M.label
+
+
+def test_stage_three_of_the_solver_is_load_bearing(actx):
+    """A non-module whose lowest vector passes the first two stages of
+    `hom_from_simple` (F v = 0, E^{d+1} v = 0): only the F E^t v =
+    c_t E^{t-1} v equations rule it out, and the solver still does."""
+    S = simple(actx, 3, 0)
+    F = {c: dict(col) for c, col in S.F.items()}
+    F[2][1] = F[2][1] * 2  # F x_2 = 2 c_2 x_1, with c_2 != 0
+    B = reps.Representation(actx, "doubled", S.kexp, S.khatexp, S.E, F, S.grades)
+    assert not B.check_relations().passed
+    v = {0: actx.field.one}
+    assert B.apply_F(v) == {}
+    chain = v
+    for _ in range(S.dim):  # d + 1 steps
+        chain = B.apply_E(chain)
+    assert chain == {}
+    assert hom_from_simple(B, 3, 0, dim_only=True) == len(hom_space(S, B)) == 0
 
 
 def test_exps_from_class_roundtrip(actx):
