@@ -180,15 +180,14 @@ def build_module(
     if family not in FAMILIES:
         raise InvalidArgumentError(f"unknown family {family!r}")
     make, takes_l = FAMILIES[family]
+    for flag, value, takes in (("--l", l, takes_l), ("--lambda", lam, family == "T")):
+        if takes and value is None:
+            raise InvalidArgumentError(f"family {family} needs {flag}")
+        if not takes and value is not None:
+            raise InvalidArgumentError(f"family {family} does not take {flag}")
     if family == "T":
-        if l is None or lam is None:
-            raise InvalidArgumentError("family T needs --l and --lambda")
         return make(ctx, i, j, l, ctx.field.from_int(lam))
-    if not takes_l:
-        return make(ctx, i, j)
-    if l is None:
-        raise InvalidArgumentError(f"family {family} needs --l")
-    return make(ctx, i, j, l)
+    return make(ctx, i, j, l) if takes_l else make(ctx, i, j)
 
 
 def cmd_module(args: argparse.Namespace) -> tuple[int, str]:
@@ -227,10 +226,13 @@ def parse_label(ctx: AlgebraContext, text: str, lam: int | None) -> Representati
     if family not in FAMILIES or len(nums) != (3 if FAMILIES[family][1] else 2):
         raise InvalidArgumentError(f"label {text!r} has the wrong shape for family {family!r}")
     i, j, *l = nums
-    return build_module(ctx, family, i, j, l[0] if l else None, lam)
+    return build_module(ctx, family, i, j, l[0] if l else None, lam if family == "T" else None)
 
 
 def cmd_tensor(args: argparse.Namespace) -> tuple[int, str]:
+    families = {lab.partition(":")[0] for lab in (args.left, args.right)}
+    if args.lam is not None and "T" not in families:
+        raise InvalidArgumentError("--lambda is taken only with a family T label")
     ctx = AlgebraContext(args.n)
     left = parse_label(ctx, args.left, args.lam)
     right = parse_label(ctx, args.right, args.lam)
@@ -252,9 +254,7 @@ def cmd_tensor(args: argparse.Namespace) -> tuple[int, str]:
     else:
         text.append("hypothesis-violation:")
         text.extend(f"  {v}" for v in result.violations)
-    standard = all(
-        lab.partition(":")[0] in ("simple", "projective") for lab in (args.left, args.right)
-    )
+    standard = families <= {"simple", "projective"}
     fields = ["left", "right", "summand", "multiplicity"]
     return (1 if standard and not result.ok else 0), _render(args, payload, fields, rows, text)
 

@@ -9,9 +9,8 @@ ints reduced mod p.
 
 Elimination is against monic pivot rows, so reducing a row against the
 pivots inverts nothing.  `Echelon.add` inverts once per new pivot row whose
-leading entry is not 1, to make the row monic, and `SpanSolver.coords`
-inverts once per query; back-substitution in `nullspace_basis` divides by
-nothing, since every stored pivot is 1.
+leading entry is not 1, to make the row monic; back-substitution in
+`nullspace_basis` divides by nothing, since every stored pivot is 1.
 """
 
 from __future__ import annotations
@@ -132,51 +131,14 @@ def rank(ctx: FieldContext, rows) -> int:
     return ech.rank
 
 
-class SpanSolver:
-    """Reusable coordinate solver over a fixed independent spanning set.
-
-    Bookkeeping columns live at and above `top`, above every real column,
-    so elimination always pivots on real coordinates and the tag entries
-    just record the linear combination that produced each reduced row.  The
-    echelon is built once and queried many times.  Targets must be
-    supported on columns strictly below `top`.
-    """
-
-    def __init__(self, ctx: FieldContext, basis: list[Row], top: int):
-        self.ctx = ctx
-        self.k = len(basis)
-        self.top = top
-        self.ech = Echelon(ctx)
-        for i, b in enumerate(basis):
-            if b and max(b.keys()) >= top:
-                raise ValueError("basis entry reaches into tag columns")
-            lifted = dict(b)
-            lifted[top + i + 1] = ctx.one
-            self.ech.add(lifted)
-
-    def coords(self, target: Row):
-        """Coefficients of target in the basis, or None if outside the span."""
-        ctx = self.ctx
-        lifted = dict(target)
-        lifted[self.top] = ctx.one
-        rem = self.ech.reduce(lifted)
-        if any(c < self.top for c in rem):
-            return None
-        sigma = rem.get(self.top)
-        if sigma is None:
-            return None
-        tags = {c - self.top - 1: s for c, s in rem.items() if c > self.top}
-        coeffs: Row = {}
-        ctx.axpy(coeffs, tags, ctx.neg(ctx.inverse(sigma)))
-        return [coeffs.get(t, ctx.zero) for t in range(self.k)]
-
-
 def nullspace_basis(ctx: FieldContext, rows, ncols: int) -> list[Row]:
     """Basis of {x : row . x = 0 for every row}, x over columns 0..ncols-1.
 
-    One basis vector per free column, computed by back-substitution through
-    the pivot rows in decreasing column order.  Each pivot row is monic at
-    its pivot column, so x[col] = -(sum of row[c] * x[c] over c > col).
+    One basis vector per free column: it is 1 at that column and 0 at every
+    other free column (`reps.sub_rep` reads coordinates off these private
+    unit entries).  Each is computed by back-substitution through the pivot
+    rows in decreasing column order.  Each pivot row is monic at its pivot
+    column, so x[col] = -(sum of row[c] * x[c] over c > col).
     Those sums are gathered column by column: once x[c] is known, `axpy`
     adds x[c] times column c of the pivot rows to every pending sum.
     """

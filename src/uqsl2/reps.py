@@ -19,7 +19,7 @@ from .errors import (
     InvalidArgumentError,
     RepresentationError,
 )
-from .linalg import BlockKernel, Echelon, SpanSolver, nullspace_basis, rank
+from .linalg import BlockKernel, Echelon, nullspace_basis, rank
 from .qgroup import AlgebraContext, AlgebraElement
 from .report import Counterexamples, verifier
 
@@ -718,6 +718,14 @@ def radical(M: Representation) -> tuple[dict[tuple[int, int], int], list[Col]]:
 def sub_rep(M: Representation, vectors: list[Col], label: str) -> Representation:
     """The submodule spanned by class-pure vectors (must be E/F invariant).
 
+    Each vector must have a private unit coordinate: a column where it is 1
+    and every other vector is absent.  Unit vectors have one, and so does
+    every `nullspace_basis` output: each of its vectors is 1 at its own free
+    column and 0 at every other free column.  The coefficient of an image
+    on vector t is then the image's entry at t's private column, and the
+    image lies in the span exactly when subtracting that combination leaves
+    zero.  So no inverse is needed, over Q(zeta) or over F_p.
+
     If M is graded and every spanning vector is grade-pure, the submodule
     inherits the grading.
     """
@@ -739,7 +747,17 @@ def sub_rep(M: Representation, vectors: list[Col], label: str) -> Representation
                 grades.append(M.grades[r0])
             else:
                 grades = None
-    solver = SpanSolver(M.field, vectors, top=M.dim)
+    f = M.field
+    owners: dict[int, int] = {}
+    for vec in vectors:
+        for c in vec:
+            owners[c] = owners.get(c, 0) + 1
+    private: dict[int, int] = {}  # private column -> index of its vector
+    for t, vec in enumerate(vectors):
+        pc = next((c for c, s in vec.items() if owners[c] == 1 and s == f.one), None)
+        if pc is None:
+            raise InvalidArgumentError("subspace basis vector has no private unit coordinate")
+        private[pc] = t
     E: SparseMap = {}
     F: SparseMap = {}
     for mp, apply in ((E, M.apply_E), (F, M.apply_F)):
@@ -747,12 +765,12 @@ def sub_rep(M: Representation, vectors: list[Col], label: str) -> Representation
             img = apply(vec)
             if not img:
                 continue
-            coords = solver.coords(img)
-            if coords is None:
+            col = {private[c]: s for c, s in img.items() if c in private}
+            for t, s in col.items():
+                f.axpy(img, vectors[t], f.neg(s))
+            if img:
                 raise RepresentationError(f"subspace of {M.label} is not invariant")
-            col = {t: s for t, s in enumerate(coords) if s}
-            if col:
-                mp[jdx] = col
+            mp[jdx] = col
     return Representation(M.ctx, label, kexp, khatexp, E, F, grades, M.field)
 
 
@@ -959,7 +977,7 @@ def syzygy(M: Representation) -> Representation:
     tops, rows = radical(M)
     ech = Echelon(f)
     for row in rows:
-        ech.add(dict(row))
+        ech.add(row)
     blocks = []
     gen = ctx.N  # column of the generator gamma, the start of P's second E-chain
     for i, j in all_labels(ctx):
@@ -969,7 +987,7 @@ def syzygy(M: Representation) -> Representation:
         picked = 0
         for h in hom_space(P, M):
             v = h.get(gen)
-            if v and ech.add(dict(v)):
+            if v and ech.add(v):
                 blocks.append((P, h))
                 picked += 1
         if picked != tops[(i, j)]:
@@ -1126,7 +1144,20 @@ def verify_block_structure(ctx: AlgebraContext) -> Counterexamples:
 )
 def verify_projective_vs_ideal(ctx: AlgebraContext, i: int, j: int) -> Counterexamples:
     """Check the matrix model of projective(i, j) against the left ideal
-    generated inside u itself, ending in an isomorphism test."""
+    u*gamma generated inside u itself.
+
+    The chain vectors are alpha, E alpha, ..., and gamma, E gamma, ... in u.
+    After the F formulas of the two chains, the checks are:
+    - k and khat scale chain vector c by P's exponents at c;
+    - the 2n^2 chain vectors are independent in u;
+    - dim u*gamma = 2n^2;
+    - E and F send chain vector c to sum_r P.E[c][r] (resp. P.F[c][r])
+      times chain vector r, with P's stored matrices.
+    E, F, k and khat generate u, so together these make the chain span W a
+    left submodule of u, and the identity on chain coordinates an
+    isomorphism P -> W: it is bijective and intertwines the generators.  W contains gamma, so u*gamma lies in W,
+    and the two have the same dimension, so W = u*gamma is P.
+    """
     f = ctx.field
     N = ctx.N
     alpha = ctx.alpha_vec(i, j)
@@ -1162,26 +1193,14 @@ def verify_projective_vs_ideal(ctx: AlgebraContext, i: int, j: int) -> Counterex
     yield None if len(ideal) == 2 * N else (
         f"left ideal of the generator has dimension {len(ideal)}"
     )
-    solver = SpanSolver(f, coords, top=ctx.dim)
-    E: SparseMap = {}
-    F: SparseMap = {}
-    for mp, gen in ((E, ctx.E), (F, ctx.F)):
+    for name, gen, mp in (("E", ctx.E, P.E), ("F", ctx.F, P.F)):
         for c in range(2 * N):
-            img = ctx.coords(gen * vecs[c])
-            if not img:
-                continue
-            co = solver.coords(img)
-            if co is None:
-                yield "chain span is not closed under the algebra action"
-            col = {r: s for r, s in enumerate(co) if not s.is_zero()}
-            if col:
-                mp[c] = col
-    ideal_rep = Representation(
-        ctx, f"ideal({2 * i},{j})", list(P.kexp), list(P.khatexp), E, F, None,
-    )
-    rel = ideal_rep.check_relations()
-    yield rel.counterexample
-    yield None if iso_test(ideal_rep, P) else "ideal model and matrix model are not isomorphic"
+            want = zero
+            for r, s in mp.get(c, {}).items():
+                want = want + vecs[r].scale(s)
+            yield None if gen * vecs[c] == want else (
+                f"{name} action on chain vector {c} differs from {P.label} inside u"
+            )
 
 
 @verifier("simple and projective censuses match the stated counts")

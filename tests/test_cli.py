@@ -91,6 +91,21 @@ def test_flags_a_command_ignores_are_usage_errors(capsys):
         assert captured.out == "" and "unrecognized arguments" in captured.err, argv
 
 
+def test_parameters_a_family_ignores_are_usage_errors(capsys):
+    """--l goes only to the strand families and --lambda only to T, on
+    `module` and on `tensor` alike; any other family refuses them."""
+    for argv, why in (
+        (["module", "simple", "--i", "2", "--j", "0", "--l", "3"], "does not take --l"),
+        (["module", "V", "--i", "2", "--j", "0", "--l", "1", "--lambda", "3"],
+         "does not take --lambda"),
+        (["tensor", "simple:2,0", "simple:2,0", "--lambda", "3"], "only with a family T"),
+        (["tensor", "T:2,0,1", "simple:2,0"], "family T needs --lambda"),
+    ):
+        code, out, err = run_main(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert why in err, argv
+
+
 def test_module_text_output(capsys):
     code, out, _ = run_main(["module", "simple", "--i", "8", "--j", "0"], capsys)
     assert code == 0

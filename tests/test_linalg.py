@@ -1,11 +1,11 @@
 """Sparse elimination over Q(zeta_16) and its residue field F_p: rank,
-nullspaces, span membership, and the fields' axpy kernels."""
+nullspaces, and the fields' axpy kernels."""
 
 import random
 from fractions import Fraction
 
 from uqsl2.cyclo import _add_into, _axpy, make_context
-from uqsl2.linalg import Echelon, SpanSolver, nullspace_basis, rank
+from uqsl2.linalg import Echelon, nullspace_basis, rank
 
 
 def _ctx():
@@ -38,32 +38,6 @@ def test_rank_with_dependent_rows():
     # r3 = q * r1 + r2 is dependent
     r3 = {0: ctx.q, 1: ctx.q * ctx.q + ctx.one, 2: ctx.qpow(3)}
     assert rank(ctx, [r1, r2, r3]) == 2
-
-
-def test_span_solver_roundtrip():
-    ctx = _ctx()
-    rng = random.Random(19)
-    for _ in range(10):
-        basis = [_rand_row(ctx, rng, 6) for _ in range(4)]
-        coeffs = [ctx.from_int(rng.randint(-2, 2)) for _ in range(4)]
-        target = {}
-        for cf, row in zip(coeffs, basis):
-            _axpy(target, row, cf)
-        got = SpanSolver(ctx, basis, top=6).coords(target)
-        assert got is not None
-        rebuilt = {}
-        for cf, row in zip(got, basis):
-            _axpy(rebuilt, row, cf)
-        assert rebuilt == target
-
-
-def test_span_solver_rejects_outsider():
-    ctx = _ctx()
-    basis = [{0: ctx.one}, {1: ctx.one}]
-    solver = SpanSolver(ctx, basis, top=3)
-    assert solver.coords({2: ctx.one}) is None
-    got = solver.coords({0: ctx.q, 1: ctx.minus_one})
-    assert got == [ctx.q, ctx.minus_one]
 
 
 def test_echelon_contains():
@@ -171,15 +145,16 @@ def test_rank_and_nullspace_over_both_fields():
             assert len(basis) == ncols - r
             for vec in basis:
                 assert all(dot(field, row, vec) == field.zero for row in system)
-        ech = Echelon(res)
-        for row in reduced:
-            ech.add(row)
-        stored = list(ech.pivot_rows.values()) + nullspace_basis(res, reduced, ncols)
+            # each vector is 1 at its own free column and absent at every
+            # other vector's: the private unit coordinates `sub_rep` reads
+            ech = Echelon(field)
+            for row in system:
+                ech.add(row)
+            free = [c for c in range(ncols) if c not in ech.pivot_rows]
+            for t, (vec, c) in enumerate(zip(basis, free)):
+                assert vec[c] == field.one
+                assert all(c not in other for u, other in enumerate(basis) if u != t)
+        # ech and basis are those of the last pass, over F_p
+        stored = list(ech.pivot_rows.values()) + basis
         assert all(type(s) is int and 1 <= s < p for row in stored for s in row.values())
-        if ech.rank:
-            target = {}
-            coeffs = [rng.randrange(p) for _ in ech.pivot_rows]
-            for cf, row in zip(coeffs, ech.pivot_rows.values()):
-                res.axpy(target, row, cf)
-            assert SpanSolver(res, list(ech.pivot_rows.values()), top=ncols).coords(target) == coeffs
     assert dropped

@@ -311,6 +311,21 @@ def test_radical(actx):
     assert top_multiplicities(radm) == {partner_label(actx, 4, 1): 2}
 
 
+def test_sub_rep_refusals(actx):
+    """`sub_rep` refuses a vector that is not class-pure, a basis without a
+    private unit coordinate per vector, and a span that E leaves."""
+    f = actx.field
+    S = simple(actx, 3, 0)
+    with pytest.raises(InvalidArgumentError, match="class-pure"):
+        sub_rep(S, [{0: f.one, 1: f.one}], "mixed")
+    # S's classes repeat with period 8 along the strand, so both are class-pure
+    for basis in ([{0: f.q}], [{0: f.one, 8: f.one}, {8: f.one}]):
+        with pytest.raises(InvalidArgumentError, match="private unit coordinate"):
+            sub_rep(S, basis, "shared")
+    with pytest.raises(RepresentationError, match="not invariant"):
+        sub_rep(S, [{0: f.one}], "line")
+
+
 def test_relation_checker_catches_perturbations(actx):
     S = simple(actx, 3, 0)
     # drop an F arrow
@@ -406,6 +421,21 @@ def test_projective_matches_left_ideal(actx):
     for i, j in all_labels(actx):
         rep = verify_projective_vs_ideal(actx, i, j)
         assert rep.passed, rep.counterexample
+
+
+def test_projective_vs_ideal_reads_the_stored_matrices(actx, monkeypatch):
+    """The left-ideal check compares P's own E and F matrices with the
+    action inside u, so one E entry scaled by q is caught at its column."""
+    P = projective(actx, 1, 0)
+    c = min(P.E)
+    r = min(P.E[c])
+    bent_e = {col: dict(rows) for col, rows in P.E.items()}
+    bent_e[c][r] = bent_e[c][r] * actx.field.q
+    bent = reps.Representation(actx, P.label, P.kexp, P.khatexp, bent_e, P.F, P.grades)
+    monkeypatch.setattr(reps, "projective", lambda ctx, i, j: bent)
+    rep = verify_projective_vs_ideal(actx, 1, 0)
+    assert not rep.passed
+    assert rep.counterexample == f"E action on chain vector {c} differs from P(2,0) inside u"
 
 
 def test_rep_serialization(actx):
