@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 
 from . import __version__
@@ -54,11 +55,21 @@ MAX_N = 8
 MAX_L = 32
 
 
+def integer(text: str) -> int:
+    """An int written in ASCII digits with an optional leading minus, for
+    labels and flags: int() alone also reads "+3", " 3", "0_3" and non-ASCII
+    digits such as the Devanagari one."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def check_n(n: int) -> None:
-    if n <= 0 or n % 4 != 0:
-        raise UnsupportedParameterError(f"n must be a positive multiple of 4, got {n}")
+    """n must be a power of two from 4 to MAX_N (`cyclo.FieldContext`)."""
     if n > MAX_N:
         raise UnsupportedParameterError(f"n must be at most {MAX_N}, got {n}")
+    if n < 4 or n & (n - 1):
+        raise UnsupportedParameterError(f"n must be a power of two from 4 to {MAX_N}, got {n}")
 
 
 def check_l(l: int | None) -> None:
@@ -218,7 +229,7 @@ def parse_label(ctx: AlgebraContext, text: str, lam: int | None) -> Representati
     if not sep:
         raise InvalidArgumentError(f"label {text!r} must look like family:i,j[,l]")
     try:
-        nums = [int(p) for p in rest.split(",")]
+        nums = [integer(p) for p in rest.split(",")]
     except ValueError as exc:
         raise InvalidArgumentError(f"label {text!r} has non-integer parts") from exc
     if len(nums) == 3:
@@ -282,14 +293,14 @@ COMMANDS = {"verify": cmd_verify, "module": cmd_module, "tensor": cmd_tensor, "t
 
 def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, default=4, help="order parameter, 4 or 8")
+    common.add_argument("--n", type=integer, default=4, help="order parameter, 4 or 8")
     common.add_argument(
         "--format", choices=("text", "json", "csv"), default="text", dest="fmt"
     )
     common.add_argument("--out", help="write output to this file instead of stdout")
     # --seed only on the commands that print it: verify and table.
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
+    seeded.add_argument("--seed", type=integer, default=0, help="seed for randomized sweeps")
 
     parser = argparse.ArgumentParser(
         prog="uqsl2",
@@ -304,15 +315,15 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("module", parents=[common], help="emit one module")
     p.add_argument("family", choices=list(FAMILIES))
-    p.add_argument("--i", type=int)
-    p.add_argument("--j", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--lambda", type=int, dest="lam")
+    p.add_argument("--i", type=integer)
+    p.add_argument("--j", type=integer)
+    p.add_argument("--l", type=integer)
+    p.add_argument("--lambda", type=integer, dest="lam")
 
     p = sub.add_parser("tensor", parents=[common], help="decompose a tensor product")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--lambda", type=int, dest="lam")
+    p.add_argument("--lambda", type=integer, dest="lam")
 
     p = sub.add_parser("table", parents=[common, seeded], help="export a multiplication table")
     p.add_argument("kind", choices=TABLE_KINDS)

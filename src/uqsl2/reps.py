@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .cyclo import FieldContext, Scalar, _add_into, _axpy, qint, scalar_to_str
+from .cyclo import FieldContext, Scalar, _axpy, qint, scalar_to_str
 from .errors import (
     ConstructionError,
     ContextMismatchError,
@@ -802,51 +802,174 @@ def direct_sum(parts: list[Representation], label: str) -> Representation:
 
 
 def hom_space(M: Representation, N: Representation) -> list[SparseMap]:
-    """Basis of the space of module maps M -> N (columns over M, rows over N).
+    """Basis of the space of module maps M -> N (columns over M, rows over N),
+    found by spinning M (Lux and Szoke, "Computing homomorphism spaces
+    between modules over finite dimensional algebras", Experimental Math.
+    12, 2003).
 
-    Both modules must hold the exact field: the equations are summed by the
-    exact kernel, so a module made by `mod_p` is refused.
+    The spin keeps monic echelon rows b of M, each with its image phi(b), a
+    linear form in the unknowns stored as {unknown: vector of N}.  M's unit
+    vectors are walked in index order, and one the rows do not yet span
+    becomes a generator g: its reduced copy is a new row, and phi(g) is a
+    set of fresh unknowns, one on each basis vector of N in g's class.  For
+    every row b and op in {E, F}, op_M(b) is reduced against the rows with
+    the field's `axpy`, and op_N(phi(b)) alongside it with the same
+    coefficients (no content is stripped: the coefficients are the relation
+    op_M(b) = sum c_s b_s + residual).  A zero residual imposes "reduced
+    image = 0", one equation per row of N; a nonzero one becomes a new
+    monic row whose image is the reduced image over its leading entry.
+
+    Why the kernel of these equations is Hom(M, N), for any linear E and F:
+
+    - The rows span M: every unit vector reduces to zero or adds a row.
+    - A module map satisfies every imposed relation, and its value on each
+      row is the stored image at its generators' values.  Conversely a
+      solution gives the rows images that satisfy every (row, op)
+      relation, so the linear map it defines commutes with E and F.
+    - Rows stay class-pure, because a class-pure vector meets only pivots
+      of its own class, and the image of a new row of class chi lies in N's
+      class chi when op_N respects the classes.  So restricting phi(g) to
+      g's class is the k / khat condition, as it is for unknowns (row of N,
+      column of M) taken in one class.  Where E or F do not respect the
+      classes it is imposed instead: a residual that mixes classes of M is
+      split into class parts, each a new row with fresh unknowns tied to
+      the relation by its equations, and where op_N leaves the class of a
+      new row, the image's entries outside that class are set to zero.
+
+    The kernel is taken by `nullspace_basis` over the unknowns; each unit
+    vector of M is then reduced once against the rows, which writes every
+    solution back as a map on M's standard columns.  Both modules must hold
+    the exact field: a module made by `mod_p` is refused.
     """
     if M.ctx is not N.ctx:
         raise ContextMismatchError("Hom between modules over different contexts")
     if M.field is not M.ctx.field or N.field is not N.ctx.field:
         raise ContextMismatchError("Hom needs modules over the exact field, not a residue field")
-    f = M.field
     nidx = N.class_indices()
-    variables = []
-    var_pos = {}
-    mclass = M.classes()
-    for c in range(M.dim):
-        for r in nidx.get(mclass[c], ()):
-            var_pos[(r, c)] = len(variables)
-            variables.append((r, c))
-    if not variables:
+    if not any(ch in nidx for ch in M.class_indices()):
         return []
-    rows = []
-    for mapM, mapN in ((M.E, N.E), (M.F, N.F)):
-        for c in range(M.dim):
-            eq: dict[int, dict[int, Scalar]] = {}
-            colc = mapM.get(c)
-            if colc:
-                for m, a in colc.items():
-                    for r in nidx.get(mclass[m], ()):
-                        _add_into(eq.setdefault(r, {}), var_pos[(r, m)], a)
-            for s in nidx.get(mclass[c], ()):
-                colN = mapN.get(s)
-                if not colN:
+    f = M.field
+    axpy = f.axpy
+    mclass = M.classes()
+    rows: list[Col] = []
+    images: list[dict[int, Col]] = []  # images[s] = phi(rows[s])
+    pivots: dict[int, int] = {}  # pivot column -> position in rows
+    equations: list[Col] = []
+    unknowns = 0
+
+    def scaled(vec: Col, s: Scalar) -> Col:
+        out: Col = {}
+        axpy(out, vec, s)
+        return out
+
+    def reduce(vec: Col) -> list[tuple[int, Scalar]]:
+        """Clear the pivots of vec, smallest first; the steps (s, cf) with
+        vec += cf * rows[s] that did it."""
+        steps = []
+        while True:
+            hit = min((c for c in vec if c in pivots), default=None)
+            if hit is None:
+                return steps
+            s = pivots[hit]
+            cf = f.neg(vec[hit])
+            axpy(vec, rows[s], cf)
+            steps.append((s, cf))
+
+    def add_row(vec: Col, phi: dict[int, Col] | None = None) -> Scalar:
+        """Store vec / lead as a row with image phi / lead, or, for no phi,
+        with fresh unknowns on N's vectors of its class; returns lead."""
+        nonlocal unknowns
+        piv = min(vec)
+        lead = vec[piv]
+        if lead != f.one:
+            inv = f.inverse(lead)
+            vec = scaled(vec, inv)
+            if phi is not None:
+                phi = {u: scaled(w, inv) for u, w in phi.items()}
+        if phi is None:
+            phi = {}
+            for r in nidx.get(mclass[piv], ()):
+                phi[unknowns] = {r: f.one}
+                unknowns += 1
+        pivots[piv] = len(rows)
+        rows.append(vec)
+        images.append({u: w for u, w in phi.items() if w})
+        return lead
+
+    def impose(phi: dict[int, Col]) -> None:
+        eqs: dict[int, Col] = {}
+        for u, w in phi.items():
+            for r, s in w.items():
+                eqs.setdefault(r, {})[u] = s
+        equations.extend(eqs.values())
+
+    # the classes of N that E and F reach from each class of N
+    nclass = N.classes()
+    reach_E: dict[tuple[int, int], set] = {}
+    reach_F: dict[tuple[int, int], set] = {}
+    for mp, reach in ((N.E, reach_E), (N.F, reach_F)):
+        for c, col in mp.items():
+            reach.setdefault(nclass[c], set()).update(nclass[r] for r in col)
+    done = 0
+    for c in range(M.dim):
+        vec = {c: f.one}
+        reduce(vec)
+        if not vec:
+            continue
+        add_row(vec)
+        while done < len(rows):
+            b, phib = rows[done], images[done]
+            done += 1
+            ch_b = mclass[next(iter(b))]
+            for mapM, mapN, reach in ((M.E, N.E, reach_E), (M.F, N.F, reach_F)):
+                vec = M.apply_map(mapM, b)
+                phi = {u: N.apply_map(mapN, w) for u, w in phib.items()}
+                for s, cf in reduce(vec):
+                    for u, w in images[s].items():
+                        axpy(phi.setdefault(u, {}), w, cf)
+                parts: dict[tuple[int, int], Col] = {}
+                for r, s in vec.items():
+                    parts.setdefault(mclass[r], {})[r] = s
+                if len(parts) == 1:
+                    (ch,) = parts
+                    if any(t != ch for t in reach.get(ch_b, ())):
+                        # op_N leaves N's class ch: the image must vanish there
+                        impose({u: {r: s for r, s in w.items() if nclass[r] != ch}
+                                for u, w in phi.items()})
+                    add_row(vec, phi)
                     continue
-                p = var_pos[(s, c)]
-                for r, b in colN.items():
-                    _add_into(eq.setdefault(r, {}), p, -b)
-            rows.extend(r for r in eq.values() if r)
-    mats = []
-    for sol in nullspace_basis(f, rows, len(variables)):
+                for part in parts.values():
+                    # the residual holds lead * (part / lead), whose fresh
+                    # image w enters the relation as -lead * w
+                    lead = add_row(part)
+                    for u, w in images[-1].items():
+                        phi[u] = scaled(w, f.neg(lead))
+                impose(phi)
+    sols = nullspace_basis(f, equations, unknowns)
+    if not sols:
+        return []
+    # -e_c + sum cf * rows[s] = 0, so e_c = sum cf * rows[s]
+    minus_one = f.neg(f.one)
+    coords = [reduce({c: minus_one}) for c in range(M.dim)]
+    maps = []
+    for x in sols:
+        values = []  # the solution's image of each row
+        for img in images:
+            val: Col = {}
+            for u, w in img.items():
+                xu = x.get(u)
+                if xu is not None:
+                    axpy(val, w, xu)
+            values.append(val)
         mat: SparseMap = {}
-        for p, s in sol.items():
-            r, c = variables[p]
-            mat.setdefault(c, {})[r] = s
-        mats.append(mat)
-    return mats
+        for c, steps in enumerate(coords):
+            col: Col = {}
+            for s, cf in steps:
+                axpy(col, values[s], cf)
+            if col:
+                mat[c] = col
+        maps.append(mat)
+    return maps
 
 
 def compose_maps(A: SparseMap, B: SparseMap) -> SparseMap:
@@ -921,6 +1044,12 @@ def iso_test(M: Representation, N: Representation) -> bool | None:
     (`_end_is_local`).  When no invertible map is found and neither side
     passes, the test cannot decide and returns None;
     callers must treat None as neither a proof nor a disproof.
+
+    Hom(M, N), Hom(N, M) and End come from `hom_space`, which spins the
+    source module from its generators (Lux and Szoke, Experimental Math.
+    12, 2003): the unknowns are the generators' images only, and every
+    relation the spin meets is imposed, so each basis is exact and the
+    verdict rests on the rank and trace-form arguments alone.
     """
     if M.ctx is not N.ctx:
         raise ContextMismatchError("iso test across different contexts")

@@ -20,7 +20,7 @@ def run_main(argv, capsys):
 def test_rejects_bad_n(capsys):
     code, out, err = run_main(["verify", "--suite", "all", "--n", "6"], capsys)
     assert code == 2
-    assert "multiple of 4" in err
+    assert "power of two from 4 to 8" in err
 
 
 def test_rejects_bad_labels_and_families(capsys):
@@ -41,6 +41,23 @@ def test_rejects_bad_labels_and_families(capsys):
     for argv, want in table:
         code, _, err = run_main(argv, capsys)
         assert code == want, (argv, code, err)
+
+
+def test_label_parts_and_integer_flags_are_ascii_integers(capsys):
+    # int() alone would read "0_3", "+3" and " 3" as 3, and the Devanagari
+    # digit one as 1
+    lax = ("0_3", "+3", " 3", "\u0967")
+    for part in lax:
+        code, out, err = run_main(["tensor", f"simple:{part},0", "simple:1,0"], capsys)
+        assert (code, out) == (2, ""), (part, code, err)
+        assert "non-integer parts" in err, part
+    code, out, err = run_main(["tensor", "simple:-1,0", "simple:1,0"], capsys)
+    assert (code, out) == (2, "") and "outside 1..8" in err, err
+    for part in lax:
+        with pytest.raises(SystemExit) as exc:
+            main(["module", "simple", "--i", part, "--j", "0"])
+        assert exc.value.code == 2, part
+        assert "invalid integer value" in capsys.readouterr().err, part
 
 
 def test_size_bounds_are_checked_before_building(capsys, monkeypatch):

@@ -13,8 +13,9 @@ from uqsl2.errors import (
     InvalidArgumentError,
     RepresentationError,
 )
-from uqsl2.linalg import rank
-from uqsl2.moncat import tensor
+from uqsl2.cyclo import _add_into
+from uqsl2.linalg import nullspace_basis, rank
+from uqsl2.moncat import simple_simple_rule, summand_module, tensor
 from uqsl2.reps import (
     all_labels,
     compose_maps,
@@ -113,9 +114,126 @@ def _flat(M, maps):
     return [{c * M.dim + r: s for c, col in mp.items() for r, s in col.items()} for mp in maps]
 
 
+def _hom_space_all_pairs(M, N):
+    """Hom(M, N) by brute force, the reference for the spin of `hom_space`
+    and for `hom_from_simple`: one unknown for every pair (row r of N,
+    column c of M) in the same class, and one equation per entry of
+    phi E_M - E_N phi and of phi F_M - F_N phi."""
+    nidx = N.class_indices()
+    mclass = M.classes()
+    variables = []
+    var_pos = {}
+    for c in range(M.dim):
+        for r in nidx.get(mclass[c], ()):
+            var_pos[(r, c)] = len(variables)
+            variables.append((r, c))
+    if not variables:
+        return []
+    rows = []
+    for mapM, mapN in ((M.E, N.E), (M.F, N.F)):
+        for c in range(M.dim):
+            eq = {}
+            for m, a in mapM.get(c, {}).items():
+                for r in nidx.get(mclass[m], ()):
+                    _add_into(eq.setdefault(r, {}), var_pos[(r, m)], a)
+            for s in nidx.get(mclass[c], ()):
+                for r, b in mapN.get(s, {}).items():
+                    _add_into(eq.setdefault(r, {}), var_pos[(s, c)], -b)
+            rows.extend(r for r in eq.values() if r)
+    mats = []
+    for sol in nullspace_basis(M.field, rows, len(variables)):
+        mat = {}
+        for p, s in sol.items():
+            r, c = variables[p]
+            mat.setdefault(c, {})[r] = s
+        mats.append(mat)
+    return mats
+
+
+def _assert_spin_matches_oracle(M, N):
+    """`hom_space(M, N)` against the all-pairs oracle: the same dimension,
+    the same span, and every map commutes with E and F."""
+    f = M.field
+    want = _hom_space_all_pairs(M, N)
+    got = hom_space(M, N)
+    for mp in got:
+        assert compose_maps(mp, M.E) == compose_maps(N.E, mp), (M.label, N.label)
+        assert compose_maps(mp, M.F) == compose_maps(N.F, mp), (M.label, N.label)
+    both = rank(f, _flat(N, got + want))
+    assert len(got) == rank(f, _flat(N, got)) == both == len(want), (M.label, N.label)
+
+
+def test_spin_matches_the_all_pairs_oracle(actx):
+    """The spin against the oracle on neighbours of `_solver_sample` in both
+    directions, on End(M) for its members up to dimension 40 (the oracle
+    takes 1-53 s on each larger product), and on the pairs that separate
+    tubes, W from Wt, a syzygy from its cover and a tensor from its sum."""
+    f = actx.field
+    sample = _solver_sample(actx)
+    for M, M2 in zip(sample, sample[1:] + sample[:1]):
+        if M.dim <= 40:
+            _assert_spin_matches_oracle(M, M)
+        _assert_spin_matches_oracle(M, M2)
+        _assert_spin_matches_oracle(M2, M)
+    for l in (1, 2, 3):
+        pairs = [(family_T(actx, 2, 0, l, f.one), family_T(actx, 2, 0, l, -f.one)),
+                 (family_W(actx, 2, 0, l), family_Wt(actx, 2, 0, l))]
+        for A, B in pairs:
+            _assert_spin_matches_oracle(A, B)
+            _assert_spin_matches_oracle(B, A)
+    _assert_spin_matches_oracle(projective(actx, 3, 0), syzygy(simple(actx, 3, 0)))
+    # the smallest pair of `verify_simple_tensor_isomorphisms`: S(12,1)(x)S(14,0)
+    h = actx.half
+    T = tensor(simple(actx, h - 2, 1), simple(actx, h - 1, 0))
+    expected = simple_simple_rule(actx, h - 2, 1, h - 1, 0)
+    parts = [summand_module(actx, key) for key in sorted(expected) for _ in range(expected[key])]
+    _assert_spin_matches_oracle(T, direct_sum(parts, "X"))
+
+
+def _class_mixing(actx):
+    """S(6,0) with a copy Y of its chain above x_0, but with every vector of
+    Y one step down the chain's classes, and E x_0 = x_1 + y_1.  It is not a
+    module: E leaves the classes, and the E/F-maps S(6,0) -> it that send
+    x_t to x_t + y_t are not class-preserving."""
+    S = simple(actx, 3, 0)
+    d = S.dim - 1
+
+    def down(mp):  # the chain maps on x_1..x_d, moved to 0..d-1
+        moved = {c - 1: {r - 1: s for r, s in col.items() if r} for c, col in mp.items() if c}
+        return {c: col for c, col in moved.items() if col}
+
+    Y = reps.Representation(actx, "Y", S.kexp[:d], S.khatexp[:d], down(S.E), down(S.F))
+    D = direct_sum([S, Y], "D")
+    E = {c: dict(col) for c, col in D.E.items()}
+    E[0][S.dim] = S.E[0][1]
+    return reps.Representation(actx, "mixing", D.kexp, D.khatexp, E, D.F)
+
+
+def test_spin_needs_no_module_premise(actx):
+    """Non-modules as source and as target: the spin's Hom dimensions are
+    the oracle's, also where E does not respect the classes."""
+    S = simple(actx, 3, 0)
+    F = {c: dict(col) for c, col in S.F.items()}
+    F[2][1] = F[2][1] * 2
+    doubled = reps.Representation(actx, "doubled", S.kexp, S.khatexp, S.E, F, S.grades)
+    S1 = simple(actx, 3, 1)
+    F = {c: dict(col) for c, col in S1.F.items()}
+    del F[3]
+    cut = reps.Representation(actx, "cut", S1.kexp, S1.khatexp, S1.E, F, S1.grades)
+    mixing = _class_mixing(actx)
+    others = [S, S1, projective(actx, 3, 0), projective(actx, 3, 1)]
+    for B in (doubled, cut, mixing):
+        assert not B.check_relations().passed, B.label
+        for X in others + [B]:
+            _assert_spin_matches_oracle(B, X)
+            _assert_spin_matches_oracle(X, B)
+    # the maps x_t -> x_t + y_t commute with E and F, but leave the classes
+    assert len(_hom_space_all_pairs(S, mixing)) == 0
+
+
 def test_one_solver_matches_hom_space(actx):
-    """The solver's dimensions match the brute-force `hom_space`, and so do
-    its maps: each commutes with E and F, and they span Hom(S, M)."""
+    """The solver's dimensions match the brute-force all-pairs oracle, and
+    so do its maps: each commutes with E and F, and they span Hom(S, M)."""
     f = actx.field
     simples = {lab: simple(actx, *lab) for lab in all_labels(actx)}
     for M in _solver_sample(actx):
@@ -125,10 +243,10 @@ def test_one_solver_matches_hom_space(actx):
         assert (Mtt.E, Mtt.F, Mtt.kexp, Mtt.khatexp, Mtt.grades) == (
             M.E, M.F, M.kexp, M.khatexp, M.grades
         ), M.label
-        tops = {lab: len(hom_space(M, S)) for lab, S in simples.items()}
+        tops = {lab: len(_hom_space_all_pairs(M, S)) for lab, S in simples.items()}
         socles = {}
         for lab, S in simples.items():
-            want = hom_space(S, M)
+            want = _hom_space_all_pairs(S, M)
             got = hom_from_simple(M, *lab)
             for mp in got:
                 assert compose_maps(mp, S.E) == compose_maps(M.E, mp), (M.label, lab)
