@@ -18,13 +18,14 @@ elements are plain ints in [0, p).  It serves certificates only: a rank over
 F_p bounds the exact rank from below.
 
 Each field supplies the sparse kernel that linalg and reps call through the
-field they hold: `axpy` (d += s * vec, dropping what cancels),
-`cross_eliminate` (clear one column of a row against a monic pivot row),
-`inverse` and `neg`.  A sparse vector is a dict from a hashable key to a
-nonzero scalar: it never stores a zero.  Over Q(zeta_N) every sum into one
-goes through `_add_into` or `_axpy`, which drop a key whose sum cancels;
-over F_p, through `ResidueField.axpy`.  `_add_into` tests its sum by truth,
-so it prunes int sums too.
+field they hold: `axpy` (d += s * vec, dropping what cancels), `inverse`,
+`neg` and `one`.  Elimination lives in `linalg.Echelon` alone: it clears
+pivots with `axpy` against monic pivot rows, which is what keeps scalar
+sizes bounded, and no field rescales a row.  A sparse vector is a dict from
+a hashable key to a nonzero scalar: it never stores a zero.  Over
+Q(zeta_N) every sum into one goes through `_add_into` or `_axpy`, which
+drop a key whose sum cancels; over F_p, through `ResidueField.axpy`.
+`_add_into` tests its sum by truth, so it prunes int sums too.
 
 `Combination` is the one linear-combination type: an element of u, of
 u^(x m), of K0 or of Z[g,x] maps basis keys to nonzero Scalar or int
@@ -378,27 +379,6 @@ def _axpy(d: dict, vec: dict, s: Scalar) -> None:
             d[key] = t
 
 
-def _strip_content(ctx: "FieldContext", row: dict) -> dict:
-    """Scale a row by a rational so integer content is 1; returns a new dict."""
-    if not row:
-        return row
-    g = 0
-    lden = 1
-    for s in row.values():
-        lden = lden * s.den // math.gcd(lden, s.den)
-        for a in s.num:
-            if a:
-                g = math.gcd(g, a)
-    if g == 0:
-        return {}
-    if g == 1 and lden == 1:
-        return row
-    out = {}
-    for c, s in row.items():
-        out[c] = ctx._make([a * lden for a in s.num], s.den * g)
-    return out
-
-
 class FieldContext:
     """Arithmetic context for Q(zeta_N) with N = n^2, n a power of two (the
     CLI takes 4 and 8), so that Phi_N = x^m + 1 with m = N/2."""
@@ -504,19 +484,6 @@ class FieldContext:
     # -- the sparse kernel -------------------------------------------------
 
     axpy = staticmethod(_axpy)
-
-    def cross_eliminate(self, row: dict, piv_col, piv_row: dict) -> dict:
-        """row - row[piv_col] * piv_row with its integer content stripped,
-        for a pivot row that is monic at piv_col (`Echelon.add` stores only
-        monic rows): the entry at piv_col cancels, and `_axpy` drops it.
-
-        Subtracting against a monic row keeps scalar sizes bounded; integer
-        gcd stripping alone cannot contain the coefficient growth of
-        repeated cyclotomic cross-multiplication.
-        """
-        out = dict(row)
-        _axpy(out, piv_row, -row[piv_col])
-        return _strip_content(self, out)
 
     def combination_product(self, terms1: dict, terms2: dict, product) -> dict:
         """The terms of the product of two combinations over this field.
@@ -709,13 +676,6 @@ class ResidueField:
                     d[key] = t
                 else:
                     del d[key]
-
-    def cross_eliminate(self, row: dict, piv_col, piv_row: dict) -> dict:
-        """row - row[piv_col] * piv_row, for a pivot row that is monic at
-        piv_col: the entry at piv_col cancels, and `axpy` drops it."""
-        out = dict(row)
-        self.axpy(out, piv_row, self.p - row[piv_col])
-        return out
 
     def __repr__(self) -> str:
         return f"ResidueField(p={self.p}, omega={self.omega})"

@@ -2,15 +2,16 @@
 
 Rows are sparse vectors, dicts from a column index to a nonzero scalar of
 the field.  Every algorithm here holds its field (`ctx`) and calls its
-sparse kernel (`axpy`, `cross_eliminate`, `inverse`, `neg`; see cyclo), so
-one code path serves both fields: over Q(zeta_N) the kernel is exact and
-strips the integer content of each eliminated row, over F_p it works on
-ints reduced mod p.
+sparse kernel (`axpy`, `inverse`, `neg` and `one`; see cyclo), so one code
+path serves both fields: over Q(zeta_N) the kernel is exact, over F_p it
+works on ints reduced mod p.
 
-Elimination is against monic pivot rows, so reducing a row against the
-pivots inverts nothing.  `Echelon.add` inverts once per new pivot row whose
-leading entry is not 1, to make the row monic; back-substitution in
-`nullspace_basis` divides by nothing, since every stored pivot is 1.
+`Echelon.eliminate` is the one loop that clears pivots.  Pivot rows are
+stored monic, so clearing one subtracts a bounded multiple of it and
+inverts nothing, and scalar sizes stay bounded however many rows are
+reduced.  `Echelon.add` inverts once per new pivot row whose leading entry
+is not 1, to make the row monic; back-substitution in `nullspace_basis`
+divides by nothing, since every stored pivot is 1.
 """
 
 from __future__ import annotations
@@ -21,7 +22,11 @@ Row = dict[int, Scalar]
 
 
 class Echelon:
-    """Incremental echelon form: feed rows, read off rank and membership."""
+    """Incremental echelon form: feed rows, read off rank and membership.
+
+    `pivot_rows` maps each pivot column to its row, monic there and zero
+    at every smaller pivot column.
+    """
 
     def __init__(self, ctx: FieldContext):
         self.ctx = ctx
@@ -31,39 +36,53 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def reduce(self, row: Row) -> Row:
-        """Eliminate all current pivots from a copy of row."""
+    def eliminate(self, row: Row) -> list[tuple[int, Scalar]]:
+        """Clear every pivot of row in place, smallest column first.
+
+        Returns the steps (col, cf), in order, with row += cf *
+        pivot_rows[col]: the input is the output minus the sum of the cf *
+        pivot_rows[col] (`reps.hom_space` reads relations off them).
+        """
         ctx = self.ctx
-        row = dict(row)
-        # Repeatedly clear the smallest column that has a pivot.
-        while row:
+        pivots = self.pivot_rows
+        steps = []
+        while True:
             hit = None
             for c in row:
-                if c in self.pivot_rows and (hit is None or c < hit):
+                if c in pivots and (hit is None or c < hit):
                     hit = c
             if hit is None:
-                break
-            row = ctx.cross_eliminate(row, hit, self.pivot_rows[hit])
+                return steps
+            cf = ctx.neg(row[hit])
+            ctx.axpy(row, pivots[hit], cf)
+            steps.append((hit, cf))
+
+    def reduce(self, row: Row) -> Row:
+        """Eliminate all current pivots from a copy of row."""
+        row = dict(row)
+        self.eliminate(row)
         return row
 
-    def add(self, row: Row) -> bool:
-        """Insert a row; True if it increased the rank.
+    def add(self, row: Row) -> Scalar | None:
+        """Insert a row: store its reduction divided by its leading entry.
 
-        Stored pivot rows are made monic, so later reductions only ever
-        subtract bounded multiples and scalars cannot compound.
+        Returns the factor 1/lead that made the stored row monic (`one`
+        when the lead already was), or None when the row lies in the span
+        and the rank stays.
         """
         rem = self.reduce(row)
         if not rem:
-            return False
+            return None
         ctx = self.ctx
-        col = min(rem.keys())
-        lead = rem[col]
-        if lead != ctx.one:
+        col = min(rem)
+        factor = ctx.one
+        if rem[col] != factor:
+            factor = ctx.inverse(rem[col])
             monic: Row = {}
-            ctx.axpy(monic, rem, ctx.inverse(lead))
+            ctx.axpy(monic, rem, factor)
             rem = monic
         self.pivot_rows[col] = rem
-        return True
+        return factor
 
 
 class BlockKernel:
@@ -106,7 +125,7 @@ class BlockKernel:
             if block[p] != b:
                 raise ValueError("row crosses variable groups")
             moved[local[p]] = s
-        if ech.add(moved) and ech.rank == len(self.groups[b]):
+        if ech.add(moved) is not None and ech.rank == len(self.groups[b]):
             self._open -= 1
 
     def dim(self) -> int:

@@ -379,23 +379,6 @@ class AlgebraContext:
             raise ConstructionError("component is not proportional to the candidate image")
         return c
 
-    # -- left ideals -----------------------------------------------------
-
-    def left_ideal_basis(self, x: AlgebraElement) -> list[AlgebraElement]:
-        """A basis of u*x, closed under left multiplication by E, F, k, khat."""
-        ech = linalg.Echelon(self.field)
-        basis: list[AlgebraElement] = []
-        queue = [x]
-        gens = (self.E, self.F, self.k, self.khat)
-        while queue:
-            v = queue.pop()
-            if v.is_zero() or not ech.add(self.coords(v)):
-                continue
-            basis.append(v)
-            for g in gens:
-                queue.append(g * v)
-        return basis
-
     # -- verification -------------------------------------------------------
 
     @verifier("reordering formulas and grouplike eigenvalue identities")

@@ -4,9 +4,11 @@ arithmetic stays inside the one certificate that uses it, only the fields'
 sparse kernels prune a cancelled entry from a sparse vector (`_add_into`
 for the Scalar and int sums of every `Combination` too, and
 `FieldContext.combination_product` for the products of Scalar ones), only
-cyclo calls the integer product and normalization of Q(zeta_N), one Hom
-solver builds a BlockKernel, only `AlgebraContext.cached` touches the memo, and the
-command line has one output path (`test_cli_has_one_output_path`: only
+cyclo calls the integer product and normalization of Q(zeta_N), linalg
+reads only the field kernel `axpy`, `neg`, `inverse` and `one` off the
+field it holds, one Hom solver builds a BlockKernel, only
+`AlgebraContext.cached` touches the memo, and the command line has one
+output path (`test_cli_has_one_output_path`: only
 `cli._render` dumps JSON or builds a CSV writer, only `cli.main` writes to
 stdout or opens the `--out` file)."""
 
@@ -242,6 +244,33 @@ def test_field_products_stay_in_cyclo():
               "    mul = cyclo._negacyclic_mul\n"
               "    return f._make(mul(a.num, b.num), a.den * b.den)\n")
     assert [name for name, _ in _internal_uses(mutant)] == ["_negacyclic_mul", "_make"]
+
+
+# What linalg reads off the field it holds.  Elimination is `Echelon`'s own
+# loop over `axpy`, so no field grows an elimination method of its own.
+FIELD_KERNEL = frozenset({"axpy", "neg", "inverse", "one"})
+
+
+def _field_reads(source: str) -> set[str]:
+    """Attributes read off the held field: `ctx.x` or `self.ctx.x`."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            held = node.value
+            if (isinstance(held, ast.Name) and held.id == "ctx") or (
+                isinstance(held, ast.Attribute) and held.attr == "ctx"
+            ):
+                out.add(node.attr)
+    return out
+
+
+def test_linalg_reads_only_the_field_kernel():
+    source = (pathlib.Path(uqsl2.__file__).parent / "linalg.py").read_text(encoding="utf-8")
+    assert _field_reads(source) == FIELD_KERNEL
+    # a per-field elimination step called from linalg is caught
+    mutant = source + ("\n\ndef clear(ctx, row, col, piv):\n"
+                       "    return ctx.cross_eliminate(row, col, piv)\n")
+    assert _field_reads(mutant) - FIELD_KERNEL == {"cross_eliminate"}
 
 
 def _constructors(tree: ast.AST, name: str) -> list[str]:

@@ -40,13 +40,57 @@ def test_rank_with_dependent_rows():
     assert rank(ctx, [r1, r2, r3]) == 2
 
 
-def test_echelon_contains():
+def test_echelon_steps_and_factor_over_both_fields():
+    """`eliminate` returns the steps that rebuild its input, `add` the
+    factor that made the stored row monic, and None for a row already in
+    the span, over Q(zeta_16) and over F_p."""
     ctx = _ctx()
+    res = ctx.residue_field()
     ech = Echelon(ctx)
     ech.add({0: ctx.one, 1: ctx.one})
     ech.add({1: ctx.one, 2: ctx.one})
     assert not ech.reduce({0: ctx.one, 2: ctx.minus_one})
     assert ech.reduce({0: ctx.one, 2: ctx.one})
+    rng = random.Random(37)
+    spanned = 0
+    for field in (ctx, res):
+        for _ in range(20):
+            ncols = rng.randint(3, 8)
+            ech = Echelon(field)
+            for _ in range(rng.randint(2, 7)):
+                row = _rand_row(ctx, rng, ncols, density=0.5)
+                if rng.random() < 0.3 and ech.pivot_rows:
+                    # a combination of stored rows: in the span
+                    row = {}
+                    for piv in ech.pivot_rows.values():
+                        field.axpy(row, piv, field.qpow(rng.randrange(ctx.N)))
+                    before = dict(ech.pivot_rows)
+                    assert ech.add(row) is None
+                    assert ech.pivot_rows == before
+                    spanned += 1
+                    continue
+                if field is res:
+                    row = _reduce_row(res, row)
+                out = dict(row)
+                steps = ech.eliminate(out)
+                assert [c for c, _ in steps] == sorted(c for c, _ in steps)
+                assert not set(out) & set(ech.pivot_rows)
+                rebuilt = dict(out)
+                for col, cf in steps:
+                    field.axpy(rebuilt, ech.pivot_rows[col], field.neg(cf))
+                assert rebuilt == row
+                assert ech.reduce(row) == out
+                before = ech.rank
+                factor = ech.add(row)
+                if not out:
+                    assert factor is None and ech.rank == before
+                    continue
+                col = min(out)
+                product = factor * out[col]
+                assert (product % res.p if field is res else product) == field.one
+                assert ech.rank == before + 1
+                assert ech.pivot_rows[col][col] == field.one
+    assert spanned
 
 
 def test_add_into_drops_a_cancelled_key():

@@ -556,6 +556,22 @@ def test_projective_vs_ideal_reads_the_stored_matrices(actx, monkeypatch):
     assert rep.counterexample == f"E action on chain vector {c} differs from P(2,0) inside u"
 
 
+def test_projective_vs_ideal_needs_the_walk_down_coefficients(actx, monkeypatch):
+    """u*gamma reaches alpha only through the a-chain F coefficients at v in
+    [2, 2i-1]: one zeroed there fails the check, and its own instance names
+    it when the generator is run past the first counterexample."""
+    chain = reps._chain
+
+    def vanishing(ctx, i, j, v):
+        cls, grade, coef = chain(ctx, i, j, v)
+        return cls, grade, ctx.field.zero if v == 3 else coef
+
+    monkeypatch.setattr(reps, "_chain", vanishing)
+    assert not verify_projective_vs_ideal(actx, 2, 0).passed
+    found = [c for c in verify_projective_vs_ideal.__wrapped__(actx, 2, 0) if c]
+    assert "a-chain F coefficient vanishes at v = 3" in found
+
+
 def test_rep_serialization(actx):
     S = simple(actx, 2, 1)
     d = rep_to_dict(S)
