@@ -6,12 +6,16 @@ sparse kernel (`axpy`, `inverse`, `neg` and `one`; see cyclo), so one code
 path serves both fields: over Q(zeta_N) the kernel is exact, over F_p it
 works on ints reduced mod p.
 
-`Echelon.eliminate` is the one loop that clears pivots.  Pivot rows are
-stored monic, so clearing one subtracts a bounded multiple of it and
-inverts nothing, and scalar sizes stay bounded however many rows are
-reduced.  `Echelon.add` inverts once per new pivot row whose leading entry
-is not 1, to make the row monic; back-substitution in `nullspace_basis`
-divides by nothing, since every stored pivot is 1.
+`Echelon` is the one elimination structure, and `Echelon.eliminate` the
+one loop that clears pivots.  It clears only pivots at columns the row
+holds, so rows whose columns fall into groups that no row crosses (the
+grade-pure rows of `reps.hom_from_simple` and `reps.radical`) are
+eliminated group by group without a partition.  Pivot rows are stored
+monic, so clearing one subtracts a bounded multiple of it and inverts
+nothing, and scalar sizes stay bounded however many rows are reduced.
+`Echelon.add` inverts once per new pivot row whose leading entry is not 1,
+to make the row monic; back-substitution in `nullspace_basis` divides by
+nothing, since every stored pivot is 1.
 """
 
 from __future__ import annotations
@@ -83,63 +87,6 @@ class Echelon:
             rem = monic
         self.pivot_rows[col] = rem
         return factor
-
-
-class BlockKernel:
-    """Kernel of a sparse system whose variables split into groups that no
-    row crosses: one incremental elimination per group.
-
-    Rows are dicts over global variable positions and are routed to a group
-    by their first key (every key of a row must belong to the same group).
-    `saturated` turns True once every group reaches full rank, so the kernel
-    is already zero and the caller can stop feeding rows.
-    """
-
-    def __init__(self, ctx: FieldContext, groups: list[list[int]]):
-        self.ctx = ctx
-        self.groups = groups
-        self._block: dict[int, int] = {}
-        self._local: dict[int, int] = {}
-        for b, members in enumerate(groups):
-            for t, p in enumerate(members):
-                self._block[p] = b
-                self._local[p] = t
-        self._echs = [Echelon(ctx) for _ in groups]
-        self._open = sum(1 for g in groups if g)
-
-    @property
-    def saturated(self) -> bool:
-        return self._open == 0
-
-    def add(self, row: Row) -> None:
-        if not row:
-            return
-        b = self._block[next(iter(row))]
-        ech = self._echs[b]
-        if ech.rank == len(self.groups[b]):
-            return
-        local = self._local
-        block = self._block
-        moved: Row = {}
-        for p, s in row.items():
-            if block[p] != b:
-                raise ValueError("row crosses variable groups")
-            moved[local[p]] = s
-        if ech.add(moved) is not None and ech.rank == len(self.groups[b]):
-            self._open -= 1
-
-    def dim(self) -> int:
-        return sum(len(g) - e.rank for g, e in zip(self.groups, self._echs))
-
-    def basis(self) -> list[Row]:
-        out: list[Row] = []
-        for members, ech in zip(self.groups, self._echs):
-            if not members:
-                continue
-            sols = nullspace_basis(self.ctx, list(ech.pivot_rows.values()), len(members))
-            for vec in sols:
-                out.append({members[p]: s for p, s in vec.items()})
-        return out
 
 
 def rank(ctx: FieldContext, rows) -> int:

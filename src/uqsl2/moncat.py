@@ -501,10 +501,6 @@ def decompose(M: Representation) -> DecompositionResult:
             b[k] * (2 * ctx.N - dims[k]) for k in labels
         ):
             violations.append("first radical layer dimension mismatch")
-        if len(layer_dims) > 2 and layer_dims[2] != sum(
-            b[k] * dims[k] for k in labels
-        ):
-            violations.append("second radical layer dimension mismatch")
         if M.dim != sum(a[k] * dims[k] for k in labels) + 2 * ctx.N * sum(b.values()):
             violations.append("summand dimensions do not add up to the module dimension")
     summands: dict[SummandKey, int] = {}

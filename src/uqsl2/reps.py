@@ -19,7 +19,7 @@ from .errors import (
     InvalidArgumentError,
     RepresentationError,
 )
-from .linalg import BlockKernel, Echelon, nullspace_basis, rank
+from .linalg import Echelon, nullspace_basis, rank
 from .qgroup import AlgebraContext, AlgebraElement
 from .report import Counterexamples, verifier
 
@@ -517,25 +517,6 @@ def _simple_chain_data(ctx: AlgebraContext, i: int, j: int):
     return len(chain) - 1, [c[0] for c in chain], [c[2] for c in chain]
 
 
-def _grade_blocks(M: Representation, rows) -> list[list[int]]:
-    """Positions in `rows` (basis vectors of M, each standing for its
-    grade) grouped by grade, grades ascending; an ungraded module is a
-    single grade block.
-
-    Each stage of the Hom solver constrains grade-pure vectors of M (basis
-    vectors, then combinations read off one grade block of the stage
-    before), through fixed words in E and F, so when M is graded every
-    constraint row is grade-pure and its elimination splits into one small
-    block per grade of the unknowns; likewise the radical of a graded
-    module is graded.
-    """
-    grades = M.grades if M.grades is not None else (0,) * M.dim
-    by_g: dict[int, list[int]] = {}
-    for t, r in enumerate(rows):
-        by_g.setdefault(grades[r], []).append(t)
-    return [by_g[g] for g in sorted(by_g)]
-
-
 def transpose(M: Representation) -> Representation:
     """The tau-dual M^t: M's group exponents, grades and field, with
     E := F^T and F := E^T, built fresh on each call.
@@ -595,9 +576,23 @@ def hom_from_simple(M: Representation, i: int, j: int, dim_only: bool = False):
     of ker (1), so stage 3 removes nothing; that is what makes the stages
     cheap, not what makes them right.
 
-    Every stage solves over a grade-pure basis, one `BlockKernel` block per
-    grade (`_grade_blocks`).  `dim_only` returns dim K3; otherwise each
-    basis vector v of K3 gives the map x_t -> E^t v, as {t: column}.
+    Each stage feeds one `Echelon` over its positions (the basis vectors
+    of the stage before) and stops as soon as its rank reaches their
+    number, where the kernel is zero.  No partition by grade is needed.
+    When M is graded, each stage constrains grade-pure vectors of M (basis
+    vectors, then the kernel vectors of the stage before) through fixed
+    words in E and F, so every constraint row is grade-pure over the
+    positions.  `Echelon.eliminate` clears only pivots at columns the row
+    holds, so a row meets only pivots of its own grade, in the order in
+    which that grade's rows arrive: each grade gets the pivot rows it
+    would get on its own.  A kernel vector of `nullspace_basis` is fixed
+    by its free column (1 there, 0 at every other free column), and
+    back-substitution reaches only pivots of that column's grade, so the
+    kernel vectors are grade-pure and the next stage's rows are too.
+    They come in column order, which within a grade is the grade's own
+    order, so each grade's next stage is again the one it would run
+    alone.  `dim_only` returns dim K3; otherwise each basis vector v of
+    K3 gives the map x_t -> E^t v, as {t: column}.
     """
     _check_label(M.ctx, i, j)
     f = M.field
@@ -610,7 +605,7 @@ def hom_from_simple(M: Representation, i: int, j: int, dim_only: bool = False):
     chains = [[{r: f.one}] for r in var_rows]
     coefs = [f.neg(f.image(c)) for c in fc]
     for stage in range(3):
-        # no stage starts empty: an empty kernel saturates and returns below
+        # no stage starts empty: a zero kernel returns below, at full rank
         if stage == 0:
             pieces = [[M.F.get(r, {})] for r in var_rows]
         elif stage == 1:
@@ -627,7 +622,8 @@ def hom_from_simple(M: Representation, i: int, j: int, dim_only: bool = False):
                     f.axpy(vec, ch[t - 1], coefs[t])
                     res.append(vec)
                 pieces.append(res)
-        kern = BlockKernel(f, _grade_blocks(M, [next(iter(ch[0])) for ch in chains]))
+        npos = len(chains)
+        ech = Echelon(f)
         # one row per (equation, coordinate of M), over positions in chains
         rows: dict[tuple[int, int], dict[int, Scalar]] = {}
         for pos, vecs in enumerate(pieces):
@@ -635,13 +631,13 @@ def hom_from_simple(M: Representation, i: int, j: int, dim_only: bool = False):
                 for rr, s in vec.items():
                     rows.setdefault((t, rr), {})[pos] = s
         for row in rows.values():
-            kern.add(row)
-            if kern.saturated:
+            ech.add(row)
+            if ech.rank == npos:
                 return 0 if dim_only else []
         if dim_only and stage == 2:
-            return kern.dim()
+            return npos - ech.rank
         new = []
-        for sol in kern.basis():
+        for sol in nullspace_basis(f, list(ech.pivot_rows.values()), npos):
             ch = [{} for _ in chains[0]]
             for pos, cf in sol.items():
                 for col, vec in zip(ch, chains[pos]):
@@ -690,9 +686,10 @@ def radical(M: Representation) -> tuple[dict[tuple[int, int], int], list[Col]]:
     is fixed by its start vector, so no two labels build the same chain.
 
     Tops are nonzero counts keyed in label order, as `top_multiplicities`
-    gives them.  The kernel is computed one grade block at a time (the
-    radical of a graded module is graded), which keeps the elimination
-    local and the output basis grade-pure.
+    gives them.  When M is graded, the image columns are grade-pure (see
+    `hom_from_simple`), so the functionals are grade-pure rows and, as
+    there, one kernel over all of M is eliminated grade by grade: each
+    kernel vector is grade-pure, and rad M keeps M's grading.
     """
     tops: dict[tuple[int, int], int] = {}
     functionals: list[Col] = []
@@ -702,17 +699,7 @@ def radical(M: Representation) -> tuple[dict[tuple[int, int], int], list[Col]]:
         if maps:
             tops[(i, j)] = len(maps)
         functionals.extend(col for mat in maps for col in mat.values())
-    out: list[Col] = []
-    for cols in _grade_blocks(M, range(M.dim)):
-        pos = {c: t for t, c in enumerate(cols)}
-        rows_g = []
-        for row in functionals:
-            rg = {pos[c]: s for c, s in row.items() if c in pos}
-            if rg:
-                rows_g.append(rg)
-        for vec in nullspace_basis(M.field, rows_g, len(cols)):
-            out.append({cols[p]: s for p, s in vec.items()})
-    return tops, out
+    return tops, nullspace_basis(M.field, functionals, M.dim)
 
 
 def sub_rep(M: Representation, vectors: list[Col], label: str) -> Representation:

@@ -6,9 +6,10 @@ for the Scalar and int sums of every `Combination` too, and
 `FieldContext.combination_product` for the products of Scalar ones), only
 cyclo calls the integer product and normalization of Q(zeta_N), linalg
 reads only the field kernel `axpy`, `neg`, `inverse` and `one` off the
-field it holds, one Hom solver builds a BlockKernel, only
-`AlgebraContext.cached` touches the memo, and the command line has one
-output path (`test_cli_has_one_output_path`: only
+field it holds, tops, radicals and socles share the one Hom solver
+`reps.hom_from_simple` (`socle_multiplicities` and `radical` are its only
+callers), only `AlgebraContext.cached` touches the memo, and the command
+line has one output path (`test_cli_has_one_output_path`: only
 `cli._render` dumps JSON or builds a CSV writer, only `cli.main` writes to
 stdout or opens the `--out` file)."""
 
@@ -273,8 +274,8 @@ def test_linalg_reads_only_the_field_kernel():
     assert _field_reads(mutant) - FIELD_KERNEL == {"cross_eliminate"}
 
 
-def _constructors(tree: ast.AST, name: str) -> list[str]:
-    """Enclosing function of every call that constructs `name`."""
+def _callers(tree: ast.AST, name: str) -> list[str]:
+    """Enclosing function of every call to `name`."""
     out = []
 
     def visit(node: ast.AST, scope: str) -> None:
@@ -289,15 +290,26 @@ def _constructors(tree: ast.AST, name: str) -> list[str]:
     return out
 
 
-def test_one_hom_solver_builds_a_block_kernel():
+def _hom_from_simple_callers(sources: dict[str, str]) -> list[tuple[str, str]]:
+    return sorted((name, scope) for name, source in sources.items()
+                  for scope in _callers(ast.parse(source), "hom_from_simple"))
+
+
+def test_tops_radicals_and_socles_share_one_hom_solver():
     """Tops, radicals and socles all go through `reps.hom_from_simple`
-    (tops as socles of the transpose); a second solver must not come back."""
+    (tops as socles of the transpose), called from `socle_multiplicities`
+    and `radical` alone; a second solver or a third caller must not come
+    back."""
     package = pathlib.Path(uqsl2.__file__).parent
-    found = []
-    for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        found += [(path.name, scope) for scope in _constructors(tree, "BlockKernel")]
-    assert found == [("reps.py", "hom_from_simple")]
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    want = [("reps.py", "radical"), ("reps.py", "socle_multiplicities")]
+    assert _hom_from_simple_callers(sources) == want
+    # a third caller, say a top read straight off the solver, is caught
+    mutant = dict(sources)
+    mutant["moncat.py"] += ("\n\ndef head_count(M, i, j):\n"
+                            "    return reps.hom_from_simple(transpose(M), i, j, dim_only=True)\n")
+    assert _hom_from_simple_callers(mutant) == sorted(want + [("moncat.py", "head_count")])
 
 
 def _memo_uses(tree: ast.AST) -> list[tuple[str, str, int]]:
