@@ -35,7 +35,9 @@ kernel, `FieldContext.combination_product`.  Its basis product gives each
 structure constant as (key, e, v), the coefficient q^e * prod(v) of key,
 with v empty for a signed power of q.  The kernel works on integer vectors
 and calls `_make` once per output term; normalized form is unique, so the
-result equals the term-by-term Scalar sum.
+result equals the term-by-term Scalar sum.  `FieldContext.qbar_modes`, the
+transform over Z_n^r by powers of qbar, is signed shifts of integer vectors
+too, with one `_make` per mode.
 """
 
 from __future__ import annotations
@@ -549,6 +551,57 @@ class FieldContext:
             else:
                 acc[key] = s
         return acc
+
+    def qbar_modes(self, terms: dict, twist: list[int]) -> list[Scalar]:
+        """The modes of terms over Z_n^r, each turned by a unit:
+        qbar^twist[J] * sum_T qbar^(J.T) * terms[T] for every J in Z_n^r, in
+        row-major order.  The keys T of terms are r-tuples over Z_n, and
+        twist has n^r entries.
+
+        The coefficients are scaled to integer vectors over the lcm of their
+        denominators and transformed one axis at a time: qbar^e = q^(n e) is
+        a signed cyclic shift, a slice of the row r, -r, r, so the transform
+        and the twists are shifts and adds of ints, and each mode is
+        normalized once by `_make`.  Zero modes are kept.
+        """
+        n, m, N = self.n, self.degree, self.N
+        size = len(twist)
+        groups, den = self._integral_groups(terms)
+        vecs: list = [None] * size
+        for vec, _, keys in groups:
+            for pos in keys:
+                at = 0
+                for t in pos:
+                    at = at * n + t
+                vecs[at] = vec
+        stride = size
+        while stride > 1:
+            stride //= n
+            out: list = [None] * size
+            for at, vec in enumerate(vecs):
+                if vec is None:
+                    continue
+                row = [*vec, *[-c for c in vec], *vec]
+                t = at // stride % n
+                at -= t * stride
+                for j in range(n):
+                    start = -n * j * t % N
+                    term = row[start:start + m]
+                    cur = out[at]
+                    if cur is None:
+                        out[at] = term
+                    else:
+                        cur[:] = map(add, cur, term)
+                    at += stride
+            vecs = out
+        modes = []
+        for vec, e in zip(vecs, twist):
+            if vec is None:
+                vec = (0,) * m
+            row = [*vec, *[-c for c in vec], *vec]
+            start = -n * e % N
+            modes.append(self._make(row[start:start + m], den))
+        return modes
 
     def _integral_groups(self, terms: dict) -> tuple[list[tuple], int]:
         """([(vector, shift, keys)], L): L is the lcm of the denominators

@@ -241,8 +241,9 @@ def test_console_script_entry(child_env):
 
 
 # sha256 of stdout for commands whose output must not drift when the
-# engine is refactored: the three tables, one module of every family and
-# tensor products that exercise the decomposition engine.
+# engine is refactored: the three tables, one module of every family,
+# tensor products that exercise the decomposition engine, and the axioms
+# suite.
 GOLDEN_STDOUT = {
     ("table", "cg-ss"): "e64527b008597be6ed1b7c925bb04078c331852e3db5678bb1ec7732d7b69312",
     ("table", "cg-ps"): "6fdaf5280de681d2471851586b24492b0a892276317972cdacbc447a63043c3e",
@@ -269,6 +270,8 @@ GOLDEN_STDOUT = {
         "01d0b063e8ea19249035591c641945157584cf6182603a620598885fbcb384c9",
     ("tensor", "projective:3,1", "simple:7,0", "--format", "json"):
         "af3941822a3f82b8bcd0fb17b392cf821b29df67ccab497be781db962967ad3c",
+    ("verify", "--suite", "axioms"):
+        "233bd7378afd2bf0573cdf1d6bee2a0fa67229df16ee244401142aaf5a16780d",
 }
 
 

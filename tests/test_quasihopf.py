@@ -1,9 +1,14 @@
 import random
 
-from uqsl2.qgroup import AlgebraElement
+import pytest
+
+from uqsl2 import quasihopf
+from uqsl2.qgroup import AlgebraContext, AlgebraElement, _group_mul
 from uqsl2.quasihopf import (
+    QuasiHopfData,
     TensorElement,
     axiom_reports,
+    k_orbits,
     tensor_of,
     unit_tensor,
 )
@@ -58,6 +63,70 @@ def test_tensor_element_algebra(actx):
 
 def test_reassociator_inverse(actx, qh):
     assert qh.phi() * qh.phi_inv() == unit_tensor(actx, 3)
+
+
+def _commutes_with_phi_directly(qh, lhs, rhs) -> bool:
+    """The oracle for `QuasiHopfData.commutes_with_phi`: both products by
+    Phi, formed in u^(x 3) and compared."""
+    phi = qh.phi()
+    return phi * lhs == rhs * phi
+
+
+def _coassociativity_sides(qh, x):
+    """((D (x) id) D(x), (id (x) D) D(x))."""
+    dx = qh.delta(x)
+    return qh.delta_on_leg(dx, 0), qh.delta_on_leg(dx, 1)
+
+
+def test_mode_check_matches_the_direct_products(qh):
+    samples = qh.coassociativity_samples(0)
+    assert len(samples) == 10
+    for x in samples:
+        lhs, rhs = _coassociativity_sides(qh, x)
+        assert qh.commutes_with_phi(lhs, rhs)
+        assert _commutes_with_phi_directly(qh, lhs, rhs)
+
+
+def test_mode_check_and_oracle_reject_a_sign_flipped_reassociator(monkeypatch):
+    exponent = quasihopf._phi_exponent
+    monkeypatch.setattr(
+        quasihopf, "_phi_exponent", lambda n, i, j, k: -exponent(n, i, j, k) % n
+    )
+    ctx = AlgebraContext(4)  # fresh, so Phi and its twists use the flipped exponent
+    qh = QuasiHopfData(ctx)
+    lhs, rhs = _coassociativity_sides(qh, ctx.E)
+    assert not qh.commutes_with_phi(lhs, rhs)
+    assert not _commutes_with_phi_directly(qh, lhs, rhs)
+
+
+def test_mode_check_and_oracle_reject_a_perturbed_coefficient(actx, qh):
+    lhs, rhs = _coassociativity_sides(qh, actx.E)
+    # one coefficient moved, and one term on an orbit lhs does not meet
+    stray = ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, actx.N - 1))
+    assert stray not in lhs.terms
+    key = min(rhs.terms)
+    for terms in ({**rhs.terms, key: rhs.terms[key] + actx.field.one},
+                  {**rhs.terms, stray: actx.field.one}):
+        bad = TensorElement(actx, 3, terms)
+        assert not qh.commutes_with_phi(lhs, bad)
+        assert not _commutes_with_phi_directly(qh, lhs, bad)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_k_orbit_split_composes_back(n):
+    ctx = AlgebraContext(n)
+    split = k_orbits(ctx)
+    assert set(split) == {(eps, c) for eps in (0, 1) for c in range(ctx.half)}
+    assert len(split) == n * n
+    k_pows = [(0, 0)]
+    for _ in range(n):
+        k_pows.append(_group_mul(n, 1, 0, *k_pows[-1]))
+    assert k_pows[n] == (0, 0)
+    for (eps, c), (c0, t) in split.items():
+        assert 0 <= c0 < n and 0 <= t < n
+        assert _group_mul(n, *k_pows[t], 0, c0) == (eps, c)
+        # k moves a grouplike one place along its orbit
+        assert split[_group_mul(n, 1, 0, eps, c)] == (c0, (t + 1) % n)
 
 
 def test_delta_is_not_strictly_coassociative(qh):

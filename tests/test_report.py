@@ -2,7 +2,7 @@
 
 import pytest
 
-from uqsl2 import k0ring, moncat, reps
+from uqsl2 import k0ring, moncat, quasihopf, reps
 from uqsl2.qgroup import AlgebraContext
 from uqsl2.quasihopf import QuasiHopfData, TensorElement
 from uqsl2.report import verifier
@@ -101,6 +101,15 @@ def _unbalanced_delta(original):
     return delta_mono
 
 
+def _flip_phi_exponent(original):
+    """The reassociator exponent with its sign flipped: Phi^-1 for Phi."""
+
+    def flipped(n, i, j, k):
+        return -original(n, i, j, k) % n
+
+    return flipped
+
+
 def _extra_unit_class(original):
     """Products with S(4,0) on the right gain one trivial class."""
 
@@ -150,6 +159,13 @@ FAULTS = [
         "monomial (0, 0, 1, 1) split ((0, 0, 0, 0), (0, 0, 0, 0))",
     ),
     (
+        lambda ctx: QuasiHopfData(ctx).verify_quasi_coassociativity(),
+        [(quasihopf, "_phi_exponent", _flip_phi_exponent)],
+        "coproduct is coassociative up to the reassociator",
+        3,
+        "AlgebraElement((1,0,0,0,0,0,0,0)*E)",
+    ),
+    (
         lambda ctx: k0ring.verify_character_homomorphisms(ctx),
         [(k0ring, "_expand_products", _extra_unit_class)],
         "dimension and parity are ring homomorphisms on K0",
@@ -180,7 +196,8 @@ FAULTS = [
 @pytest.mark.parametrize(
     "run, faults, statement, instances, counterexample",
     FAULTS,
-    ids=["moncat", "qgroup", "reps", "quasihopf", "k0ring", "iso-undecided", "k0-fusion"],
+    ids=["moncat", "qgroup", "reps", "quasihopf", "reassociator", "k0ring", "iso-undecided",
+         "k0-fusion"],
 )
 def test_injected_fault_is_reported(
     monkeypatch, run, faults, statement, instances, counterexample
