@@ -4,8 +4,8 @@ Every command builds its result once, as three views: a JSON payload, a CSV
 table (with an optional `# uqsl2 ...` comment line) and text lines.
 `_render` writes the view that `--format` selects; `table` has no text view
 and writes its CSV table instead.  `main` is the one place that checks the
-size bounds, dispatches through `COMMANDS` and writes to stdout or to the
-`--out` file.
+size bounds and the `--out` directory, dispatches through `COMMANDS` and
+writes to stdout or to the `--out` file.
 
 Exit codes: 0 success, 1 a verified statement failed, 2 invalid input,
 3 I/O or internal failure.  All stdout output is deterministic for a fixed
@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import re
 import sys
 
@@ -75,6 +77,13 @@ def check_n(n: int) -> None:
 def check_l(l: int | None) -> None:
     if l is not None and l > MAX_L:
         raise InvalidArgumentError(f"l must be at most {MAX_L}, got {l}")
+
+
+def check_out(path: str | None) -> None:
+    """The directory of --out must exist, so that a missing one fails with
+    the error `open` would give before any command spends its time."""
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _jsonable(value):
@@ -335,6 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         check_n(args.n)
         check_l(getattr(args, "l", None))
+        check_out(args.out)
         code, output = COMMANDS[args.command](args)
         if args.out is None:
             sys.stdout.write(output)

@@ -34,6 +34,12 @@ on the k-eigenmodes of each <k>-orbit of PBW keys (`k_orbits`), so
 `commutes_with_phi` compares the two sides mode by mode, each mode turned
 by the unit Phi puts on it (`FieldContext.qbar_modes`).  That unit and the
 coefficients of Phi come from one exponent, `_phi_exponent`.
+
+The height grading of the coproduct is decided from supports where it can
+be: `grading_certificate` reads D(F^a), D(g) and D(E^d) and checks that
+heights add across every leg-wise `mono_mul` that their product D(F^a g E^d)
+can reach, so no coefficient of the product is formed; when a check fails,
+`verify_grading` forms D(F^a g E^d) and reads its heights exactly.
 """
 
 from __future__ import annotations
@@ -47,6 +53,11 @@ from .qgroup import AlgebraContext, AlgebraElement, MonKey, _group_mul
 from .report import CheckReport, Counterexamples, verifier
 
 UNIT_KEY: MonKey = (0, 0, 0, 0)
+
+
+def _height(key: MonKey) -> int:
+    """The height d - a of F^a g E^d, the grading the coproduct keeps."""
+    return key[3] - key[0]
 
 
 def _phi_exponent(n: int, i: int, j: int, k: int) -> int:
@@ -555,22 +566,75 @@ class QuasiHopfData:
                 _add_into(acc, key, v)
         yield None if AlgebraElement(actx, acc) == one else "inverse reassociator zigzag"
 
-    @verifier("coproduct preserves the height grading")
-    def verify_grading(self, seed: int = 0) -> Counterexamples:
-        """Coproduct terms split the height of the input across the two legs."""
+    def grading_samples(self, seed: int = 0) -> list[MonKey]:
+        """The monomials whose coproduct grading is checked: a 4 x 4 grid of
+        exponents with two grouplikes, and eight sampled monomials."""
         actx = self.actx
-        rng = random.Random(seed)
         keys: list[MonKey] = []
         for a in range(4):
             for d in range(4):
                 keys.append((a, 0, 1, d))
                 keys.append((a, 1, 5 % actx.half, d))
-        keys += self._sample_monomials(rng, 8, actx.N - 1)
-        for key in keys:
-            h = key[3] - key[0]
+        return keys + self._sample_monomials(random.Random(seed), 8, actx.N - 1)
+
+    def grading_certificate(self, key: MonKey) -> bool:
+        """True only if every term of D(key) has height d - a, decided from
+        supports without forming D(key); `verify_grading` gives the argument.
+        False decides nothing."""
+        a, eps, c, d = key
+        factors = [(self.delta_mono((a, 0, 0, 0)), -a)]
+        if eps or c:
+            factors.append((self.delta_mono((0, eps, c, 0)), 0))
+        if d:
+            factors.append((self.delta_mono((0, 0, 0, d)), d))
+        for fac, h in factors:
+            if any(_height(ka) + _height(kb) != h for ka, kb in fac.terms):
+                return False
+        mono_mul = self.actx.mono_mul
+        for leg in (0, 1):
+            reached = {keys[leg] for keys in factors[0][0].terms}
+            for fac, _ in factors[1:]:
+                nxt = set()
+                for m in {keys[leg] for keys in fac.terms}:
+                    for l in reached:
+                        h = _height(l) + _height(m)
+                        for out, _, _ in mono_mul(l, m):
+                            if _height(out) != h:
+                                return False
+                            nxt.add(out)
+                reached = nxt
+        return True
+
+    @verifier("coproduct preserves the height grading")
+    def verify_grading(self, seed: int = 0) -> Counterexamples:
+        """Coproduct terms split the height of the input across the two legs.
+
+        Each key F^a g E^d is first tried by `grading_certificate`, which
+        forms no coefficient.  `_build_delta` forms D(key) as the
+        left-to-right product D(F^a) D(g) D(E^d), with D(g) only when g is
+        not 1 and D(E^d) only when d > 0 (for a = d = 0 it returns D(g),
+        which is 1 D(g)), and the certificate reads these factors through
+        `delta_mono`.  The product is bilinear, and the basis product of
+        two terms is `mono_mul` leg by leg, so the support of the product
+        lies in the union, over pairs of terms, of the leg-wise products of
+        their supports; cancellation only removes keys.  On each leg the
+        certificate keeps a set of keys that holds the leg's support of the
+        partial product, and checks h(out) = h(l) + h(m) for every output
+        key of `mono_mul(l, m)`, l a kept key and m a leg key of the next
+        factor.  Then the total height of a product term is the sum of the
+        totals of the terms it came from, and once every term of D(F^a),
+        D(g) and D(E^d) is checked to total -a, 0 and d, every term of
+        D(key) totals d - a.  When any check fails, D(key) is formed and
+        read exactly, so every counterexample is the exact path's.
+        """
+        for key in self.grading_samples(seed):
+            if self.grading_certificate(key):
+                yield None
+                continue
+            h = _height(key)
             splits = [
                 (ka, kb) for (ka, kb) in self.delta_mono(key).terms
-                if (ka[3] - ka[0]) + (kb[3] - kb[0]) != h
+                if _height(ka) + _height(kb) != h
             ]
             yield f"monomial {key} split {splits[0]}" if splits else None
 

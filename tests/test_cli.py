@@ -221,6 +221,19 @@ def test_table_unwritable_path_is_io_error(capsys):
     assert "i/o error" in err
 
 
+def test_missing_out_directory_is_refused_before_the_command_runs(capsys, monkeypatch):
+    import uqsl2.cli as cli_mod
+
+    ran = []
+    monkeypatch.setitem(cli_mod.COMMANDS, "verify", lambda args: ran.append(args) or (0, ""))
+    code, out, err = run_main(
+        ["verify", "--suite", "axioms", "--out", "/nonexistent-dir/x.json"], capsys
+    )
+    assert (code, out, ran) == (3, "", [])
+    # the line that opening the file would give
+    assert err == "i/o error: [Errno 2] No such file or directory: '/nonexistent-dir/x.json'\n"
+
+
 def test_table_json_shape(capsys):
     code, out, _ = run_main(["table", "cg-ps", "--format", "json"], capsys)
     assert code == 0

@@ -5,6 +5,7 @@ import pytest
 from uqsl2 import quasihopf
 from uqsl2.qgroup import AlgebraContext, AlgebraElement, _group_mul
 from uqsl2.quasihopf import (
+    UNIT_KEY,
     QuasiHopfData,
     TensorElement,
     axiom_reports,
@@ -127,6 +128,98 @@ def test_k_orbit_split_composes_back(n):
         assert _group_mul(n, *k_pows[t], 0, c0) == (eps, c)
         # k moves a grouplike one place along its orbit
         assert split[_group_mul(n, 1, 0, eps, c)] == (c0, (t + 1) % n)
+
+
+def _grading_splits_directly(qh, key) -> list[tuple]:
+    """The oracle for `QuasiHopfData.grading_certificate`: D(key) formed,
+    and its terms whose heights do not add up to the height of key."""
+    h = key[3] - key[0]
+    return [
+        (ka, kb) for (ka, kb) in qh.delta_mono(key).terms
+        if (ka[3] - ka[0]) + (kb[3] - kb[0]) != h
+    ]
+
+
+def _factor_product(qh, key):
+    """D(F^a) D(g) D(E^d), the product the certificate reasons about."""
+    a, eps, c, d = key
+    return (
+        qh.delta_mono((a, 0, 0, 0)) * qh.delta_mono((0, eps, c, 0)) * qh.delta_mono((0, 0, 0, d))
+    )
+
+
+def test_grading_certificate_matches_the_exact_read(qh):
+    keys = qh.grading_samples(0)
+    assert len(keys) == 40
+    for key in keys:
+        assert qh.grading_certificate(key), key
+        assert _grading_splits_directly(qh, key) == [], key
+        assert qh.delta_mono(key) == _factor_product(qh, key), key
+
+
+def test_grading_certificate_declines_an_off_height_product(monkeypatch):
+    # F^12 * k also gains the unit, a key of the wrong height; the pair is
+    # on leg 0 of D(F^12) D(k), reached by the first sampled monomial only.
+    pair = ((12, 0, 0, 0), (0, 1, 0, 0))
+    mono_mul = AlgebraContext.mono_mul
+    delta_mono = QuasiHopfData.delta_mono
+    calls = []
+
+    def faulty_mono_mul(self, k1, k2):
+        out = mono_mul(self, k1, k2)
+        return out + ((UNIT_KEY, 0, ()),) if (k1, k2) == pair else out
+
+    def spied_delta_mono(self, key):
+        calls.append(key)
+        return delta_mono(self, key)
+
+    monkeypatch.setattr(AlgebraContext, "mono_mul", faulty_mono_mul)
+    monkeypatch.setattr(QuasiHopfData, "delta_mono", spied_delta_mono)
+    qh = QuasiHopfData(AlgebraContext(4))  # fresh, so no product outlives the fault
+    keys = qh.grading_samples(0)
+    key = keys[32]
+    assert key == (12, 1, 0, 8)
+    rep = qh.verify_grading()
+    assert key in calls
+    # the grid was certified: only its two grouplikes, read as factors
+    assert set(calls) & set(keys[:32]) == {(0, 0, 1, 0), (0, 1, 5, 0)}
+    assert not qh.grading_certificate(key)
+    splits = _grading_splits_directly(qh, key)
+    assert splits
+    assert (rep.passed, rep.instances, rep.counterexample) == (
+        False, 33, f"monomial {key} split {splits[0]}"
+    )
+
+
+def test_grading_certificate_trusts_the_factors_it_reads(monkeypatch):
+    # A coproduct that gains 1 (x) 1 only on keys with a, d >= 1 keeps the
+    # factors D(F^a), D(g), D(E^d) right, so the grading check passes; the
+    # counit, coassociativity and antipode checks still fail it, and so
+    # does the premise that D(key) is the product of its factors.
+    original = QuasiHopfData.delta_mono
+
+    def delta_mono(self, key):
+        out = original(self, key)
+        if key[0] == 0 or key[3] == 0:
+            return out
+        return TensorElement(
+            self.actx, 2, {**out.terms, (UNIT_KEY, UNIT_KEY): self.actx.field.one}
+        )
+
+    monkeypatch.setattr(QuasiHopfData, "delta_mono", delta_mono)
+    qh = QuasiHopfData(AlgebraContext(4))
+    reports = {rep.statement: rep for rep in axiom_reports(qh, seed=0)}
+    assert reports["coproduct preserves the height grading"].passed
+    failed = {
+        statement: rep.instances for statement, rep in reports.items() if not rep.passed
+    }
+    assert failed == {
+        "counit axioms for the coproduct": 24,
+        "coproduct is coassociative up to the reassociator": 7,
+        "antipode axioms": 138,
+    }
+    key = (1, 0, 1, 1)
+    assert qh.delta_mono(key) != _factor_product(qh, key)
 
 
 def test_delta_is_not_strictly_coassociative(qh):
