@@ -80,8 +80,11 @@ def check_l(l: int | None) -> None:
 
 
 def check_out(path: str | None) -> None:
-    """The directory of --out must exist, so that a missing one fails with
-    the error `open` would give before any command spends its time."""
+    """--out must name a file in an existing directory, so that a missing
+    directory, or a path that is a directory, fails with the error `open`
+    would give before any command spends its time."""
+    if path is not None and os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
@@ -256,7 +259,10 @@ def cmd_tensor(args: argparse.Namespace) -> tuple[int, str]:
     ctx = AlgebraContext(args.n)
     left = parse_label(ctx, args.left, args.lam)
     right = parse_label(ctx, args.right, args.lam)
-    result = decompose(tensor(left, right))
+    T = tensor(left, right)
+    result = decompose(T)
+    evidence = {"top_counts": result.evidence["top_counts"],
+                "socle_counts": socle_multiplicities(T), **result.evidence}
     summands = {
         summand_name(k): m
         for k, m in sorted(result.summands.items(), key=lambda kv: summand_name(kv[0]))
@@ -265,7 +271,7 @@ def cmd_tensor(args: argparse.Namespace) -> tuple[int, str]:
                "dim": left.dim * right.dim,
                "status": "decomposed" if result.ok else "hypothesis-violation",
                "summands": summands, "violations": list(result.violations),
-               "evidence": _jsonable(result.evidence)}
+               "evidence": _jsonable(evidence)}
     rows = [{"left": left.label, "right": right.label, "summand": name, "multiplicity": m}
             for name, m in summands.items()]
     text = [f"{left.label} (x) {right.label}: dim {payload['dim']}"]

@@ -234,6 +234,18 @@ def test_missing_out_directory_is_refused_before_the_command_runs(capsys, monkey
     assert err == "i/o error: [Errno 2] No such file or directory: '/nonexistent-dir/x.json'\n"
 
 
+def test_out_naming_a_directory_is_refused_before_the_command_runs(tmp_path, capsys,
+                                                                    monkeypatch):
+    import uqsl2.cli as cli_mod
+
+    ran = []
+    monkeypatch.setitem(cli_mod.COMMANDS, "table", lambda args: ran.append(args) or (0, ""))
+    code, out, err = run_main(["table", "k0", "--out", str(tmp_path)], capsys)
+    assert (code, out, ran) == (3, "", [])
+    # the line that opening the directory would give
+    assert err == f"i/o error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
 def test_table_json_shape(capsys):
     code, out, _ = run_main(["table", "cg-ps", "--format", "json"], capsys)
     assert code == 0
@@ -280,7 +292,7 @@ GOLDEN_STDOUT = {
     ("tensor", "simple:1,0", "simple:1,0", "--format", "json"):
         "c39b468c43105b517b8ae809cb67a3595f4927d7f78bd3eb531e2a276d805e65",
     ("tensor", "W:1,0,2", "simple:1,0", "--format", "json"):
-        "01d0b063e8ea19249035591c641945157584cf6182603a620598885fbcb384c9",
+        "b0da3696d62a03911da0476e1dbb6a8263489f7ea1e53fab9d82b1bf59d6a0fd",
     ("tensor", "projective:3,1", "simple:7,0", "--format", "json"):
         "af3941822a3f82b8bcd0fb17b392cf821b29df67ccab497be781db962967ad3c",
     ("verify", "--suite", "axioms"):
@@ -318,7 +330,7 @@ GOLDEN_VIEWS = {
     ("tensor", "simple:1,0", "simple:1,0", "--format", "csv"):
         "2d3fa295192a4ed2a9ccb9b3a2faea02f255676023f123cf77753799f47ef67f",
     ("tensor", "W:1,0,2", "simple:1,0", "--format", "text"):
-        "4a25c471b899b3590026111338d97ee29b7abc2f6bd01168f228c7cbcb8433f2",
+        "fe20c1aa346470618bec808b56710339f1280e3ec041ee39cda93230b5abf714",
     ("tensor", "W:1,0,2", "simple:1,0", "--format", "csv"):
         "7ca9bf2cd7772ecb46eddc2e9ecd89b977cce55afa7f375ac33addd219c0bc94",
     ("table", "cg-ss", "--format", "json"):

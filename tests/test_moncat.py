@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from uqsl2 import reps
+from uqsl2 import moncat, reps
 from uqsl2.errors import (
     ContextMismatchError,
     DivisionByZeroError,
@@ -28,14 +28,21 @@ from uqsl2.moncat import (
     verify_tensor_coproduct_consistency,
     verify_unit_object,
 )
+from uqsl2.linalg import nullspace_basis
 from uqsl2.reps import (
     Representation,
     all_labels,
+    direct_sum,
     family_W,
+    hom_from_simple,
     partner_label,
     projective,
+    radical,
     simple,
+    socle_multiplicities,
+    sub_rep,
     top_multiplicities,
+    transpose,
     verma,
 )
 
@@ -271,13 +278,24 @@ def test_decompose_rejects_zigzag_module(actx):
     assert "top_counts" in res.evidence
 
 
-def test_decompose_handles_direct_sums_with_simples(actx):
-    from uqsl2.reps import direct_sum
+def _without_grades(M):
+    return Representation(M.ctx, f"{M.label}/ungraded", M.kexp, M.khatexp, M.E, M.F, None)
 
+
+def _no_peel(M):
+    raise AssertionError("decompose reached the graded-character peel")
+
+
+def test_decompose_handles_direct_sums_with_simples(actx, monkeypatch):
     M = direct_sum([simple(actx, 5, 1), projective(actx, 3, 0)], "SplusP")
     res = decompose(M)
     assert res.ok, res.violations
     assert res.summands == {("S", 5, 1): 1, ("P", 3, 0): 1}
+    # decompose reads no grading: an ungraded copy takes the same path
+    monkeypatch.setattr(moncat, "composition_counts", _no_peel)
+    ungraded = decompose(_without_grades(M))
+    assert ungraded.ok, ungraded.violations
+    assert (ungraded.summands, ungraded.evidence) == (res.summands, res.evidence)
 
 
 def test_height_offset_solver():
@@ -457,3 +475,126 @@ def test_cover_certificate_refuses_a_non_p_integral_entry(actx, monkeypatch):
     seen = _spy_hom_fields(monkeypatch)
     assert _cover_certificate(T2, expected) is None
     assert seen and all(field is f for field in seen)
+
+
+# -- the guards that left `decompose`, kept as oracles -----------------------------
+
+
+def _sampled_ss_products(ctx):
+    """S(x)S label pairs: one per fusion case, drawn with Random(0), then the
+    two frozen products of `test_engine_decomposes_frozen_products`."""
+    rng = random.Random(0)
+    labels = all_labels(ctx)
+    pairs = [(a, b) for a in labels for b in labels]
+    picks = []
+    for case in sorted({_fusion_case(ctx, a[0], b[0]) for a, b in pairs}):
+        pool = [pr for pr in pairs if _fusion_case(ctx, pr[0][0], pr[1][0]) == case]
+        picks.append(rng.choice(pool))
+    return picks + [((1, 0), (1, 0)), ((2, 0), (3, 1))]
+
+
+def _radical_layers(M):
+    """t0, t1 and t2 read as the tops of M, rad M and rad^2 M by Hom solves,
+    with dim rad M and dim rad^2 M."""
+    t0, rows = radical(M)
+    t1, t2, rad_dim, rad2_dim = {}, {}, len(rows), 0
+    if rows:
+        R = sub_rep(M, rows, "rad")
+        t1, rows = radical(R)
+        if rows:
+            R2 = sub_rep(R, rows, "rad^2")
+            t2, rad2_dim = top_multiplicities(R2), R2.dim
+    return t0, t1, t2, rad_dim, rad2_dim
+
+
+def test_guards_that_left_decompose_agree_with_its_counts(actx):
+    """Each guard `decompose` ran before the splitting argument, and the
+    graded-character peel, against the verdict it now reads from t0 and t1."""
+    N = actx.N
+    labels = all_labels(actx)
+    dims = {(i, j): N - 2 * i + 1 for i, j in labels}
+    picks = _sampled_ss_products(actx)
+    assert len({_fusion_case(actx, a[0], b[0]) for a, b in picks}) == 4
+    for (i1, j1), (i2, j2) in picks:
+        T = tensor(simple(actx, i1, j1), simple(actx, i2, j2))
+        res = decompose(T)
+        assert res.ok, res.violations
+        assert res.summands == simple_simple_rule(actx, i1, j1, i2, j2)
+        a = {(i, j): m for (kind, i, j), m in res.summands.items() if kind == "S"}
+        b = {(i, j): m for (kind, i, j), m in res.summands.items() if kind == "P"}
+        t0, t1, t2, rad_dim, rad2_dim = _radical_layers(T)
+        # top = socle
+        assert socle_multiplicities(T) == t0 == res.evidence["top_counts"]
+        # the rad^2 read: semisimple, equal to b, and equal to the peel's t2
+        assert sum(c * dims[k] for k, c in t2.items()) == rad2_dim
+        assert t2 == b
+        comp = {k: t0.get(k, 0) + t1.get(k, 0) + t2.get(k, 0) for k in labels}
+        assert composition_counts(T) == {k: c for k, c in comp.items() if c}
+        assert t1 == {k: 2 * b[kp] for k in labels if (kp := partner_label(actx, *k)) in b}
+        # the 2x2 block systems: t1 + t2 = 2 b_k' + b_k, determinant -3
+        for k in labels:
+            kp = partner_label(actx, *k)
+            r_k, r_p = t1.get(k, 0) + t2.get(k, 0), t1.get(kp, 0) + t2.get(kp, 0)
+            assert (2 * r_p - r_k) % 3 == 0 and (2 * r_p - r_k) // 3 == b.get(k, 0)
+        # the dimension checks
+        assert rad_dim == sum(m * (2 * N - dims[k]) for k, m in b.items())
+        assert T.dim == sum(m * dims[k] for k, m in a.items()) + 2 * N * sum(b.values())
+        # the class character and the graded-character tiling
+        got = {}
+        parts = []
+        for key, m in res.summands.items():
+            for cls, c in moncat.summand_module(actx, key).character().items():
+                got[cls] = got.get(cls, 0) + m * c
+            parts += [relative_graded_character(moncat.summand_module(actx, key))] * m
+        assert T.character() == got
+        assert solve_height_offsets(relative_graded_character(T), parts) is not None
+
+
+def test_decompose_makes_two_hom_sweeps_per_product(actx, monkeypatch):
+    """t0 and t1 take one Hom solve per label each; the socles and rad^2 M
+    take none."""
+    calls = []
+    real = reps.hom_from_simple
+
+    def spy(M, i, j, dim_only=False):
+        calls.append((M.label, i, j))
+        return real(M, i, j, dim_only)
+
+    monkeypatch.setattr(reps, "hom_from_simple", spy)
+    for (i1, j1), (i2, j2) in _sampled_ss_products(actx):
+        calls.clear()
+        assert decompose(tensor(simple(actx, i1, j1), simple(actx, i2, j2))).ok
+        assert len(calls) <= 2 * len(all_labels(actx)), (i1, j1, i2, j2, len(calls))
+
+
+def test_decompose_rejects_near_misses(actx):
+    """Modules with the top, or the layer counts, of S (+) P that are not
+    S (+) P, graded and ungraded alike."""
+    k = (3, 0)
+    P = projective(actx, *k)
+    # P_k / soc P_k: the transpose of rad(P_k^t), the annihilator of soc P_k
+    Pt = transpose(P)
+    Q = transpose(sub_rep(Pt, radical(Pt)[1], "rad(P^t)"))
+    assert Q.dim == P.dim - simple(actx, *k).dim
+    # (P_k (+) P_k) / diagonal socle: the transpose of its annihilator
+    PP = direct_sum([P, P], "P+P")
+    (socle,) = hom_from_simple(P, *k)
+    diagonal = [{**v, **{r + P.dim: s for r, s in v.items()}} for v in socle.values()]
+    ann = nullspace_basis(actx.field, diagonal, PP.dim)
+    Y = transpose(sub_rep(transpose(PP), ann, "ann"))
+    # t1 = 2 S_k' and 4 S_k', so b_k = 1 and 2, but rad^2 M = 0 and S_k
+    d = simple(actx, *k).dim
+    cases = [
+        (direct_sum([Q, simple(actx, *k)], "P/soc+S"), 0, d),
+        (Y, d, 2 * d),
+    ]
+    for M, rad2_dim, need in cases:
+        assert M.check_relations().passed
+        want = (
+            f"second radical layer has dimension {rad2_dim}, not the {need} "
+            f"that half the partner first-layer counts need",
+        )
+        for X in (M, _without_grades(M)):
+            res = decompose(X)
+            assert (res.summands, res.verified_dim, res.violations) == ({}, 0, want), X.label
+            assert res.evidence["top_counts"] == {k: 2}
