@@ -80,13 +80,20 @@ def check_l(l: int | None) -> None:
 
 
 def check_out(path: str | None) -> None:
-    """--out must name a file in an existing directory, so that a missing
-    directory, or a path that is a directory, fails with the error `open`
-    would give before any command spends its time."""
-    if path is not None and os.path.isdir(path):
+    """--out must name a writable file, or a new file in an existing,
+    writable directory, so that a missing or unwritable directory, or a path
+    that is a directory, fails with the error `open` would give before any
+    command spends its time."""
+    if path is None:
+        return
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+    if not os.path.isdir(folder):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    # `open` needs to write the file if it exists, else its directory
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
 def _jsonable(value):
@@ -144,7 +151,7 @@ def suite_reports(ctx: AlgebraContext, suite: str, seed: int, slow: bool) -> lis
         out.append(verify_family_constructors(ctx))
         out.append(ctx.verify_regular_decomposition(slow=slow))
     if suite in ("tensor", "all"):
-        out.extend(tensor_reports(ctx, seed=seed))
+        out.extend(tensor_reports(ctx))
     if suite in ("k0", "all"):
         out.extend(k0_reports(ctx))
     return out

@@ -172,7 +172,8 @@ class Scalar:
         to i + s and flips its sign each time it wraps past m.  That permutes
         the coordinates up to sign, so the integer content and the
         denominator stay as they are: the product is already normalized and
-        equals what `_make` would return.  Any other pair of factors is
+        equals what `_make` would return; a factor 1 returns the other, as
+        a Scalar is immutable.  Any other pair of factors is
         multiplied by `_negacyclic_mul` and normalized once.  An int is
         lifted by `_operand`; the one type test costs the shift path
         nothing measurable.
@@ -190,6 +191,8 @@ class Scalar:
             if s is None:
                 return ctx._make(_negacyclic_mul(self.num, other.num), self.den * other.den)
             moved = other
+        if not s:
+            return moved
         a = moved.num
         m = len(a)
         if s < m:

@@ -1,22 +1,16 @@
 """Tensor products of modules, the direct-sum decomposition engine, and the
 fusion-rule tables with their verifiers.
 
-The coproduct sends the generator actions on M (x) N to
-
-    E -> E (x) flat^-1 + k^-1 (x) 1_0 E + 1 (x) (1 - 1_0) E
-    F -> F (x) flat    + k^-1 khat (x) F (1 - 1_0) + khat (x) F 1_0
-    k -> k (x) k,  khat -> khat (x) khat
-
-where 1_0 projects onto the trivial k-eigenvalue and flat acts by q^-w on
-the k-eigenvalue (q^n)^w.  Because every module here has k-exponents
-divisible by n, these three-term sums collapse to a closed per-column rule,
-which `tensor` applies directly; `tensor_action_from_coproduct` recomputes
-the same matrices literally from the coproduct as an independent oracle.
+`tensor` builds M (x) N from the coproduct that `quasihopf` states and its
+axiom suite checks, D(E) and D(F) grouped by left leg: u acts on M (x) N
+through (rho_M (x) rho_N) o D, so the tensor layer holds no second copy of
+the coproduct.  The verifiers decide the paper's fusion rules for simple
+(x) simple and projective (x) simple products through `decompose` and the
+projective-cover certificate.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .cyclo import Scalar, _add_into
@@ -27,7 +21,7 @@ from .errors import (
     InvalidArgumentError,
     RepresentationError,
 )
-from .qgroup import AlgebraContext, AlgebraElement
+from .qgroup import AlgebraContext, AlgebraElement, MonKey
 from .quasihopf import QuasiHopfData
 from .report import CheckReport, Counterexamples, verifier
 from .reps import (
@@ -52,100 +46,78 @@ SummandKey = tuple[str, int, int]  # ("S" | "P", i, j)
 # -- acting and tensoring ---------------------------------------------------------
 
 
-def _k_class(ctx: AlgebraContext, e: int) -> int:
-    if e % ctx.n:
-        raise RepresentationError(
-            "k-eigenvalue exponent is not a multiple of n; not a group character"
-        )
-    return (e // ctx.n) % ctx.n
+def _coproduct_legs(ctx: AlgebraContext) -> tuple[list, list]:
+    """D(E) and D(F) with their terms grouped by left key: one pair (left
+    monomial x, right element y) per key, so that D = sum x (x) y."""
+
+    def build() -> tuple[list, list]:
+        qh = QuasiHopfData(ctx)
+        legs = []
+        for dx in (qh.delta_E, qh.delta_F):
+            groups: dict[MonKey, dict[MonKey, Scalar]] = {}
+            for (left, right), s in dx.terms.items():
+                groups.setdefault(left, {})[right] = s
+            legs.append([(ctx.monomial(*left), AlgebraElement(ctx, terms))
+                         for left, terms in groups.items()])
+        return tuple(legs)
+
+    return ctx.cached(("coproduct_legs",), build)
 
 
 def tensor(M: Representation, N: Representation) -> Representation:
-    """The module M (x) N with the coproduct action, written in closed form.
+    """The module M (x) N, on which u acts through its coproduct D.
 
-    Basis vector (a, b) gets column index a*dim(N) + b; group exponents and
-    grades add.  The E and F columns are assembled from the three coproduct
-    terms, specialized to the k-eigenvalue classes of the two factors.
+    Basis vector (a, b) gets column index a*dim(N) + b.  k and khat act
+    diagonally with added exponents, which is D(k) = k (x) k and
+    D(khat) = khat (x) khat; grades add.  With the terms of D(E) grouped by
+    left key as sum x (x) y (`_coproduct_legs`), E acts by the Kronecker sum
+    of rho_M(x) (x) rho_N(y), and F likewise; each column lists its rows
+    in the order the legs of D(E) and D(F) reach them.
+
+    So rho_T = (rho_M (x) rho_N) o D on the generators, and T is a module
+    with no check of its own, the tensor product of modules over a
+    quasi-bialgebra (Drinfeld, "Quasi-Hopf algebras", Leningrad Math. J. 1,
+    1990): rho_M (x) rho_N is an algebra map u (x) u -> End(M (x) N) when M
+    and N are modules (the census runs `check_relations` on every simple and
+    projective), and D respects every defining relation of u
+    (`QuasiHopfData.verify_delta_well_defined`).  The projectors 1_i in D
+    need every k-exponent of both factors to be a multiple of n; a factor
+    that breaks this is refused, and so is a factor made by `mod_p`, whose
+    F_p entries the exact products would misread.
     """
     if M.ctx is not N.ctx:
         raise ContextMismatchError("tensor factors live over different contexts")
     ctx = M.ctx
-    f = ctx.field
-    n, Nord = ctx.n, ctx.N
-    dN = N.dim
-    kexp = []
-    khatexp = []
-    for a in range(M.dim):
-        ka, kha = M.kexp[a], M.khatexp[a]
-        for b in range(N.dim):
-            kexp.append((ka + N.kexp[b]) % Nord)
-            khatexp.append((kha + N.khatexp[b]) % Nord)
+    if M.field is not ctx.field or N.field is not ctx.field:
+        raise ContextMismatchError("tensor factors must have exact coefficients")
+    if any(e % ctx.n for e in M.kexp + N.kexp):
+        raise RepresentationError(
+            "k-eigenvalue exponent is not a multiple of n; not a group character"
+        )
+    kexp = [ka + kb for ka in M.kexp for kb in N.kexp]
+    khatexp = [ka + kb for ka in M.khatexp for kb in N.khatexp]
     grades = None
     if M.grades is not None and N.grades is not None:
-        grades = [
-            M.grades[a] + N.grades[b] for a in range(M.dim) for b in range(N.dim)
-        ]
-    right_class = [_k_class(ctx, e) for e in N.kexp]
-    E: SparseMap = {}
-    F: SparseMap = {}
-    for a in range(M.dim):
-        EM = M.E.get(a, {})
-        FM = M.F.get(a, {})
-        q_kinv_a = f.qpow(-M.kexp[a])
-        q_kinvkhat_a = f.qpow(M.khatexp[a] - M.kexp[a])
-        q_khat_a = f.qpow(M.khatexp[a])
-        base = a * dN
-        for b in range(N.dim):
-            colidx = base + b
-            w = right_class[b]
-            ecol: Col = {}
-            if EM:
-                flat_inv_b = f.qpow(w)
-                for ra, s in EM.items():
-                    _add_into(ecol, ra * dN + b, s * flat_inv_b)
-            for rb, s in N.E.get(b, {}).items():
-                if right_class[rb] == 0:
-                    _add_into(ecol, base + rb, s * q_kinv_a)
-                else:
-                    _add_into(ecol, base + rb, s)
-            if ecol:
-                E[colidx] = ecol
-            fcol: Col = {}
-            if FM:
-                flat_b = f.qpow(-w)
-                for ra, s in FM.items():
-                    _add_into(fcol, ra * dN + b, s * flat_b)
-            scale = q_khat_a if w == 0 else q_kinvkhat_a
-            for rb, s in N.F.get(b, {}).items():
-                _add_into(fcol, base + rb, s * scale)
-            if fcol:
-                F[colidx] = fcol
+        grades = [ga + gb for ga in M.grades for gb in N.grades]
+    E, F = (_kronecker_sum(M, N, legs) for legs in _coproduct_legs(ctx))
     return Representation(ctx, f"{M.label}(x){N.label}", kexp, khatexp, E, F, grades)
 
 
-def tensor_action_from_coproduct(
-    qh: QuasiHopfData, M: Representation, N: Representation, x: AlgebraElement
-) -> SparseMap:
-    """Matrix of x on M (x) N computed literally from the coproduct.
-
-    Independent of `tensor`: every coproduct term acts leg by leg through
-    the two factor modules, with no class-specialized shortcuts.
-    """
-    ctx = qh.actx
-    if M.ctx is not ctx or N.ctx is not ctx:
-        raise ContextMismatchError("oracle factors live over different contexts")
+def _kronecker_sum(M: Representation, N: Representation, legs: list) -> SparseMap:
+    """sum over the legs (x, y) of rho_M(x) (x) rho_N(y), columns ascending."""
     dN = N.dim
     out: SparseMap = {}
-    for (key_l, key_r), s in qh.delta(x).terms.items():
-        A = M.act_matrix(ctx.monomial(*key_l))
-        B = N.act_matrix(ctx.monomial(*key_r))
-        for ca, cola in A.items():
-            for cb, colb in B.items():
-                col = out.setdefault(ca * dN + cb, {})
-                for ra, sa in cola.items():
-                    for rb, sb in colb.items():
-                        _add_into(col, ra * dN + rb, s * sa * sb)
-    return {c: col for c, col in out.items() if col}
+    for x, y in legs:
+        right = [(cb, tuple(colb.items())) for cb, colb in N.act_matrix(y).items()]
+        for ca, cola in M.act_matrix(x).items():
+            left = ca * dN
+            for ra, sa in cola.items():
+                base = ra * dN
+                for cb, colb in right:
+                    col = out.setdefault(left + cb, {})
+                    for rb, sb in colb:
+                        _add_into(col, base + rb, sa * sb)
+    return {c: out[c] for c in sorted(out) if out[c]}
 
 
 # -- summand bookkeeping ----------------------------------------------------------
@@ -524,61 +496,6 @@ def clebsch_gordan_table(ctx: AlgebraContext, kind: str) -> list[dict]:
 # -- verifiers --------------------------------------------------------------------
 
 
-@verifier("tensor action matches the coproduct oracle")
-def verify_tensor_coproduct_consistency(ctx: AlgebraContext) -> Counterexamples:
-    """Closed-form tensor matrices equal the literal coproduct action.
-
-    Checked on factor pairs that exercise trivial and nontrivial
-    k-classes on either side, including a projective factor, for all four
-    generators.
-    """
-    qh = QuasiHopfData(ctx)
-    h = ctx.half
-    pairs = [
-        (simple(ctx, h, 0), simple(ctx, h, 1)),
-        (simple(ctx, h - 1, 0), simple(ctx, h, 1)),
-        (simple(ctx, h, 1), simple(ctx, h - 1, 0)),
-        (simple(ctx, h - 1, 0), simple(ctx, h - 1, 1)),
-        (simple(ctx, h - 2, 1), simple(ctx, h - 1, 0)),
-        (simple(ctx, h, 1), projective(ctx, h, 0)),
-        (projective(ctx, h, 0), simple(ctx, h - 1, 1)),
-        (simple(ctx, h - 1, 1), projective(ctx, h - 1, 0)),
-    ]
-    gens = [("E", ctx.E), ("F", ctx.F), ("k", ctx.k), ("khat", ctx.khat)]
-    for M, N in pairs:
-        T = tensor(M, N)
-        for name, x in gens:
-            same = T.act_matrix(x) == tensor_action_from_coproduct(qh, M, N, x)
-            yield None if same else f"{name} on {M.label}(x){N.label}"
-        rel = T.check_relations()
-        yield None if rel.passed else (
-            f"defining relations on {M.label}(x){N.label}: {rel.counterexample}"
-        )
-
-
-# Number of random products verify_tensor_relations checks.
-TENSOR_RELATION_SAMPLES = 20
-
-
-@verifier("random tensor products satisfy the defining relations")
-def verify_tensor_relations(ctx: AlgebraContext, seed: int = 0) -> Counterexamples:
-    """Random tensor products of standard modules are modules."""
-    rng = random.Random(seed)
-    labels = all_labels(ctx)
-    for _ in range(TENSOR_RELATION_SAMPLES):
-        i1, j1 = labels[rng.randrange(len(labels))]
-        i2, j2 = labels[rng.randrange(len(labels))]
-        if rng.random() < 0.25:
-            M: Representation = projective(ctx, i1, j1)
-        else:
-            M = simple(ctx, i1, j1)
-        N = simple(ctx, i2, j2)
-        if rng.random() < 0.5:
-            M, N = N, M
-        rel = tensor(M, N).check_relations()
-        yield None if rel.passed else f"{M.label}(x){N.label}: {rel.counterexample}"
-
-
 @verifier("the one-dimensional module of trivial class is a tensor unit")
 def verify_unit_object(ctx: AlgebraContext) -> Counterexamples:
     """S(n^2,0) is a left and right unit on all simples and projectives:
@@ -847,11 +764,9 @@ def verify_graded_character_rules(ctx: AlgebraContext) -> Counterexamples:
                 yield None if tiled else f"{left_kind}({2 * i1},{j1})(x)S({2 * i2},{j2})"
 
 
-def tensor_reports(ctx: AlgebraContext, seed: int = 0) -> list[CheckReport]:
+def tensor_reports(ctx: AlgebraContext) -> list[CheckReport]:
     """All tensor-layer verifications in dependency order."""
     return [
-        verify_tensor_coproduct_consistency(ctx),
-        verify_tensor_relations(ctx, seed=seed),
         verify_unit_object(ctx),
         verify_graded_character_rules(ctx),
         verify_three_dim_fusion(ctx),

@@ -156,41 +156,53 @@ class Representation:
         return Representation(self.ctx, self.label, self.kexp, self.khatexp,
                               reduce(self.E), reduce(self.F), self.grades, res)
 
-    def apply_group(self, eps: int, c: int, vec: Col) -> Col:
-        f = self.field
-        out: Col = {}
-        for r, s in vec.items():
-            f.axpy(out, {r: s}, f.qpow(eps * self.kexp[r] + c * self.khatexp[r]))
-        return out
-
     def act_vec(self, x: AlgebraElement, vec: Col) -> Col:
         """Apply an algebra element (normal form F^a k^eps khat^c E^d)."""
-        if x.ctx is not self.ctx:
-            raise ContextMismatchError("element and module use different algebra contexts")
-        out: Col = {}
-        for (a, eps, c, d), s in x.terms.items():
-            w = dict(vec)
-            for _ in range(d):
-                if not w:
-                    break
-                w = self.apply_E(w)
-            if not w:
-                continue
-            w = self.apply_group(eps, c, w)
-            for _ in range(a):
-                if not w:
-                    break
-                w = self.apply_F(w)
-            self.field.axpy(out, w, self.field.image(s))
-        return out
+        return self.apply_map(self.act_matrix(x), vec)
 
     def act_matrix(self, x: AlgebraElement) -> SparseMap:
+        """The matrix of x, column by column.
+
+        The terms F^a k^eps khat^c E^d of x that share (a, d) act together
+        as F^a h E^d, where h is the sum of their group parts.  h is
+        diagonal, and its value on a basis vector depends only on the
+        vector's k and khat exponents, so the context keeps one value per
+        exponent pair, field and h.
+        """
+        if x.ctx is not self.ctx:
+            raise ContextMismatchError("element and module use different algebra contexts")
+        f = self.field
+        parts: dict[tuple[int, int], list[tuple[int, int, Scalar]]] = {}
+        for (a, eps, c, d), s in x.terms.items():
+            parts.setdefault((a, d), []).append((eps, c, f.image(s)))
         out: SparseMap = {}
-        for c in range(self.dim):
-            col = self.act_vec(x, {c: self.field.one})
-            if col:
-                out[c] = col
-        return out
+        pairs = list(zip(self.kexp, self.khatexp))
+        for (a, d), group in parts.items():
+            values = self.ctx.cached(("group_values", f, tuple(group)), dict)
+            for pair in pairs:
+                if pair not in values:
+                    acc: Col = {}
+                    for eps, c, s in group:
+                        f.axpy(acc, {0: f.qpow(eps * pair[0] + c * pair[1])}, s)
+                    values[pair] = acc.get(0, f.zero)
+            h = [values[pair] for pair in pairs]
+            for col in range(self.dim):
+                if d:
+                    w = self.E.get(col, {})
+                    for _ in range(d - 1):
+                        w = self.apply_E(w)
+                    hw: Col = {}
+                    for r, t in w.items():
+                        f.axpy(hw, {r: t}, h[r])
+                else:
+                    hw = {col: h[col]} if h[col] else {}
+                for _ in range(a):
+                    hw = self.apply_F(hw)
+                if col in out:
+                    f.axpy(out[col], hw, f.one)
+                elif hw:
+                    out[col] = hw
+        return {c: col for c, col in out.items() if col}
 
     # -- characters ----------------------------------------------------------
 
@@ -1318,10 +1330,16 @@ def verify_structure_counts(ctx: AlgebraContext) -> Counterexamples:
     projective has dimension 2n^2 with simple top and socle equal to its
     label (so none of the simples, all smaller, is projective); the
     partner involution pairs the labels into n^2/2 blocks of total
-    dimension 2n^4, exhausting dim u.
+    dimension 2n^4, exhausting dim u.  Every simple and projective also
+    passes `check_relations`, one instance per module: `moncat.tensor`
+    needs its factors to be modules.
     """
     N = ctx.N
     labels = all_labels(ctx)
+    for i, j in labels:
+        for M in (simple(ctx, i, j), projective(ctx, i, j)):
+            rel = M.check_relations()
+            yield None if rel.passed else f"{M.label}: {rel.counterexample}"
     dims = sorted(simple(ctx, i, j).dim for i, j in labels)
     yield None if dims == sorted(2 * list(range(1, N, 2))) else f"simple dimensions are {dims}"
     yield None if max(dims) < 2 * N else "a simple module is at least as large as a projective"

@@ -246,6 +246,27 @@ def test_out_naming_a_directory_is_refused_before_the_command_runs(tmp_path, cap
     assert err == f"i/o error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
+def test_unwritable_out_directory_is_refused_before_the_command_runs(tmp_path, capsys,
+                                                                     monkeypatch):
+    """A directory without write permission is refused as `open` would
+    refuse it.  A root process passes every permission check, so
+    `os.access` is stubbed to answer as it would for another user."""
+    import uqsl2.cli as cli_mod
+
+    ran = []
+    monkeypatch.setitem(cli_mod.COMMANDS, "table", lambda args: ran.append(args) or (0, ""))
+    monkeypatch.setattr(cli_mod.os, "access", lambda path, mode: False)
+    target = tmp_path / "k0.csv"
+    code, out, err = run_main(["table", "k0", "--out", str(target)], capsys)
+    assert (code, out, ran) == (3, "", [])
+    assert err == f"i/o error: [Errno 13] Permission denied: '{target}'\n"
+    # an existing file that may be written is enough, as it is for `open`
+    target.write_text("")
+    monkeypatch.setattr(cli_mod.os, "access", lambda path, mode: path == str(target))
+    code, out, err = run_main(["table", "k0", "--out", str(target)], capsys)
+    assert (code, out, err, len(ran)) == (0, "", "", 1)
+
+
 def test_table_json_shape(capsys):
     code, out, _ = run_main(["table", "cg-ps", "--format", "json"], capsys)
     assert code == 0

@@ -24,10 +24,11 @@ from uqsl2.moncat import (
     summand_dim,
     summand_name,
     tensor,
-    tensor_action_from_coproduct,
-    verify_tensor_coproduct_consistency,
     verify_unit_object,
 )
+from uqsl2.cyclo import _add_into
+from uqsl2.qgroup import AlgebraContext
+from uqsl2.quasihopf import QuasiHopfData, axiom_reports
 from uqsl2.linalg import nullspace_basis
 from uqsl2.reps import (
     Representation,
@@ -65,16 +66,65 @@ def test_tensor_bookkeeping(actx):
 
 
 def test_tensor_rejects_mixed_contexts(actx):
-    from uqsl2.qgroup import AlgebraContext
-
     other = AlgebraContext(4)
     with pytest.raises(ContextMismatchError):
         tensor(simple(actx, 8, 0), simple(other, 8, 0))
+    # a residue module's F_p entries are not exact coefficients
+    S = simple(actx, 3, 1)
+    for M, N in ((S.mod_p(), S), (S, S.mod_p())):
+        with pytest.raises(ContextMismatchError, match="exact coefficients"):
+            tensor(M, N)
+
+
+def tensor_action_from_coproduct(qh, M, N, x):
+    """Matrix of x on M (x) N computed literally from the coproduct: every
+    term of D(x) acts leg by leg through the two factor modules, with no
+    grouping of the terms."""
+    ctx = qh.actx
+    dN = N.dim
+    out = {}
+    for (key_l, key_r), s in qh.delta(x).terms.items():
+        A = M.act_matrix(ctx.monomial(*key_l))
+        B = N.act_matrix(ctx.monomial(*key_r))
+        for ca, cola in A.items():
+            for cb, colb in B.items():
+                col = out.setdefault(ca * dN + cb, {})
+                for ra, sa in cola.items():
+                    for rb, sb in colb.items():
+                        _add_into(col, ra * dN + rb, s * sa * sb)
+    return {c: col for c, col in out.items() if col}
+
+
+def _oracle_pairs(ctx):
+    """Factor pairs with trivial and nontrivial k-classes on either side,
+    projective factors among them, then the 20 products that a seeded draw
+    from Random(0) gives: a projective left factor one time in four, and
+    the factors swapped one time in two."""
+    h = ctx.half
+    pairs = [
+        (simple(ctx, h, 0), simple(ctx, h, 1)),
+        (simple(ctx, h - 1, 0), simple(ctx, h, 1)),
+        (simple(ctx, h, 1), simple(ctx, h - 1, 0)),
+        (simple(ctx, h - 1, 0), simple(ctx, h - 1, 1)),
+        (simple(ctx, h - 2, 1), simple(ctx, h - 1, 0)),
+        (simple(ctx, h, 1), projective(ctx, h, 0)),
+        (projective(ctx, h, 0), simple(ctx, h - 1, 1)),
+        (simple(ctx, h - 1, 1), projective(ctx, h - 1, 0)),
+    ]
+    rng = random.Random(0)
+    labels = all_labels(ctx)
+    for _ in range(20):
+        i1, j1 = labels[rng.randrange(len(labels))]
+        i2, j2 = labels[rng.randrange(len(labels))]
+        M = projective(ctx, i1, j1) if rng.random() < 0.25 else simple(ctx, i1, j1)
+        N = simple(ctx, i2, j2)
+        pairs.append((N, M) if rng.random() < 0.5 else (M, N))
+    return pairs
 
 
 def test_tensor_action_matches_coproduct(actx, qh):
-    """The closed-form tensor columns agree with a literal application of
-    the coproduct terms, generator by generator."""
+    """The tensor columns agree with a literal application of the
+    coproduct terms, generator by generator."""
     M = simple(actx, 6, 0)
     N = projective(actx, 8, 1)
     T = tensor(M, N)
@@ -82,10 +132,47 @@ def test_tensor_action_matches_coproduct(actx, qh):
         assert T.act_matrix(x) == tensor_action_from_coproduct(qh, M, N, x)
 
 
-def test_tensor_coproduct_consistency_sweep(actx):
-    rep = verify_tensor_coproduct_consistency(actx)
-    assert rep.passed, rep.counterexample
-    assert rep.instances == 40
+def test_tensor_matches_the_coproduct_oracle(actx, qh):
+    """On 28 pairs, every generator acts on M (x) N as the literal
+    coproduct says, and the product is a module."""
+    pairs = _oracle_pairs(actx)
+    assert len(pairs) == 28
+    assert sum(1 for M, N in pairs if M.dim == 2 * actx.N or N.dim == 2 * actx.N) >= 3
+    for M, N in pairs:
+        T = tensor(M, N)
+        for x in (actx.E, actx.F, actx.k, actx.khat):
+            assert T.act_matrix(x) == tensor_action_from_coproduct(qh, M, N, x), T.label
+        rep = T.check_relations()
+        assert rep.passed, (T.label, rep.counterexample)
+
+
+def test_tensor_refuses_a_bad_factor_on_either_side(actx):
+    """A factor whose k-exponent is not a multiple of n has no projectors
+    1_i, so the coproduct cannot act on it, in either position."""
+    bad = Representation(actx, "x", [2], [7], {}, {})
+    S = simple(actx, 1, 0)
+    for M, N in ((S, bad), (bad, S)):
+        with pytest.raises(RepresentationError, match="not a multiple of n"):
+            tensor(M, N)
+
+
+def test_tensor_follows_the_coproduct(monkeypatch):
+    """Scaling one term of D(E) breaks the axiom suite and a tensor
+    product alike: `tensor` reads the coproduct that the axioms check."""
+    init = QuasiHopfData.__init__
+
+    def perturbed(self, actx):
+        init(self, actx)
+        key, s = next(iter(self.delta_E.terms.items()))
+        self.delta_E = self.delta_E + type(self.delta_E)(actx, 2, {key: s})
+
+    monkeypatch.setattr(QuasiHopfData, "__init__", perturbed)
+    ctx = AlgebraContext(4)  # fresh, so no memo holds the true coproduct
+    failed = {rep.statement for rep in axiom_reports(QuasiHopfData(ctx)) if not rep.passed}
+    assert "coproduct respects the defining relations" in failed
+    T = tensor(simple(ctx, 1, 0), simple(ctx, 1, 0))
+    rep = T.check_relations()
+    assert not rep.passed
 
 
 def test_unit_object_is_tensor_identity(actx):

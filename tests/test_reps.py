@@ -660,6 +660,40 @@ def test_act_vec_matches_matrix_action(actx):
         family_T(actx, 2, 0, 1, f.one).graded_character()
 
 
+def _act_term_by_term(M, x, vec):
+    """x applied to vec one PBW term F^a k^eps khat^c E^d at a time: E^d,
+    then the group part vector by vector, then F^a."""
+    f = M.field
+    out = {}
+    for (a, eps, c, d), s in x.terms.items():
+        w = dict(vec)
+        for _ in range(d):
+            w = M.apply_E(w)
+        g = {}
+        for r, t in w.items():
+            f.axpy(g, {r: t}, f.qpow(eps * M.kexp[r] + c * M.khatexp[r]))
+        for _ in range(a):
+            g = M.apply_F(g)
+        f.axpy(out, g, f.image(s))
+    return out
+
+
+def test_act_matrix_matches_the_term_by_term_action(actx):
+    """act_matrix, which acts once per (a, d) with a diagonal group part,
+    gives column by column what the PBW terms give one at a time, over
+    Q(zeta) and over F_p."""
+    f = actx.field
+    xs = [actx.E * actx.F * actx.khat + actx.k.scale(f.qpow(3)),
+          actx.F * actx.F * actx.E, actx.idempotent_e(2, 0), actx.flat(),
+          actx.idempotent_1(0) * actx.E + actx.F * actx.kinv, actx.zero_elem]
+    for M in (simple(actx, 3, 1), projective(actx, 2, 0), family_V(actx, 2, 1, 1)):
+        for R in (M, M.mod_p()):
+            one = R.field.one
+            for x in xs:
+                cols = {c: _act_term_by_term(R, x, {c: one}) for c in range(R.dim)}
+                assert R.act_matrix(x) == {c: col for c, col in cols.items() if col}
+
+
 def test_residue_module_runs_the_residue_kernel(actx):
     """A module made by `mod_p` holds F_p from construction on: its relation
     check, its algebra action and the modules built from it run the residue
