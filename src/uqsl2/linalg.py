@@ -9,10 +9,11 @@ works on ints reduced mod p.
 `Echelon` is the one elimination structure, and `Echelon.eliminate` the
 one loop that clears pivots.  It clears only pivots at columns the row
 holds, so rows whose columns fall into groups that no row crosses (the
-grade-pure rows of `reps.hom_from_simple` and `reps.radical`) are
-eliminated group by group without a partition.  Pivot rows are stored
-monic, so clearing one subtracts a bounded multiple of it and inverts
-nothing, and scalar sizes stay bounded however many rows are reduced.
+grade-pure rows of `reps.hom_from_simple`, `reps.radical` and
+`reps.quotient_rep`) are eliminated group by group without a partition.
+Pivot rows are stored monic, so clearing one subtracts a bounded multiple
+of it and inverts nothing, and scalar sizes stay bounded however many rows
+are reduced.
 `Echelon.add` inverts once per new pivot row whose leading entry is not 1,
 to make the row monic; back-substitution in `nullspace_basis` divides by
 nothing, since every stored pivot is 1.

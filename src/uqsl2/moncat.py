@@ -28,12 +28,11 @@ from .reps import (
     Representation,
     all_labels,
     direct_sum,
+    first_radical_layers,
     iso_test,
     partner_label,
     projective,
-    radical,
     simple,
-    sub_rep,
     top_multiplicities,
 )
 
@@ -363,8 +362,9 @@ class DecompositionResult:
     When `violations` is nonempty, M is not a direct sum of simples and
     projectives (see `decompose`); `summands` is then empty and only
     `evidence` is meaningful.  `evidence` holds what the verdict is read
-    from: "top_counts" t0; "radical_layer_dims", the measured dim M,
-    dim rad M and dim rad^2 M, up to the first zero; and
+    from: "top_counts" t0; "radical_layer_dims", dim M, dim rad M (dim M
+    less the rank of soc M^t) and dim rad^2 M (dim rad M less the
+    dimension of the first layer t1), up to the first zero; and
     "block_systems_solved", the number of blocks {k, k'} at which t1 is
     nonzero.  A decomposed M also has "composition_counts" t0 + t1 + b.
     """
@@ -382,8 +382,11 @@ class DecompositionResult:
 def decompose(M: Representation) -> DecompositionResult:
     """Split M into simple and projective summands, or report why not.
 
-    Two Hom sweeps decide it: t0, the top of M, with a basis of rad M, from
-    one `radical(M)`; and t1, the top of rad M.  With b_k = t1_k' / 2
+    Two Hom sweeps decide it, both run by `first_radical_layers`: the
+    first gives t0, the top of M, and the image columns that span soc M^t,
+    whose rank gives dim rad M = dim M - rank; the second gives t1, the top
+    of rad M, as the socle of M^t / soc M^t = (rad M)^t (its docstring
+    shows the quotient well defined).  With b_k = t1_k' / 2
     (k' = `partner_label`) and a = t0 - b, M = (+) a_k S_k (+) b_k P_k
     exactly when every t1_k is even, dim rad M = sum_k (t1_k + b_k) dim S_k,
     and a >= 0.  Each condition that fails comes back as a violation.  No
@@ -428,13 +431,12 @@ def decompose(M: Representation) -> DecompositionResult:
     ctx = M.ctx
     labels = all_labels(ctx)
     dims = {(i, j): ctx.N - 2 * i + 1 for i, j in labels}
-    tops, rows = radical(M)
-    t1 = top_multiplicities(sub_rep(M, rows, f"rad({M.label})")) if rows else {}
-    rad2_dim = len(rows) - sum(c * dims[k] for k, c in t1.items())
+    tops, rad_dim, t1 = first_radical_layers(M)
+    rad2_dim = rad_dim - sum(c * dims[k] for k, c in t1.items())
     blocks = {frozenset((k, partner_label(ctx, *k))) for k in t1}
     evidence: dict = {
         "top_counts": tops,
-        "radical_layer_dims": [M.dim] + [d for d in (len(rows), rad2_dim) if d],
+        "radical_layer_dims": [M.dim] + [d for d in (rad_dim, rad2_dim) if d],
         "block_systems_solved": len(blocks),
     }
     violations = [f"first radical layer count {c} at {k} is odd" for k, c in t1.items() if c % 2]

@@ -680,38 +680,122 @@ def top_multiplicities(
     return socle_multiplicities(transpose(M), labels)
 
 
-def radical(M: Representation) -> tuple[dict[tuple[int, int], int], list[Col]]:
-    """The top multiplicities of M and a basis of rad M, from one Hom solve
-    per label.
+def _socle_sweep(Mt: Representation) -> tuple[dict[tuple[int, int], int], list[Col]]:
+    """Nonzero dim Hom(S(2i,j), Mt) over the labels, keyed in label order,
+    and the image columns of the maps, from one `hom_from_simple` solve per
+    label.
 
-    `hom_from_simple(M^t, i, j)` returns a basis of Hom(S(2i,j), M^t).  Its
-    size is dim Hom(M, S(2i,j)), the multiplicity of S(2i,j) in the top of
-    M, and the image columns of its maps span the S(2i,j)-part of soc M^t
-    (see `transpose`).  Over all labels those columns span soc M^t, and as
-    functionals on M their joint kernel is rad M.  So one solve per label
-    gives both the tops and the radical, and no label is solved twice.
-    Nor do two labels share work: the solve for (i, j) has one unknown per
-    vector of M^t in the class chi0 = ((-2i) mod n^2, j) of the lowest
-    weight vector of S(2i,j), and 2i runs over distinct residues mod n^2,
-    so the start classes of different labels are disjoint.  A solve builds
-    E-chains only from vectors of ker F in its own start class, and a chain
-    is fixed by its start vector, so no two labels build the same chain.
-
-    Tops are nonzero counts keyed in label order, as `top_multiplicities`
-    gives them.  When M is graded, the image columns are grade-pure (see
-    `hom_from_simple`), so the functionals are grade-pure rows and, as
-    there, one kernel over all of M is eliminated grade by grade: each
-    kernel vector is grade-pure, and rad M keeps M's grading.
+    The image columns of the (i, j) maps span the S(2i,j)-part of soc Mt,
+    so over all labels they span soc Mt.  Called with Mt = M^t, the counts
+    are the top of M (see `transpose`).  No label is solved twice, and no
+    two labels share work: the solve for (i, j) has one unknown per vector
+    of Mt in the class chi0 = ((-2i) mod n^2, j) of the lowest weight
+    vector of S(2i,j), and 2i runs over distinct residues mod n^2, so the
+    start classes of different labels are disjoint.  A solve builds E-chains
+    only from vectors of ker F in its own start class, and a chain is fixed
+    by its start vector, so no two labels build the same chain.  When Mt is
+    graded, every image column is grade-pure (see `hom_from_simple`).
     """
     tops: dict[tuple[int, int], int] = {}
-    functionals: list[Col] = []
-    Mt = transpose(M)
-    for i, j in all_labels(M.ctx):
+    columns: list[Col] = []
+    for i, j in all_labels(Mt.ctx):
         maps = hom_from_simple(Mt, i, j)
         if maps:
             tops[(i, j)] = len(maps)
-        functionals.extend(col for mat in maps for col in mat.values())
+        columns.extend(col for mat in maps for col in mat.values())
+    return tops, columns
+
+
+def radical(M: Representation) -> tuple[dict[tuple[int, int], int], list[Col]]:
+    """The top multiplicities of M and a basis of rad M, for `syzygy`.
+
+    Tops and the image columns spanning soc M^t come from one
+    `_socle_sweep(M^t)`.  As functionals on M those columns have rad M as
+    their joint kernel (see `transpose`), taken by one `nullspace_basis`
+    over all of M.  Tops are nonzero counts keyed in label order, as
+    `top_multiplicities` gives them.  When M is graded, the functionals are
+    grade-pure rows, so as in `hom_from_simple` the one kernel is
+    eliminated grade by grade: each kernel vector is grade-pure, and rad M
+    keeps M's grading.  `first_radical_layers` reads the layers of M
+    without this kernel, by a quotient of M^t.
+    """
+    tops, functionals = _socle_sweep(transpose(M))
     return tops, nullspace_basis(M.field, functionals, M.dim)
+
+
+def first_radical_layers(
+    M: Representation,
+) -> tuple[dict[tuple[int, int], int], int, dict[tuple[int, int], int]]:
+    """t0, the top of M; dim rad M; and t1, the top of rad M, from two
+    sweeps of Hom solves.
+
+    The first sweep, `_socle_sweep(M^t)`, gives t0 and the image columns
+    that span soc M^t.  Their rank r is measured by the `Echelon` of
+    `quotient_rep`, and dim rad M = dim M - r, since rad M is the
+    annihilator of soc M^t (see `transpose`).  So (rad M)^t, the dual of
+    rad M with the transposed action, is M^t / soc M^t: the restriction
+    M* -> (rad M)* is onto, with kernel the functionals that vanish on
+    rad M, which is soc M^t.  This quotient is well defined: conditions
+    (1)-(3) of `hom_from_simple` say F v = 0, E^{d+1} v = 0 and
+    F E^t v = c_t E^{t-1} v, so E and F map the span of each image chain
+    v, E v, ..., E^d v into itself, whatever E and F M^t has, and each
+    E^t v lies in one class, so k and khat do too.  So soc M^t, the sum of
+    those spans, is a subspace that E, F, k and khat map into itself.  And
+    by `transpose` top(rad M) = soc((rad M)^t), so the second sweep,
+    `socle_multiplicities(M^t / soc M^t)`, gives t1.  When r = dim M,
+    rad M = 0, the quotient is zero and the second sweep is skipped.
+
+    Tops are nonzero counts keyed in label order.  The quotient is
+    labelled "rad(label)^t", as the transpose of a rad M built by `sub_rep`
+    would be, so no module label is solved twice.
+    """
+    Mt = transpose(M)
+    tops, socle = _socle_sweep(Mt)
+    R = quotient_rep(Mt, socle, f"rad({M.label})^t")
+    return tops, R.dim, socle_multiplicities(R) if R.dim else {}
+
+
+def quotient_rep(M: Representation, vectors: list[Col], label: str) -> Representation:
+    """M / W for W the span of `vectors`, which E, F, k and khat must map
+    into itself (not checked).
+
+    The vectors go into one `Echelon`.  Its pivot rows are monic at their
+    pivot columns, so the unit vectors at the other columns, kept in M's
+    order, are a basis of M / W: every vector of M reduces modulo W to a
+    unique combination of them.  E and F of a kept unit vector are its
+    E and F columns in M; a column that meets a pivot is reduced by
+    `Echelon.eliminate`, which subtracts bounded multiples of the monic
+    pivot rows and inverts nothing.  A column that meets none is only
+    renumbered.  k and khat act diagonally on M and map W into itself, so
+    the kept unit vectors keep their k and khat exponents.  If M is graded
+    and every vector is grade-pure, the pivot rows are grade-pure (a row
+    meets only pivots of its own grade), reduction keeps a column's grade,
+    and the quotient keeps the kept vectors' grades; otherwise it is
+    ungraded.
+    """
+    ech = Echelon(M.field)
+    for vec in vectors:
+        ech.add(vec)
+    pivots = ech.pivot_rows
+    keep = [c for c in range(M.dim) if c not in pivots]
+    index = {c: t for t, c in enumerate(keep)}
+
+    def reduced(mp: SparseMap) -> SparseMap:
+        out: SparseMap = {}
+        for c in keep:
+            col = mp.get(c)
+            if col and not pivots.keys().isdisjoint(col):
+                col = ech.reduce(col)
+            if col:
+                out[index[c]] = {index[r]: s for r, s in col.items()}
+        return out
+
+    grades = None
+    if M.grades is not None and all(len({M.grades[r] for r in vec}) == 1 for vec in vectors):
+        grades = [M.grades[c] for c in keep]
+    return Representation(M.ctx, label, [M.kexp[c] for c in keep],
+                          [M.khatexp[c] for c in keep], reduced(M.E), reduced(M.F),
+                          grades, M.field)
 
 
 def sub_rep(M: Representation, vectors: list[Col], label: str) -> Representation:
@@ -1165,8 +1249,7 @@ def verify_block_structure(ctx: AlgebraContext) -> Counterexamples:
     links: dict[tuple[int, int], set] = {}
     for lab in labels:
         P = projs[lab]
-        _, rows = radical(P)
-        layer1 = top_multiplicities(sub_rep(P, rows, f"rad({P.label})"))
+        _, _, layer1 = first_radical_layers(P)
         links[lab] = set(layer1)
         expect = {partner_label(ctx, *lab): 2}
         yield None if layer1 == expect else (

@@ -7,8 +7,8 @@ for the Scalar and int sums of every `Combination` too, and
 cyclo calls the integer product and normalization of Q(zeta_N), linalg
 reads only the field kernel `axpy`, `neg`, `inverse` and `one` off the
 field it holds, tops, radicals and socles share the one Hom solver
-`reps.hom_from_simple` (`socle_multiplicities` and `radical` are its only
-callers), only `AlgebraContext.cached` touches the memo, and the command
+`reps.hom_from_simple` (`socle_multiplicities` and `_socle_sweep` are its
+only callers), only `AlgebraContext.cached` touches the memo, and the command
 line has one output path (`test_cli_has_one_output_path`: only
 `cli._render` dumps JSON or builds a CSV writer, only `cli.main` writes to
 stdout or opens the `--out` file)."""
@@ -298,12 +298,12 @@ def _hom_from_simple_callers(sources: dict[str, str]) -> list[tuple[str, str]]:
 def test_tops_radicals_and_socles_share_one_hom_solver():
     """Tops, radicals and socles all go through `reps.hom_from_simple`
     (tops as socles of the transpose), called from `socle_multiplicities`
-    and `radical` alone; a second solver or a third caller must not come
-    back."""
+    and `_socle_sweep` alone (`radical` and `first_radical_layers` read the
+    sweep); a second solver or a third caller must not come back."""
     package = pathlib.Path(uqsl2.__file__).parent
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(package.glob("*.py"))}
-    want = [("reps.py", "radical"), ("reps.py", "socle_multiplicities")]
+    want = [("reps.py", "_socle_sweep"), ("reps.py", "socle_multiplicities")]
     assert _hom_from_simple_callers(sources) == want
     # a third caller, say a top read straight off the solver, is caught
     mutant = dict(sources)

@@ -29,12 +29,14 @@ from uqsl2.moncat import (
 from uqsl2.cyclo import _add_into
 from uqsl2.qgroup import AlgebraContext
 from uqsl2.quasihopf import QuasiHopfData, axiom_reports
-from uqsl2.linalg import nullspace_basis
+from uqsl2.linalg import Echelon, nullspace_basis
 from uqsl2.reps import (
     Representation,
     all_labels,
     direct_sum,
+    family_T,
     family_W,
+    first_radical_layers,
     hom_from_simple,
     partner_label,
     projective,
@@ -654,9 +656,9 @@ def test_decompose_makes_two_hom_sweeps_per_product(actx, monkeypatch):
         assert len(calls) <= 2 * len(all_labels(actx)), (i1, j1, i2, j2, len(calls))
 
 
-def test_decompose_rejects_near_misses(actx):
-    """Modules with the top, or the layer counts, of S (+) P that are not
-    S (+) P, graded and ungraded alike."""
+def _near_misses(actx):
+    """(M, dim rad^2 M, the dim rad^2 M that b needs) for two modules with
+    the top, or the layer counts, of S (+) P that are not S (+) P."""
     k = (3, 0)
     P = projective(actx, *k)
     # P_k / soc P_k: the transpose of rad(P_k^t), the annihilator of soc P_k
@@ -671,11 +673,17 @@ def test_decompose_rejects_near_misses(actx):
     Y = transpose(sub_rep(transpose(PP), ann, "ann"))
     # t1 = 2 S_k' and 4 S_k', so b_k = 1 and 2, but rad^2 M = 0 and S_k
     d = simple(actx, *k).dim
-    cases = [
+    return [
         (direct_sum([Q, simple(actx, *k)], "P/soc+S"), 0, d),
         (Y, d, 2 * d),
     ]
-    for M, rad2_dim, need in cases:
+
+
+def test_decompose_rejects_near_misses(actx):
+    """Modules with the top, or the layer counts, of S (+) P that are not
+    S (+) P, graded and ungraded alike."""
+    k = (3, 0)
+    for M, rad2_dim, need in _near_misses(actx):
         assert M.check_relations().passed
         want = (
             f"second radical layer has dimension {rad2_dim}, not the {need} "
@@ -685,3 +693,38 @@ def test_decompose_rejects_near_misses(actx):
             res = decompose(X)
             assert (res.summands, res.verified_dim, res.violations) == ({}, 0, want), X.label
             assert res.evidence["top_counts"] == {k: 2}
+
+
+def _reduced_span(field, vectors):
+    """A basis of the span of `vectors` in reduced echelon form: each row is
+    1 at its pivot and 0 at every other pivot, the private unit coordinate
+    that `sub_rep` reads."""
+    ech = Echelon(field)
+    for vec in vectors:
+        ech.add(vec)
+    done = Echelon(field)
+    for col in sorted(ech.pivot_rows, reverse=True):
+        done.pivot_rows[col] = done.reduce(ech.pivot_rows[col])
+    return list(done.pivot_rows.values())
+
+
+def test_first_layers_by_quotient_match_the_radical_oracle(actx):
+    """t0, dim rad M and t1 read through M^t / soc M^t equal the tops of M
+    and of rad M built as a submodule by `radical` and `sub_rep`, on S(x)S
+    products, the near misses graded and ungraded, a T-family product and a
+    residue-field module; and soc M^t, the span the quotient divides out,
+    is a submodule of M^t, as `first_radical_layers` argues."""
+    f = actx.field
+    modules = [tensor(simple(actx, *a), simple(actx, *b)) for a, b in _sampled_ss_products(actx)]
+    for M, _, _ in _near_misses(actx):
+        modules += [M, _without_grades(M)]
+    modules.append(tensor(family_T(actx, 2, 0, 1, f.from_int(2)), simple(actx, 8, 0)))
+    modules.append(tensor(projective(actx, 3, 0), simple(actx, 7, 1)).mod_p())
+    for M in modules:
+        tops, rows = radical(M)
+        t1 = top_multiplicities(sub_rep(M, rows, "rad")) if rows else {}
+        assert first_radical_layers(M) == (tops, len(rows), t1), M.label
+        Mt = transpose(M)
+        _, columns = reps._socle_sweep(Mt)
+        socle = sub_rep(Mt, _reduced_span(M.field, columns), "soc")
+        assert socle.dim == M.dim - len(rows), M.label
