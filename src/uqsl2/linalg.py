@@ -9,8 +9,8 @@ works on ints reduced mod p.
 `Echelon` is the one elimination structure, and `Echelon.eliminate` the
 one loop that clears pivots.  It clears only pivots at columns the row
 holds, so rows whose columns fall into groups that no row crosses (the
-grade-pure rows of `reps.hom_from_simple`, `reps.radical` and
-`reps.quotient_rep`) are eliminated group by group without a partition.
+grade-pure rows of `reps.hom_from_simple` and `reps.quotient_rep`) are
+eliminated group by group without a partition.
 Pivot rows are stored monic, so clearing one subtracts a bounded multiple
 of it and inverts nothing, and scalar sizes stay bounded however many rows
 are reduced.
@@ -102,9 +102,8 @@ def nullspace_basis(ctx: FieldContext, rows, ncols: int) -> list[Row]:
     """Basis of {x : row . x = 0 for every row}, x over columns 0..ncols-1.
 
     One basis vector per free column: it is 1 at that column and 0 at every
-    other free column (`reps.sub_rep` reads coordinates off these private
-    unit entries).  Each is computed by back-substitution through the pivot
-    rows in decreasing column order.  Each pivot row is monic at its pivot
+    other free column.  Each is computed by back-substitution through the
+    pivot rows in decreasing column order.  Each pivot row is monic at its pivot
     column, so x[col] = -(sum of row[c] * x[c] over c > col).
     Those sums are gathered column by column: once x[c] is known, `axpy`
     adds x[c] times column c of the pivot rows to every pending sum.

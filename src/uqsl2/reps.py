@@ -706,23 +706,6 @@ def _socle_sweep(Mt: Representation) -> tuple[dict[tuple[int, int], int], list[C
     return tops, columns
 
 
-def radical(M: Representation) -> tuple[dict[tuple[int, int], int], list[Col]]:
-    """The top multiplicities of M and a basis of rad M, for `syzygy`.
-
-    Tops and the image columns spanning soc M^t come from one
-    `_socle_sweep(M^t)`.  As functionals on M those columns have rad M as
-    their joint kernel (see `transpose`), taken by one `nullspace_basis`
-    over all of M.  Tops are nonzero counts keyed in label order, as
-    `top_multiplicities` gives them.  When M is graded, the functionals are
-    grade-pure rows, so as in `hom_from_simple` the one kernel is
-    eliminated grade by grade: each kernel vector is grade-pure, and rad M
-    keeps M's grading.  `first_radical_layers` reads the layers of M
-    without this kernel, by a quotient of M^t.
-    """
-    tops, functionals = _socle_sweep(transpose(M))
-    return tops, nullspace_basis(M.field, functionals, M.dim)
-
-
 def first_radical_layers(
     M: Representation,
 ) -> tuple[dict[tuple[int, int], int], int, dict[tuple[int, int], int]]:
@@ -746,8 +729,7 @@ def first_radical_layers(
     rad M = 0, the quotient is zero and the second sweep is skipped.
 
     Tops are nonzero counts keyed in label order.  The quotient is
-    labelled "rad(label)^t", as the transpose of a rad M built by `sub_rep`
-    would be, so no module label is solved twice.
+    labelled "rad(label)^t", so no module label is solved twice.
     """
     Mt = transpose(M)
     tops, socle = _socle_sweep(Mt)
@@ -796,65 +778,6 @@ def quotient_rep(M: Representation, vectors: list[Col], label: str) -> Represent
     return Representation(M.ctx, label, [M.kexp[c] for c in keep],
                           [M.khatexp[c] for c in keep], reduced(M.E), reduced(M.F),
                           grades, M.field)
-
-
-def sub_rep(M: Representation, vectors: list[Col], label: str) -> Representation:
-    """The submodule spanned by class-pure vectors (must be E/F invariant).
-
-    Each vector must have a private unit coordinate: a column where it is 1
-    and every other vector is absent.  Unit vectors have one, and so does
-    every `nullspace_basis` output: each of its vectors is 1 at its own free
-    column and 0 at every other free column.  The coefficient of an image
-    on vector t is then the image's entry at t's private column, and the
-    image lies in the span exactly when subtracting that combination leaves
-    zero.  So no inverse is needed, over Q(zeta) or over F_p.
-
-    If M is graded and every spanning vector is grade-pure, the submodule
-    inherits the grading.
-    """
-    if not vectors:
-        return Representation(M.ctx, label, (), (), {}, {}, None, M.field)
-    kexp = []
-    khatexp = []
-    grades: list[int] | None = [] if M.grades is not None else None
-    for vec in vectors:
-        classes = {M._classes[r] for r in vec}
-        if len(classes) != 1:
-            raise InvalidArgumentError("subspace basis vectors must be class-pure")
-        r0 = next(iter(vec))
-        kexp.append(M.kexp[r0])
-        khatexp.append(M.khatexp[r0])
-        if grades is not None:
-            gs = {M.grades[r] for r in vec}
-            if len(gs) == 1:
-                grades.append(M.grades[r0])
-            else:
-                grades = None
-    f = M.field
-    owners: dict[int, int] = {}
-    for vec in vectors:
-        for c in vec:
-            owners[c] = owners.get(c, 0) + 1
-    private: dict[int, int] = {}  # private column -> index of its vector
-    for t, vec in enumerate(vectors):
-        pc = next((c for c, s in vec.items() if owners[c] == 1 and s == f.one), None)
-        if pc is None:
-            raise InvalidArgumentError("subspace basis vector has no private unit coordinate")
-        private[pc] = t
-    E: SparseMap = {}
-    F: SparseMap = {}
-    for mp, apply in ((E, M.apply_E), (F, M.apply_F)):
-        for jdx, vec in enumerate(vectors):
-            img = apply(vec)
-            if not img:
-                continue
-            col = {private[c]: s for c, s in img.items() if c in private}
-            for t, s in col.items():
-                f.axpy(img, vectors[t], f.neg(s))
-            if img:
-                raise RepresentationError(f"subspace of {M.label} is not invariant")
-            mp[jdx] = col
-    return Representation(M.ctx, label, kexp, khatexp, E, F, grades, M.field)
 
 
 def direct_sum(parts: list[Representation], label: str) -> Representation:
@@ -1167,43 +1090,75 @@ def iso_test(M: Representation, N: Representation) -> bool | None:
 
 
 def syzygy(M: Representation) -> Representation:
-    """Kernel of a projective cover of M."""
+    """Kernel of a projective cover of M, as the transpose of a quotient.
+
+    The cover.  One `_socle_sweep(M^t)` gives t0, the top of M, and the
+    image columns that span soc M^t; as functionals on M their joint kernel
+    is rad M (see `transpose`).  A map h: P_k -> M from `hom_space` is
+    fixed modulo rad M by h(gamma), gamma the generator of P_k, and its
+    pairing vector (<phi, h(gamma)> over those columns phi) is zero exactly
+    when h(gamma) lies in rad M.  So the maps whose pairing vectors are
+    independent in one `Echelon` are those independent modulo rad M; t0_k
+    of them for each k map onto the S_k-part of M / rad M, so their sum
+    pi: C -> M, C the direct sum of their P's, is onto modulo rad M, hence
+    onto, and C has the top of M: it is a projective cover.
+
+    The kernel.  pi^t: M^t -> C^t is a module map (see `transpose`), and
+    its image, spanned by the rows of pi, is the functionals phi o pi.
+    ker pi is their joint kernel, so restricting functionals from C to
+    ker pi is onto with kernel im pi^t: (ker pi)^t = C^t / im pi^t, and
+    ker pi is `quotient_rep(C^t, rows of pi)` transposed.  Its dimension
+    is dim C - rank pi, which is dim C - dim M exactly when pi is onto;
+    that is checked.
+
+    The premise.  `quotient_rep` needs im pi^t to be a submodule, which
+    holds when each kept h is a module map: h E = E h, h F = F h, and h
+    keeps the k and khat classes.  `hom_space` returns such maps; each
+    kept one is checked here all the same, since a quotient by a subspace
+    that E or F leaves is not a module.
+    """
     ctx = M.ctx
     f = M.field
-    tops, rows = radical(M)
+    tops, socle = _socle_sweep(transpose(M))
+    pairings: dict[int, Col] = {}  # row r of M -> {column phi: phi[r]}
+    for s, phi in enumerate(socle):
+        for r, x in phi.items():
+            pairings.setdefault(r, {})[s] = x
     ech = Echelon(f)
-    for row in rows:
-        ech.add(row)
     blocks = []
     gen = ctx.N  # column of the generator gamma, the start of P's second E-chain
-    for i, j in all_labels(ctx):
-        if (i, j) not in tops:
-            continue
+    for (i, j), top in tops.items():
         P = projective(ctx, i, j)
         picked = 0
         for h in hom_space(P, M):
-            v = h.get(gen)
-            if v and ech.add(v) is not None:
-                blocks.append((P, h))
-                picked += 1
-        if picked != tops[(i, j)]:
+            pairing: Col = {}
+            for r, x in h.get(gen, {}).items():
+                f.axpy(pairing, pairings.get(r, {}), x)
+            if ech.add(pairing) is None:
+                continue
+            module_map = all(compose_maps(h, mpP) == compose_maps(mpM, h)
+                             for mpP, mpM in ((P.E, M.E), (P.F, M.F)))
+            if not module_map or any(M._classes[r] != P._classes[c]
+                                     for c, col in h.items() for r in col):
+                raise ConstructionError(f"a cover map {P.label} -> {M.label} is not a module map")
+            blocks.append((P, h))
+            picked += 1
+        if picked != top:
             raise ConstructionError(f"no projective cover found for {M.label}")
-    offsets = []
-    total = 0
-    for P, _ in blocks:
-        offsets.append(total)
-        total += P.dim
-    coord_rows: dict[int, dict[int, Scalar]] = {}
-    for b, (P, h) in enumerate(blocks):
-        off = offsets[b]
-        for c, col in h.items():
-            for r, s in col.items():
-                coord_rows.setdefault(r, {})[off + c] = s
-    kernel = nullspace_basis(f, list(coord_rows.values()), total)
-    if len(kernel) != total - M.dim:
-        raise ConstructionError(f"cover of {M.label} is not surjective")
     cover = direct_sum([P for P, _ in blocks], f"cover({M.label})")
-    return sub_rep(cover, kernel, f"syzygy({M.label})")
+    rows: dict[int, Col] = {}  # row r of pi over the columns of the cover
+    off = 0
+    for P, h in blocks:
+        for c, col in h.items():
+            for r, x in col.items():
+                rows.setdefault(r, {})[off + c] = x
+        off += P.dim
+    K = quotient_rep(transpose(cover), list(rows.values()), f"syzygy({M.label})^t")
+    if K.dim != cover.dim - M.dim:
+        raise ConstructionError(f"cover of {M.label} is not surjective")
+    Om = transpose(K)
+    Om.label = f"syzygy({M.label})"
+    return Om
 
 
 def cosyzygy(M: Representation) -> Representation:
@@ -1419,15 +1374,17 @@ def verify_structure_counts(ctx: AlgebraContext) -> Counterexamples:
     """
     N = ctx.N
     labels = all_labels(ctx)
-    for i, j in labels:
-        for M in (simple(ctx, i, j), projective(ctx, i, j)):
+    simples = {lab: simple(ctx, *lab) for lab in labels}
+    projs = {lab: projective(ctx, *lab) for lab in labels}
+    for lab in labels:
+        for M in (simples[lab], projs[lab]):
             rel = M.check_relations()
             yield None if rel.passed else f"{M.label}: {rel.counterexample}"
-    dims = sorted(simple(ctx, i, j).dim for i, j in labels)
+    dims = sorted(S.dim for S in simples.values())
     yield None if dims == sorted(2 * list(range(1, N, 2))) else f"simple dimensions are {dims}"
     yield None if max(dims) < 2 * N else "a simple module is at least as large as a projective"
     for i, j in labels:
-        P = projective(ctx, i, j)
+        P = projs[(i, j)]
         yield None if P.dim == 2 * N else f"P({2 * i},{j}) has dimension {P.dim}"
         yield None if top_multiplicities(P) == {(i, j): 1} else (
             f"P({2 * i},{j}) does not have simple top S({2 * i},{j})"
@@ -1444,7 +1401,7 @@ def verify_structure_counts(ctx: AlgebraContext) -> Counterexamples:
         if (i, j) in seen:
             continue
         seen.update({(i, j), (ip, jp)})
-        block_dim = 2 * N * simple(ctx, i, j).dim + 2 * N * simple(ctx, ip, jp).dim
+        block_dim = 2 * N * simples[(i, j)].dim + 2 * N * simples[(ip, jp)].dim
         yield None if block_dim == 2 * N * N else f"block of ({i},{j}) has dimension {block_dim}"
         block_total += block_dim
     yield None if len(seen) == len(labels) else "blocks do not exhaust the algebra"

@@ -1,0 +1,140 @@
+"""Test oracles for rad M, submodules and syzygies, by kernels over all of M.
+
+`reps` reads rad M only through its annihilator soc M^t (as a quotient of
+M^t, see `reps.first_radical_layers` and `reps.syzygy`).  The direct
+constructions here are what those quotients are tested against: rad M as
+one `nullspace_basis` kernel of the socle functionals, a submodule from a
+basis with private unit coordinates, and the syzygy as that submodule of
+the cover's kernel.
+"""
+
+from uqsl2.errors import ConstructionError, InvalidArgumentError, RepresentationError
+from uqsl2.linalg import Echelon, nullspace_basis
+from uqsl2.reps import (
+    Representation,
+    _socle_sweep,
+    all_labels,
+    direct_sum,
+    hom_space,
+    projective,
+    transpose,
+)
+
+
+def radical(M):
+    """The top multiplicities of M and a basis of rad M.
+
+    Tops and the image columns spanning soc M^t come from one
+    `_socle_sweep(M^t)`.  As functionals on M those columns have rad M as
+    their joint kernel (see `reps.transpose`), taken by one
+    `nullspace_basis` over all of M.  Tops are nonzero counts keyed in
+    label order, as `top_multiplicities` gives them.  When M is graded,
+    the functionals are grade-pure rows, so as in `hom_from_simple` the one
+    kernel is eliminated grade by grade: each kernel vector is grade-pure,
+    and rad M keeps M's grading.
+    """
+    tops, functionals = _socle_sweep(transpose(M))
+    return tops, nullspace_basis(M.field, functionals, M.dim)
+
+
+def sub_rep(M, vectors, label):
+    """The submodule spanned by class-pure vectors (must be E/F invariant).
+
+    Each vector must have a private unit coordinate: a column where it is 1
+    and every other vector is absent.  Unit vectors have one, and so does
+    every `nullspace_basis` output: each of its vectors is 1 at its own free
+    column and 0 at every other free column.  The coefficient of an image
+    on vector t is then the image's entry at t's private column, and the
+    image lies in the span exactly when subtracting that combination leaves
+    zero.  So no inverse is needed, over Q(zeta) or over F_p.
+
+    If M is graded and every spanning vector is grade-pure, the submodule
+    inherits the grading.
+    """
+    if not vectors:
+        return Representation(M.ctx, label, (), (), {}, {}, None, M.field)
+    kexp = []
+    khatexp = []
+    grades = [] if M.grades is not None else None
+    for vec in vectors:
+        classes = {M.classes()[r] for r in vec}
+        if len(classes) != 1:
+            raise InvalidArgumentError("subspace basis vectors must be class-pure")
+        r0 = next(iter(vec))
+        kexp.append(M.kexp[r0])
+        khatexp.append(M.khatexp[r0])
+        if grades is not None:
+            gs = {M.grades[r] for r in vec}
+            if len(gs) == 1:
+                grades.append(M.grades[r0])
+            else:
+                grades = None
+    f = M.field
+    owners = {}
+    for vec in vectors:
+        for c in vec:
+            owners[c] = owners.get(c, 0) + 1
+    private = {}  # private column -> index of its vector
+    for t, vec in enumerate(vectors):
+        pc = next((c for c, s in vec.items() if owners[c] == 1 and s == f.one), None)
+        if pc is None:
+            raise InvalidArgumentError("subspace basis vector has no private unit coordinate")
+        private[pc] = t
+    E = {}
+    F = {}
+    for mp, apply in ((E, M.apply_E), (F, M.apply_F)):
+        for jdx, vec in enumerate(vectors):
+            img = apply(vec)
+            if not img:
+                continue
+            col = {private[c]: s for c, s in img.items() if c in private}
+            for t, s in col.items():
+                f.axpy(img, vectors[t], f.neg(s))
+            if img:
+                raise RepresentationError(f"subspace of {M.label} is not invariant")
+            mp[jdx] = col
+    return Representation(M.ctx, label, kexp, khatexp, E, F, grades, M.field)
+
+
+def syzygy_by_kernel(M):
+    """Kernel of a projective cover of M, as a submodule of the cover: the
+    generator images are picked independent modulo the `radical` basis,
+    and the kernel of the cover map is one `nullspace_basis` built into a
+    module by `sub_rep`."""
+    ctx = M.ctx
+    f = M.field
+    tops, rows = radical(M)
+    ech = Echelon(f)
+    for row in rows:
+        ech.add(row)
+    blocks = []
+    gen = ctx.N  # column of the generator gamma, the start of P's second E-chain
+    for i, j in all_labels(ctx):
+        if (i, j) not in tops:
+            continue
+        P = projective(ctx, i, j)
+        picked = 0
+        for h in hom_space(P, M):
+            v = h.get(gen)
+            if v and ech.add(v) is not None:
+                blocks.append((P, h))
+                picked += 1
+        if picked != tops[(i, j)]:
+            raise ConstructionError(f"no projective cover found for {M.label}")
+    coord_rows = {}
+    off = 0
+    for P, h in blocks:
+        for c, col in h.items():
+            for r, s in col.items():
+                coord_rows.setdefault(r, {})[off + c] = s
+        off += P.dim
+    kernel = nullspace_basis(f, list(coord_rows.values()), off)
+    if len(kernel) != off - M.dim:
+        raise ConstructionError(f"cover of {M.label} is not surjective")
+    cover = direct_sum([P for P, _ in blocks], f"cover({M.label})")
+    return sub_rep(cover, kernel, f"syzygy({M.label})")
+
+
+def cosyzygy_by_kernel(M):
+    """syzygy_by_kernel(M^t)^t, the cokernel of an injective envelope."""
+    return transpose(syzygy_by_kernel(transpose(M)))

@@ -6,12 +6,14 @@ for the Scalar and int sums of every `Combination` too, and
 `FieldContext.combination_product` for the products of Scalar ones), only
 cyclo calls the integer product and normalization of Q(zeta_N), linalg
 reads only the field kernel `axpy`, `neg`, `inverse` and `one` off the
-field it holds, tops, radicals and socles share the one Hom solver
-`reps.hom_from_simple` (`socle_multiplicities` and `_socle_sweep` are its
-only callers), only `AlgebraContext.cached` touches the memo, and the command
-line has one output path (`test_cli_has_one_output_path`: only
-`cli._render` dumps JSON or builds a CSV writer, only `cli.main` writes to
-stdout or opens the `--out` file)."""
+field it holds, tops, radical layers, socles and syzygy covers share the
+one Hom solver `reps.hom_from_simple` (`socle_multiplicities` and
+`_socle_sweep` are its only callers), only the Hom solvers and the block
+structure take a `nullspace_basis` kernel (`radical` and `sub_rep` are test
+oracles, not package code), only `AlgebraContext.cached` touches the memo,
+and the command line has one output path (`test_cli_has_one_output_path`:
+only `cli._render` dumps JSON or builds a CSV writer, only `cli.main` writes
+to stdout or opens the `--out` file)."""
 
 import ast
 import importlib
@@ -290,26 +292,56 @@ def _callers(tree: ast.AST, name: str) -> list[str]:
     return out
 
 
-def _hom_from_simple_callers(sources: dict[str, str]) -> list[tuple[str, str]]:
-    return sorted((name, scope) for name, source in sources.items()
-                  for scope in _callers(ast.parse(source), "hom_from_simple"))
+def _package_sources() -> dict[str, str]:
+    package = pathlib.Path(uqsl2.__file__).parent
+    return {path.name: path.read_text(encoding="utf-8")
+            for path in sorted(package.glob("*.py"))}
+
+
+def _package_callers(sources: dict[str, str], name: str) -> list[tuple[str, str]]:
+    """(module, enclosing function) of every call to `name` in the sources."""
+    return sorted((module, scope) for module, source in sources.items()
+                  for scope in _callers(ast.parse(source), name))
 
 
 def test_tops_radicals_and_socles_share_one_hom_solver():
-    """Tops, radicals and socles all go through `reps.hom_from_simple`
-    (tops as socles of the transpose), called from `socle_multiplicities`
-    and `_socle_sweep` alone (`radical` and `first_radical_layers` read the
-    sweep); a second solver or a third caller must not come back."""
-    package = pathlib.Path(uqsl2.__file__).parent
-    sources = {path.name: path.read_text(encoding="utf-8")
-               for path in sorted(package.glob("*.py"))}
+    """Tops, radical layers, socles and syzygy covers all go through
+    `reps.hom_from_simple` (tops as socles of the transpose), called from
+    `socle_multiplicities` and `_socle_sweep` alone (`first_radical_layers`
+    and `syzygy` read the sweep); a second solver or a third caller must not
+    come back."""
+    sources = _package_sources()
     want = [("reps.py", "_socle_sweep"), ("reps.py", "socle_multiplicities")]
-    assert _hom_from_simple_callers(sources) == want
+    assert _package_callers(sources, "hom_from_simple") == want
     # a third caller, say a top read straight off the solver, is caught
     mutant = dict(sources)
     mutant["moncat.py"] += ("\n\ndef head_count(M, i, j):\n"
                             "    return reps.hom_from_simple(transpose(M), i, j, dim_only=True)\n")
-    assert _hom_from_simple_callers(mutant) == sorted(want + [("moncat.py", "head_count")])
+    assert _package_callers(mutant, "hom_from_simple") == sorted(
+        want + [("moncat.py", "head_count")])
+
+
+def test_kernels_stay_in_the_solvers():
+    """`nullspace_basis` is called only by the two Hom solvers and the block
+    structure's socle endomorphism.  rad M and syzygies are quotients of a
+    transpose, so no kernel over all of a module comes back, and no function
+    named `radical` or `sub_rep` is defined in the package: those
+    constructions live on as test oracles (`tests/oracles.py`)."""
+    sources = _package_sources()
+    want = [("reps.py", "hom_from_simple"), ("reps.py", "hom_space"),
+            ("reps.py", "verify_block_structure")]
+    assert _package_callers(sources, "nullspace_basis") == want
+    # a fourth caller, rad M as a kernel over all of M, is caught
+    mutant = dict(sources)
+    mutant["reps.py"] += ("\n\ndef rad_basis(M, functionals):\n"
+                          "    return nullspace_basis(M.field, functionals, M.dim)\n")
+    assert _package_callers(mutant, "nullspace_basis") == sorted(
+        want + [("reps.py", "rad_basis")])
+    defined = [(module, node.name) for module, source in sources.items()
+               for node in ast.walk(ast.parse(source))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name in ("radical", "sub_rep")]
+    assert not defined
 
 
 def _memo_uses(tree: ast.AST) -> list[tuple[str, str, int]]:

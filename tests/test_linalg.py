@@ -190,7 +190,8 @@ def test_rank_and_nullspace_over_both_fields():
             for vec in basis:
                 assert all(dot(field, row, vec) == field.zero for row in system)
             # each vector is 1 at its own free column and absent at every
-            # other vector's: the private unit coordinates `sub_rep` reads
+            # other vector's: the private unit coordinates that the oracle
+            # `sub_rep` reads
             ech = Echelon(field)
             for row in system:
                 ech.add(row)

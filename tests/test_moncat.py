@@ -40,14 +40,14 @@ from uqsl2.reps import (
     hom_from_simple,
     partner_label,
     projective,
-    radical,
     simple,
     socle_multiplicities,
-    sub_rep,
     top_multiplicities,
     transpose,
     verma,
 )
+
+from oracles import radical, sub_rep
 
 
 def test_tensor_bookkeeping(actx):

@@ -8,6 +8,7 @@ import pytest
 
 from uqsl2 import reps
 from uqsl2.errors import (
+    ConstructionError,
     ContextMismatchError,
     EigendataError,
     InvalidArgumentError,
@@ -32,11 +33,9 @@ from uqsl2.reps import (
     iso_test,
     partner_label,
     projective,
-    radical,
     rep_to_dict,
     simple,
     socle_multiplicities,
-    sub_rep,
     syzygy,
     top_multiplicities,
     transpose,
@@ -44,6 +43,8 @@ from uqsl2.reps import (
     verify_projective_vs_ideal,
     verma,
 )
+
+from oracles import cosyzygy_by_kernel, radical, sub_rep, syzygy_by_kernel
 
 
 def test_simple_modules(actx):
@@ -385,6 +386,46 @@ def test_syzygy_tower(actx):
         assert iso_test(co2, family_Vt(actx, ip, jp, 2))
 
 
+def test_syzygies_match_the_kernel_oracle(actx):
+    """`syzygy` and `cosyzygy`, built as transposes of quotients, against
+    the cover's kernel built as a submodule by the oracle `radical`,
+    `nullspace_basis` and `sub_rep`: first and second (co)syzygies of every
+    simple are isomorphic to the oracle's, are modules, and are graded
+    exactly where the oracle's are."""
+    graded = []
+    for i, j in all_labels(actx):
+        S = simple(actx, i, j)
+        for build, oracle in ((syzygy, syzygy_by_kernel), (cosyzygy, cosyzygy_by_kernel)):
+            got1, want1 = build(S), oracle(S)
+            for got, want in ((got1, want1), (build(got1), oracle(want1))):
+                rep = got.check_relations()
+                assert rep.passed, (got.label, rep.counterexample)
+                assert iso_test(got, want) is True, got.label
+                assert (got.grades is None) == (want.grades is None), got.label
+                graded.append(got.grades is not None)
+    # first (co)syzygies are graded, second ones are not
+    assert graded == [True, False] * (2 * len(all_labels(actx)))
+
+
+def test_syzygy_refuses_a_cover_map_that_is_not_a_module_map(actx, monkeypatch):
+    """One entry added in a zero column of the cover map P_k -> S_k makes
+    its rows span a subspace that is not a submodule: `syzygy` refuses it
+    rather than return a quotient that is not a module."""
+    real = reps.hom_space
+    f = actx.field
+
+    def bent(M, N):
+        maps = real(M, N)
+        h = maps[0]
+        c = next(c for c in range(M.dim) if c not in h and c != actx.N)
+        h[c] = {0: f.one}
+        return maps
+
+    monkeypatch.setattr(reps, "hom_space", bent)
+    with pytest.raises(ConstructionError, match="not a module map"):
+        syzygy(simple(actx, 3, 0))
+
+
 def test_zero_strand_families_are_simple(actx):
     for i, j in ((2, 0), (5, 1)):
         ip, jp = partner_label(actx, i, j)
@@ -416,7 +457,7 @@ def test_hom_counts_match_composition_factors(actx):
         assert len(hom_space(projective(actx, ip, jp), V)) == l + 1
         other = projective(actx, (i % 8) + 1, j) if (i % 8) + 1 not in (i, ip) \
             else projective(actx, ((i + 1) % 8) + 1, j)
-        if (other.label, V.label) and top_multiplicities(other) != {(i, j): 1}:
+        if top_multiplicities(other) != {(i, j): 1}:
             assert len(hom_space(other, V)) == 0
 
 
@@ -454,9 +495,9 @@ def _radical_by_grade(M):
 
 def test_radical_needs_no_grade_partition(actx):
     """On graded modules (one S(x)S product per fusion case, a projective,
-    a strand family and a P(x)S product over F_p) the one kernel of
-    `radical` gives the per-grade kernels' rows, every row and every image
-    column of the Hom solver is grade-pure, and rad M stays graded."""
+    a strand family and a P(x)S product over F_p) the one kernel of the
+    oracle `radical` gives the per-grade kernels' rows, every row and every
+    image column of the Hom solver is grade-pure, and rad M stays graded."""
     h = actx.half
     cases = ((h - 2, 1, h - 1, 0), (h - 1, 0, h - 3, 1), (h // 2, 0, h // 2, 0), (h - 2, 0, 2, 1))
     sample = [tensor(simple(actx, i1, j1), simple(actx, i2, j2)) for i1, j1, i2, j2 in cases]
@@ -485,8 +526,9 @@ def test_radical_needs_no_grade_partition(actx):
 
 
 def test_sub_rep_refusals(actx):
-    """`sub_rep` refuses a vector that is not class-pure, a basis without a
-    private unit coordinate per vector, and a span that E leaves."""
+    """The oracle `sub_rep` refuses a vector that is not class-pure, a
+    basis without a private unit coordinate per vector, and a span that E
+    leaves."""
     f = actx.field
     S = simple(actx, 3, 0)
     with pytest.raises(InvalidArgumentError, match="class-pure"):
