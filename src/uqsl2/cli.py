@@ -139,7 +139,7 @@ def _listing(head: str, named: dict[str, int]) -> str:
 # -- verify -------------------------------------------------------------------------
 
 
-def suite_reports(ctx: AlgebraContext, suite: str, seed: int, slow: bool) -> list[CheckReport]:
+def suite_reports(ctx: AlgebraContext, suite: str, seed: int) -> list[CheckReport]:
     out: list[CheckReport] = []
     if suite in ("axioms", "all"):
         out.extend(axiom_reports(QuasiHopfData(ctx), seed=seed))
@@ -149,7 +149,7 @@ def suite_reports(ctx: AlgebraContext, suite: str, seed: int, slow: bool) -> lis
         out.append(verify_structure_counts(ctx))
         out.append(verify_block_structure(ctx))
         out.append(verify_family_constructors(ctx))
-        out.append(ctx.verify_regular_decomposition(slow=slow))
+        out.append(ctx.verify_regular_decomposition())
     if suite in ("tensor", "all"):
         out.extend(tensor_reports(ctx))
     if suite in ("k0", "all"):
@@ -158,7 +158,7 @@ def suite_reports(ctx: AlgebraContext, suite: str, seed: int, slow: bool) -> lis
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
-    reports = suite_reports(AlgebraContext(args.n), args.suite, args.seed, args.slow)
+    reports = suite_reports(AlgebraContext(args.n), args.suite, args.seed)
     for r in reports:
         print(f"[time] {r.statement}: {r.wall_time:.1f}s", file=sys.stderr)
     passed = all(r.passed for r in reports)
@@ -333,7 +333,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common, seeded], help="run a verification suite")
     p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--slow", action="store_true", help="run exhaustive variants")
 
     p = sub.add_parser("module", parents=[common], help="emit one module")
     p.add_argument("family", choices=list(FAMILIES))

@@ -400,8 +400,9 @@ def decompose(M: Representation) -> DecompositionResult:
       simple top and socle S_k, and sum_k dim S_k dim P_k = dim u, which is
       the sum of dim S dim P(S) over all simples S.  So P_k, a quotient of
       P(S_k), is P(S_k), and the S_k are all the simples.  That P_k is
-      the ideal u gamma_k is checked only in the tests
-      (`verify_projective_vs_ideal`; no gate suite runs it).
+      the ideal u gamma_k is checked in the acceptance gate, beside
+      `verify_regular_decomposition` (`verify_projective_vs_ideal`; no
+      `verify` suite runs it).
     - rad P_k / rad^2 P_k = 2 S_k' (`verify_block_structure`).
 
     The argument:

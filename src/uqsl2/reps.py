@@ -1437,6 +1437,7 @@ def verify_family_constructors(ctx: AlgebraContext) -> Counterexamples:
             mods.extend(family_T(ctx, i, j, l, lam) for lam in params)
             for M in mods:
                 yield from well_defined(M, l * N)
+    first = {}  # label -> (syzygy, cosyzygy) of its simple, reused by the second loop
     for i, j in all_labels(ctx):
         ip, jp = partner_label(ctx, i, j)
         S = simple(ctx, i, j)
@@ -1446,19 +1447,22 @@ def verify_family_constructors(ctx: AlgebraContext) -> Counterexamples:
         yield None if iso_test(family_Vt(ctx, i, j, 0), simple(ctx, ip, jp)) else (
             f"Vt({2 * i},{j};0) is not the partner simple"
         )
-        yield None if iso_test(syzygy(S), family_V(ctx, i, j, 1)) else (
+        syz = syzygy(S)
+        yield None if iso_test(syz, family_V(ctx, i, j, 1)) else (
             f"the syzygy of S({2 * i},{j}) is not V({2 * i},{j};1)"
         )
-        yield None if iso_test(cosyzygy(S), family_Vt(ctx, i, j, 1)) else (
+        cosyz = cosyzygy(S)
+        yield None if iso_test(cosyz, family_Vt(ctx, i, j, 1)) else (
             f"the cosyzygy of S({2 * i},{j}) is not Vt({2 * i},{j};1)"
         )
+        first[(i, j)] = syz, cosyz
     for i, j in ((1, 0), (3, 1), (ctx.half, 0), (2, 1)):
         ip, jp = partner_label(ctx, i, j)
-        S = simple(ctx, i, j)
-        yield None if iso_test(syzygy(syzygy(S)), family_V(ctx, ip, jp, 2)) else (
+        syz, cosyz = first[(i, j)]
+        yield None if iso_test(syzygy(syz), family_V(ctx, ip, jp, 2)) else (
             f"the second syzygy of S({2 * i},{j}) is not V on the partner label"
         )
-        yield None if iso_test(cosyzygy(cosyzygy(S)), family_Vt(ctx, ip, jp, 2)) else (
+        yield None if iso_test(cosyzygy(cosyz), family_Vt(ctx, ip, jp, 2)) else (
             f"the second cosyzygy of S({2 * i},{j}) is not Vt on the partner label"
         )
     for l in range(1, FAMILY_LMAX + 1):

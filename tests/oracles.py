@@ -1,15 +1,18 @@
-"""Test oracles for rad M, submodules and syzygies, by kernels over all of M.
+"""Test oracles: rad M, submodules and syzygies by kernels over all of M,
+and the rank of the regular module by brute force.
 
 `reps` reads rad M only through its annihilator soc M^t (as a quotient of
 M^t, see `reps.first_radical_layers` and `reps.syzygy`).  The direct
 constructions here are what those quotients are tested against: rad M as
 one `nullspace_basis` kernel of the socle functionals, a submodule from a
 basis with private unit coordinates, and the syzygy as that submodule of
-the cover's kernel.
+the cover's kernel.  `AlgebraContext.verify_regular_decomposition` decides
+u = sum of the shifted P_k from one socle vector per label; `regular_rank`
+ranks all of their spanning vectors instead.
 """
 
 from uqsl2.errors import ConstructionError, InvalidArgumentError, RepresentationError
-from uqsl2.linalg import Echelon, nullspace_basis
+from uqsl2.linalg import Echelon, nullspace_basis, rank
 from uqsl2.reps import (
     Representation,
     _socle_sweep,
@@ -138,3 +141,49 @@ def syzygy_by_kernel(M):
 def cosyzygy_by_kernel(M):
     """syzygy_by_kernel(M^t)^t, the cokernel of an injective envelope."""
     return transpose(syzygy_by_kernel(transpose(M)))
+
+
+def regular_rank(actx):
+    """Rank of all E^l alpha E^h and E^l gamma E^h, blocked by eigenclass.
+
+    Every spanning vector is height-homogeneous and a simultaneous left
+    eigenvector of k^-1 khat and k khat^(n/2); vectors in distinct
+    (height, eigenvalue) classes are independent, so the total rank is
+    the sum of per-class ranks and each class is tiny.
+    """
+    f = actx.field
+    N = actx.N
+    buckets = {}
+    for i in range(1, actx.half + 1):
+        for j in (0, 1):
+            chains = (
+                (actx.alpha_vec(i, j), 2 * i - 2, j + 1),
+                (actx.gamma_vec(i, j), -2 * i, j),
+            )
+            for vec, eig0, sgn0 in chains:
+                cur = vec
+                for l in range(N):
+                    if cur.is_zero():
+                        raise ConstructionError("chain vector vanished early")
+                    heights = cur.heights()
+                    if len(heights) != 1:
+                        raise ConstructionError("chain vector is not height-homogeneous")
+                    h0 = heights.pop()
+                    eig = (eig0 - 2 * l) % N
+                    sgn = (sgn0 + l) % 2
+                    if actx.kinv_khat * cur != cur.scale(f.qpow(eig)):
+                        raise ConstructionError(
+                            f"chain vector eigenvalue drifted at (2i,j,l)=({2 * i},{j},{l})"
+                        )
+                    if actx.k_khat_half * cur != cur.scale(f.sign(sgn)):
+                        raise ConstructionError(
+                            f"chain vector sign drifted at (2i,j,l)=({2 * i},{j},{l})"
+                        )
+                    for h in range(N - 2 * i + 1):
+                        shifted = actx._shift_right_e(cur, h)
+                        buckets.setdefault((h0 + h, eig, sgn), []).append(
+                            actx.coords(shifted)
+                        )
+                    if l + 1 < N:
+                        cur = actx.E * cur
+    return sum(rank(f, rows) for rows in buckets.values())

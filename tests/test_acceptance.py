@@ -18,8 +18,10 @@ from uqsl2.moncat import tensor_reports
 from uqsl2.qgroup import AlgebraContext
 from uqsl2.quasihopf import QuasiHopfData, axiom_reports
 from uqsl2.reps import (
+    all_labels,
     verify_block_structure,
     verify_family_constructors,
+    verify_projective_vs_ideal,
     verify_structure_counts,
 )
 
@@ -60,10 +62,14 @@ def test_structure_census_and_quiver(actx, capsys):
     _gate("structure census and block quiver", reports, 600, start, capsys)
 
 
-def test_regular_module_decomposition_exhaustive(actx, capsys):
+def test_regular_module_decomposition(actx, capsys):
+    """u = sum of the shifted ideals u*gamma_k E^h, each isomorphic to P_k:
+    the socle argument of `verify_regular_decomposition` together with its
+    premise, the matrix model of every P_k against u*gamma_k inside u."""
     start = time.time()
-    rep = actx.verify_regular_decomposition(slow=True)
-    _gate("exhaustive regular-module decomposition", [rep], 1800, start, capsys)
+    reports = [actx.verify_regular_decomposition()]
+    reports.extend(verify_projective_vs_ideal(actx, i, j) for i, j in all_labels(actx))
+    _gate("regular-module decomposition into P_k = u*gamma_k", reports, 300, start, capsys)
 
 
 def test_strand_family_constructors(actx, capsys):
@@ -114,7 +120,7 @@ def test_stretch_parameter_n8(capsys):
     import random
 
     from uqsl2.moncat import decompose, simple_simple_rule, tensor
-    from uqsl2.reps import all_labels, simple
+    from uqsl2.reps import simple
 
     start = time.time()
     ctx = AlgebraContext(8)

@@ -92,8 +92,9 @@ def test_removed_cache_flag_is_a_usage_error(child_env):
 
 
 def test_flags_a_command_ignores_are_usage_errors(capsys):
-    """--slow belongs to verify alone and --seed to verify and table, the
-    commands that use and print them; any other command refuses them."""
+    """--seed belongs to verify and table, the commands that use and print
+    it; any other command refuses it.  No command takes --slow: the regular
+    module's decomposition has one mode."""
     for argv in (
         ["module", "simple", "--i", "1", "--j", "0", "--slow"],
         ["tensor", "simple:1,0", "simple:1,0", "--seed", "1"],
@@ -106,6 +107,17 @@ def test_flags_a_command_ignores_are_usage_errors(capsys):
         captured = capsys.readouterr()
         assert exc.value.code == 2, argv
         assert captured.out == "" and "unrecognized arguments" in captured.err, argv
+
+
+def test_verify_has_no_slow_flag(capsys):
+    """The regular-module decomposition is decided in one mode, so verify
+    refuses --slow as a usage error and prints nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "lemmas", "--slow"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: --slow" in captured.err
 
 
 def test_parameters_a_family_ignores_are_usage_errors(capsys):
@@ -176,7 +188,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     import uqsl2.cli as cli_mod
 
     monkeypatch.setattr(
-        cli_mod, "suite_reports", lambda ctx, suite, seed, slow: [CheckReport("x", False, 1)]
+        cli_mod, "suite_reports", lambda ctx, suite, seed: [CheckReport("x", False, 1)]
     )
     code, out, _ = run_main(["verify", "--suite", "axioms"], capsys)
     assert code == 1

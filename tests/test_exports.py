@@ -11,7 +11,9 @@ one Hom solver `reps.hom_from_simple` (`socle_multiplicities` and
 `_socle_sweep` are its only callers), only the Hom solvers and the block
 structure take a `nullspace_basis` kernel (`radical` and `sub_rep` are test
 oracles, not package code), only `AlgebraContext.cached` touches the memo,
-and the command line has one output path (`test_cli_has_one_output_path`:
+the regular-module decomposition has one mode and no brute-force rank
+(`test_regular_decomposition_has_one_mode`), and the command line has one
+output path (`test_cli_has_one_output_path`:
 only `cli._render` dumps JSON or builds a CSV writer, only `cli.main` writes
 to stdout or opens the `--out` file)."""
 
@@ -342,6 +344,41 @@ def test_kernels_stay_in_the_solvers():
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                and node.name in ("radical", "sub_rep")]
     assert not defined
+
+
+def _exhaustive_mode(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, what) for every `slow` parameter, `--slow` flag and
+    `_regular_rank` name or definition in the sources."""
+    out = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.arg) and node.arg == "slow":
+                out.append((module, "slow parameter"))
+            elif isinstance(node, ast.Constant) and node.value == "--slow":
+                out.append((module, "--slow flag"))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                    node.name == "_regular_rank"):
+                out.append((module, "_regular_rank"))
+            elif isinstance(node, ast.Attribute) and node.attr == "_regular_rank":
+                out.append((module, "_regular_rank"))
+    return out
+
+
+def test_regular_decomposition_has_one_mode():
+    """`verify_regular_decomposition` decides u = sum of the shifted P_k
+    from its socle argument alone: no `slow` parameter, no `verify --slow`
+    and no brute-force `_regular_rank` in the package.  The rank of all
+    4,096 spanning vectors is a test oracle (`tests/oracles.py`)."""
+    sources = _package_sources()
+    assert _exhaustive_mode(sources) == []
+    # the knob and the exhaustive path coming back are caught
+    mutant = dict(sources)
+    mutant["qgroup.py"] += ("\n\ndef check(ctx, slow=False):\n"
+                            "    return ctx._regular_rank() if slow else None\n")
+    mutant["cli.py"] += '\np.add_argument("--slow", action="store_true")\n'
+    assert sorted(_exhaustive_mode(mutant)) == [
+        ("cli.py", "--slow flag"), ("qgroup.py", "_regular_rank"),
+        ("qgroup.py", "slow parameter")]
 
 
 def _memo_uses(tree: ast.AST) -> list[tuple[str, str, int]]:

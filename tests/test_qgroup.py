@@ -7,6 +7,8 @@ from uqsl2.cyclo import qint
 from uqsl2.errors import ContextMismatchError, InvalidArgumentError
 from uqsl2.qgroup import AlgebraContext, AlgebraElement, _group_mul
 
+from oracles import regular_rank
+
 
 def test_generator_relations(actx):
     f = actx.field
@@ -219,9 +221,33 @@ def test_gamma_generates_projective_of_dim_2nsq(actx):
 
 
 def test_regular_decomposition_fast(actx):
-    rep = actx.verify_regular_decomposition(slow=False)
+    rep = actx.verify_regular_decomposition()
     assert rep.passed, rep.counterexample
     assert rep.instances == 1 + 2 * actx.half
+
+
+def test_regular_decomposition_needs_a_height_homogeneous_socle_vector(actx, monkeypatch):
+    """One off-height term in alpha_(4,0) gives E^(n^2-1) alpha two heights,
+    so its shifts no longer lie in distinct heights: the label is reported."""
+    real = AlgebraContext.alpha_vec
+
+    def bent(self, i, j):
+        alpha = real(self, i, j)
+        if (i, j) != (2, 0):
+            return alpha
+        return alpha + AlgebraElement(self, {(self.N - 2, 0, 0, 0): self.field.one})
+
+    monkeypatch.setattr(AlgebraContext, "alpha_vec", bent)
+    rep = actx.verify_regular_decomposition()
+    assert (rep.passed, rep.instances, rep.counterexample) == (
+        False, 4, "E^(n^2-1) alpha_(4,0) is not height-homogeneous"
+    )
+
+
+def test_regular_rank_oracle_spans_u(actx):
+    """The exact cross-check of the socle argument: all n^6 spanning vectors
+    E^l alpha E^h and E^l gamma E^h of the shifted ideals have rank dim u."""
+    assert regular_rank(actx) == actx.dim == 4096
 
 
 def test_monomial_index_is_injective(actx):

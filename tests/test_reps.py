@@ -40,6 +40,7 @@ from uqsl2.reps import (
     top_multiplicities,
     transpose,
     verify_block_structure,
+    verify_family_constructors,
     verify_projective_vs_ideal,
     verma,
 )
@@ -407,6 +408,24 @@ def test_syzygies_match_the_kernel_oracle(actx):
     assert graded == [True, False] * (2 * len(all_labels(actx)))
 
 
+def test_family_constructors_build_each_syzygy_once(actx, monkeypatch):
+    """The second (co)syzygies start from the first ones already built: 16
+    syzygies and 16 cosyzygies of simples, then 4 of each on top of them, so
+    40 `syzygy` calls (`cosyzygy` makes one each), every module label once."""
+    real = reps.syzygy
+    seen = []
+
+    def counted(M):
+        seen.append(M.label)
+        return real(M)
+
+    monkeypatch.setattr(reps, "syzygy", counted)
+    report = verify_family_constructors(actx)
+    assert report.passed, report.counterexample
+    assert report.instances == 825
+    assert len(seen) == 40 and len(set(seen)) == 40
+
+
 def test_syzygy_refuses_a_cover_map_that_is_not_a_module_map(actx, monkeypatch):
     """One entry added in a zero column of the cover map P_k -> S_k makes
     its rows span a subspace that is not a submodule: `syzygy` refuses it
@@ -630,12 +649,6 @@ def test_block_structure_statement_follows_n(monkeypatch):
     report = verify_block_structure(AlgebraContext(8))
     assert report.passed and report.instances == 0
     assert "64 labels into 32 two-vertex blocks" in report.statement
-
-
-def test_projective_matches_left_ideal(actx):
-    for i, j in all_labels(actx):
-        rep = verify_projective_vs_ideal(actx, i, j)
-        assert rep.passed, rep.counterexample
 
 
 def test_projective_vs_ideal_reads_the_stored_matrices(actx, monkeypatch):
