@@ -62,10 +62,11 @@ def test_structure_census_and_quiver(actx, capsys):
     _gate("structure census and block quiver", reports, 600, start, capsys)
 
 
-def test_regular_module_decomposition(actx, capsys):
-    """u = sum of the shifted ideals u*gamma_k E^h, each isomorphic to P_k:
-    the socle argument of `verify_regular_decomposition` together with its
-    premise, the matrix model of every P_k against u*gamma_k inside u."""
+def test_regular_module_decomposition_exhaustive(actx, capsys):
+    """u = sum of the shifted ideals u*gamma_k E^h, each isomorphic to P_k,
+    exhaustively over the labels: the socle argument of
+    `verify_regular_decomposition` together with its premise, the matrix
+    model of every P_k against u*gamma_k inside u, for all 16 labels."""
     start = time.time()
     reports = [actx.verify_regular_decomposition()]
     reports.extend(verify_projective_vs_ideal(actx, i, j) for i, j in all_labels(actx))

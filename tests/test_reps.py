@@ -651,6 +651,12 @@ def test_block_structure_statement_follows_n(monkeypatch):
     assert "64 labels into 32 two-vertex blocks" in report.statement
 
 
+def test_projective_matches_left_ideal(actx):
+    for i, j in all_labels(actx):
+        rep = verify_projective_vs_ideal(actx, i, j)
+        assert rep.passed, rep.counterexample
+
+
 def test_projective_vs_ideal_reads_the_stored_matrices(actx, monkeypatch):
     """The left-ideal check compares P's own E and F matrices with the
     action inside u, so one E entry scaled by q is caught at its column."""
