@@ -17,7 +17,6 @@ from .cyclo import Scalar, _add_into
 from .errors import (
     ConstructionError,
     ContextMismatchError,
-    DivisionByZeroError,
     InvalidArgumentError,
     RepresentationError,
 )
@@ -28,10 +27,11 @@ from .reps import (
     Representation,
     all_labels,
     direct_sum,
-    first_radical_layers,
     iso_test,
     partner_label,
     projective,
+    projective_counts,
+    residue_first,
     simple,
     top_multiplicities,
 )
@@ -362,11 +362,8 @@ class DecompositionResult:
     When `violations` is nonempty, M is not a direct sum of simples and
     projectives (see `decompose`); `summands` is then empty and only
     `evidence` is meaningful.  `evidence` holds what the verdict is read
-    from: "top_counts" t0; "radical_layer_dims", dim M, dim rad M (dim M
-    less the rank of soc M^t) and dim rad^2 M (dim rad M less the
-    dimension of the first layer t1), up to the first zero; and
-    "block_systems_solved", the number of blocks {k, k'} at which t1 is
-    nonzero.  A decomposed M also has "composition_counts" t0 + t1 + b.
+    from: "top_counts" t0, the top of M, and "projective_counts" b, the
+    numbers of P_k summands, ranks of E^(n^2-1) F^(n^2-1) e_k on M.
     """
 
     summands: dict[SummandKey, int]
@@ -382,83 +379,47 @@ class DecompositionResult:
 def decompose(M: Representation) -> DecompositionResult:
     """Split M into simple and projective summands, or report why not.
 
-    Two Hom sweeps decide it, both run by `first_radical_layers`: the
-    first gives t0, the top of M, and the image columns that span soc M^t,
-    whose rank gives dim rad M = dim M - rank; the second gives t1, the top
-    of rad M, as the socle of M^t / soc M^t = (rad M)^t (its docstring
-    shows the quotient well defined).  With b_k = t1_k' / 2
-    (k' = `partner_label`) and a = t0 - b, M = (+) a_k S_k (+) b_k P_k
-    exactly when every t1_k is even, dim rad M = sum_k (t1_k + b_k) dim S_k,
-    and a >= 0.  Each condition that fails comes back as a violation.  No
-    grading is used, so graded and ungraded modules take the same path.
+    One exact Hom sweep gives t0, the top of M, and one rank per label with
+    t0_k > 0 gives b_k, the number of P_k summands (the lemma of
+    `reps.projective_counts`; b <= t0).  Write M = P(b) (+) N'.  N' maps
+    onto its top t0 - b, so dim N' >= sum_k (t0 - b)_k dim S_k, with
+    equality exactly when N' is semisimple.  So M = (+) (t0 - b)_k S_k
+    (+) b_k P_k exactly when b <= t0 and dim M = sum_k 2n^2 b_k +
+    sum_k (t0 - b)_k dim S_k; each condition that fails is a violation.
+    No grading, character or second radical layer is read.
 
-    Premises, with the verifier that checks each:
-    - u is finite-dimensional quasi-Hopf, hence Frobenius, so projective
-      modules are injective (Hausser and Nill, "Integral theory for
-      quasi-Hopf algebras", arXiv:math/9904164).
-    - The census (`verify_structure_counts`): P_k has dimension 2n^2 and
-      simple top and socle S_k, and sum_k dim S_k dim P_k = dim u, which is
-      the sum of dim S dim P(S) over all simples S.  So P_k, a quotient of
-      P(S_k), is P(S_k), and the S_k are all the simples.  That P_k is
-      the ideal u gamma_k is checked in the acceptance gate, beside
-      `verify_regular_decomposition` (`verify_projective_vs_ideal`; no
-      `verify` suite runs it).
-    - rad P_k / rad^2 P_k = 2 S_k' (`verify_block_structure`).
+    The ranks run over F_p first (`reps.residue_first`); an F_p rank b' is
+    at most the exact b.  If b' passes the identity with the exact t0, let
+    d = b - b' >= 0: dim N' = sum_k (t0 - b')_k dim S_k - 2n^2 |d| is at
+    least sum_k (t0 - b' - d)_k dim S_k, so sum_k d_k dim S_k >= 2n^2 |d|,
+    which forces d = 0 as dim S_k < 2n^2.  Else the exact ranks decide.
 
-    The argument:
-    1. soc P_k = S_k is essential, so it lies in rad^2 P_k, of dimension
-       2n^2 - dim S_k - 2 dim S_k' = dim S_k.  So P_k has the Loewy layers
-       S_k / 2 S_k' / S_k, J^3 = 0 for the radical J of u (a sum of P_k's),
-       and rad^2 M = J^2 M is semisimple, say (+) t2_k S_k.
-    2. A projective cover (+) P_k^t0_k -> M maps J^2 of the cover, the sum
-       of the socles, onto rad^2 M.  So for each k, t2_k of the P_k have
-       socles mapping independently onto the S_k-part of rad^2 M.  On their
-       sum Q the cover is injective on soc Q, which is essential, so Q -> M
-       is injective, and it splits because Q is injective: M = Q (+) M''.
-       So t2 <= t0.
-    3. Layers add over direct sums, and Q has layers t2 / t1(Q) / t2 with
-       t1(Q)_k = 2 t2_k'.  So rad^2 M'' = 0, rad M'' is semisimple with
-       counts t1 - t1(Q) >= 0, and t2 <= b.  Adding dimensions,
-       dim rad^2 M = dim rad M - sum_k t1_k dim S_k = sum_k t2_k dim S_k,
-       which equals sum_k b_k dim S_k exactly when t2 = b, that is, when
-       rad M'' = 0 and M'' = (+) a_k S_k.  No summand of M'' is projective
-       (rad^2 M'' = 0), so an odd t1_k, or t2 != b, leaves M'' with a
-       summand that is neither simple nor projective.
-    Once t2 = b, a >= 0 follows from step 2; it is still checked, as a
-    negative count cannot be returned.  Conversely (+) a_k S_k (+) b_k P_k
-    has t0 = a + b, t1_k = 2 b_k' and rad^2 = (+) b_k S_k, so every module
-    the conditions reject has no such splitting.
+    Premises, each with its verifier: the census (`verify_structure_counts`:
+    P_k has dimension 2n^2 and simple top and socle S_k, and sum_k dim S_k
+    dim P_k = dim u, so P_k = P(S_k) and the S_k are all the simples), and
+    those of the lemma: `verify_projective_vs_ideal` and
+    `verify_regular_decomposition` (acceptance gate item 5 runs both), and
+    u Frobenius (Hausser and Nill, arXiv:math/9904164).
     """
-    ctx = M.ctx
-    labels = all_labels(ctx)
-    dims = {(i, j): ctx.N - 2 * i + 1 for i, j in labels}
-    tops, rad_dim, t1 = first_radical_layers(M)
-    rad2_dim = rad_dim - sum(c * dims[k] for k, c in t1.items())
-    blocks = {frozenset((k, partner_label(ctx, *k))) for k in t1}
-    evidence: dict = {
-        "top_counts": tops,
-        "radical_layer_dims": [M.dim] + [d for d in (rad_dim, rad2_dim) if d],
-        "block_systems_solved": len(blocks),
-    }
-    violations = [f"first radical layer count {c} at {k} is odd" for k, c in t1.items() if c % 2]
-    b = {k: t1.get(partner_label(ctx, *k), 0) // 2 for k in labels}
-    want = sum(m * dims[k] for k, m in b.items())
-    if not violations and rad2_dim != want:
-        violations.append(f"second radical layer has dimension {rad2_dim}, not the {want} "
-                          f"that half the partner first-layer counts need")
-    for k in labels:
-        if b[k] > tops.get(k, 0):
-            violations.append(f"projective count {b[k]} at {k} exceeds the top count "
-                              f"{tops.get(k, 0)}")
-    if violations:
-        return DecompositionResult({}, evidence, 0, tuple(violations))
-    comp = {k: tops.get(k, 0) + t1.get(k, 0) + b[k] for k in labels}
-    evidence["composition_counts"] = {k: c for k, c in comp.items() if c}
-    summands: dict[SummandKey, int] = {}
-    for k in labels:
-        for kind, m in (("S", tops.get(k, 0) - b[k]), ("P", b[k])):
-            if m:
-                summands[(kind, *k)] = m
+    tops = top_multiplicities(M)
+
+    def violations(b: dict[Label, int]) -> list[str]:
+        out = [f"projective count {m} at {k} exceeds the top count {tops[k]}"
+               for k, m in b.items() if m > tops[k]]
+        want = sum(2 * M.ctx.N * m for m in b.values()) + sum(
+            (t - b.get(k, 0)) * summand_dim(M.ctx, ("S", *k)) for k, t in tops.items())
+        if M.dim != want:
+            out.append(f"dimension {M.dim} differs from the {want} of the sum of "
+                       f"(t0 - b)_k S_k and b_k P_k")
+        return out
+
+    b = residue_first(M, lambda X: projective_counts(X, tops), lambda b: not violations(b))
+    evidence = {"top_counts": tops, "projective_counts": b}
+    bad = violations(b)
+    if bad:
+        return DecompositionResult({}, evidence, 0, tuple(bad))
+    summands: dict[SummandKey, int] = {("P", *k): m for k, m in b.items()}
+    summands.update({("S", *k): t - b.get(k, 0) for k, t in tops.items() if t > b.get(k, 0)})
     return DecompositionResult(summands, evidence, M.dim, ())
 
 
@@ -485,14 +446,9 @@ def clebsch_gordan_table(ctx: AlgebraContext, kind: str) -> list[dict]:
                     f"fusion rule is not symmetric at ({i1},{j1}) x ({i2},{j2})"
                 )
             for key in sorted(summands, key=lambda k: (k[0], -k[1], k[2])):
-                rows.append(
-                    {
-                        "left": summand_name((left_kind, i1, j1)),
-                        "right": summand_name(("S", i2, j2)),
-                        "summand": summand_name(key),
-                        "multiplicity": summands[key],
-                    }
-                )
+                rows.append({"left": summand_name((left_kind, i1, j1)),
+                             "right": summand_name(("S", i2, j2)),
+                             "summand": summand_name(key), "multiplicity": summands[key]})
     return rows
 
 
@@ -508,12 +464,7 @@ def verify_unit_object(ctx: AlgebraContext) -> Counterexamples:
         for i, j in all_labels(ctx):
             X = summand_module(ctx, (kind, i, j))
             for T in (tensor(unit, X), tensor(X, unit)):
-                same_arrays = (
-                    T.kexp == X.kexp
-                    and T.khatexp == X.khatexp
-                    and T.E == X.E
-                    and T.F == X.F
-                )
+                same_arrays = (T.kexp, T.khatexp, T.E, T.F) == (X.kexp, X.khatexp, X.E, X.F)
                 yield None if same_arrays else f"{T.label} vs {X.label}"
 
 
@@ -528,8 +479,8 @@ def _cover_certificate(
     from the graded character are checked first; they bound the top, so only
     labels with a nonzero count need a Hom solve.
 
-    The tops are first solved over the residue field F_p (`T.mod_p()`), by
-    the same Hom solver.  This is a one-sided certificate:
+    The tops are first solved over the residue field F_p, by the same Hom
+    solver (`reps.residue_first`).  This is a one-sided certificate:
 
     - The solver returns the dimension of the kernel of the full Hom
       system over its field, whatever order its stages solve the equations
@@ -547,9 +498,7 @@ def _cover_certificate(
     - With the pointwise bound this forces true top = want_top, so T is a
       quotient of P(want_top) of the same dimension: T = (+)P(want_top).
 
-    When the mod-p tops differ from `want_top`, or an entry of T is not
-    p-integral, the exact tops decide, so a failing input gets the same
-    counterexample either way.
+    Otherwise the exact tops decide, and give the counterexample.
     """
     ctx = T.ctx
     if any(kind != "P" for (kind, _, _) in expected):
@@ -558,20 +507,14 @@ def _cover_certificate(
     if T.dim != 2 * ctx.N * sum(expected.values()):
         return f"dimension {T.dim} differs from the expected cover"
     want_counts: dict[Label, int] = {}
-    for (kind, i, j), m in expected.items():
-        pi, pj = partner_label(ctx, i, j)
-        want_counts[(i, j)] = want_counts.get((i, j), 0) + 2 * m
-        want_counts[(pi, pj)] = want_counts.get((pi, pj), 0) + 2 * m
+    for (_, i, j), m in expected.items():
+        for k in ((i, j), partner_label(ctx, i, j)):
+            want_counts[k] = want_counts.get(k, 0) + 2 * m
     counts = composition_counts(T)
     if counts != want_counts:
         return f"composition counts {counts} differ from expected {want_counts}"
-    try:
-        residue_module = T.mod_p()
-    except DivisionByZeroError:
-        residue_module = None
-    if residue_module is not None and top_multiplicities(residue_module, counts) == want_top:
-        return None
-    got_top = top_multiplicities(T, counts)
+    got_top = residue_first(T, lambda X: top_multiplicities(X, counts),
+                            lambda top: top == want_top)
     if got_top != want_top:
         return f"top {got_top} differs from expected {want_top}"
     return None
@@ -606,10 +549,8 @@ def _engine_matches(
     if not dec.ok:
         return f"{name}: {'; '.join(dec.violations)}"
     if dec.summands != expected:
-        return (
-            f"{name}: engine found {format_summands(dec.summands)}, "
-            f"rule says {format_summands(expected)}"
-        )
+        return (f"{name}: engine found {format_summands(dec.summands)}, "
+                f"rule says {format_summands(expected)}")
     return None
 
 
@@ -622,7 +563,7 @@ def verify_simple_simple_tensors(ctx: AlgebraContext) -> Counterexamples:
     """Full sweep: S (x) S decomposes per the fusion rule.
 
     Every ordered pair runs through `decompose`, which decides the splitting
-    from its layer counts.  A passing sweep also decides the two other
+    from its top and projective counts.  A passing sweep also decides the two other
     claims in the statement:
 
     * every summand is simple or projective: each pair needs `dec.ok` and
@@ -667,7 +608,7 @@ def verify_simple_tensor_isomorphisms(ctx: AlgebraContext) -> Counterexamples:
 
 @verifier("sampled projective-by-simple products pass the full engine")
 def verify_projective_tensor_engine_samples(ctx: AlgebraContext) -> Counterexamples:
-    """Radical-filtration cross-check of the cover certificate on P (x) S."""
+    """Projective-count cross-check of the cover certificate on P (x) S."""
     h = ctx.half
     samples = [
         (h, 0, h - 1, 1),

@@ -15,6 +15,7 @@ from .cyclo import FieldContext, Scalar, _axpy, qint, scalar_to_str
 from .errors import (
     ConstructionError,
     ContextMismatchError,
+    DivisionByZeroError,
     EigendataError,
     InvalidArgumentError,
     RepresentationError,
@@ -137,8 +138,11 @@ class Representation:
         """This module with E and F reduced to the residue field F_p of its
         field: every entry becomes an int in [0, p), and entries that vanish
         mod p are dropped.  The residue field supplies the kernel that
-        `apply_map`, the Hom solver and linalg then run on.  Raises
-        DivisionByZeroError on an entry that is not p-integral."""
+        `apply_map`, the Hom solver and linalg then run on.  Refuses a
+        residue module (ContextMismatchError) and an entry that is not
+        p-integral (DivisionByZeroError)."""
+        if self.field is not self.ctx.field:
+            raise ContextMismatchError("only a module over the exact field reduces mod p")
         res = self.field.residue_field()
 
         def reduce(mp: SparseMap) -> SparseMap:
@@ -737,6 +741,63 @@ def first_radical_layers(
     return tops, R.dim, socle_multiplicities(R) if R.dim else {}
 
 
+def projective_counts(
+    M: Representation, labels: Iterable[tuple[int, int]]
+) -> dict[tuple[int, int], int]:
+    """b_k, the number of P_k summands of M, for the labels k given (keyed
+    in that order, where nonzero): the rank over M's field of
+    E^(n^2-1) F^(n^2-1) on M's vectors of class chi_k = (2i mod n^2, j),
+    onto which rho_M(e_k) projects, so of rho_M(w_k), w_k = E^(n^2-1) alpha_k.
+    1. W_k = u gamma_k is P_k (`verify_projective_vs_ideal`) and a summand
+       of u (`verify_regular_decomposition`, h = 0), so every module map
+       W_k -> M is y -> y m for some m in M.
+    2. w_k != 0 lies in soc W_k, which is simple (census).  A map nonzero
+       at w_k is injective on the socle, hence injective, hence split, as
+       W_k is injective (u is Frobenius; Hausser and Nill,
+       arXiv:math/9904164).
+    3. So w_k X = 0 for every indecomposable X other than P_k, and on P_k
+       the values of End(P_k) at w_k span a line, as End(P_k) is local and
+       its radical kills the socle.  Krull-Schmidt gives rank = b_k.
+    Over a self-injective algebra, soc A annihilates exactly the modules
+    with no projective summand (Auslander, Reiten and Smalo,
+    "Representation Theory of Artin Algebras", 1995, ch. IV).  E runs only
+    on a basis of the span of the F^(n^2-1) images.  On a module made by
+    `mod_p` the rank is that of the reduced matrix, at most the exact one.
+    """
+    f, N = M.field, M.ctx.N
+    blocks = M.class_indices()
+    out = {}
+    for i, j in labels:
+        rows: Iterable[Col] = ({c: f.one} for c in blocks.get((2 * i % N, j), ()))
+        for apply in (M.apply_F, M.apply_E):
+            ech = Echelon(f)
+            for v in rows:
+                for _ in range(N - 1):
+                    v = apply(v)
+                    if not v:
+                        break
+                else:
+                    ech.add(v)
+            rows = ech.pivot_rows.values()
+        if ech.rank:
+            out[(i, j)] = ech.rank
+    return out
+
+
+def residue_first(M: Representation, solve, accept):
+    """solve(M.mod_p()) if `accept` takes it, else the exact solve(M): the
+    one place that chooses between F_p and M's own field.  A refused result
+    or an entry of M that is not p-integral runs `solve(M)`, which decides,
+    so a failing input reads as it would without F_p; each caller argues
+    why an accepted F_p result is right."""
+    try:
+        R = M.mod_p()
+    except DivisionByZeroError:  # an entry has p in its denominator
+        return solve(M)
+    out = solve(R)
+    return out if accept(out) else solve(M)
+
+
 def quotient_rep(M: Representation, vectors: list[Col], label: str) -> Representation:
     """M / W for W the span of `vectors`, which E, F, k and khat must map
     into itself (not checked).
@@ -1221,9 +1282,7 @@ def verify_block_structure(ctx: AlgebraContext) -> Counterexamples:
     for comp in blocks:
         yield None if len(comp) == 2 else f"block {comp} does not have two labels"
     for comp in blocks:
-        dimsum = 0
-        for (i, j) in comp:
-            dimsum += projs[(i, j)].dim * (ctx.N - 2 * i + 1)
+        dimsum = sum(projs[(i, j)].dim * (ctx.N - 2 * i + 1) for i, j in comp)
         yield None if dimsum == 2 * ctx.N * ctx.N else (
             f"block {comp} spans dimension {dimsum}, expected {2 * ctx.N * ctx.N}"
         )

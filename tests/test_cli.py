@@ -323,11 +323,11 @@ GOLDEN_STDOUT = {
     ("module", "T", "--i", "3", "--j", "1", "--l", "2", "--lambda", "2", "--format", "json"):
         "b9de94b897b5bf205df7daf3c55d7be61aa092257822efd15f99df3ba9b1889a",
     ("tensor", "simple:1,0", "simple:1,0", "--format", "json"):
-        "c39b468c43105b517b8ae809cb67a3595f4927d7f78bd3eb531e2a276d805e65",
+        "861e40cd60e2f4901e3b2fedc67a0cd51b08be506d4a22a5144cafb6b1f3db72",
     ("tensor", "W:1,0,2", "simple:1,0", "--format", "json"):
-        "b0da3696d62a03911da0476e1dbb6a8263489f7ea1e53fab9d82b1bf59d6a0fd",
+        "abeec408e788afbdb348249bbe925bca95b636d352f7789f0b9d150f2bb55af1",
     ("tensor", "projective:3,1", "simple:7,0", "--format", "json"):
-        "af3941822a3f82b8bcd0fb17b392cf821b29df67ccab497be781db962967ad3c",
+        "536552be6f65f02a186c5c1c82ce2811c313da9ded01c00ca78c145267c1ea27",
     ("verify", "--suite", "axioms"):
         "233bd7378afd2bf0573cdf1d6bee2a0fa67229df16ee244401142aaf5a16780d",
 }
@@ -363,7 +363,7 @@ GOLDEN_VIEWS = {
     ("tensor", "simple:1,0", "simple:1,0", "--format", "csv"):
         "2d3fa295192a4ed2a9ccb9b3a2faea02f255676023f123cf77753799f47ef67f",
     ("tensor", "W:1,0,2", "simple:1,0", "--format", "text"):
-        "fe20c1aa346470618bec808b56710339f1280e3ec041ee39cda93230b5abf714",
+        "187c219b72ff8fd18ad14bd1d34d6503d6bbc52597a210af093a8900630a75b3",
     ("tensor", "W:1,0,2", "simple:1,0", "--format", "csv"):
         "7ca9bf2cd7772ecb46eddc2e9ecd89b977cce55afa7f375ac33addd219c0bc94",
     ("table", "cg-ss", "--format", "json"):

@@ -1,6 +1,7 @@
 """The package's public names: every export resolves, no module keeps memo
 state of its own, only the verifier runner builds a CheckReport, mod-p
-arithmetic stays inside the one certificate that uses it, only the fields'
+reduction stays inside the one runner `reps.residue_first`, the only code
+that catches `DivisionByZeroError` to choose a field, only the fields'
 sparse kernels prune a cancelled entry from a sparse vector (`_add_into`
 for the Scalar and int sums of every `Combination` too, and
 `FieldContext.combination_product` for the products of Scalar ones), only
@@ -75,10 +76,11 @@ def test_reports_come_from_the_runner():
 # Names that reach the residue field F_p: its classes, the accessor that
 # builds it, and the Representation helper that reduces a module to it.
 RESIDUE_NAMES = frozenset({"Residue", "ResidueField", "residue_field", "mod_p"})
-# Where they may appear: cyclo defines them, the helper and the P (x) S cover
-# certificate use them.  Every other verdict stays exact.
-RESIDUE_SCOPES = {"cyclo.py": None, "reps.py": "Representation.mod_p",
-                  "moncat.py": "_cover_certificate"}
+# Where they may appear: cyclo defines them (the F_p bodies), the helper
+# uses them, and so does the one "F_p first, exact fallback" runner that the
+# P (x) S cover certificate and the projective counts of `decompose` go
+# through.  Every other verdict reads the runner's result.
+RESIDUE_SCOPES = {"cyclo.py": None, "reps.py": ("Representation.mod_p", "residue_first")}
 
 
 def _residue_uses(tree: ast.AST) -> list[tuple[str, str]]:
@@ -105,15 +107,46 @@ def _residue_uses(tree: ast.AST) -> list[tuple[str, str]]:
     return out
 
 
-def test_residue_field_stays_in_the_cover_certificate():
+def test_residue_field_stays_in_the_runner():
     package = pathlib.Path(uqsl2.__file__).parent
     for path in sorted(package.glob("*.py")):
-        allowed = RESIDUE_SCOPES.get(path.name, "")
+        allowed = RESIDUE_SCOPES.get(path.name, ())
         if allowed is None:
             continue
         for scope, name in _residue_uses(ast.parse(path.read_text(encoding="utf-8"))):
-            inside = allowed and (scope == allowed or scope.startswith(allowed + "."))
+            inside = any(scope == a or scope.startswith(a + ".") for a in allowed)
             assert inside, f"{path.name}: {name} used in {scope or 'module scope'}"
+
+
+def _division_handlers(tree: ast.AST) -> list[str]:
+    """Enclosing def of every `except` clause that names DivisionByZeroError."""
+    out = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(isinstance(c, ast.Name) and c.id == "DivisionByZeroError" for c in caught):
+                out.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return out
+
+
+def test_only_the_runner_catches_a_non_p_integral_entry():
+    """No code but `reps.residue_first` catches DivisionByZeroError, so no
+    second place chooses between F_p and the exact field."""
+    package = pathlib.Path(uqsl2.__file__).parent
+    found = [(path.name, scope) for path in sorted(package.glob("*.py"))
+             for scope in _division_handlers(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == [("reps.py", "residue_first")]
+    # a second fallback, say the certificate's old inline one, is caught
+    mutant = ("def certify(T):\n    try:\n        R = T.mod_p()\n"
+              "    except (ValueError, DivisionByZeroError):\n        R = None\n")
+    assert _division_handlers(ast.parse(mutant)) == ["certify"]
 
 
 # The functions that add into a sparse vector and drop what cancels: the

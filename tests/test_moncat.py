@@ -29,7 +29,7 @@ from uqsl2.moncat import (
 from uqsl2.cyclo import _add_into
 from uqsl2.qgroup import AlgebraContext
 from uqsl2.quasihopf import QuasiHopfData, axiom_reports
-from uqsl2.linalg import Echelon, nullspace_basis
+from uqsl2.linalg import Echelon, nullspace_basis, rank
 from uqsl2.reps import (
     Representation,
     all_labels,
@@ -298,12 +298,14 @@ def test_engine_decomposes_frozen_products(actx):
     assert res.summands == simple_simple_rule(actx, 1, 0, 1, 0)
     assert res.verified_dim == 225
 
-    res2 = decompose(tensor(simple(actx, 2, 0), simple(actx, 3, 1)))
+    T2 = tensor(simple(actx, 2, 0), simple(actx, 3, 1))
+    res2 = decompose(T2)
     assert res2.ok, res2.violations
     assert res2.summands == simple_simple_rule(actx, 2, 0, 3, 1)
     assert res2.verified_dim == 143
-    assert res2.evidence["block_systems_solved"] >= 1
-    assert res2.evidence["composition_counts"]
+    # the projective tail is read off the ranks of E^(n^2-1) F^(n^2-1)
+    tail = {(i, j): m for (kind, i, j), m in res2.summands.items() if kind == "P"}
+    assert res2.evidence == {"top_counts": top_multiplicities(T2), "projective_counts": tail}
 
 
 def test_no_module_is_solved_twice_for_a_label(actx, monkeypatch):
@@ -598,7 +600,8 @@ def _radical_layers(M):
 
 def test_guards_that_left_decompose_agree_with_its_counts(actx):
     """Each guard `decompose` ran before the splitting argument, and the
-    graded-character peel, against the verdict it now reads from t0 and t1."""
+    graded-character peel, against the verdict it now reads from t0 and the
+    projective counts b."""
     N = actx.N
     labels = all_labels(actx)
     dims = {(i, j): N - 2 * i + 1 for i, j in labels}
@@ -639,9 +642,9 @@ def test_guards_that_left_decompose_agree_with_its_counts(actx):
         assert solve_height_offsets(relative_graded_character(T), parts) is not None
 
 
-def test_decompose_makes_two_hom_sweeps_per_product(actx, monkeypatch):
-    """t0 and t1 take one Hom solve per label each; the socles and rad^2 M
-    take none."""
+def test_decompose_makes_one_hom_sweep_per_product(actx, monkeypatch):
+    """t0 takes one Hom solve per label; the projective counts are ranks and
+    take none, so there is no second sweep."""
     calls = []
     real = reps.hom_from_simple
 
@@ -653,46 +656,44 @@ def test_decompose_makes_two_hom_sweeps_per_product(actx, monkeypatch):
     for (i1, j1), (i2, j2) in _sampled_ss_products(actx):
         calls.clear()
         assert decompose(tensor(simple(actx, i1, j1), simple(actx, i2, j2))).ok
-        assert len(calls) <= 2 * len(all_labels(actx)), (i1, j1, i2, j2, len(calls))
+        assert len(calls) <= len(all_labels(actx)), (i1, j1, i2, j2, len(calls))
 
 
 def _near_misses(actx):
-    """(M, dim rad^2 M, the dim rad^2 M that b needs) for two modules with
-    the top, or the layer counts, of S (+) P that are not S (+) P."""
+    """(M, b) for two modules with the top of S (+) P, or of P (+) P, that
+    are not a sum of simples and projectives, with b their P_k summands."""
     k = (3, 0)
     P = projective(actx, *k)
     # P_k / soc P_k: the transpose of rad(P_k^t), the annihilator of soc P_k
     Pt = transpose(P)
     Q = transpose(sub_rep(Pt, radical(Pt)[1], "rad(P^t)"))
     assert Q.dim == P.dim - simple(actx, *k).dim
-    # (P_k (+) P_k) / diagonal socle: the transpose of its annihilator
+    # (P_k (+) P_k) / diagonal socle: the transpose of its annihilator, and
+    # isomorphic to P_k (+) P_k / soc P_k
     PP = direct_sum([P, P], "P+P")
     (socle,) = hom_from_simple(P, *k)
     diagonal = [{**v, **{r + P.dim: s for r, s in v.items()}} for v in socle.values()]
     ann = nullspace_basis(actx.field, diagonal, PP.dim)
     Y = transpose(sub_rep(transpose(PP), ann, "ann"))
-    # t1 = 2 S_k' and 4 S_k', so b_k = 1 and 2, but rad^2 M = 0 and S_k
-    d = simple(actx, *k).dim
-    return [
-        (direct_sum([Q, simple(actx, *k)], "P/soc+S"), 0, d),
-        (Y, d, 2 * d),
-    ]
+    return [(direct_sum([Q, simple(actx, *k)], "P/soc+S"), {}), (Y, {k: 1})]
 
 
 def test_decompose_rejects_near_misses(actx):
-    """Modules with the top, or the layer counts, of S (+) P that are not
-    S (+) P, graded and ungraded alike."""
+    """Modules with the top of S (+) P, or of P (+) P, that are not sums of
+    simples and projectives, graded and ungraded alike: the ranks find the
+    projective summands they have, and the rest is too big to be the
+    semisimple (t0 - b)_k S_k."""
     k = (3, 0)
-    for M, rad2_dim, need in _near_misses(actx):
+    d = simple(actx, *k).dim
+    for M, b in _near_misses(actx):
         assert M.check_relations().passed
-        want = (
-            f"second radical layer has dimension {rad2_dim}, not the {need} "
-            f"that half the partner first-layer counts need",
-        )
+        want = 2 * actx.N * sum(b.values()) + (2 - sum(b.values())) * d
+        violation = (f"dimension {M.dim} differs from the {want} of the sum of "
+                     f"(t0 - b)_k S_k and b_k P_k",)
         for X in (M, _without_grades(M)):
             res = decompose(X)
-            assert (res.summands, res.verified_dim, res.violations) == ({}, 0, want), X.label
-            assert res.evidence["top_counts"] == {k: 2}
+            assert (res.summands, res.verified_dim, res.violations) == ({}, 0, violation), X.label
+            assert res.evidence == {"top_counts": {k: 2}, "projective_counts": b}
 
 
 def _reduced_span(field, vectors):
@@ -716,7 +717,7 @@ def test_first_layers_by_quotient_match_the_radical_oracle(actx):
     is a submodule of M^t, as `first_radical_layers` argues."""
     f = actx.field
     modules = [tensor(simple(actx, *a), simple(actx, *b)) for a, b in _sampled_ss_products(actx)]
-    for M, _, _ in _near_misses(actx):
+    for M, _ in _near_misses(actx):
         modules += [M, _without_grades(M)]
     modules.append(tensor(family_T(actx, 2, 0, 1, f.from_int(2)), simple(actx, 8, 0)))
     modules.append(tensor(projective(actx, 3, 0), simple(actx, 7, 1)).mod_p())
@@ -728,3 +729,123 @@ def test_first_layers_by_quotient_match_the_radical_oracle(actx):
         _, columns = reps._socle_sweep(Mt)
         socle = sub_rep(Mt, _reduced_span(M.field, columns), "soc")
         assert socle.dim == M.dim - len(rows), M.label
+
+
+# -- the projective counts of `decompose` and their F_p certificate ----------------
+
+
+def test_projective_counts_find_each_projective(actx):
+    """The rank of E^(n^2-1) F^(n^2-1) on the class-chi_k block is 1 on P_k
+    at its own label and 0 elsewhere, and 0 on every simple, a W module and
+    a Verma module, over Q(zeta) and over F_p alike."""
+    labels = all_labels(actx)
+    for k in labels:
+        P, S = projective(actx, *k), simple(actx, *k)
+        for X in (P, P.mod_p()):
+            assert reps.projective_counts(X, labels) == {k: 1}, (X.label, X.field)
+        for X in (S, S.mod_p()):
+            assert reps.projective_counts(X, labels) == {}, (X.label, X.field)
+    for X in (family_W(actx, 2, 0, 2), verma(actx, 3, 0)):
+        assert reps.projective_counts(X, labels) == {}, X.label
+
+
+def test_projective_counts_are_ranks_of_the_socle_element(actx):
+    """The block rank is the rank of rho_M(w_k) for w_k = E^(n^2-1) alpha_k,
+    formed in u and acted by `act_matrix`: rho_M(e_k) projects onto the
+    class-chi_k vectors."""
+    labels = all_labels(actx)
+    w = {k: actx.e_power(actx.N - 1) * actx.alpha_vec(*k) for k in labels}
+    for M in (projective(actx, 3, 0), family_W(actx, 2, 0, 2), verma(actx, 3, 0),
+              tensor(simple(actx, 1, 0), simple(actx, 7, 0))):
+        ranks = {k: rank(M.field, M.act_matrix(w[k]).values()) for k in labels}
+        assert reps.projective_counts(M, labels) == {k: r for k, r in ranks.items() if r}, M.label
+
+
+def test_residue_counts_match_exact_counts_and_radical_layers(actx):
+    """On the sampled S(x)S products the F_p counts equal the exact counts
+    and the b that the first radical layer gives, b_k = t1_k' / 2."""
+    labels = all_labels(actx)
+    for (i1, j1), (i2, j2) in _sampled_ss_products(actx):
+        T = tensor(simple(actx, i1, j1), simple(actx, i2, j2))
+        _, _, t1 = first_radical_layers(T)
+        layers = {k: t1[kp] // 2 for k in labels if (kp := partner_label(actx, *k)) in t1}
+        exact = reps.projective_counts(T, labels)
+        assert reps.projective_counts(T.mod_p(), labels) == exact == layers, T.label
+
+
+def _spy_count_fields(monkeypatch):
+    """Record the field of every projective count `decompose` takes."""
+    seen = []
+    real = reps.projective_counts
+
+    def spy(M, labels):
+        seen.append(M.field)
+        return real(M, labels)
+
+    monkeypatch.setattr(moncat, "projective_counts", spy)
+    return seen
+
+
+def test_decompose_falls_back_when_an_entry_will_not_reduce(actx, monkeypatch):
+    """`ResidueField.reduce` refusing one entry sends the counts to Q(zeta),
+    which give the verdict F_p gives."""
+    T = tensor(simple(actx, 1, 0), simple(actx, 7, 1))
+    want = decompose(T)
+    assert want.ok and want.evidence["projective_counts"]
+    real = type(actx.field.residue_field()).reduce
+    calls = []
+
+    def refuse_once(self, s):
+        calls.append(s)
+        if len(calls) == 1:
+            raise DivisionByZeroError(f"{s!r} is not p-integral")
+        return real(self, s)
+
+    monkeypatch.setattr(type(actx.field.residue_field()), "reduce", refuse_once)
+    seen = _spy_count_fields(monkeypatch)
+    got = decompose(T)
+    assert calls and seen == [actx.field]
+    assert (got.summands, got.evidence, got.violations) == (
+        want.summands, want.evidence, want.violations)
+
+
+def test_decompose_falls_back_when_a_residue_rank_drops(actx, monkeypatch):
+    """A residue module with one E entry dropped has a smaller F_p rank; the
+    identity then fails, and the exact counts decide."""
+    M = direct_sum([simple(actx, 5, 1), projective(actx, 3, 0)], "SplusP")
+    real = Representation.mod_p
+
+    def drop_one_entry(self):
+        # E sends vector 7, the first of P(6,0), to 8; without that arrow
+        # E^(n^2-1) F^(n^2-1) vanishes on the class (6, 0) block mod p.
+        R = real(self)
+        del R.E[7][8]
+        return R
+
+    monkeypatch.setattr(Representation, "mod_p", drop_one_entry)
+    assert reps.projective_counts(M.mod_p(), all_labels(actx)) == {}
+    seen = _spy_count_fields(monkeypatch)
+    res = decompose(M)
+    assert seen == [actx.field.residue_field(), actx.field]
+    assert res.ok, res.violations
+    assert res.summands == {("S", 5, 1): 1, ("P", 3, 0): 1}
+    assert res.evidence["projective_counts"] == {(3, 0): 1}
+
+
+def test_decompose_refuses_a_residue_module(actx):
+    """A module made by `mod_p` has no exact field for its counts to fall
+    back on, so it reduces no further and `decompose` refuses it."""
+    R = direct_sum([simple(actx, 5, 1), projective(actx, 3, 0)], "SplusP").mod_p()
+    for run in (R.mod_p, lambda: decompose(R)):
+        with pytest.raises(ContextMismatchError):
+            run()
+
+
+def test_decompose_refuses_more_projectives_than_tops(actx, monkeypatch):
+    """b <= t0 holds for every module, so only a wrong count can break it;
+    `decompose` still refuses to return a negative multiplicity."""
+    M = direct_sum([simple(actx, 5, 1), projective(actx, 3, 0)], "SplusP")
+    monkeypatch.setattr(moncat, "projective_counts", lambda X, labels: {(5, 1): 2})
+    res = decompose(M)
+    assert res.summands == {}
+    assert "projective count 2 at (5, 1) exceeds the top count 1" in res.violations
