@@ -13,7 +13,9 @@ one Hom solver `reps.hom_from_simple` (`socle_multiplicities` and
 structure take a `nullspace_basis` kernel (`radical` and `sub_rep` are test
 oracles, not package code), only `AlgebraContext.cached` touches the memo,
 the regular-module decomposition has one mode and no brute-force rank
-(`test_regular_decomposition_has_one_mode`), and the command line has one
+(`test_regular_decomposition_has_one_mode`), every tensor verdict comes from
+`moncat.decompose` with no graded-character peel
+(`test_tensor_verdicts_have_one_decision_procedure`), and the command line has one
 output path (`test_cli_has_one_output_path`:
 only `cli._render` dumps JSON or builds a CSV writer, only `cli.main` writes
 to stdout or opens the `--out` file)."""
@@ -78,7 +80,7 @@ def test_reports_come_from_the_runner():
 RESIDUE_NAMES = frozenset({"Residue", "ResidueField", "residue_field", "mod_p"})
 # Where they may appear: cyclo defines them (the F_p bodies), the helper
 # uses them, and so does the one "F_p first, exact fallback" runner that the
-# P (x) S cover certificate and the projective counts of `decompose` go
+# tops of the cover case and the projective counts of `decompose` go
 # through.  Every other verdict reads the runner's result.
 RESIDUE_SCOPES = {"cyclo.py": None, "reps.py": ("Representation.mod_p", "residue_first")}
 
@@ -412,6 +414,45 @@ def test_regular_decomposition_has_one_mode():
     assert sorted(_exhaustive_mode(mutant)) == [
         ("cli.py", "--slow flag"), ("qgroup.py", "_regular_rank"),
         ("qgroup.py", "slow parameter")]
+
+
+# What a tensor verdict is read from: the tops, the projective counts and
+# the F_p runner they go through.  In moncat only `decompose` and the rank
+# cross-check of its cover case reach them, so every S (x) S and P (x) S
+# verdict is one decision procedure.
+TENSOR_COUNTS = frozenset({"top_multiplicities", "projective_counts", "residue_first"})
+COUNT_READERS = frozenset({"decompose", "verify_projective_tensor_engine_samples"})
+
+
+def _count_readers(source: str) -> set[str]:
+    """Top-level defs that name a tensor count: a call, or a solve handed
+    to `residue_first`, alike (the import itself is not a use)."""
+    out = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in TENSOR_COUNTS:
+                out.add(getattr(top, "name", "module scope"))
+    return out
+
+
+def test_tensor_verdicts_have_one_decision_procedure():
+    """In moncat only `decompose` and the engine-sample cross-check read
+    tops, projective counts or the F_p runner, and no tensor verdict peels
+    a graded character: `composition_counts` is called from k0ring alone."""
+    sources = _package_sources()
+    assert _count_readers(sources["moncat.py"]) == COUNT_READERS
+    peels = _package_callers(sources, "composition_counts")
+    assert peels and {module for module, _ in peels} == {"k0ring.py"}
+    # a second certificate beside `decompose`, say the old P (x) S one, is caught
+    mutant = dict(sources)
+    mutant["moncat.py"] += ("\n\ndef _tops_certificate(T, want_top):\n"
+                            "    counts = composition_counts(T)\n"
+                            "    top = residue_first(T, lambda X: top_multiplicities(X, counts),\n"
+                            "                        lambda top: top == want_top)\n"
+                            "    return None if top == want_top else 'top differs'\n")
+    assert _count_readers(mutant["moncat.py"]) - COUNT_READERS == {"_tops_certificate"}
+    assert ("moncat.py", "_tops_certificate") in _package_callers(mutant, "composition_counts")
 
 
 def _memo_uses(tree: ast.AST) -> list[tuple[str, str, int]]:

@@ -293,16 +293,17 @@ def test_fusion_table_rows(actx):
 
 
 def test_engine_decomposes_frozen_products(actx):
-    res = decompose(tensor(simple(actx, 1, 0), simple(actx, 1, 0)))
+    T = tensor(simple(actx, 1, 0), simple(actx, 1, 0))
+    res = decompose(T)
     assert res.ok, res.violations
     assert res.summands == simple_simple_rule(actx, 1, 0, 1, 0)
-    assert res.verified_dim == 225
+    assert T.dim == 225
 
     T2 = tensor(simple(actx, 2, 0), simple(actx, 3, 1))
     res2 = decompose(T2)
     assert res2.ok, res2.violations
     assert res2.summands == simple_simple_rule(actx, 2, 0, 3, 1)
-    assert res2.verified_dim == 143
+    assert T2.dim == 143
     # the projective tail is read off the ranks of E^(n^2-1) F^(n^2-1)
     tail = {(i, j): m for (kind, i, j), m in res2.summands.items() if kind == "P"}
     assert res2.evidence == {"top_counts": top_multiplicities(T2), "projective_counts": tail}
@@ -364,7 +365,7 @@ def test_decompose_rejects_zigzag_module(actx):
     res = decompose(W)
     assert not res.ok
     assert res.summands == {}
-    assert res.verified_dim == 0
+    assert W.dim == 32
     assert res.violations
     assert "top_counts" in res.evidence
 
@@ -523,21 +524,31 @@ def test_cover_certificate_falls_back_on_a_broken_residue_module(actx, monkeypat
 
 
 def test_cover_certificate_failure_strings_are_the_exact_ones(actx, monkeypatch):
+    """A wrong rule gets the summands `decompose` found, and the strings
+    are those of a run with no F_p module: an accepted F_p top is the exact
+    top, so F_p never changes what a failure says."""
     T, expected = _small_product(actx)
     bumped = dict(expected)
     bumped[("P", 1, 1)] += 1
-    assert _cover_certificate(T, bumped) == "dimension 96 differs from the expected cover"
     # One summand moved to its block partner keeps the dimension and the
-    # composition counts, so only the tops can tell.
+    # class in K0, so only the tops can tell.
     moved = dict(expected)
     del moved[("P", 1, 1)]
     moved[("P", 8, 0)] = 1
+    found = "engine found P(6,1) + P(4,0) + P(2,1)"
+    want = [f"{found}, rule says P(6,1) + P(4,0) + 2*P(2,1)",
+            f"{found}, rule says P(16,0) + P(6,1) + P(4,0)"]
     seen = _spy_hom_fields(monkeypatch)
-    assert _cover_certificate(T, moved) == (
-        "top {(1, 1): 1, (2, 0): 1, (3, 1): 1} differs from expected "
-        "{(3, 1): 1, (2, 0): 1, (8, 0): 1}"
-    )
-    assert actx.field.residue_field() in seen and seen[-1] is actx.field
+    assert [_cover_certificate(T, rule) for rule in (bumped, moved)] == want
+    assert seen and all(field is actx.field.residue_field() for field in seen)
+
+    def no_reduction(self):
+        raise DivisionByZeroError("no entry reduces mod p")
+
+    monkeypatch.setattr(Representation, "mod_p", no_reduction)
+    seen.clear()
+    assert [_cover_certificate(T, rule) for rule in (bumped, moved)] == want
+    assert seen and all(field is actx.field for field in seen)
 
 
 def test_cover_certificate_refuses_a_non_p_integral_entry(actx, monkeypatch):
@@ -566,6 +577,62 @@ def test_cover_certificate_refuses_a_non_p_integral_entry(actx, monkeypatch):
     seen = _spy_hom_fields(monkeypatch)
     assert _cover_certificate(T2, expected) is None
     assert seen and all(field is f for field in seen)
+
+
+def _no_rank(M, labels):
+    raise AssertionError("the cover case computed a projective count")
+
+
+def test_cover_case_certifies_an_ungraded_product(actx, monkeypatch):
+    """The cover case reads dimensions and tops only: an ungraded copy of a
+    P(x)S product gets the graded product's summands and evidence, with no
+    graded-character peel and no rank."""
+    T, expected = _small_product(actx)
+    monkeypatch.setattr(moncat, "composition_counts", _no_peel)
+    monkeypatch.setattr(moncat, "projective_counts", _no_rank)
+    graded, ungraded = decompose(T), decompose(_without_grades(T))
+    assert graded.ok and graded.summands == expected
+    tops = {(i, j): m for (_, i, j), m in expected.items()}
+    assert graded.evidence == {"top_counts": tops, "projective_counts": tops}
+    assert (ungraded.summands, ungraded.evidence) == (graded.summands, graded.evidence)
+    assert _cover_certificate(_without_grades(T), expected) is None
+
+
+def test_decompose_refuses_cover_dimensions_that_are_not_projective(actx, monkeypatch):
+    """W(2,0; l=2) and W(1,0; l=2) (x) S(2,0) have dimensions 32 and 480,
+    multiples of 2n^2, but tops too large for P(t0) to be M: the F_p tops
+    are tried, refused, and the splitting argument refuses the module with
+    the violations it gave before the cover case existed.  A cover case
+    that took 2n^2 sum t0 >= dim M would accept both."""
+    cases = [
+        (family_W(actx, 2, 0, 2), 6, {(7, 1): 2}, {}),
+        (tensor(family_W(actx, 1, 0, 2), simple(actx, 1, 0)), 478,
+         {(1, 1): 4, **{(i, i % 2): 2 for i in range(2, 8)}},
+         {(i, i % 2): 2 for i in range(1, 8)}),
+    ]
+    residue = actx.field.residue_field()
+    seen = _spy_hom_fields(monkeypatch)
+    for M, want, tops, b in cases:
+        assert M.dim % (2 * actx.N) == 0 and 2 * actx.N * sum(tops.values()) > M.dim
+        seen.clear()
+        res = decompose(M)
+        assert seen[0] is residue and seen[-1] is actx.field, M.label
+        assert (res.summands, res.violations) == ({}, (
+            f"dimension {M.dim} differs from the {want} of the sum of "
+            f"(t0 - b)_k S_k and b_k P_k",)), M.label
+        assert res.evidence == {"top_counts": tops, "projective_counts": b}, M.label
+
+
+def test_decompose_solves_no_hom_over_f_p_on_simple_products(actx, monkeypatch):
+    """dim S(x)S is odd, so `decompose` never tries F_p tops on it: every
+    Hom solve of the sweep runs over Q(zeta)."""
+    seen = _spy_hom_fields(monkeypatch)
+    for (i1, j1), (i2, j2) in _sampled_ss_products(actx):
+        T = tensor(simple(actx, i1, j1), simple(actx, i2, j2))
+        assert T.dim % 2 == 1
+        seen.clear()
+        assert decompose(T).ok, T.label
+        assert seen and all(field is actx.field for field in seen), T.label
 
 
 # -- the guards that left `decompose`, kept as oracles -----------------------------
@@ -692,7 +759,8 @@ def test_decompose_rejects_near_misses(actx):
                      f"(t0 - b)_k S_k and b_k P_k",)
         for X in (M, _without_grades(M)):
             res = decompose(X)
-            assert (res.summands, res.verified_dim, res.violations) == ({}, 0, violation), X.label
+            assert not res.ok, X.label
+            assert (res.summands, res.violations) == ({}, violation), X.label
             assert res.evidence == {"top_counts": {k: 2}, "projective_counts": b}
 
 
@@ -830,6 +898,28 @@ def test_decompose_falls_back_when_a_residue_rank_drops(actx, monkeypatch):
     assert res.ok, res.violations
     assert res.summands == {("S", 5, 1): 1, ("P", 3, 0): 1}
     assert res.evidence["projective_counts"] == {(3, 0): 1}
+
+
+def test_engine_samples_cross_check_the_cover_case_by_ranks(actx, monkeypatch):
+    """The five samples decide P(x)S by the F_p projective counts, b' = t0,
+    not by the cover case; a rule with one summand moved to its block
+    partner keeps the dimension and is refused."""
+    seen = _spy_count_fields(monkeypatch)
+    rep = moncat.verify_projective_tensor_engine_samples(actx)
+    assert (rep.passed, rep.instances) == (True, 5)
+    assert seen == [actx.field.residue_field()] * 5
+    rule = moncat.projective_simple_rule
+
+    def moved(ctx, i1, j1, i2, j2):
+        out = dict(rule(ctx, i1, j1, i2, j2))
+        kind, i, j = next(iter(out))
+        out[(kind, *partner_label(ctx, i, j))] = out.pop((kind, i, j))
+        return out
+
+    monkeypatch.setattr(moncat, "projective_simple_rule", moved)
+    rep = moncat.verify_projective_tensor_engine_samples(actx)
+    assert (rep.passed, rep.instances) == (False, 1)
+    assert rep.counterexample.startswith("P(16,0)(x)S(14,1): top "), rep.counterexample
 
 
 def test_decompose_refuses_a_residue_module(actx):
