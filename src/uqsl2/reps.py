@@ -227,6 +227,22 @@ class Representation:
 
     # -- defining relations ---------------------------------------------------
 
+    def _conjugation_checks(self) -> Counterexamples:
+        """The group conjugation rule, one instance per stored E or F entry
+        (r, c): an E entry raises the k-exponent by n and the khat-exponent
+        by n-2, and an F entry lowers them by the same amounts.  So E and F
+        send each class to a single class.  `check_relations` reports these
+        instances, and `hom_space` refuses a module at the first failure."""
+        n, N = self.ctx.n, self.ctx.N
+        for mp, dk, dkh, nm in ((self.E, n, n - 2, "E"), (self.F, -n, -(n - 2), "F")):
+            for c, col in mp.items():
+                for r in col:
+                    ok = (self.kexp[r] - self.kexp[c] - dk) % N == 0 and \
+                        (self.khatexp[r] - self.khatexp[c] - dkh) % N == 0
+                    yield None if ok else (
+                        f"{nm} entry ({r},{c}) breaks the group conjugation rule"
+                    )
+
     @verifier(lambda self: f"defining relations hold on {self.label} (dim {self.dim})")
     def check_relations(self) -> Counterexamples:
         """Verify every defining relation of u on this module.
@@ -252,14 +268,7 @@ class Representation:
             yield None if (n * self.khatexp[r] + 2 * self.kexp[r]) % N == 0 else (
                 f"vector {r}: khat^n != k^-2 on this vector"
             )
-        for mp, dk, dkh, nm in ((self.E, n, n - 2, "E"), (self.F, -n, -(n - 2), "F")):
-            for c, col in mp.items():
-                for r in col:
-                    ok = (self.kexp[r] - self.kexp[c] - dk) % N == 0 and \
-                        (self.khatexp[r] - self.khatexp[c] - dkh) % N == 0
-                    yield None if ok else (
-                        f"{nm} entry ({r},{c}) breaks the group conjugation rule"
-                    )
+        yield from self._conjugation_checks()
         walks = ((_walk_bounds(self.E, self.dim, N), self.apply_E, "E"),
                  (_walk_bounds(self.F, self.dim, N), self.apply_F, "F"))
         for c in range(self.dim):
@@ -527,12 +536,6 @@ def partner_label(ctx: AlgebraContext, i: int, j: int) -> tuple[int, int]:
 # -- Hom spaces ------------------------------------------------------------------
 
 
-def _simple_chain_data(ctx: AlgebraContext, i: int, j: int):
-    """Top index d, per-vector classes, and F coefficients of S(2i,j)."""
-    chain = [_chain(ctx, i, j, v) for v in range(2 * i, ctx.N + 1)]
-    return len(chain) - 1, [c[0] for c in chain], [c[2] for c in chain]
-
-
 def transpose(M: Representation) -> Representation:
     """The tau-dual M^t: M's group exponents, grades and field, with
     E := F^T and F := E^T, built fresh on each call.
@@ -610,16 +613,17 @@ def hom_from_simple(M: Representation, i: int, j: int, dim_only: bool = False):
     alone.  `dim_only` returns dim K3; otherwise each basis vector v of
     K3 gives the map x_t -> E^t v, as {t: column}.
     """
-    _check_label(M.ctx, i, j)
+    ctx = M.ctx
+    _check_label(ctx, i, j)
     f = M.field
-    d, classes, fc = _simple_chain_data(M.ctx, i, j)
+    # x_t is chain coordinate 2i + t, so chi0 = ((-2i) mod n^2, j) and d = n^2 - 2i
+    d = ctx.N - 2 * i
     # chains[k] = [v_k, E v_k, ...] over the basis v_k of the current stage;
     # stage 1 starts from the class-chi0 basis vectors and needs no chain.
-    var_rows = M.class_indices().get(classes[0], ())
+    var_rows = M.class_indices().get((-2 * i % ctx.N, j), ())
     if not var_rows:
         return 0 if dim_only else []
     chains = [[{r: f.one}] for r in var_rows]
-    coefs = [f.neg(f.image(c)) for c in fc]
     for stage in range(3):
         # no stage starts empty: a zero kernel returns below, at full rank
         if stage == 0:
@@ -630,6 +634,8 @@ def hom_from_simple(M: Representation, i: int, j: int, dim_only: bool = False):
                     ch.append(M.apply_E(ch[-1]))
             pieces = [[ch.pop()] for ch in chains]
         else:
+            # only stage 3 reads the F-coefficients c_t of the chain
+            coefs = [f.neg(f.image(_chain(ctx, i, j, 2 * i + t)[2])) for t in range(d + 1)]
             pieces = []
             for ch in chains:
                 res = []
@@ -663,25 +669,21 @@ def hom_from_simple(M: Representation, i: int, j: int, dim_only: bool = False):
     return [{t: col for t, col in enumerate(ch) if col} for ch in chains]
 
 
-def socle_multiplicities(
-    M: Representation, labels: Iterable[tuple[int, int]] | None = None
-) -> dict[tuple[int, int], int]:
-    """Nonzero dim Hom(S, M) over M's field, for S the simples in `labels`
-    (default: every label), keyed in the order the labels are given."""
+def socle_multiplicities(M: Representation) -> dict[tuple[int, int], int]:
+    """Nonzero dim Hom(S, M) over M's field, for every simple S, keyed in
+    label order."""
     out = {}
-    for i, j in all_labels(M.ctx) if labels is None else labels:
+    for i, j in all_labels(M.ctx):
         s = hom_from_simple(M, i, j, dim_only=True)
         if s:
             out[(i, j)] = s
     return out
 
 
-def top_multiplicities(
-    M: Representation, labels: Iterable[tuple[int, int]] | None = None
-) -> dict[tuple[int, int], int]:
+def top_multiplicities(M: Representation) -> dict[tuple[int, int], int]:
     """Nonzero dim Hom(M, S) = dim Hom(S, M^t): the socle of M^t (see
-    `transpose`), for the simples in `labels`, keyed in the order given."""
-    return socle_multiplicities(transpose(M), labels)
+    `transpose`), keyed in label order."""
+    return socle_multiplicities(transpose(M))
 
 
 def _socle_sweep(Mt: Representation) -> tuple[dict[tuple[int, int], int], list[Col]]:
@@ -886,32 +888,40 @@ def hom_space(M: Representation, N: Representation) -> list[SparseMap]:
     one equation per row of N; a nonzero one becomes a new row whose image
     is the reduced image times the factor `Echelon.add` made it monic with.
 
-    Why the kernel of these equations is Hom(M, N), for any linear E and F:
+    Why the kernel of these equations is Hom(M, N), for any E and F that
+    obey the conjugation rule, which is checked; the other relations need
+    not hold:
 
     - The rows span M: every unit vector reduces to zero or adds a row.
     - A module map satisfies every imposed relation, and its value on each
       row is the stored image at its generators' values.  Conversely a
       solution gives the rows images that satisfy every (row, op)
       relation, so the linear map it defines commutes with E and F.
-    - Rows stay class-pure, because a class-pure vector meets only pivots
-      of its own class, and the image of a new row of class chi lies in N's
-      class chi when op_N respects the classes.  So restricting phi(g) to
+    - Rows stay class-pure, and each row's image lies in N's part of the
+      row's class.  Under the rule op sends each class chi to one class
+      op(chi) in M and in N alike.  So op_M(b) lies in op(chi) for a row b
+      of class chi, and it meets only pivots of that class, as elimination
+      clears only columns the vector holds; op_N(phi(b)) and the images of
+      those pivots lie in N's part of op(chi).  So restricting phi(g) to
       g's class is the k / khat condition, as it is for unknowns (row of N,
-      column of M) taken in one class.  Where E or F do not respect the
-      classes it is imposed instead: a residual that mixes classes of M is
-      split into class parts, each a new row with fresh unknowns tied to
-      the relation by its equations, and where op_N leaves the class of a
-      new row, the image's entries outside that class are set to zero.
+      column of M) taken in one class.
 
     The kernel is taken by `nullspace_basis` over the unknowns; each unit
     vector of M is then reduced once against the rows, and its steps write
     every solution back as a map on M's standard columns.  Both modules
-    must hold the exact field: a module made by `mod_p` is refused.
+    must hold the exact field: a module made by `mod_p` is refused.  A
+    module with an E or F entry that breaks the conjugation rule is refused
+    with RepresentationError, which names the module and the first such
+    entry.
     """
     if M.ctx is not N.ctx:
         raise ContextMismatchError("Hom between modules over different contexts")
     if M.field is not M.ctx.field or N.field is not N.ctx.field:
         raise ContextMismatchError("Hom needs modules over the exact field, not a residue field")
+    for X in (M, N):
+        broken = next(filter(None, X._conjugation_checks()), None)
+        if broken:
+            raise RepresentationError(f"{X.label}: {broken}")
     nidx = N.class_indices()
     if not any(ch in nidx for ch in M.class_indices()):
         return []
@@ -952,13 +962,6 @@ def hom_space(M: Representation, N: Representation) -> list[SparseMap]:
                 eqs.setdefault(r, {})[u] = s
         equations.extend(eqs.values())
 
-    # the classes of N that E and F reach from each class of N
-    nclass = N.classes()
-    reach_E: dict[tuple[int, int], set] = {}
-    reach_F: dict[tuple[int, int], set] = {}
-    for mp, reach in ((N.E, reach_E), (N.F, reach_F)):
-        for c, col in mp.items():
-            reach.setdefault(nclass[c], set()).update(nclass[r] for r in col)
     done = 0
     for c in range(M.dim):
         vec = {c: f.one}
@@ -970,32 +973,16 @@ def hom_space(M: Representation, N: Representation) -> list[SparseMap]:
             piv = order[done]
             b, phib = ech.pivot_rows[piv], images[piv]
             done += 1
-            ch_b = mclass[piv]
-            for mapM, mapN, reach in ((M.E, N.E, reach_E), (M.F, N.F, reach_F)):
+            for mapM, mapN in ((M.E, N.E), (M.F, N.F)):
                 vec = M.apply_map(mapM, b)
                 phi = {u: N.apply_map(mapN, w) for u, w in phib.items()}
                 for hit, cf in ech.eliminate(vec):
                     for u, w in images[hit].items():
                         axpy(phi.setdefault(u, {}), w, cf)
-                parts: dict[tuple[int, int], Col] = {}
-                for r, s in vec.items():
-                    parts.setdefault(mclass[r], {})[r] = s
-                if len(parts) == 1:
-                    (ch,) = parts
-                    if any(t != ch for t in reach.get(ch_b, ())):
-                        # op_N leaves N's class ch: the image must vanish there
-                        impose({u: {r: s for r, s in w.items() if nclass[r] != ch}
-                                for u, w in phi.items()})
+                if vec:
                     add_row(vec, phi)
-                    continue
-                for part in parts.values():
-                    # the residual holds lead * (part / lead), whose fresh
-                    # image w enters the relation as -lead * w
-                    minus_lead = f.neg(part[min(part)])
-                    add_row(part)
-                    for u, w in images[order[-1]].items():
-                        phi[u] = scaled(w, minus_lead)
-                impose(phi)
+                else:
+                    impose(phi)
     sols = nullspace_basis(f, equations, unknowns)
     if not sols:
         return []
@@ -1089,12 +1076,15 @@ def _end_is_local(f_ctx: FieldContext, endos: list[SparseMap]) -> bool:
 def iso_test(M: Representation, N: Representation) -> bool | None:
     """Exact isomorphism test: True, False, or None when undecided.
 
-    Looks for an invertible intertwiner directly, then settles the negative
-    case through the trace-form radical of the endomorphism algebra, which
-    is exact when the trace form proves either side's End local
-    (`_end_is_local`).  When no invertible map is found and neither side
-    passes, the test cannot decide and returns None;
-    callers must treat None as neither a proof nor a disproof.
+    One search, in three steps.  It tries each basis map T_0, T_1, ... of
+    Hom(M, N), then the running sums T_0 + ... + T_t (t >= 1), for an
+    invertible intertwiner.  It then settles the remaining case through the
+    trace-form radical of the endomorphism algebra, which is exact when the
+    trace form proves either side's End local (`_end_is_local`).  When no
+    invertible map is found and neither side passes, the test cannot decide
+    and returns None; callers must treat None as neither a proof nor a
+    disproof.  A module that breaks the group conjugation rule is refused
+    by `hom_space` with RepresentationError.
 
     Hom(M, N), Hom(N, M) and End come from `hom_space`, which spins the
     source module from its generators (Lux and Szoke, Experimental Math.
@@ -1115,18 +1105,11 @@ def iso_test(M: Representation, N: Representation) -> bool | None:
     for T in fwd:
         if _is_invertible(f, T, M.dim):
             return True
-    if len(fwd) > 1:
-        acc: SparseMap = {}
-        for t, T in enumerate(fwd):
-            acc = add_scaled_map(acc, T, f.one)
-            if t and _is_invertible(f, acc, M.dim):
-                return True
-        for shift in (1, 3):
-            acc = {}
-            for t, T in enumerate(fwd):
-                acc = add_scaled_map(acc, T, f.qpow(shift * t + 1))
-            if _is_invertible(f, acc, M.dim):
-                return True
+    acc: SparseMap = {}
+    for t, T in enumerate(fwd):
+        acc = add_scaled_map(acc, T, f.one)
+        if t and _is_invertible(f, acc, M.dim):
+            return True
     bwd = hom_space(N, M)
     if not bwd:
         return False

@@ -481,9 +481,7 @@ def test_residue_tops_match_exact_tops(actx):
     for T, expected, _ in products:
         R = T.mod_p()
         assert R.field is actx.field.residue_field()
-        for i, j in composition_counts(T):
-            got = top_multiplicities(R, [(i, j)])
-            assert got == top_multiplicities(T, [(i, j)]), (T.label, i, j)
+        assert top_multiplicities(R) == top_multiplicities(T), T.label
         assert _cover_certificate(T, expected) is None
 
 

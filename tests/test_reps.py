@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -195,8 +196,9 @@ def test_spin_matches_the_all_pairs_oracle(actx):
 def _class_mixing(actx):
     """S(6,0) with a copy Y of its chain above x_0, but with every vector of
     Y one step down the chain's classes, and E x_0 = x_1 + y_1.  It is not a
-    module: E leaves the classes, and the E/F-maps S(6,0) -> it that send
-    x_t to x_t + y_t are not class-preserving."""
+    module: the entry E x_0 -> y_1 breaks the group conjugation rule, and
+    the E/F-maps S(6,0) -> it that send x_t to x_t + y_t are not
+    class-preserving."""
     S = simple(actx, 3, 0)
     d = S.dim - 1
 
@@ -212,8 +214,9 @@ def _class_mixing(actx):
 
 
 def test_spin_needs_no_module_premise(actx):
-    """Non-modules as source and as target: the spin's Hom dimensions are
-    the oracle's, also where E does not respect the classes."""
+    """Non-modules that keep the group classes, as source and as target:
+    the spin's Hom dimensions are the oracle's.  A non-module whose E leaves
+    the classes is refused by name, not worked around."""
     S = simple(actx, 3, 0)
     F = {c: dict(col) for c, col in S.F.items()}
     F[2][1] = F[2][1] * 2
@@ -222,13 +225,19 @@ def test_spin_needs_no_module_premise(actx):
     F = {c: dict(col) for c, col in S1.F.items()}
     del F[3]
     cut = reps.Representation(actx, "cut", S1.kexp, S1.khatexp, S1.E, F, S1.grades)
-    mixing = _class_mixing(actx)
     others = [S, S1, projective(actx, 3, 0), projective(actx, 3, 1)]
-    for B in (doubled, cut, mixing):
+    for B in (doubled, cut):
         assert not B.check_relations().passed, B.label
         for X in others + [B]:
             _assert_spin_matches_oracle(B, X)
             _assert_spin_matches_oracle(X, B)
+    mixing = _class_mixing(actx)
+    broken = f"E entry ({S.dim},0) breaks the group conjugation rule"
+    assert mixing.check_relations().counterexample == broken
+    for call in (lambda: hom_space(S, mixing), lambda: hom_space(mixing, S),
+                 lambda: iso_test(mixing, mixing), lambda: syzygy(mixing)):
+        with pytest.raises(RepresentationError, match=re.escape(f"mixing: {broken}")):
+            call()
     # the maps x_t -> x_t + y_t commute with E and F, but leave the classes
     assert len(_hom_space_all_pairs(S, mixing)) == 0
 
