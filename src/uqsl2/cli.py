@@ -302,9 +302,8 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
     else:
         rows = clebsch_gordan_table(ctx, "SxS" if args.kind == "cg-ss" else "PxS")
         fields = ["left", "right", "summand", "multiplicity"]
-    payload = {"table": args.kind, "version": __version__, "n": args.n, "seed": args.seed,
-               "rows": rows}
-    comment = f"table={args.kind} n={args.n} seed={args.seed}"
+    payload = {"table": args.kind, "version": __version__, "n": args.n, "rows": rows}
+    comment = f"table={args.kind} n={args.n}"
     return 0, _render(args, payload, fields, rows, None, comment)
 
 
@@ -320,9 +319,6 @@ def make_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json", "csv"), default="text", dest="fmt"
     )
     common.add_argument("--out", help="write output to this file instead of stdout")
-    # --seed only on the commands that print it: verify and table.
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=integer, default=0, help="seed for randomized sweeps")
 
     parser = argparse.ArgumentParser(
         prog="uqsl2",
@@ -331,7 +327,9 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"uqsl2 {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common, seeded], help="run a verification suite")
+    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    # --seed only where the axiom samples read it; no table is random
+    p.add_argument("--seed", type=integer, default=0, help="seed for randomized sweeps")
     p.add_argument("--suite", choices=SUITES, default="all")
 
     p = sub.add_parser("module", parents=[common], help="emit one module")
@@ -346,7 +344,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.add_argument("--lambda", type=integer, dest="lam")
 
-    p = sub.add_parser("table", parents=[common, seeded], help="export a multiplication table")
+    p = sub.add_parser("table", parents=[common], help="export a multiplication table")
     p.add_argument("kind", choices=TABLE_KINDS)
     return parser
 

@@ -190,25 +190,23 @@ def char_product(
     return out
 
 
-def composition_counts(M: Representation) -> dict[Label, int] | None:
-    """Composition multiplicities of a graded module, read off its graded
-    class character by peeling from the highest grade down.
+def composition_counts(
+    ctx: AlgebraContext, char: dict[tuple[int, int, int], int]
+) -> dict[Label, int] | None:
+    """Composition multiplicities read off a graded class character by
+    peeling from the highest grade down.
 
-    The radical filtration of a graded module is graded, so the graded
+    The radical filtration of a graded module is graded, so its graded
     character is a sum of grade-shifted graded simple characters.  A shifted
     simple whose top cell sat above the running maximum grade would make the
     total character positive there, so every cell at the maximum grade is a
     top cell, and the top-cell class (2i mod N, j) pins both the label and
-    the shift.  Returns None when the peel fails, which certifies the input
-    character is not a sum of shifted graded simple characters.
+    the shift.  Any height offset of the input is allowed.  Returns None when
+    the peel fails, which certifies the character is not a sum of shifted
+    graded simple characters.
     """
-    if M.grades is None:
-        raise RepresentationError(
-            "composition counts from the character need a graded module"
-        )
-    ctx = M.ctx
     N, half = ctx.N, ctx.half
-    residual = dict(relative_graded_character(M))
+    residual = dict(char)
     counts: dict[Label, int] = {}
     while residual:
         g_top = max(g for (_, _, g) in residual)

@@ -439,7 +439,7 @@ class AlgebraContext:
     def verify_idempotent_system(self) -> Counterexamples:
         """The e_{2i,j} are orthogonal, complete, and primitive in u^0.
 
-        Orthogonality and idempotency are checked on all 256 ordered pairs,
+        Orthogonality and idempotency are checked on all (n^2)^2 ordered pairs,
         completeness as an exact sum, and primitivity as rank one of the
         left ideal u^0 e (so e cannot split inside the group algebra).
         """

@@ -363,6 +363,11 @@ def _chain_g_f(f: FieldContext, i: int, s: int) -> Scalar:
     return qint(f, s, f.qpow(-1)) * (f.one - f.qpow(1 - s - 2 * i))
 
 
+def _chain_g(ctx: AlgebraContext, i: int, s: int) -> Scalar:
+    """`_chain_g_f` over ctx's field, memoised on ctx like `_chain`."""
+    return ctx.cached(("chain_g", i, s), lambda: _chain_g_f(ctx.field, i, s))
+
+
 def _assemble(ctx: AlgebraContext, label: str, eig, epairs, fpairs, grades=None) -> Representation:
     kexp = []
     khatexp = []
@@ -455,7 +460,7 @@ def projective(ctx: AlgebraContext, i: int, j: int) -> Representation:
         coefa = achain[s][2]
         if not coefa.is_zero():
             fpairs.append((s - 1, s, coefa))
-        coefg = _chain_g_f(f, i, s)
+        coefg = _chain_g(ctx, i, s)
         if not coefg.is_zero():
             fpairs.append((N + s - 1, N + s, coefg))
     for s in range(N):
@@ -1373,7 +1378,7 @@ def verify_projective_vs_ideal(ctx: AlgebraContext, i: int, j: int) -> Counterex
         want = achain[s - 1].scale(_chain(ctx, i, j, s + 1)[2]) if s >= 1 else zero
         yield None if fa == want else f"F action on a-chain vector {s} disagrees inside u"
         fg = ctx.F * gchain[s]
-        want = gchain[s - 1].scale(_chain_g_f(f, i, s)) if s >= 1 else zero
+        want = gchain[s - 1].scale(_chain_g(ctx, i, s)) if s >= 1 else zero
         t = s + 2 * i - 2
         if 0 <= t <= N - 1:
             want = want + achain[t].scale(f.qpow(-s))

@@ -125,7 +125,7 @@ def test_stretch_parameter_n8(capsys):
 
     start = time.time()
     ctx = AlgebraContext(8)
-    reports = axiom_reports(QuasiHopfData(ctx))
+    reports = axiom_reports(QuasiHopfData(ctx)) + k0_reports(ctx)
     rng = random.Random(0)
     labels = all_labels(ctx)
     pairs = [(rng.choice(labels), rng.choice(labels)) for _ in range(20)]

@@ -1,13 +1,18 @@
 """Grothendieck ring: polynomial arithmetic, fusion products, presentation."""
 
+import ast
+import pathlib
+
 import pytest
 
+from uqsl2 import k0ring
 from uqsl2.errors import ContextMismatchError, InvalidArgumentError
 from uqsl2.k0ring import (
     K0Element,
     PresPoly,
     basis_product,
     f_poly,
+    k0_reports,
     k0_table,
     pres_g,
     pres_one,
@@ -22,8 +27,9 @@ from uqsl2.k0ring import (
     verify_presentation,
     verify_ring_axioms,
 )
+from uqsl2.moncat import char_product, relative_graded_character, tensor
 from uqsl2.qgroup import AlgebraContext
-from uqsl2.reps import all_labels
+from uqsl2.reps import all_labels, simple
 
 
 def test_pres_poly_reduces_g_squared():
@@ -133,7 +139,7 @@ def test_presentation_report(actx):
 def test_ring_axioms_report(actx):
     rep = verify_ring_axioms(actx)
     assert rep.passed, rep.counterexample
-    assert rep.instances == 16 + 256 + 4096
+    assert rep.instances == 16 + 256 + 2 * 256
 
 
 def test_character_homomorphism_report(actx):
@@ -162,3 +168,27 @@ def test_k0_table_shape(actx):
     }
     total = sum(r["coefficient"] for r in rows if r["left"] == r["right"] == "S(2,0)")
     assert total == 1 + 7 * 4
+
+
+def test_tensor_character_is_the_character_product(actx):
+    """The fusion check reads [S (x) S'] from `char_product` instead of
+    building the module: the two agree on every pair at n = 4."""
+    labels = all_labels(actx)
+    chars = {k: relative_graded_character(simple(actx, *k)) for k in labels}
+    for k1 in labels:
+        for k2 in labels:
+            T = tensor(simple(actx, *k1), simple(actx, *k2))
+            assert relative_graded_character(T) == char_product(
+                actx, chars[k1], chars[k2]
+            ), (k1, k2)
+
+
+def test_k0_builds_no_module_and_runs_its_premise_first(actx):
+    """k0ring imports no module constructor and no tensor product, and the
+    presentation, the premise of the ring axioms, is reported first."""
+    tree = ast.parse(pathlib.Path(k0ring.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert imported and not imported & {"tensor", "simple", "projective"}
+    first = [r.statement for r in k0_reports(actx)][:2]
+    assert first == [verify_presentation(actx).statement, verify_ring_axioms(actx).statement]

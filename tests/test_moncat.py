@@ -336,28 +336,36 @@ def test_fresh_context_has_cold_memo(actx):
     from uqsl2.qgroup import AlgebraContext
 
     key = ("graded_char", ("S", 3, 1))
-    warm = composition_counts(simple(actx, 3, 1))
+    warm = composition_counts(actx, relative_graded_character(simple(actx, 3, 1)))
     assert key in actx.memo
     fresh = AlgebraContext(4)
     assert fresh.memo == {}
-    cold = composition_counts(simple(fresh, 3, 1))
+    cold = composition_counts(fresh, relative_graded_character(simple(fresh, 3, 1)))
     assert fresh.memo[key] is not actx.memo[key]
     assert cold == warm == {(3, 1): 1}
 
 
+def _peel(M):
+    return composition_counts(M.ctx, relative_graded_character(M))
+
+
 def test_peel_counts_known_modules(actx):
-    assert composition_counts(simple(actx, 3, 1)) == {(3, 1): 1}
-    assert composition_counts(projective(actx, 2, 0)) == {(2, 0): 2, (7, 1): 2}
-    assert composition_counts(verma(actx, 5, 0)) == {(5, 0): 1, (4, 1): 1}
+    assert _peel(simple(actx, 3, 1)) == {(3, 1): 1}
+    assert _peel(projective(actx, 2, 0)) == {(2, 0): 2, (7, 1): 2}
+    assert _peel(verma(actx, 5, 0)) == {(5, 0): 1, (4, 1): 1}
     W = family_W(actx, 2, 0, 2)
-    counts = composition_counts(W)
+    counts = _peel(W)
     assert counts is not None
     assert sum((actx.N - 2 * i + 1) * m for (i, j), m in counts.items()) == W.dim
 
-    S = simple(actx, 4, 0)
-    ungraded = Representation(actx, "u", S.kexp, S.khatexp, S.E, S.F, None)
-    with pytest.raises(RepresentationError):
-        composition_counts(ungraded)
+    # the peel reads a character at any height offset, and refuses one that
+    # is no sum of shifted simple characters
+    char = relative_graded_character(projective(actx, 2, 0))
+    shifted = {(lam, sgn, g + 5): c for (lam, sgn, g), c in char.items()}
+    assert composition_counts(actx, shifted) == {(2, 0): 2, (7, 1): 2}
+    cut = dict(char)
+    del cut[min(cut, key=lambda cell: cell[2])]
+    assert composition_counts(actx, cut) is None
 
 
 def test_decompose_rejects_zigzag_module(actx):
@@ -374,7 +382,7 @@ def _without_grades(M):
     return Representation(M.ctx, f"{M.label}/ungraded", M.kexp, M.khatexp, M.E, M.F, None)
 
 
-def _no_peel(M):
+def _no_peel(*args):
     raise AssertionError("decompose reached the graded-character peel")
 
 
@@ -686,7 +694,7 @@ def test_guards_that_left_decompose_agree_with_its_counts(actx):
         assert sum(c * dims[k] for k, c in t2.items()) == rad2_dim
         assert t2 == b
         comp = {k: t0.get(k, 0) + t1.get(k, 0) + t2.get(k, 0) for k in labels}
-        assert composition_counts(T) == {k: c for k, c in comp.items() if c}
+        assert _peel(T) == {k: c for k, c in comp.items() if c}
         assert t1 == {k: 2 * b[kp] for k in labels if (kp := partner_label(actx, *k)) in b}
         # the 2x2 block systems: t1 + t2 = 2 b_k' + b_k, determinant -3
         for k in labels:

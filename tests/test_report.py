@@ -122,6 +122,19 @@ def _extra_unit_class(original):
     return expand
 
 
+def _bump_one_constant(original):
+    """[S(6,1)][S(10,0)] gains one [S(2,0)] in both orders, so the products
+    stay symmetric."""
+
+    def bumped(ctx, k1, k2):
+        out = dict(original(ctx, k1, k2))
+        if {k1, k2} == {(3, 1), (5, 0)}:
+            out[(1, 0)] += 1
+        return out
+
+    return bumped
+
+
 # (verifier, faults as (owner, name, replacement given the original),
 #  statement, instances, counterexample)
 FAULTS = [
@@ -190,6 +203,13 @@ FAULTS = [
         "structure constants at (1, 0) x (2, 0) differ from the composition "
         "counts of the tensor module",
     ),
+    (
+        lambda ctx: k0ring.verify_ring_axioms(ctx),
+        [(k0ring, "basis_product", _bump_one_constant)],
+        "K0 is a commutative unital ring with nonnegative structure constants",
+        345,
+        "associativity fails at (8, 1), (3, 0), (5, 0)",
+    ),
 ]
 
 
@@ -197,7 +217,7 @@ FAULTS = [
     "run, faults, statement, instances, counterexample",
     FAULTS,
     ids=["moncat", "qgroup", "reps", "quasihopf", "reassociator", "k0ring", "iso-undecided",
-         "k0-fusion"],
+         "k0-fusion", "k0-associativity"],
 )
 def test_injected_fault_is_reported(
     monkeypatch, run, faults, statement, instances, counterexample
