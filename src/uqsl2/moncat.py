@@ -206,27 +206,31 @@ def composition_counts(
     graded simple characters.
     """
     N, half = ctx.N, ctx.half
-    residual = dict(char)
+    # the residual, grade -> {class: count}.  A peel subtracts a shifted
+    # simple character, so it makes no cell positive, and a cell it makes
+    # negative ends the peel: no grade gains a cell, and the grades are
+    # walked once, top down.
+    residual: dict[int, dict[tuple[int, int], int]] = {}
+    for (lam, sgn, g), c in char.items():
+        residual.setdefault(g, {})[lam, sgn] = c
     counts: dict[Label, int] = {}
-    while residual:
-        g_top = max(g for (_, _, g) in residual)
-        lam, sgn = next(
-            (lam, sgn) for (lam, sgn, g) in residual if g == g_top
-        )
-        if lam % 2:
-            return None
-        i = lam // 2 if lam else half
-        j = sgn
-        mult = residual[(lam, sgn, g_top)]
-        if mult <= 0:
-            return None
-        shift = g_top - (N - 2 * i)
-        for (l2, s2, g2), c in _summand_graded_character(ctx, ("S", i, j)).items():
-            cell = (l2, s2, g2 + shift)
-            _add_into(residual, cell, -mult * c)
-            if residual.get(cell, 0) < 0:
+    for g_top in sorted(residual, reverse=True):
+        top = residual[g_top]
+        while top:
+            (lam, sgn), mult = next(iter(top.items()))
+            if lam % 2:
                 return None
-        counts[(i, j)] = counts.get((i, j), 0) + mult
+            i = lam // 2 if lam else half
+            j = sgn
+            if mult <= 0:
+                return None
+            shift = g_top - (N - 2 * i)
+            for (l2, s2, g2), c in _summand_graded_character(ctx, ("S", i, j)).items():
+                cells = residual.setdefault(g2 + shift, {})
+                _add_into(cells, (l2, s2), -mult * c)
+                if cells.get((l2, s2), 0) < 0:
+                    return None
+            counts[(i, j)] = counts.get((i, j), 0) + mult
     return counts
 
 

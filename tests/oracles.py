@@ -8,11 +8,17 @@ one `nullspace_basis` kernel of the socle functionals, a submodule from a
 basis with private unit coordinates, and the syzygy as that submodule of
 the cover's kernel.  `AlgebraContext.verify_regular_decomposition` decides
 u = sum of the shifted P_k from one socle vector per label; `regular_rank`
-ranks all of their spanning vectors instead.
+ranks all of their spanning vectors instead.  The quasi-Hopf identities
+that `quasihopf` decides on the generators are checked here on the samples
+it once read.
 """
+
+import random
 
 from uqsl2.errors import ConstructionError, InvalidArgumentError, RepresentationError
 from uqsl2.linalg import Echelon, nullspace_basis, rank
+from uqsl2.qgroup import AlgebraElement
+from uqsl2.quasihopf import TensorElement
 from uqsl2.reps import (
     Representation,
     _socle_sweep,
@@ -187,3 +193,62 @@ def regular_rank(actx):
                     if l + 1 < N:
                         cur = actx.E * cur
     return sum(rank(f, rows) for rows in buckets.values())
+
+
+def axiom_samples(qh, seed=0):
+    """The samples the quasi-Hopf identities were checked on before they
+    were decided on the generators: (counit keys, coassociativity elements,
+    zigzag keys), 34, 10 and 148 of them at n = 4, drawn in the old order
+    from one `random.Random(seed)` per identity."""
+    actx = qh.actx
+    one = actx.field.one
+    counit = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1)]
+    counit += [(0, eps, c, 0) for eps in (0, 1) for c in range(actx.half)]
+    counit += [(a, 1, 3, d) for a in range(3) for d in range(3)]
+    counit += qh._sample_monomials(random.Random(seed), 6, 4)
+    coassoc = [actx.k, actx.khat, actx.E, actx.F, actx.idempotent_e(2, 1), actx.flat()]
+    coassoc += [
+        AlgebraElement(actx, {key: one})
+        for key in qh._sample_monomials(random.Random(seed), 4, 3)
+    ]
+    zigzag = [
+        (a, eps, c, d)
+        for a in range(3) for d in range(3) for eps in (0, 1) for c in range(actx.half)
+    ]
+    zigzag += qh._sample_monomials(random.Random(seed), 4, 4)
+    return counit, coassoc, zigzag
+
+
+def axiom_sample_failures(qh, seed=0):
+    """The first sample of `axiom_samples` on which each identity fails,
+    or None: the counit on both legs of D(key), quasi-coassociativity by
+    `commutes_with_phi` (which a Tier-1 test compares with the products
+    Phi L and R Phi on the same ten elements), and both zigzags of each
+    key."""
+    actx = qh.actx
+    counit, coassoc, zigzag = axiom_samples(qh, seed)
+    one = actx.field.one
+
+    def counit_fails(key):
+        expect = TensorElement(actx, 1, {(key,): one})
+        dm = qh.delta_mono(key)
+        return not qh.counit_on_leg(dm, 0) == expect == qh.counit_on_leg(dm, 1)
+
+    def coassoc_fails(x):
+        dx = qh.delta(x)
+        return not qh.commutes_with_phi(qh.delta_on_leg(dx, 0), qh.delta_on_leg(dx, 1))
+
+    def zigzag_fails(key):
+        x = AlgebraElement(actx, {key: one})
+        eps_x = qh.counit(x)
+        left, right = qh.zigzags(x)
+        return left != qh.alpha_elem.scale(eps_x) or right != qh.beta_elem.scale(eps_x)
+
+    return {
+        name: next((s for s in samples if fails(s)), None)
+        for name, samples, fails in (
+            ("counit", counit, counit_fails),
+            ("coassociativity", coassoc, coassoc_fails),
+            ("zigzag", zigzag, zigzag_fails),
+        )
+    }

@@ -330,7 +330,7 @@ GOLDEN_STDOUT = {
     ("tensor", "projective:3,1", "simple:7,0", "--format", "json"):
         "536552be6f65f02a186c5c1c82ce2811c313da9ded01c00ca78c145267c1ea27",
     ("verify", "--suite", "axioms"):
-        "233bd7378afd2bf0573cdf1d6bee2a0fa67229df16ee244401142aaf5a16780d",
+        "0fdd546e050980fc848ee64426e845e8e1e95b8c500af780d321961f68bc04e3",
 }
 
 

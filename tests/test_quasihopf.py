@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import axiom_sample_failures, axiom_samples
 from uqsl2 import quasihopf
 from uqsl2.qgroup import AlgebraContext, AlgebraElement, _group_mul
 from uqsl2.quasihopf import (
@@ -39,16 +40,43 @@ def test_counit_values(actx, qh):
         assert eps_val == (f.one if i == 0 else f.zero)
 
 
+def _seeded_pairs(actx, seed, count=10):
+    rng = random.Random(seed)
+    for _ in range(count):
+        kx = (rng.randrange(4), rng.randrange(2), rng.randrange(actx.half), rng.randrange(4))
+        ky = (rng.randrange(4), rng.randrange(2), rng.randrange(actx.half), rng.randrange(4))
+        yield AlgebraElement(actx, {kx: actx.field.one}), AlgebraElement(actx, {ky: actx.field.one})
+
+
 def test_antipode_on_idempotents_and_antimultiplicativity(actx, qh):
     for i in range(actx.n):
         assert qh.antipode(actx.idempotent_1(i)) == actx.idempotent_1((actx.n - i) % actx.n)
-    rng = random.Random(5)
-    for _ in range(10):
-        kx = (rng.randrange(4), rng.randrange(2), rng.randrange(actx.half), rng.randrange(4))
-        ky = (rng.randrange(4), rng.randrange(2), rng.randrange(actx.half), rng.randrange(4))
-        x = AlgebraElement(actx, {kx: actx.field.one})
-        y = AlgebraElement(actx, {ky: actx.field.one})
+    for x, y in _seeded_pairs(actx, 5):
         assert qh.antipode(x * y) == qh.antipode(y) * qh.antipode(x)
+
+
+def _multiplicativity_failures(qh, seed=6):
+    """The seeded monomial pairs (x, y) with D(x y) != D(x) D(y)."""
+    return [
+        (x, y) for x, y in _seeded_pairs(qh.actx, seed)
+        if qh.delta(x * y) != qh.delta(x) * qh.delta(y)
+    ]
+
+
+def test_delta_is_multiplicative(actx, qh):
+    # the premise under which the counit, coassociativity and zigzag
+    # identities hold on all of u once they hold on the generators
+    assert _multiplicativity_failures(qh) == []
+    assert qh.delta(actx.F * actx.E) == qh.delta(actx.F) * qh.delta(actx.E)
+    assert qh.delta(actx.E * actx.F) == qh.delta(actx.E) * qh.delta(actx.F)
+
+
+def test_axioms_hold_on_the_old_samples(qh):
+    counit, coassoc, zigzag = axiom_samples(qh, 0)
+    assert (len(counit), len(coassoc), len(zigzag)) == (34, 10, 148)
+    assert axiom_sample_failures(qh, 0) == {
+        "counit": None, "coassociativity": None, "zigzag": None
+    }
 
 
 def test_tensor_element_algebra(actx):
@@ -80,9 +108,7 @@ def _coassociativity_sides(qh, x):
 
 
 def test_mode_check_matches_the_direct_products(qh):
-    samples = qh.coassociativity_samples(0)
-    assert len(samples) == 10
-    for x in samples:
+    for x in axiom_samples(qh, 0)[1]:
         lhs, rhs = _coassociativity_sides(qh, x)
         assert qh.commutes_with_phi(lhs, rhs)
         assert _commutes_with_phi_directly(qh, lhs, rhs)
@@ -193,9 +219,11 @@ def test_grading_certificate_declines_an_off_height_product(monkeypatch):
 
 def test_grading_certificate_trusts_the_factors_it_reads(monkeypatch):
     # A coproduct that gains 1 (x) 1 only on keys with a, d >= 1 keeps the
-    # factors D(F^a), D(g), D(E^d) right, so the grading check passes; the
-    # counit, coassociativity and antipode checks still fail it, and so
-    # does the premise that D(key) is the product of its factors.
+    # factors D(F^a), D(g), D(E^d) right, so the grading check passes, and
+    # so do the counit, coassociativity and zigzag checks: they read the
+    # generators, and the fault breaks their premise that D is
+    # multiplicative, not an identity on a generator.  The premise test and
+    # the old samples catch it.
     original = QuasiHopfData.delta_mono
 
     def delta_mono(self, key):
@@ -208,15 +236,14 @@ def test_grading_certificate_trusts_the_factors_it_reads(monkeypatch):
 
     monkeypatch.setattr(QuasiHopfData, "delta_mono", delta_mono)
     qh = QuasiHopfData(AlgebraContext(4))
-    reports = {rep.statement: rep for rep in axiom_reports(qh, seed=0)}
-    assert reports["coproduct preserves the height grading"].passed
-    failed = {
-        statement: rep.instances for statement, rep in reports.items() if not rep.passed
-    }
-    assert failed == {
-        "counit axioms for the coproduct": 24,
-        "coproduct is coassociative up to the reassociator": 7,
-        "antipode axioms": 138,
+    assert all(rep.passed for rep in axiom_reports(qh, seed=0))
+    assert _multiplicativity_failures(qh)
+    f, e = qh.actx.F, qh.actx.E
+    assert qh.delta(f * e) != qh.delta(f) * qh.delta(e)
+    assert axiom_sample_failures(qh, 0) == {
+        "counit": (1, 1, 3, 1),
+        "coassociativity": axiom_samples(qh, 0)[1][6],
+        "zigzag": (1, 0, 0, 1),
     }
     key = (1, 0, 1, 1)
     assert qh.delta_mono(key) != _factor_product(qh, key)
