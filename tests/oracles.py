@@ -10,15 +10,19 @@ the cover's kernel.  `AlgebraContext.verify_regular_decomposition` decides
 u = sum of the shifted P_k from one socle vector per label; `regular_rank`
 ranks all of their spanning vectors instead.  The quasi-Hopf identities
 that `quasihopf` decides on the generators are checked here on the samples
-it once read.
+it once read, the grading on its old samples by its old support
+certificate, Phi by its n^3 idempotent triples, the pentagon as the scalar
+cocycle condition, and the height of every `ef` normal form, the premise
+of the grading argument.
 """
 
 import random
 
+from uqsl2 import quasihopf
 from uqsl2.errors import ConstructionError, InvalidArgumentError, RepresentationError
 from uqsl2.linalg import Echelon, nullspace_basis, rank
 from uqsl2.qgroup import AlgebraElement
-from uqsl2.quasihopf import TensorElement
+from uqsl2.quasihopf import TensorElement, _height, tensor_of
 from uqsl2.reps import (
     Representation,
     _socle_sweep,
@@ -205,17 +209,17 @@ def axiom_samples(qh, seed=0):
     counit = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1)]
     counit += [(0, eps, c, 0) for eps in (0, 1) for c in range(actx.half)]
     counit += [(a, 1, 3, d) for a in range(3) for d in range(3)]
-    counit += qh._sample_monomials(random.Random(seed), 6, 4)
+    counit += sample_monomials(qh, random.Random(seed), 6, 4)
     coassoc = [actx.k, actx.khat, actx.E, actx.F, actx.idempotent_e(2, 1), actx.flat()]
     coassoc += [
         AlgebraElement(actx, {key: one})
-        for key in qh._sample_monomials(random.Random(seed), 4, 3)
+        for key in sample_monomials(qh, random.Random(seed), 4, 3)
     ]
     zigzag = [
         (a, eps, c, d)
         for a in range(3) for d in range(3) for eps in (0, 1) for c in range(actx.half)
     ]
-    zigzag += qh._sample_monomials(random.Random(seed), 4, 4)
+    zigzag += sample_monomials(qh, random.Random(seed), 4, 4)
     return counit, coassoc, zigzag
 
 
@@ -252,3 +256,117 @@ def axiom_sample_failures(qh, seed=0):
             ("zigzag", zigzag, zigzag_fails),
         )
     }
+
+
+def sample_monomials(qh, rng, count, max_exp):
+    """count PBW keys (a, eps, c, d) with a, d <= max_exp, drawn from rng."""
+    return [
+        (rng.randrange(max_exp + 1), rng.randrange(2), rng.randrange(qh.actx.half),
+         rng.randrange(max_exp + 1))
+        for _ in range(count)
+    ]
+
+
+def grading_samples(qh, seed=0):
+    """The 40 monomials the grading was checked on before it was decided on
+    the generators: a 4 x 4 grid of exponents with two grouplikes, and
+    eight sampled monomials."""
+    half = qh.actx.half
+    keys = []
+    for a in range(4):
+        for d in range(4):
+            keys.append((a, 0, 1, d))
+            keys.append((a, 1, 5 % half, d))
+    return keys + sample_monomials(qh, random.Random(seed), 8, qh.actx.N - 1)
+
+
+def grading_certificate(qh, key):
+    """True only if every term of D(key) has height d - a, decided from
+    supports without forming D(key); False decides nothing.
+
+    D(key) = D(F^a) D(g) D(E^d), and the support of a product lies in the
+    leg-wise `mono_mul` products of the factors' supports, so a kept set of
+    keys per leg holds the leg's support of each partial product.  Heights
+    add across every such `mono_mul`, and each factor totals -a, 0 and d,
+    so every term of D(key) totals d - a."""
+    a, eps, c, d = key
+    factors = [(qh.delta_mono((a, 0, 0, 0)), -a)]
+    if eps or c:
+        factors.append((qh.delta_mono((0, eps, c, 0)), 0))
+    if d:
+        factors.append((qh.delta_mono((0, 0, 0, d)), d))
+    for fac, h in factors:
+        if any(_height(ka) + _height(kb) != h for ka, kb in fac.terms):
+            return False
+    mono_mul = qh.actx.mono_mul
+    for leg in (0, 1):
+        reached = {keys[leg] for keys in factors[0][0].terms}
+        for fac, _ in factors[1:]:
+            nxt = set()
+            for m in {keys[leg] for keys in fac.terms}:
+                for l in reached:
+                    h = _height(l) + _height(m)
+                    for out, _, _ in mono_mul(l, m):
+                        if _height(out) != h:
+                            return False
+                        nxt.add(out)
+            reached = nxt
+    return True
+
+
+def grading_sample_failure(qh, seed=0):
+    """The old grading statement on `grading_samples`: (instances,
+    counterexample) at its first failing key, or None.  Each key is tried
+    by `grading_certificate` and, when that declines, read from D(key)."""
+    for count, key in enumerate(grading_samples(qh, seed), 1):
+        if grading_certificate(qh, key):
+            continue
+        h = _height(key)
+        splits = [
+            (ka, kb) for (ka, kb) in qh.delta_mono(key).terms
+            if _height(ka) + _height(kb) != h
+        ]
+        if splits:
+            return count, f"monomial {key} split {splits[0]}"
+    return None
+
+
+def ef_height_failures(actx):
+    """The (d, a, key) with a term key of `ef(d, a)`, the normal form of
+    E^d F^a, off the height d - a, over every d, a < n^2."""
+    return [
+        (d, a, (a1, e1, c1, d1))
+        for d in range(actx.N) for a in range(actx.N)
+        for a1, e1, c1, d1, _ in actx.ef(d, a)
+        if d1 - a1 != d - a
+    ]
+
+
+def phi_by_triples(qh, sign):
+    """Phi (sign +1) or Phi^-1 (sign -1) as the sum over all n^3 triples of
+    qbar^(sign phi(i, j, k)) 1_i (x) 1_j (x) 1_k, each an n^3-term product."""
+    actx = qh.actx
+    f = actx.field
+    n = actx.n
+    acc = TensorElement(actx, 3, {})
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                piece = tensor_of(actx.idempotent_1(i), actx.idempotent_1(j), actx.idempotent_1(k))
+                acc = acc + piece.scale(f.qbarpow(sign * quasihopf._phi_exponent(n, i, j, k)))
+    return acc
+
+
+def cocycle_failures(n):
+    """The I in Z_n^4 where phi = `_phi_exponent` breaks the 3-cocycle
+    condition phi(i1, i2, i3+i4) + phi(i1+i2, i3, i4) = phi(i2, i3, i4) +
+    phi(i1, i2+i3, i4) + phi(i1, i2, i3) mod n."""
+    def phi(i, j, k):
+        return quasihopf._phi_exponent(n, i % n, j % n, k % n)
+
+    return [
+        (i1, i2, i3, i4)
+        for i1 in range(n) for i2 in range(n) for i3 in range(n) for i4 in range(n)
+        if (phi(i1, i2, i3 + i4) + phi(i1 + i2, i3, i4)
+            - phi(i2, i3, i4) - phi(i1, i2 + i3, i4) - phi(i1, i2, i3)) % n
+    ]

@@ -92,9 +92,9 @@ def test_removed_cache_flag_is_a_usage_error(child_env):
 
 
 def test_flags_a_command_ignores_are_usage_errors(capsys):
-    """--seed belongs to verify, whose axiom samples read it; every other
-    command refuses it, `table` too, since no table is random.  No command
-    takes --slow: the regular module's decomposition has one mode."""
+    """--seed belongs to verify, which echoes it in its output; every other
+    command refuses it, `table` too.  No command takes --slow: the regular
+    module's decomposition has one mode."""
     for argv in (
         ["module", "simple", "--i", "1", "--j", "0", "--slow"],
         ["tensor", "simple:1,0", "simple:1,0", "--seed", "1"],
@@ -189,7 +189,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     import uqsl2.cli as cli_mod
 
     monkeypatch.setattr(
-        cli_mod, "suite_reports", lambda ctx, suite, seed: [CheckReport("x", False, 1)]
+        cli_mod, "suite_reports", lambda ctx, suite: [CheckReport("x", False, 1)]
     )
     code, out, _ = run_main(["verify", "--suite", "axioms"], capsys)
     assert code == 1
@@ -330,7 +330,7 @@ GOLDEN_STDOUT = {
     ("tensor", "projective:3,1", "simple:7,0", "--format", "json"):
         "536552be6f65f02a186c5c1c82ce2811c313da9ded01c00ca78c145267c1ea27",
     ("verify", "--suite", "axioms"):
-        "0fdd546e050980fc848ee64426e845e8e1e95b8c500af780d321961f68bc04e3",
+        "5663e503fc8ca3cd9525710df449ec6329dd16837048db4079f34d3b9d0bf3fd",
 }
 
 

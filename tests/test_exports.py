@@ -18,7 +18,9 @@ the regular-module decomposition has one mode and no brute-force rank
 (`test_tensor_verdicts_have_one_decision_procedure`), and the command line has one
 output path (`test_cli_has_one_output_path`:
 only `cli._render` dumps JSON or builds a CSV writer, only `cli.main` writes
-to stdout or opens the `--out` file)."""
+to stdout or opens the `--out` file), and nothing in the package samples
+(`test_no_statement_samples`: no module imports `random`, and no function
+takes a seed)."""
 
 import ast
 import importlib
@@ -64,6 +66,34 @@ def _calls(tree: ast.AST) -> list[str]:
     """Dotted names of every call in a module."""
     return [name for node in ast.walk(tree)
             if isinstance(node, ast.Call) and (name := _call_name(node))]
+
+
+def _sampling_uses(tree: ast.AST) -> list[str]:
+    """Every import of `random` and every function parameter named seed."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [f"import {a.name}" for a in node.names if a.name.split(".")[0] == "random"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "random":
+            out.append(f"from {node.module} import")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            out += [f"seed parameter of {getattr(node, 'name', 'lambda')}"
+                    for a in params if a.arg == "seed"]
+    return out
+
+
+def test_no_statement_samples():
+    """Every statement is decided, none sampled: no module imports `random`
+    and no function takes a seed.  `verify --seed` is parsed and echoed
+    only, so it is an argparse option, not a parameter."""
+    package = pathlib.Path(uqsl2.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        assert not _sampling_uses(ast.parse(path.read_text(encoding="utf-8"))), path.name
+    assert _sampling_uses(ast.parse("import random\ndef f(x, seed=0): pass")) == [
+        "import random", "seed parameter of f"
+    ]
 
 
 def test_reports_come_from_the_runner():

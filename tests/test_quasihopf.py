@@ -2,7 +2,16 @@ import random
 
 import pytest
 
-from oracles import axiom_sample_failures, axiom_samples
+from oracles import (
+    axiom_sample_failures,
+    axiom_samples,
+    cocycle_failures,
+    ef_height_failures,
+    grading_certificate,
+    grading_sample_failure,
+    grading_samples,
+    phi_by_triples,
+)
 from uqsl2 import quasihopf
 from uqsl2.qgroup import AlgebraContext, AlgebraElement, _group_mul
 from uqsl2.quasihopf import (
@@ -94,6 +103,32 @@ def test_reassociator_inverse(actx, qh):
     assert qh.phi() * qh.phi_inv() == unit_tensor(actx, 3)
 
 
+def test_phi_rows_match_the_triple_sum(qh):
+    # term for term: both prune every cancelled key
+    assert qh.phi().terms == phi_by_triples(qh, +1).terms
+    assert qh.phi_inv().terms == phi_by_triples(qh, -1).terms
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_phi_exponent_is_a_cocycle(n):
+    # the scalar form of the pentagon, which `verify_pentagon` decides as
+    # the tensor identity
+    assert cocycle_failures(n) == []
+
+
+def test_cocycle_check_rejects_a_perturbed_exponent(monkeypatch):
+    exponent = quasihopf._phi_exponent
+    monkeypatch.setattr(
+        quasihopf, "_phi_exponent",
+        lambda n, i, j, k: (exponent(n, i, j, k) + (i == j == k == 1)) % n,
+    )
+    assert cocycle_failures(4)
+    rep = QuasiHopfData(AlgebraContext(4)).verify_pentagon()
+    assert (rep.passed, rep.instances, rep.counterexample) == (
+        False, 1, "tensor product identity"
+    )
+
+
 def _commutes_with_phi_directly(qh, lhs, rhs) -> bool:
     """The oracle for `QuasiHopfData.commutes_with_phi`: both products by
     Phi, formed in u^(x 3) and compared."""
@@ -157,8 +192,8 @@ def test_k_orbit_split_composes_back(n):
 
 
 def _grading_splits_directly(qh, key) -> list[tuple]:
-    """The oracle for `QuasiHopfData.grading_certificate`: D(key) formed,
-    and its terms whose heights do not add up to the height of key."""
+    """The oracle for `oracles.grading_certificate`: D(key) formed, and its
+    terms whose heights do not add up to the height of key."""
     h = key[3] - key[0]
     return [
         (ka, kb) for (ka, kb) in qh.delta_mono(key).terms
@@ -174,18 +209,27 @@ def _factor_product(qh, key):
     )
 
 
+def test_ef_normal_forms_keep_heights(actx):
+    # the premise of `verify_grading`: the product of u is graded
+    assert ef_height_failures(actx) == []
+
+
 def test_grading_certificate_matches_the_exact_read(qh):
-    keys = qh.grading_samples(0)
+    keys = grading_samples(qh, 0)
     assert len(keys) == 40
     for key in keys:
-        assert qh.grading_certificate(key), key
+        assert grading_certificate(qh, key), key
         assert _grading_splits_directly(qh, key) == [], key
         assert qh.delta_mono(key) == _factor_product(qh, key), key
+    assert grading_sample_failure(qh, 0) is None
 
 
 def test_grading_certificate_declines_an_off_height_product(monkeypatch):
     # F^12 * k also gains the unit, a key of the wrong height; the pair is
     # on leg 0 of D(F^12) D(k), reached by the first sampled monomial only.
+    # The fault breaks the premise that the product is graded, not the
+    # grading of a generator's coproduct, so `verify_grading` passes and
+    # the old samples catch it.
     pair = ((12, 0, 0, 0), (0, 1, 0, 0))
     mono_mul = AlgebraContext.mono_mul
     delta_mono = QuasiHopfData.delta_mono
@@ -202,28 +246,28 @@ def test_grading_certificate_declines_an_off_height_product(monkeypatch):
     monkeypatch.setattr(AlgebraContext, "mono_mul", faulty_mono_mul)
     monkeypatch.setattr(QuasiHopfData, "delta_mono", spied_delta_mono)
     qh = QuasiHopfData(AlgebraContext(4))  # fresh, so no product outlives the fault
-    keys = qh.grading_samples(0)
+    assert qh.verify_grading().passed
+    keys = grading_samples(qh, 0)
     key = keys[32]
     assert key == (12, 1, 0, 8)
-    rep = qh.verify_grading()
+    calls.clear()
+    failure = grading_sample_failure(qh, 0)
     assert key in calls
     # the grid was certified: only its two grouplikes, read as factors
     assert set(calls) & set(keys[:32]) == {(0, 0, 1, 0), (0, 1, 5, 0)}
-    assert not qh.grading_certificate(key)
+    assert not grading_certificate(qh, key)
     splits = _grading_splits_directly(qh, key)
     assert splits
-    assert (rep.passed, rep.instances, rep.counterexample) == (
-        False, 33, f"monomial {key} split {splits[0]}"
-    )
+    assert failure == (33, f"monomial {key} split {splits[0]}")
 
 
 def test_grading_certificate_trusts_the_factors_it_reads(monkeypatch):
     # A coproduct that gains 1 (x) 1 only on keys with a, d >= 1 keeps the
-    # factors D(F^a), D(g), D(E^d) right, so the grading check passes, and
-    # so do the counit, coassociativity and zigzag checks: they read the
-    # generators, and the fault breaks their premise that D is
-    # multiplicative, not an identity on a generator.  The premise test and
-    # the old samples catch it.
+    # factors D(F^a), D(g), D(E^d) right, so the grading certificate trusts
+    # them, and the counit, coassociativity, zigzag and grading checks
+    # pass: they read the generators, and the fault breaks their premise
+    # that D is multiplicative, not an identity on a generator.  The
+    # premise test and the old samples catch it.
     original = QuasiHopfData.delta_mono
 
     def delta_mono(self, key):
@@ -236,7 +280,8 @@ def test_grading_certificate_trusts_the_factors_it_reads(monkeypatch):
 
     monkeypatch.setattr(QuasiHopfData, "delta_mono", delta_mono)
     qh = QuasiHopfData(AlgebraContext(4))
-    assert all(rep.passed for rep in axiom_reports(qh, seed=0))
+    assert all(rep.passed for rep in axiom_reports(qh))
+    assert grading_sample_failure(qh, 0) is None
     assert _multiplicativity_failures(qh)
     f, e = qh.actx.F, qh.actx.E
     assert qh.delta(f * e) != qh.delta(f) * qh.delta(e)
@@ -264,7 +309,7 @@ def test_wrong_evaluation_element_breaks_zigzag(actx, qh):
 
 
 def test_axiom_reports_all_pass(qh):
-    reports = axiom_reports(qh, seed=0)
+    reports = axiom_reports(qh)
     assert len(reports) == 6
     for rep in reports:
         assert rep.passed, f"{rep.statement}: {rep.counterexample}"

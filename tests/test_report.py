@@ -169,7 +169,7 @@ FAULTS = [
         [(QuasiHopfData, "delta_mono", _unbalanced_delta)],
         "coproduct preserves the height grading",
         3,
-        "monomial (0, 0, 1, 1) split ((0, 0, 0, 0), (0, 0, 0, 0))",
+        "monomial (0, 0, 0, 1) split ((0, 0, 0, 0), (0, 0, 0, 0))",
     ),
     (
         lambda ctx: QuasiHopfData(ctx).verify_quasi_coassociativity(),
