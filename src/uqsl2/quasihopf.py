@@ -35,13 +35,23 @@ on the k-eigenmodes of each <k>-orbit of PBW keys (`k_orbits`), so
 by the unit Phi puts on it (`FieldContext.qbar_modes`).  That unit and the
 coefficients of Phi come from one exponent, `_phi_exponent`.
 
+u's ten defining relations are written once, in `_relation_failures`,
+which takes the images of k, khat, E and F, a unit and a product.  D is
+checked with the product of u (x) u, and S, its images taken as one-leg
+tensors, with the reversed product y x: an anti-algebra map is an algebra
+map into u^op.  E^(n^2) = 0 and F^(n^2) = 0 are decided with no n^2-th
+power: the terms of the image are grouped by the leg that carries their
+one E (or F), and the groups q-commute (`_nilpotency_failure` carries the
+q-binomial argument).
+
 The counit, quasi-coassociativity and coproduct zigzag identities are
 checked on the generators k, khat, E and F (the counit and zigzags also on
 1).  Each identity is closed under products once D is an algebra map and S
 an anti-algebra map, so it holds on all of u; the premises are that D and S
 respect the defining relations (checked before the identities) and that
 `_build_delta` and `_build_antipode` extend them multiplicatively along the
-PBW basis.  The verifiers' docstrings carry the induction.
+PBW basis, through the factors of `_factor_keys`.  The verifiers'
+docstrings carry the induction.
 
 The height grading of the coproduct is decided on k, khat, E and F too:
 D is an algebra map and the product of u is graded, so D(F^a g E^d) has
@@ -158,6 +168,84 @@ def unit_tensor(ctx: AlgebraContext, legs: int) -> TensorElement:
     return TensorElement(ctx, legs, {(UNIT_KEY,) * legs: ctx.field.one})
 
 
+def _factor_keys(key: MonKey) -> list[MonKey]:
+    """The keys whose product, in order, is F^a g E^d: F^a, g and E^d when
+    two of them are not 1, F^(a-1) and F or E^(d-1) and E for a power, and
+    none for E, F or a grouplike."""
+    a, eps, c, d = key
+    parts = [part for part in ((a, 0, 0, 0), (0, eps, c, 0), (0, 0, 0, d)) if part != UNIT_KEY]
+    if len(parts) > 1:
+        return parts
+    if a > 1:
+        return [(a - 1, 0, 0, 0), (1, 0, 0, 0)]
+    if d > 1:
+        return [(0, 0, 0, d - 1), (0, 0, 0, 1)]
+    return []
+
+
+def _nilpotency_failure(x: TensorElement, gen: str, mul) -> str | None:
+    """None when x^(n^2) = 0 under the product mul, x the image of gen
+    (E or F); else the premise of the certificate that failed.
+
+    The certificate asks that every term of x hold gen with exponent 1 on
+    exactly one leg and no other E or F exponent, and that the groups of
+    terms X_i, by the leg i of their gen, satisfy X_j X_i = r X_i X_j for
+    i < j, with r = q^-1 for E and r = q for F.  Then the sum Z of the
+    groups after X_i has Z X_i = r X_i Z, and r is a primitive n^2-th root
+    of unity, so the q-binomial theorem (Kassel, "Quantum Groups", 1995,
+    Prop. IV.2.3) gives (X_i + Z)^(n^2) = X_i^(n^2) + Z^(n^2), the
+    q-binomial coefficients (n^2 choose t)_r for 0 < t < n^2 being 0; by
+    induction x^(n^2) = sum_i X_i^(n^2).  A product of n^2 terms of X_i is
+    g_1 E g_2 E ... g_(n^2) E on leg i (E for gen E) and grouplikes
+    elsewhere, and grouplikes move past E by scalars, so leg i is a
+    multiple of g E^(n^2) = 0, and X_i^(n^2) = 0.  The same holds in u^op,
+    so mul may be the reversed product.  With one leg there is one group,
+    and the support check alone decides.  The certificate is one-sided: a
+    failure says that a premise failed, not that x^(n^2) is nonzero.
+    """
+    end, e, r_name = {"E": ((0, 1), -1, "q^-1"), "F": ((1, 0), 1, "q")}[gen]
+    name = f"{gen}^(n^2) = 0 undecided"
+    groups: dict[int, dict[tuple, Scalar]] = {}
+    for key, s in x.terms.items():
+        ends = [(a, d) for a, _, _, d in key]
+        if end not in ends or ends.count((0, 0)) != len(ends) - 1:
+            return f"{name}: a term does not hold {gen} once, on one leg"
+        groups.setdefault(ends.index(end), {})[key] = s
+    r = x.ctx.field.qpow(e)
+    for i, j in itertools.combinations(sorted(groups), 2):
+        xi, xj = (TensorElement(x.ctx, x.legs, groups[leg]) for leg in (i, j))
+        if mul(xj, xi) != mul(xi, xj).scale(r):
+            return f"{name}: the terms with {gen} on legs {i} and {j} do not {r_name}-commute"
+    return None
+
+
+def _relation_failures(k, khat, E, F, one: TensorElement, mul) -> Counterexamples:
+    """One instance per defining relation of u, on the images k, khat, E
+    and F of its generators in the algebra with unit `one` and product
+    `mul`; the image of k^-1 khat is k^(n-1) khat.  E^(n^2) = 0 and
+    F^(n^2) = 0 are decided by `_nilpotency_failure`, so no n^2-th power
+    is formed."""
+    f = one.ctx.field
+
+    def power(x, t):
+        return functools.reduce(mul, [x] * t, one)
+
+    kpow = power(k, one.ctx.n - 1)
+    yield None if mul(kpow, k) == one else "k^n = 1"
+    yield None if mul(mul(power(khat, one.ctx.n), k), k) == one else "khat^n k^2 = 1"
+    yield None if mul(k, khat) == mul(khat, k) else "k khat = khat k"
+    yield None if mul(k, E) == mul(E, k).scale(f.qbar) else "k E = qbar E k"
+    yield None if mul(k, F) == mul(F, k).scale(f.qbarpow(-1)) else "k F = qbar^-1 F k"
+    ok = mul(khat, E) == mul(E, khat).scale(f.qbar * f.qpow(-2))
+    yield None if ok else "khat E = qbar q^-2 E khat"
+    ok = mul(khat, F) == mul(F, khat).scale(f.qbarpow(-1) * f.qpow(2))
+    yield None if ok else "khat F = qbar^-1 q^2 F khat"
+    yield _nilpotency_failure(E, "E", mul)
+    yield _nilpotency_failure(F, "F", mul)
+    ok = mul(F, E) - mul(E, F).scale(f.qpow(-1)) == one - mul(kpow, khat)
+    yield None if ok else "F E - q^-1 E F = 1 - k^-1 khat"
+
+
 class QuasiHopfData:
     """Coproduct, counit, antipode, and reassociator over one algebra context."""
 
@@ -186,34 +274,22 @@ class QuasiHopfData:
         )
         self.alpha_elem = actx.k
         self.beta_elem = actx.one_elem
-        # powers X^0, X^1, ...; X^1 is X itself, so no power is 1 * X
-        self._dE_pows: list[TensorElement] = [unit_tensor(actx, 2), self.delta_E]
-        self._dF_pows: list[TensorElement] = [unit_tensor(actx, 2), self.delta_F]
-        self._sE_pows: list[AlgebraElement] = [actx.one_elem, self.S_E]
-        self._sF_pows: list[AlgebraElement] = [actx.one_elem, self.S_F]
 
     # -- structure maps ------------------------------------------------------
-
-    def _power(self, pows: list, base, t: int):
-        while len(pows) <= t:
-            pows.append(pows[-1] * base)
-        return pows[t]
 
     def delta_mono(self, key: MonKey) -> TensorElement:
         return self.actx.cached(("delta_mono", key), lambda: self._build_delta(key))
 
     def _build_delta(self, key: MonKey) -> TensorElement:
-        """D(F^a g E^d) = D(F)^a (g (x) g) D(E)^d, with no factor D(F)^0,
-        D(1) or D(E)^0 unless it is the whole product."""
-        a, eps, c, d = key
-        gk = (0, eps, c, 0)
-        dg = TensorElement(self.actx, 2, {(gk, gk): self.actx.field.one})
-        factors = [self._power(self._dF_pows, self.delta_F, a)] if a else []
-        if eps or c or not (a or d):
-            factors.append(dg)
-        if d:
-            factors.append(self._power(self._dE_pows, self.delta_E, d))
-        return functools.reduce(operator.mul, factors)
+        """D(F^a g E^d) = D(F^a) D(g) D(E^d), the powers formed one product
+        at a time as D(E^d) = D(E^(d-1)) D(E) and D(F^a) = D(F^(a-1)) D(F),
+        each read through `delta_mono` (the factors of `_factor_keys`)."""
+        parts = _factor_keys(key)
+        if parts:
+            return functools.reduce(operator.mul, map(self.delta_mono, parts))
+        if key[0] or key[3]:
+            return self.delta_F if key[0] else self.delta_E
+        return TensorElement(self.actx, 2, {(key, key): self.actx.field.one})
 
     def delta(self, x: AlgebraElement) -> TensorElement:
         acc: dict[tuple, Scalar] = {}
@@ -233,16 +309,16 @@ class QuasiHopfData:
         return self.actx.cached(("antipode_mono", key), lambda: self._build_antipode(key))
 
     def _build_antipode(self, key: MonKey) -> AlgebraElement:
-        """S(F^a g E^d) = S(E)^d g^-1 S(F)^a, with no factor S(E)^0, 1 or
-        S(F)^0 unless it is the whole product."""
+        """S(F^a g E^d) = S(E^d) S(g) S(F^a), the factors of `_factor_keys`
+        in reverse, read through `antipode_mono`."""
+        parts = _factor_keys(key)
+        if parts:
+            return functools.reduce(operator.mul, map(self.antipode_mono, reversed(parts)))
         a, eps, c, d = key
-        factors = [self._power(self._sE_pows, self.S_E, d)] if d else []
-        if eps or c or not (a or d):
-            # (k^eps khat^c)^-1 = k^eps khat^(eps n - c), since k^-1 = k khat^n.
-            factors.append(self.actx.group_elem(eps, eps * self.actx.n - c))
-        if a:
-            factors.append(self._power(self._sF_pows, self.S_F, a))
-        return functools.reduce(operator.mul, factors)
+        if a or d:
+            return self.S_F if a else self.S_E
+        # (k^eps khat^c)^-1 = k^eps khat^(eps n - c), since k^-1 = k khat^n.
+        return self.actx.group_elem(eps, eps * self.actx.n - c)
 
     def antipode(self, x: AlgebraElement) -> AlgebraElement:
         acc: dict[MonKey, Scalar] = {}
@@ -342,39 +418,16 @@ class QuasiHopfData:
 
     @verifier("coproduct respects the defining relations")
     def verify_delta_well_defined(self) -> Counterexamples:
-        """The coproduct respects every defining relation of the algebra."""
-        actx = self.actx
-        f = actx.field
-        unit2 = unit_tensor(actx, 2)
-        dK = self.delta_mono((0, 1, 0, 0))
-        dKh = self.delta_mono((0, 0, 1, 0))
-        dE, dF = self.delta_E, self.delta_F
-        dKK = self.delta_mono(next(iter(actx.kinv_khat.terms)))
-        dEn = self._power(self._dE_pows, dE, actx.N)
-        dFn = self._power(self._dF_pows, dF, actx.N)
-        dKn = unit2
-        for _ in range(actx.n):
-            dKn = dKn * dK
-        dKhn = unit2
-        for _ in range(actx.n):
-            dKhn = dKhn * dKh
-        checks = [
-            ("k^n = 1", dKn == unit2),
-            ("khat^n k^2 = 1", dKhn * dK * dK == unit2),
-            ("k khat = khat k", dK * dKh == dKh * dK),
-            ("k E = qbar E k", dK * dE == (dE * dK).scale(f.qbar)),
-            ("k F = qbar^-1 F k", dK * dF == (dF * dK).scale(f.qbarpow(-1))),
-            ("khat E = qbar q^-2 E khat", dKh * dE == (dE * dKh).scale(f.qbar * f.qpow(-2))),
-            ("khat F = qbar^-1 q^2 F khat", dKh * dF == (dF * dKh).scale(f.qbarpow(-1) * f.qpow(2))),
-            ("E^(n^2) = 0", dEn.is_zero()),
-            ("F^(n^2) = 0", dFn.is_zero()),
-            (
-                "F E - q^-1 E F = 1 - k^-1 khat",
-                dF * dE - (dE * dF).scale(f.qpow(-1)) == unit2 - dKK,
-            ),
-        ]
-        for name, ok in checks:
-            yield None if ok else name
+        """D respects every defining relation of u: `_relation_failures` on
+        D(k), D(khat), D(E) and D(F) with the product of u (x) u.
+
+        D(E) = X + Y with X = E (x) flat^-1 and Y the two terms with E on
+        the right leg, and Y X = q^-1 X Y; D(F) splits the same way with
+        q in place of q^-1.  So `_nilpotency_failure` decides E^(n^2) = 0
+        and F^(n^2) = 0 with no power of D(E) or D(F) formed.
+        """
+        images = [self.delta_mono(key) for key in GENERATOR_KEYS]
+        yield from _relation_failures(*images, unit_tensor(self.actx, 2), operator.mul)
 
     @verifier("counit axioms for the coproduct")
     def verify_counit(self) -> Counterexamples:
@@ -387,9 +440,11 @@ class QuasiHopfData:
         F E - q^-1 E F = 1 - k^-1 khat goes to 0).  D is an algebra map: it
         respects the defining relations (`verify_delta_well_defined`, which
         `axiom_reports` runs first), and `_build_delta` forms D(F^a g E^d)
-        as the product D(F)^a D(g) D(E)^d of its values on the generators.
-        So (eps (x) id) D and (id (x) eps) D are algebra maps u -> u, and
-        each equals the identity on all of u once it does on generators.
+        as D(F^a) D(g) D(E^d), each power as D(E^(d-1)) D(E) or
+        D(F^(a-1)) D(F), so by induction as the product of its values on
+        the generators.  So (eps (x) id) D and (id (x) eps) D are algebra
+        maps u -> u, and each equals the identity on all of u once it does
+        on generators.
         """
         actx = self.actx
         for key in (UNIT_KEY, *GENERATOR_KEYS):
@@ -521,12 +576,16 @@ class QuasiHopfData:
     def verify_antipode(self) -> Counterexamples:
         """Anti-homomorphism relations plus all four zigzag identities.
 
-        The coproduct zigzags are checked on 1, k, khat, E and F, which
-        decides them on all of u.  S is an anti-algebra map: it respects
-        the defining relations read in reverse (the nine checks below, run
-        before the zigzags), and `_build_antipode` forms S(F^a g E^d) as
-        S(E)^d S(g) S(F)^a.  D is an algebra map (see `verify_counit`).  So
-        if the left zigzag holds on x and y, then
+        S extends to an anti-algebra map, an algebra map into u^op, once
+        `_relation_failures` passes on S(k), S(khat), S(E) and S(F), taken
+        as one-leg tensors, with the reversed product y x (the ten checks
+        below, run before the zigzags).  S(E) and S(F) have one leg, so the
+        support check of `_nilpotency_failure` decides their n^2-th powers.
+        `_build_antipode` forms S(F^a g E^d) as S(E^d) S(g) S(F^a), each
+        power as S(E) S(E^(d-1)) or S(F) S(F^(a-1)).  D is an algebra map
+        (see `verify_counit`).  The coproduct zigzags are checked on 1, k,
+        khat, E and F, which decides them on all of u: if the left zigzag
+        holds on x and y, then
 
             sum S((xy)_(1)) alpha (xy)_(2)
                 = sum S(y_(1)) [sum S(x_(1)) alpha x_(2)] y_(2)
@@ -540,31 +599,8 @@ class QuasiHopfData:
         actx = self.actx
         f = actx.field
         one = actx.one_elem
-        SE, SF = self.S_E, self.S_F
-        k, kinv = actx.k, actx.kinv
-        kh, khinv = actx.khat, actx.khat_inv
-        checks = [
-            ("S(k)^n = 1", kinv ** actx.n == one),
-            ("S(khat)^n = k^2", khinv ** actx.n == k * k),
-            ("k S(E) k^-1 = qbar S(E)", k * SE * kinv == SE.scale(f.qbar)),
-            ("k S(F) k^-1 = qbar^-1 S(F)", k * SF * kinv == SF.scale(f.qbarpow(-1))),
-            (
-                "khat S(E) khat^-1 = qbar q^-2 S(E)",
-                kh * SE * khinv == SE.scale(f.qbar * f.qpow(-2)),
-            ),
-            (
-                "khat S(F) khat^-1 = qbar^-1 q^2 S(F)",
-                kh * SF * khinv == SF.scale(f.qbarpow(-1) * f.qpow(2)),
-            ),
-            ("S(E)^(n^2) = 0", (self._power(self._sE_pows, SE, actx.N)).is_zero()),
-            ("S(F)^(n^2) = 0", (self._power(self._sF_pows, SF, actx.N)).is_zero()),
-            (
-                "S(E) S(F) - q^-1 S(F) S(E) = 1 - S(khat) S(k^-1)",
-                SE * SF - (SF * SE).scale(f.qpow(-1)) == one - khinv * k,
-            ),
-        ]
-        for name, ok in checks:
-            yield None if ok else name
+        images = [tensor_of(self.antipode_mono(key)) for key in GENERATOR_KEYS]
+        yield from _relation_failures(*images, unit_tensor(actx, 1), lambda x, y: y * x)
         # Zigzags on the unit and the generators decide them on all of u.
         for key in (UNIT_KEY, *GENERATOR_KEYS):
             x = AlgebraElement(actx, {key: f.one})
@@ -608,11 +644,12 @@ class QuasiHopfData:
         That decides the grading on all of u: every term of D(F^a g E^d)
         has total height d - a.  D is an algebra map (see `verify_counit`
         for its premises), and `_build_delta` forms D(F^a g E^d) as
-        D(F)^a D(g) D(E)^d with D(g) = g (x) g, of height 0.  The product
-        of u is graded: `mono_mul` puts the key (a1 + a', ., ., d' + d2)
-        into F^a1 g1 E^d1 * F^a2 g2 E^d2 for each term (a', ., ., d') of
-        `ef(d1, a2)`, the normal form of E^d1 F^a2, and drops the keys with
-        an exponent past n^2 - 1.  Each branch of the `ef` recurrence keeps
+        D(F^a) D(g) D(E^d), a factors D(F), then D(g) = g (x) g, of height
+        0, then d factors D(E).  The product of u is graded: `mono_mul`
+        puts the key (a1 + a', ., ., d' + d2) into F^a1 g1 E^d1 *
+        F^a2 g2 E^d2 for each term (a', ., ., d') of `ef(d1, a2)`, the
+        normal form of E^d1 F^a2, and drops the keys with an exponent past
+        n^2 - 1.  Each branch of the `ef` recurrence keeps
         d' - a' = d - a: the base case (d = 0 or a = 0) is E^d F^a itself;
         the d = 1 branch is E F^a = q F (E F^(a-1)) + q^(2a-1) F^(a-1)
         k^-1 khat - q F^(a-1), whose terms have height 1 - a by induction

@@ -12,8 +12,9 @@ ranks all of their spanning vectors instead.  The quasi-Hopf identities
 that `quasihopf` decides on the generators are checked here on the samples
 it once read, the grading on its old samples by its old support
 certificate, Phi by its n^3 idempotent triples, the pentagon as the scalar
-cocycle condition, and the height of every `ef` normal form, the premise
-of the grading argument.
+cocycle condition, the height of every `ef` normal form, the premise
+of the grading argument, and the n^2-th powers of D(E), D(F), S(E) and
+S(F) by repeated products.
 """
 
 import random
@@ -370,3 +371,17 @@ def cocycle_failures(n):
         if (phi(i1, i2, i3 + i4) + phi(i1 + i2, i3, i4)
             - phi(i2, i3, i4) - phi(i1, i2 + i3, i4) - phi(i1, i2, i3)) % n
     ]
+
+
+def power_failures(qh):
+    """The names among D(E), D(F), S(E) and S(F) whose n^2-th power is
+    nonzero, each power formed by n^2 - 1 products, one factor at a time:
+    the check that `quasihopf._nilpotency_failure` replaced."""
+    failures = []
+    for name, x in (("D(E)", qh.delta_E), ("D(F)", qh.delta_F), ("S(E)", qh.S_E), ("S(F)", qh.S_F)):
+        power = x
+        for _ in range(qh.actx.N - 1):
+            power = power * x
+        if not power.is_zero():
+            failures.append(name)
+    return failures

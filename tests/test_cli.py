@@ -330,7 +330,7 @@ GOLDEN_STDOUT = {
     ("tensor", "projective:3,1", "simple:7,0", "--format", "json"):
         "536552be6f65f02a186c5c1c82ce2811c313da9ded01c00ca78c145267c1ea27",
     ("verify", "--suite", "axioms"):
-        "5663e503fc8ca3cd9525710df449ec6329dd16837048db4079f34d3b9d0bf3fd",
+        "234ab76a4c59968bf467dcb7dc91fb2c77a5991c2ba34f41fa9e1f99fc806256",
 }
 
 

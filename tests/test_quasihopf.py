@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -11,10 +12,12 @@ from oracles import (
     grading_sample_failure,
     grading_samples,
     phi_by_triples,
+    power_failures,
 )
 from uqsl2 import quasihopf
 from uqsl2.qgroup import AlgebraContext, AlgebraElement, _group_mul
 from uqsl2.quasihopf import (
+    GENERATOR_KEYS,
     UNIT_KEY,
     QuasiHopfData,
     TensorElement,
@@ -308,9 +311,102 @@ def test_wrong_evaluation_element_breaks_zigzag(actx, qh):
     assert not out.is_zero()
 
 
-def test_axiom_reports_all_pass(qh):
-    reports = axiom_reports(qh)
+@pytest.mark.parametrize("n", [4, 8])
+def test_axiom_reports_all_pass(n):
+    reports = axiom_reports(QuasiHopfData(AlgebraContext(n)))
     assert len(reports) == 6
     for rep in reports:
         assert rep.passed, f"{rep.statement}: {rep.counterexample}"
         assert rep.instances > 0
+
+
+def test_quasi_hopf_data_keeps_no_cache_of_its_own():
+    # every lazily built value sits in `AlgebraContext.memo`, behind `cached`
+    fields = {"actx", "delta_E", "delta_F", "S_E", "S_F", "alpha_elem", "beta_elem"}
+    qh = QuasiHopfData(AlgebraContext(4))
+    assert set(vars(qh)) == fields
+    axiom_reports(qh)
+    assert set(vars(qh)) == fields
+
+
+def _reversed(x, y):
+    """The product of u^op."""
+    return y * x
+
+
+def _delta_relations(qh):
+    """Every instance of `_relation_failures` on D's images, none skipped
+    after a failure."""
+    images = [qh.delta_mono(key) for key in GENERATOR_KEYS]
+    return list(quasihopf._relation_failures(*images, unit_tensor(qh.actx, 2), operator.mul))
+
+
+def test_powers_vanish_and_the_certificate_holds(qh):
+    assert power_failures(qh) == []
+    for x, gen, mul in (
+        (qh.delta_E, "E", operator.mul),
+        (qh.delta_F, "F", operator.mul),
+        (tensor_of(qh.S_E), "E", _reversed),
+        (tensor_of(qh.S_F), "F", _reversed),
+    ):
+        assert quasihopf._nilpotency_failure(x, gen, mul) is None
+
+
+def _perturbed(monkeypatch, change):
+    """QuasiHopfData over a fresh context, so no memo holds the true maps,
+    with change(qh) applied to its structure elements."""
+    init = QuasiHopfData.__init__
+
+    def perturbed(self, actx):
+        init(self, actx)
+        change(self)
+
+    monkeypatch.setattr(QuasiHopfData, "__init__", perturbed)
+    return QuasiHopfData(AlgebraContext(4))
+
+
+def test_doubled_coproduct_term_fails_the_power_and_the_relations(monkeypatch):
+    def double(qh):
+        key, s = next(iter(qh.delta_E.terms.items()))
+        qh.delta_E = qh.delta_E + TensorElement(qh.actx, 2, {key: s})
+
+    qh = _perturbed(monkeypatch, double)
+    assert power_failures(qh) == ["D(E)"]
+    failed = {i: out for i, out in enumerate(_delta_relations(qh)) if out}
+    assert failed == {
+        7: "E^(n^2) = 0 undecided: the terms with E on legs 0 and 1 do not q^-1-commute",
+        9: "F E - q^-1 E F = 1 - k^-1 khat",
+    }
+    rep = qh.verify_delta_well_defined()
+    assert (rep.passed, rep.instances, rep.counterexample) == (False, 8, failed[7])
+
+
+def test_certificate_names_the_q_commutation_it_misses(monkeypatch):
+    # E (x) flat in place of E (x) flat^-1 leaves D(E)^(n^2) = 0, but the
+    # legs no longer q-commute, so the certificate declines and says why
+    def swap(qh):
+        actx = qh.actx
+        qh.delta_E = (
+            qh.delta_E - tensor_of(actx.E, actx.flat_inv()) + tensor_of(actx.E, actx.flat())
+        )
+
+    qh = _perturbed(monkeypatch, swap)
+    assert power_failures(qh) == []
+    rep = qh.verify_delta_well_defined()
+    assert (rep.passed, rep.instances, rep.counterexample) == (
+        False, 8, "E^(n^2) = 0 undecided: the terms with E on legs 0 and 1 do not q^-1-commute"
+    )
+
+
+def test_scaled_antipode_term_fails_a_relation(monkeypatch):
+    def scale(qh):
+        key, s = next(iter(qh.S_E.terms.items()))
+        qh.S_E = qh.S_E + AlgebraElement(qh.actx, {key: s})
+
+    qh = _perturbed(monkeypatch, scale)
+    # the support of S(E) is kept, so its power still vanishes
+    assert power_failures(qh) == []
+    rep = qh.verify_antipode()
+    assert (rep.passed, rep.instances, rep.counterexample) == (
+        False, 10, "F E - q^-1 E F = 1 - k^-1 khat"
+    )
