@@ -9,7 +9,7 @@ writes to stdout or to the `--out` file.
 
 Exit codes: 0 success, 1 a verified statement failed, 2 invalid input,
 3 I/O or internal failure.  All stdout output is deterministic for a fixed
-configuration (including the seed); timings go to stderr only.
+configuration, as no statement samples; timings go to stderr only.
 """
 
 from __future__ import annotations

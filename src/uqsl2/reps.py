@@ -160,10 +160,6 @@ class Representation:
         return Representation(self.ctx, self.label, self.kexp, self.khatexp,
                               reduce(self.E), reduce(self.F), self.grades, res)
 
-    def act_vec(self, x: AlgebraElement, vec: Col) -> Col:
-        """Apply an algebra element (normal form F^a k^eps khat^c E^d)."""
-        return self.apply_map(self.act_matrix(x), vec)
-
     def act_matrix(self, x: AlgebraElement) -> SparseMap:
         """The matrix of x, column by column.
 

@@ -14,7 +14,7 @@ structure take a `nullspace_basis` kernel (`radical` and `sub_rep` are test
 oracles, not package code), only `AlgebraContext.cached` touches the memo,
 the regular-module decomposition has one mode and no brute-force rank
 (`test_regular_decomposition_has_one_mode`), every tensor verdict comes from
-`moncat.decompose` with no graded-character peel
+`moncat.decompose` with no graded-character peel and no isomorphism test
 (`test_tensor_verdicts_have_one_decision_procedure`), and the command line has one
 output path (`test_cli_has_one_output_path`:
 only `cli._render` dumps JSON or builds a CSV writer, only `cli.main` writes
@@ -447,11 +447,10 @@ def test_regular_decomposition_has_one_mode():
 
 
 # What a tensor verdict is read from: the tops, the projective counts and
-# the F_p runner they go through.  In moncat only `decompose` and the rank
-# cross-check of its cover case reach them, so every S (x) S and P (x) S
-# verdict is one decision procedure.
+# the F_p runner they go through.  In moncat only `decompose` reaches them,
+# so every S (x) S and P (x) S verdict is one decision procedure.
 TENSOR_COUNTS = frozenset({"top_multiplicities", "projective_counts", "residue_first"})
-COUNT_READERS = frozenset({"decompose", "verify_projective_tensor_engine_samples"})
+COUNT_READERS = frozenset({"decompose"})
 
 
 def _count_readers(source: str) -> set[str]:
@@ -466,12 +465,28 @@ def _count_readers(source: str) -> set[str]:
     return out
 
 
+def _names(source: str) -> set[str]:
+    """Every name a module reads, imports or looks up as an attribute."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
 def test_tensor_verdicts_have_one_decision_procedure():
-    """In moncat only `decompose` and the engine-sample cross-check read
-    tops, projective counts or the F_p runner, and no tensor verdict peels
-    a graded character: `composition_counts` is called from k0ring alone."""
+    """In moncat only `decompose` reads tops, projective counts or the F_p
+    runner, no tensor verdict peels a graded character (`composition_counts`
+    is called from k0ring alone), and no verdict rests on a second test:
+    moncat names neither `iso_test` nor `direct_sum`, whose cross-checks
+    of the rule are Tier-1 tests."""
     sources = _package_sources()
     assert _count_readers(sources["moncat.py"]) == COUNT_READERS
+    assert not _names(sources["moncat.py"]) & {"iso_test", "direct_sum"}
     peels = _package_callers(sources, "composition_counts")
     assert peels and {module for module, _ in peels} == {"k0ring.py"}
     # a second certificate beside `decompose`, say the old P (x) S one, is caught
@@ -483,6 +498,8 @@ def test_tensor_verdicts_have_one_decision_procedure():
                             "    return None if top == want_top else 'top differs'\n")
     assert _count_readers(mutant["moncat.py"]) - COUNT_READERS == {"_tops_certificate"}
     assert ("moncat.py", "_tops_certificate") in _package_callers(mutant, "composition_counts")
+    mutant["moncat.py"] += "\nfrom .reps import iso_test\n"
+    assert _names(mutant["moncat.py"]) & {"iso_test", "direct_sum"} == {"iso_test"}
 
 
 def _memo_uses(tree: ast.AST) -> list[tuple[str, str, int]]:

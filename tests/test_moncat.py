@@ -22,6 +22,7 @@ from uqsl2.moncat import (
     simple_simple_rule,
     solve_height_offsets,
     summand_dim,
+    summand_module,
     summand_name,
     tensor,
     verify_unit_object,
@@ -38,6 +39,7 @@ from uqsl2.reps import (
     family_W,
     first_radical_layers,
     hom_from_simple,
+    iso_test,
     partner_label,
     projective,
     simple,
@@ -231,6 +233,40 @@ def test_simple_fusion_frozen_instances(actx):
     for i, j in all_labels(actx):
         assert simple_simple_rule(actx, 8, 0, i, j) == {("S", i, j): 1}
         assert simple_simple_rule(actx, 8, 1, i, j) == {("S", i, 1 - j): 1}
+    # with the three-dimensional simple S(14, j2): one projective beside
+    # S(4) for S(2, j1), and the three-term ladder for 2 <= i <= 7
+    for j1 in (0, 1):
+        for j2 in (0, 1):
+            j = (j1 + j2) % 2
+            assert simple_simple_rule(actx, 1, j1, 7, j2) == {("S", 2, j): 1, ("P", 1, 1 - j): 1}
+            for i in range(2, 8):
+                assert simple_simple_rule(actx, i, j1, 7, j2) == {
+                    ("S", i + 1, j): 1, ("S", i, 1 - j): 1, ("S", i - 1, j): 1}
+
+
+def _rule_sum(actx, summands, label):
+    parts = [summand_module(actx, key) for key in sorted(summands)
+             for _ in range(summands[key])]
+    return direct_sum(parts, label)
+
+
+def test_sampled_products_are_isomorphic_to_the_rule_sums(actx):
+    """An explicit invertible intertwiner, found by `iso_test`, from S (x) S
+    to the rule's sum, independent of `decompose`: one pair from each case
+    of the rule (all simple or with a projective tail, i1 <= i2 or not),
+    and the products of S(n^2, j1) and S(2, j1) with the three-dimensional
+    S(n^2-2, j2).  The rule with one parity flipped has no such map."""
+    h = actx.half
+    pairs = [(h - 2, 1, h - 1, 0), (h - 1, 0, h - 3, 1), (h // 2, 0, h // 2, 0), (h - 2, 0, 2, 1)]
+    pairs += [(i1, j1, h - 1, j2) for i1 in (h, 1) for j1 in (0, 1) for j2 in (0, 1)]
+    for i1, j1, i2, j2 in pairs:
+        T = tensor(simple(actx, i1, j1), simple(actx, i2, j2))
+        X = _rule_sum(actx, simple_simple_rule(actx, i1, j1, i2, j2), "rule")
+        assert iso_test(T, X) is True, T.label
+    T = tensor(simple(actx, h - 2, 1), simple(actx, h - 1, 0))
+    flipped = simple_simple_rule(actx, h - 2, 1, h - 1, 0)
+    flipped[("S", h - 1, 0)] = flipped.pop(("S", h - 1, 1))
+    assert iso_test(T, _rule_sum(actx, flipped, "flipped")) is not True
 
 
 def test_projective_fusion_frozen_instance(actx):
@@ -907,25 +943,43 @@ def test_decompose_falls_back_when_a_residue_rank_drops(actx, monkeypatch):
 
 
 def test_engine_samples_cross_check_the_cover_case_by_ranks(actx, monkeypatch):
-    """The five samples decide P(x)S by the F_p projective counts, b' = t0,
-    not by the cover case; a rule with one summand moved to its block
-    partner keeps the dimension and is refused."""
-    seen = _spy_count_fields(monkeypatch)
-    rep = moncat.verify_projective_tensor_engine_samples(actx)
-    assert (rep.passed, rep.instances) == (True, 5)
-    assert seen == [actx.field.residue_field()] * 5
+    """Five P (x) S samples decided by the F_p projective counts instead of
+    the cover case: with the exact top t0, an F_p count b' satisfies
+    b' <= b <= t0, so b' = t0 decides M = (+) t0_k P_k, which must be the
+    rule.  A rule with one summand moved to its block partner keeps the
+    dimension, and the P (x) S sweep refuses it at its first product."""
+    h = actx.half
+    samples = [(h, 0, h - 1, 1), (h, 1, h, 0), (h // 2, 0, h // 2 + 1, 1), (1, 0, h, 0),
+               (h - 2, 1, 2, 0)]
+    fields = []
+    for i1, j1, i2, j2 in samples:
+        T = tensor(projective(actx, i1, j1), simple(actx, i2, j2))
+        rule = projective_simple_rule(actx, i1, j1, i2, j2)
+        tops = top_multiplicities(T)
+
+        def counts(X):
+            fields.append(X.field)
+            return reps.projective_counts(X, tops)
+
+        b = reps.residue_first(T, counts, lambda c: c == tops)
+        assert b == tops == {(i, j): m for (_, i, j), m in rule.items()}, T.label
+    assert fields == [actx.field.residue_field()] * 5
     rule = moncat.projective_simple_rule
 
     def moved(ctx, i1, j1, i2, j2):
         out = dict(rule(ctx, i1, j1, i2, j2))
         kind, i, j = next(iter(out))
-        out[(kind, *partner_label(ctx, i, j))] = out.pop((kind, i, j))
+        partner = (kind, *partner_label(ctx, i, j))
+        out[partner] = out.get(partner, 0) + out.pop((kind, i, j))
         return out
 
     monkeypatch.setattr(moncat, "projective_simple_rule", moved)
-    rep = moncat.verify_projective_tensor_engine_samples(actx)
+    rep = moncat.verify_projective_simple_tensors(actx)
     assert (rep.passed, rep.instances) == (False, 1)
-    assert rep.counterexample.startswith("P(16,0)(x)S(14,1): top "), rep.counterexample
+    ladder = "2*P(14,1) + 2*P(12,0) + 2*P(10,1) + 2*P(8,0) + 2*P(6,1) + 2*P(4,0)"
+    assert rep.counterexample == (
+        f"P(2,0)(x)S(2,0): engine found P(16,0) + {ladder} + 2*P(2,1), "
+        f"rule says {ladder} + 3*P(2,1)")
 
 
 def test_decompose_refuses_a_residue_module(actx):

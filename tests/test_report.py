@@ -135,20 +135,23 @@ def _bump_one_constant(original):
     return bumped
 
 
+SS_STATEMENT = (
+    "simple-by-simple products match the fusion rule, every summand is "
+    "simple or projective, and the mixed case with i1 > i2 reads both "
+    "factors as simple"
+)
+
 # (verifier, faults as (owner, name, replacement given the original),
 #  statement, instances, counterexample)
 FAULTS = [
     (
         lambda ctx: moncat.verify_simple_simple_tensors(ctx),
-        [
-            (moncat, "simple_simple_rule", _drop_first_summand),
-            (moncat, "decompose", lambda _: _fail_engine),
-        ],
-        "simple-by-simple products match the fusion rule, every summand is "
-        "simple or projective, and the mixed case with i1 > i2 reads both "
-        "factors as simple",
+        [(moncat, "simple_simple_rule", _drop_first_summand)],
+        SS_STATEMENT,
         1,
-        "S(2,0)(x)S(2,0): rule dimensions add to 224",
+        "S(2,0)(x)S(2,0): engine found P(14,1) + P(12,0) + P(10,1) + P(8,0) + P(6,1) + "
+        "P(4,0) + P(2,1) + S(16,0), rule says P(14,1) + P(12,0) + P(10,1) + P(8,0) + "
+        "P(6,1) + P(4,0) + P(2,1)",
     ),
     (
         lambda ctx: ctx.verify_regular_decomposition(),
@@ -186,11 +189,12 @@ FAULTS = [
         "character mismatch at (1, 0) x (2, 0)",
     ),
     (
-        lambda ctx: moncat.verify_simple_tensor_isomorphisms(ctx),
+        lambda ctx: moncat.verify_simple_simple_tensors(ctx),
         [(moncat, "simple_simple_rule", _flip_one_parity)],
-        "sampled simple-by-simple products are isomorphic to the stated sums",
-        1,
-        "S(12,1)(x)S(14,0)",
+        SS_STATEMENT,
+        189,
+        "S(12,1)(x)S(14,0): engine found S(14,1) + S(12,0) + S(10,1), "
+        "rule says S(14,0) + S(12,0) + S(10,1)",
     ),
     (
         lambda ctx: k0ring.verify_fusion_consistency(ctx),
@@ -216,7 +220,7 @@ FAULTS = [
 @pytest.mark.parametrize(
     "run, faults, statement, instances, counterexample",
     FAULTS,
-    ids=["moncat", "qgroup", "reps", "quasihopf", "reassociator", "k0ring", "iso-undecided",
+    ids=["moncat", "qgroup", "reps", "quasihopf", "reassociator", "k0ring", "ss-parity",
          "k0-fusion", "k0-associativity"],
 )
 def test_injected_fault_is_reported(

@@ -185,7 +185,8 @@ def test_spin_matches_the_all_pairs_oracle(actx):
             _assert_spin_matches_oracle(A, B)
             _assert_spin_matches_oracle(B, A)
     _assert_spin_matches_oracle(projective(actx, 3, 0), syzygy(simple(actx, 3, 0)))
-    # the smallest pair of `verify_simple_tensor_isomorphisms`: S(12,1)(x)S(14,0)
+    # S(12,1)(x)S(14,0) and its rule sum, the first pair of
+    # `test_moncat.py::test_sampled_products_are_isomorphic_to_the_rule_sums`
     h = actx.half
     T = tensor(simple(actx, h - 2, 1), simple(actx, h - 1, 0))
     expected = simple_simple_rule(actx, h - 2, 1, h - 1, 0)
@@ -712,11 +713,12 @@ def test_act_vec_matches_matrix_action(actx):
     P = projective(actx, 2, 0)
     x = actx.E * actx.F * actx.khat + actx.k.scale(f.qpow(3))
     v = {0: f.one, actx.N: f.qpow(5)}
-    direct = P.act_vec(x, v)
-    # same thing assembled from the monomial matrices
+    act = P.act_matrix(x)
+    direct = P.apply_map(act, v)
+    # same thing assembled from the images of the unit vectors
     acc = {}
     for col, s in ((c, val) for c, val in v.items()):
-        img = P.act_vec(x, {col: f.one})
+        img = P.apply_map(act, {col: f.one})
         for r, t in img.items():
             u = acc.get(r, f.zero) + s * t
             if u.is_zero():
@@ -781,8 +783,9 @@ def test_residue_module_runs_the_residue_kernel(actx):
     rv = {r: res.reduce(s) for r, s in v.items()}
     for x in (actx.E * actx.F * actx.khat + actx.k.scale(f.qpow(3)),
               actx.F * actx.F * actx.E, actx.idempotent_e(2, 0)):
-        exact = {r: t for r, s in P.act_vec(x, v).items() if (t := res.reduce(s))}
-        assert R.act_vec(x, rv) == exact
+        exact = {r: t for r, s in P.apply_map(P.act_matrix(x), v).items()
+                 if (t := res.reduce(s))}
+        assert R.apply_map(R.act_matrix(x), rv) == exact
     whole = sub_rep(R, [{r: res.one} for r in range(R.dim)], "whole")
     assert whole.field is res and whole.check_relations().passed
     assert direct_sum([R, whole], "R+R").field is res
