@@ -44,6 +44,8 @@ from .reps import (
     top_multiplicities,
     verify_block_structure,
     verify_family_constructors,
+    verify_idempotent_system,
+    verify_regular_decomposition,
     verify_structure_counts,
     verma,
 )
@@ -144,12 +146,12 @@ def suite_reports(ctx: AlgebraContext, suite: str) -> list[CheckReport]:
     if suite in ("axioms", "all"):
         out.extend(axiom_reports(QuasiHopfData(ctx)))
     if suite in ("lemmas", "all"):
-        out.append(ctx.verify_idempotent_system())
+        out.append(verify_idempotent_system(ctx))
         out.append(ctx.verify_commutation_lemmas())
         out.append(verify_structure_counts(ctx))
         out.append(verify_block_structure(ctx))
         out.append(verify_family_constructors(ctx))
-        out.append(ctx.verify_regular_decomposition())
+        out.append(verify_regular_decomposition(ctx))
     if suite in ("tensor", "all"):
         out.extend(tensor_reports(ctx))
     if suite in ("k0", "all"):

@@ -409,9 +409,10 @@ def decompose(M: Representation) -> DecompositionResult:
     Premises, each with its verifier: the census (`verify_structure_counts`:
     P_k has dimension 2n^2 and simple top and socle S_k, and sum_k dim S_k
     dim P_k = dim u, so P_k = P(S_k) and the S_k are all the simples), and
-    those of the lemma: `verify_projective_vs_ideal` and
-    `verify_regular_decomposition` (acceptance gate item 5 runs both), and
-    u Frobenius (Hausser and Nill, arXiv:math/9904164).
+    those of the lemma: `verify_projective_vs_ideal`,
+    `verify_idempotent_system` and `verify_regular_decomposition`
+    (acceptance gate items 2 and 5), and u Frobenius (Hausser and Nill,
+    arXiv:math/9904164).
     """
     cover = 2 * M.ctx.N
     if M.dim % cover:

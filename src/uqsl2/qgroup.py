@@ -27,7 +27,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from fractions import Fraction
 
-from . import linalg
 from .cyclo import Combination, Scalar, _add_into, _axpy, make_context, qint, scalar_to_str
 from .errors import (
     ConstructionError,
@@ -73,10 +72,6 @@ class AlgebraElement(Combination):
         for _ in range(t):
             acc = acc * self
         return acc
-
-    def heights(self) -> set[int]:
-        """Heights d - a of the monomials present."""
-        return {key[3] - key[0] for key in self.terms}
 
     def coefficient(self, key: MonKey) -> Scalar:
         return self.terms.get(key, self.ctx.field.zero)
@@ -281,22 +276,15 @@ class AlgebraContext:
             _axpy(acc, self.idempotent_1(i).terms, self.field.qpow(sign * i))
         return AlgebraElement(self, acc)
 
-    def varphi_idempotent(self, i: int) -> AlgebraElement:
-        """phi_2i, the q^(2i)-eigenprojector of k^-1 khat."""
-        return self._projector(self.kinv_khat, self.half, 2 * i)
-
-    def half_idempotent(self, j: int) -> AlgebraElement:
-        """The projector (1 + (-1)^j k khat^(n/2)) / 2."""
-        return self._projector(self.k_khat_half, 2, self.half * j)
-
     def idempotent_e(self, i: int, j: int) -> AlgebraElement:
-        """Primitive idempotent e_{2i,j} of u^0, 1 <= i <= n^2/2, j in {0,1}."""
+        """Primitive idempotent e_{2i,j} of u^0, 1 <= i <= n^2/2, j in {0,1}:
+        the q^(2i)-eigenprojector of k^-1 khat times the projector
+        (1 + (-1)^j k khat^(n/2)) / 2."""
         if not (1 <= i <= self.half and j in (0, 1)):
             raise InvalidArgumentError(f"bad idempotent label ({i}, {j})")
-        return self.cached(
-            ("idempotent_e", i, j),
-            lambda: self.varphi_idempotent(i) * self.half_idempotent(j),
-        )
+        return self.cached(("idempotent_e", i, j), lambda: (
+            self._projector(self.kinv_khat, self.half, 2 * i)
+            * self._projector(self.k_khat_half, 2, self.half * j)))
 
     def alpha_vec(self, i: int, j: int) -> AlgebraElement:
         """alpha_{2i,j} = F^(n^2-1) e_{2i,j}."""
@@ -434,83 +422,3 @@ class AlgebraContext:
                 )
         for name, lhs, rhs in eigen_cases:
             yield None if lhs == rhs else name
-
-    @verifier("primitive orthogonal idempotent decomposition of the unit")
-    def verify_idempotent_system(self) -> Counterexamples:
-        """The e_{2i,j} are orthogonal, complete, and primitive in u^0.
-
-        Orthogonality and idempotency are checked on all (n^2)^2 ordered pairs,
-        completeness as an exact sum, and primitivity as rank one of the
-        left ideal u^0 e (so e cannot split inside the group algebra).
-        """
-        labels = [(i, j) for i in range(1, self.half + 1) for j in (0, 1)]
-        es = {lab: self.idempotent_e(*lab) for lab in labels}
-        total = self.zero_elem
-        for lab, e in es.items():
-            total = total + e
-        yield None if total == self.one_elem else "the idempotents do not sum to 1"
-        for l1, e1 in es.items():
-            for l2, e2 in es.items():
-                want = e1 if l1 == l2 else self.zero_elem
-                yield None if e1 * e2 == want else (
-                    f"e_{l1} * e_{l2} is not {'e' if l1 == l2 else '0'}"
-                )
-        for lab, e in es.items():
-            rows = []
-            for eps in (0, 1):
-                for c in range(self.half):
-                    rows.append(self.coords(self.group_elem(eps, c) * e))
-            yield None if linalg.rank(self.field, rows) == 1 else (
-                f"u^0 e_{lab} has rank above one, so e_{lab} is not primitive"
-            )
-
-    @verifier("regular module decomposes into shifted projectives")
-    def verify_regular_decomposition(self) -> Counterexamples:
-        """u is the direct sum of the shifted ideals W_k E^h, W_k = u*gamma_k.
-
-        Here k = (i, j) runs over the labels and 0 <= h <= n^2-2i.  Two
-        premises are checked elsewhere: the chain vectors E^s alpha_k and
-        E^s gamma_k span W_k = u*gamma_k, acted on by P_k's matrices
-        (`reps.verify_projective_vs_ideal`), and P_k has simple socle S_k
-        (`reps.verify_structure_counts`), of dimension n^2-2i+1.  Then:
-        1. x -> x E^h is a left-module map W_k -> u, and `_shift_right_e`
-           is exactly that map on PBW terms.
-        2. The a-chain vectors at v >= 2i span a submodule of dimension
-           n^2-2i+1 = dim S_k, because F vanishes at v = 2i (`reps._chain`).
-           It contains the simple socle, so it is the socle, and
-           w_k = E^(n^2-1) alpha_k lies in it.
-        3. So x -> x E^h is injective on W_k iff w_k E^h != 0.
-        4. A map from the sum of all W_k E^h is injective iff it is
-           injective on its socle, the sum of the S_k.  The S_k are pairwise
-           distinct simples and w_k generates S_k, so that holds iff, for
-           each k, the vectors w_k E^h (h = 0..n^2-2i) are independent.
-        5. w_k is height-homogeneous, so these vectors lie in distinct
-           heights.  All of them are nonzero iff the one at h = n^2-2i is,
-           since that one is w_k E^h E^(n^2-2i-h).
-        6. The dimensions add to dim u, so the injective sum map is onto.
-        One instance checks the dimension identity; one per label checks
-        that w_k has one height and that w_k E^(n^2-2i) != 0.
-        """
-        total = sum(2 * (self.N - 2 * i + 1) * 2 * self.N for i in range(1, self.half + 1))
-        yield None if total == self.dim else (
-            f"sum of shifted projective dims {total} != {self.dim}"
-        )
-        top_e = self.e_power(self.N - 1)
-        for i in range(1, self.half + 1):
-            for j in (0, 1):
-                w = top_e * self.alpha_vec(i, j)
-                if len(w.heights()) > 1:
-                    yield f"E^(n^2-1) alpha_({2 * i},{j}) is not height-homogeneous"
-                elif self._shift_right_e(w, self.N - 2 * i).is_zero():
-                    yield f"E^(n^2-1) alpha_({2 * i},{j}) E^(n^2-{2 * i}) = 0"
-                else:
-                    yield None
-
-    def _shift_right_e(self, x: AlgebraElement, h: int) -> AlgebraElement:
-        """x E^h: each PBW term F^a g E^d goes to F^a g E^(d+h), or to 0 once
-        d+h reaches n^2."""
-        out: dict[MonKey, Scalar] = {}
-        for (a, eps, c, d), s in x.terms.items():
-            if d + h < self.N:
-                out[(a, eps, c, d + h)] = s
-        return AlgebraElement(self, out)

@@ -750,14 +750,15 @@ def projective_counts(
     """b_k, the number of P_k summands of M, for the labels k given (keyed
     in that order, where nonzero): the rank over M's field of
     E^(n^2-1) F^(n^2-1) on M's vectors of class chi_k = (2i mod n^2, j),
-    onto which rho_M(e_k) projects, so of rho_M(w_k), w_k = E^(n^2-1) alpha_k.
+    onto which rho_M(e_k) projects (`verify_idempotent_system`), so of
+    rho_M(w_k), w_k = E^(n^2-1) alpha_k.
     1. W_k = u gamma_k is P_k (`verify_projective_vs_ideal`) and a summand
        of u (`verify_regular_decomposition`, h = 0), so every module map
        W_k -> M is y -> y m for some m in M.
-    2. w_k != 0 lies in soc W_k, which is simple (census).  A map nonzero
-       at w_k is injective on the socle, hence injective, hence split, as
-       W_k is injective (u is Frobenius; Hausser and Nill,
-       arXiv:math/9904164).
+    2. w_k != 0 (`verify_regular_decomposition`) lies in soc W_k, which is
+       simple (census).  A map nonzero at w_k is injective on the socle,
+       hence injective, hence split, as W_k is injective (u is Frobenius;
+       Hausser and Nill, arXiv:math/9904164).
     3. So w_k X = 0 for every indecomposable X other than P_k, and on P_k
        the values of End(P_k) at w_k span a line, as End(P_k) is local and
        its radical kills the socle.  Krull-Schmidt gives rank = b_k.
@@ -1400,6 +1401,91 @@ def verify_projective_vs_ideal(ctx: AlgebraContext, i: int, j: int) -> Counterex
             yield None if gen * vecs[c] == want else (
                 f"{name} action on chain vector {c} differs from {P.label} inside u"
             )
+
+
+@verifier("primitive orthogonal idempotent decomposition of the unit")
+def verify_idempotent_system(ctx: AlgebraContext) -> Counterexamples:
+    """The e_{2i,j} are orthogonal, complete and primitive in u^0, read off
+    its n^2 characters: C has one vector per class chi_k = (2i mod n^2, j),
+    with the exponents of `exps_from_class`, and E = F = 0.
+    1. u^0 is the group algebra of the abelian group generated by k and
+       khat, and `exps_from_class` checks k^n = 1 and khat^n = k^-2, so
+       each chi_k is an algebra map u^0 -> Q(zeta).
+    2. n^2 distinct characters are linearly independent (Dedekind), and
+       dim u^0 = n^2 (PBW), so evaluation x -> (chi_l(x))_l is an algebra
+       isomorphism u^0 -> Q(zeta)^(n^2).
+    3. If every term of e_k has a = d = 0, e_k lies in u^0 and
+       `act_matrix(e_k)` on C is the diagonal of the chi_l(e_k).  If that
+       is the indicator of chi_k for each k, the e_k are the coordinate
+       idempotents: idempotent, orthogonal, summing to 1, and each spanning
+       a one-dimensional ideal, so primitive.
+    One instance checks that the classes are distinct; one per label that
+    e_k lies in u^0 and acts on C as the indicator of chi_k.
+    """
+    labels = all_labels(ctx)
+    C = _assemble(ctx, "u^0", [(2 * i, j) for i, j in labels], (), ())
+    yield None if len(C.class_indices()) == C.dim else "two labels share a class"
+    for r, (i, j) in enumerate(labels):
+        e = ctx.idempotent_e(i, j)
+        if any(a or d for a, _, _, d in e.terms):
+            yield f"e_({2 * i},{j}) has a term outside u^0"
+        else:
+            yield None if C.act_matrix(e) == {r: {r: ctx.field.one}} else (
+                f"e_({2 * i},{j}) does not act as the indicator of its class"
+            )
+
+
+@verifier("regular module decomposes into shifted projectives")
+def verify_regular_decomposition(ctx: AlgebraContext) -> Counterexamples:
+    """u is the direct sum of the shifted ideals W_k E^h, W_k = u*gamma_k,
+    over the labels k = (i, j) and 0 <= h <= n^2-2i.
+
+    Premises: W_k is spanned by the chain vectors E^s alpha_k, E^s gamma_k,
+    acted on by P_k's matrices (`verify_projective_vs_ideal`); P_k has
+    simple socle S_k of dimension n^2-2i+1 (the census); and e_k lies in
+    u^0 and acts as the projection pi_k onto the vectors of class
+    chi_k = (2i mod n^2, j) (`verify_idempotent_system`).  Then:
+    1. x -> x E^h is a left-module map W_k -> u.
+    2. The a-chain vectors at v >= 2i span a submodule of dimension
+       n^2-2i+1 = dim S_k, because F vanishes at v = 2i (`_chain`).  It
+       contains the simple socle, so it is the socle, and
+       w_k = E^(n^2-1) alpha_k = E^(n^2-1) F^(n^2-1) e_k lies in it.
+    3. So x -> x E^h is injective on W_k iff w_k E^h != 0, and a map from
+       the sum of all W_k E^h is injective iff it is injective on its
+       socle, the sum of the S_k.  The S_k are pairwise distinct simples
+       and w_k generates S_k, so that holds iff, for each k, the w_k E^h
+       (h = 0..n^2-2i) are independent.
+    4. w_k is a product of homogeneous elements, and the product of u is
+       graded (argued in `quasihopf.QuasiHopfData.verify_grading`, and run
+       over every `ef` table by a Tier-1 test), so these lie in distinct
+       heights.  All are nonzero iff w_k E^(n^2-2i) is.
+    5. The dimensions add to dim u, so the injective sum map is onto.
+    An element that acts as nonzero is nonzero, and on P_k w_k E^(n^2-2i)
+    acts as E^(n^2-1) F^(n^2-1) pi_k E^(n^2-2i).  So one basis vector of
+    P_k with a nonzero image decides the label; a zero action decides
+    nothing, and the label is reported undecided.  One instance checks the
+    dimension identity; one per label looks for that vector.
+    """
+    N = ctx.N
+    total = sum(2 * (N - 2 * i + 1) * 2 * N for i in range(1, ctx.half + 1))
+    yield None if total == ctx.dim else f"sum of shifted projective dims {total} != {ctx.dim}"
+    for i, j in all_labels(ctx):
+        P = projective(ctx, i, j)
+        block = P.class_indices().get((2 * i % N, j), ())
+
+        def image(c: int) -> Col:
+            v: Col = {c: P.field.one}
+            for _ in range(N - 2 * i):
+                v = P.apply_E(v)
+            v = {r: s for r, s in v.items() if r in block}
+            for apply in (P.apply_F, P.apply_E):
+                for _ in range(N - 1):
+                    v = apply(v)
+            return v
+
+        yield None if any(image(c) for c in range(P.dim)) else (
+            f"w_({2 * i},{j}) E^(n^2-{2 * i}) != 0 undecided: it acts as zero on {P.label}"
+        )
 
 
 @verifier("simple and projective censuses match the stated counts")

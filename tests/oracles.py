@@ -6,9 +6,12 @@ M^t, see `reps.first_radical_layers` and `reps.syzygy`).  The direct
 constructions here are what those quotients are tested against: rad M as
 one `nullspace_basis` kernel of the socle functionals, a submodule from a
 basis with private unit coordinates, and the syzygy as that submodule of
-the cover's kernel.  `AlgebraContext.verify_regular_decomposition` decides
-u = sum of the shifted P_k from one socle vector per label; `regular_rank`
-ranks all of their spanning vectors instead.  The quasi-Hopf identities
+the cover's kernel.  `reps.verify_regular_decomposition` decides
+u = sum of the shifted P_k from one action on each P_k; `regular_rank`
+ranks all of their spanning vectors instead, and `socle_shift_failures`
+forms each w_k E^(n^2-2i) in u.  `reps.verify_idempotent_system` reads
+the e_{2i,j} off the characters of u^0; `idempotent_failures` forms all
+their products and the ranks of the u^0 e.  The quasi-Hopf identities
 that `quasihopf` decides on the generators are checked here on the samples
 it once read, the grading on its old samples by its old support
 certificate, Phi by its n^3 idempotent triples, the pentagon as the scalar
@@ -154,6 +157,54 @@ def cosyzygy_by_kernel(M):
     return transpose(syzygy_by_kernel(transpose(M)))
 
 
+def heights(x):
+    """Heights d - a of the monomials present in x."""
+    return {key[3] - key[0] for key in x.terms}
+
+
+def shift_right_e(actx, x, h):
+    """x E^h: each PBW term F^a g E^d goes to F^a g E^(d+h), or to 0 once
+    d+h reaches n^2."""
+    out = {}
+    for (a, eps, c, d), s in x.terms.items():
+        if d + h < actx.N:
+            out[(a, eps, c, d + h)] = s
+    return AlgebraElement(actx, out)
+
+
+def idempotent_failures(actx):
+    """The idempotent system checked by products in u: the sum of the
+    e_{2i,j} against 1, all (n^2)^2 ordered products e e' against e or 0,
+    and rank one of each left ideal u^0 e.  Failures as strings."""
+    es = {lab: actx.idempotent_e(*lab) for lab in all_labels(actx)}
+    total = actx.zero_elem
+    for e in es.values():
+        total = total + e
+    out = [] if total == actx.one_elem else ["the idempotents do not sum to 1"]
+    for l1, e1 in es.items():
+        for l2, e2 in es.items():
+            if e1 * e2 != (e1 if l1 == l2 else actx.zero_elem):
+                out.append(f"e_{l1} * e_{l2} is not {'e' if l1 == l2 else '0'}")
+    for lab, e in es.items():
+        rows = [actx.coords(actx.group_elem(eps, c) * e)
+                for eps in (0, 1) for c in range(actx.half)]
+        if rank(actx.field, rows) != 1:
+            out.append(f"u^0 e_{lab} has rank above one")
+    return out
+
+
+def socle_shift_failures(actx):
+    """The labels whose w_k = E^(n^2-1) alpha_k, formed in u, has more than
+    one height or has w_k E^(n^2-2i) = 0."""
+    top_e = actx.e_power(actx.N - 1)
+    out = []
+    for i, j in all_labels(actx):
+        w = top_e * actx.alpha_vec(i, j)
+        if len(heights(w)) > 1 or shift_right_e(actx, w, actx.N - 2 * i).is_zero():
+            out.append((i, j))
+    return out
+
+
 def regular_rank(actx):
     """Rank of all E^l alpha E^h and E^l gamma E^h, blocked by eigenclass.
 
@@ -176,10 +227,10 @@ def regular_rank(actx):
                 for l in range(N):
                     if cur.is_zero():
                         raise ConstructionError("chain vector vanished early")
-                    heights = cur.heights()
-                    if len(heights) != 1:
+                    hs = heights(cur)
+                    if len(hs) != 1:
                         raise ConstructionError("chain vector is not height-homogeneous")
-                    h0 = heights.pop()
+                    h0 = hs.pop()
                     eig = (eig0 - 2 * l) % N
                     sgn = (sgn0 + l) % 2
                     if actx.kinv_khat * cur != cur.scale(f.qpow(eig)):
@@ -191,7 +242,7 @@ def regular_rank(actx):
                             f"chain vector sign drifted at (2i,j,l)=({2 * i},{j},{l})"
                         )
                     for h in range(N - 2 * i + 1):
-                        shifted = actx._shift_right_e(cur, h)
+                        shifted = shift_right_e(actx, cur, h)
                         buckets.setdefault((h0 + h, eig, sgn), []).append(
                             actx.coords(shifted)
                         )

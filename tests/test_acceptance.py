@@ -21,7 +21,9 @@ from uqsl2.reps import (
     all_labels,
     verify_block_structure,
     verify_family_constructors,
+    verify_idempotent_system,
     verify_projective_vs_ideal,
+    verify_regular_decomposition,
     verify_structure_counts,
 )
 
@@ -45,7 +47,7 @@ def test_quasi_hopf_axiom_suite(qh, capsys):
 def test_idempotent_system(actx, capsys):
     start = time.time()
     _gate(
-        "primitive idempotent system", [actx.verify_idempotent_system()], 60, start, capsys
+        "primitive idempotent system", [verify_idempotent_system(actx)], 60, start, capsys
     )
 
 
@@ -66,9 +68,11 @@ def test_regular_module_decomposition_exhaustive(actx, capsys):
     """u = sum of the shifted ideals u*gamma_k E^h, each isomorphic to P_k,
     exhaustively over the labels: the socle argument of
     `verify_regular_decomposition` together with its premise, the matrix
-    model of every P_k against u*gamma_k inside u, for all 16 labels."""
+    model of every P_k against u*gamma_k inside u, for all 16 labels (its
+    other premises, the census and the idempotent system, are items 4
+    and 2)."""
     start = time.time()
-    reports = [actx.verify_regular_decomposition()]
+    reports = [verify_regular_decomposition(actx)]
     reports.extend(verify_projective_vs_ideal(actx, i, j) for i, j in all_labels(actx))
     _gate("regular-module decomposition into P_k = u*gamma_k", reports, 300, start, capsys)
 

@@ -203,7 +203,7 @@ def test_verify_lemmas_suite(capsys):
     assert payload["status"] == "pass"
     assert payload["seed"] == 0
     assert [(c["statement"], c["instances"]) for c in payload["checks"]] == [
-        ("primitive orthogonal idempotent decomposition of the unit", 273),
+        ("primitive orthogonal idempotent decomposition of the unit", 17),
         ("reordering formulas and grouplike eigenvalue identities", 96),
         ("simple and projective censuses match the stated counts", 108),
         ("Ext-linkage splits the 16 labels into 8 two-vertex blocks whose basic algebra "

@@ -13,8 +13,10 @@ one Hom solver `reps.hom_from_simple` (`socle_multiplicities` and
 structure take a `nullspace_basis` kernel (`radical` and `sub_rep` are test
 oracles, not package code), only `AlgebraContext.cached` touches the memo,
 the regular-module decomposition has one mode and no brute-force rank
-(`test_regular_decomposition_has_one_mode`), every tensor verdict comes from
-`moncat.decompose` with no graded-character peel and no isomorphism test
+(`test_regular_decomposition_has_one_mode`), qgroup keeps no lemma verifier
+and no `linalg` (`test_qgroup_keeps_no_lemma_verifier`), every tensor
+verdict comes from `moncat.decompose` with no graded-character peel and no
+isomorphism test
 (`test_tensor_verdicts_have_one_decision_procedure`), and the command line has one
 output path (`test_cli_has_one_output_path`:
 only `cli._render` dumps JSON or builds a CSV writer, only `cli.main` writes
@@ -438,12 +440,24 @@ def test_regular_decomposition_has_one_mode():
     assert _exhaustive_mode(sources) == []
     # the knob and the exhaustive path coming back are caught
     mutant = dict(sources)
-    mutant["qgroup.py"] += ("\n\ndef check(ctx, slow=False):\n"
-                            "    return ctx._regular_rank() if slow else None\n")
+    mutant["reps.py"] += ("\n\ndef check(ctx, slow=False):\n"
+                          "    return ctx._regular_rank() if slow else None\n")
     mutant["cli.py"] += '\np.add_argument("--slow", action="store_true")\n'
     assert sorted(_exhaustive_mode(mutant)) == [
-        ("cli.py", "--slow flag"), ("qgroup.py", "_regular_rank"),
-        ("qgroup.py", "slow parameter")]
+        ("cli.py", "--slow flag"), ("reps.py", "_regular_rank"),
+        ("reps.py", "slow parameter")]
+
+
+def test_qgroup_keeps_no_lemma_verifier():
+    """The idempotent system and the regular module are decided in `reps`
+    from module actions: `qgroup` defines neither verifier nor the right
+    shift `_shift_right_e`, and does not import `linalg`."""
+    source = _package_sources()["qgroup.py"]
+    defined = {node.name for node in ast.walk(ast.parse(source))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert not defined & {"verify_idempotent_system", "verify_regular_decomposition",
+                          "_shift_right_e"}
+    assert "linalg" not in _names(source)
 
 
 # What a tensor verdict is read from: the tops, the projective counts and

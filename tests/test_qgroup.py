@@ -6,8 +6,9 @@ from uqsl2 import linalg
 from uqsl2.cyclo import qint
 from uqsl2.errors import ContextMismatchError, InvalidArgumentError
 from uqsl2.qgroup import AlgebraContext, AlgebraElement, _group_mul
+from uqsl2.reps import verify_projective_vs_ideal, verify_regular_decomposition
 
-from oracles import regular_rank
+from oracles import heights, idempotent_failures, regular_rank, socle_shift_failures
 
 
 def test_generator_relations(actx):
@@ -96,7 +97,7 @@ def test_products_preserve_height(actx):
         m1 = actx.monomial(a1, rng.randrange(2), rng.randrange(actx.half), d1)
         m2 = actx.monomial(a2, rng.randrange(2), rng.randrange(actx.half), d2)
         prod = m1 * m2
-        hs = prod.heights()
+        hs = heights(prod)
         assert len(hs) <= 1
         if hs:
             assert hs == {(d1 - a1) + (d2 - a2)}
@@ -119,27 +120,16 @@ def test_k_eigenprojectors(actx):
 
 
 def test_primitive_idempotents(actx):
+    """The eigenvalues of each e_{2i,j}, and by products in u what
+    `reps.verify_idempotent_system` reads off the characters of u^0: all
+    ordered products, the sum and the rank of each u^0 e."""
     f = actx.field
-    labels = [(i, j) for i in range(1, actx.half + 1) for j in (0, 1)]
-    total = actx.zero_elem
-    for i, j in labels:
-        e = actx.idempotent_e(i, j)
-        total = total + e
-        assert e * e == e
-        assert actx.kinv_khat * e == e.scale(f.qpow(2 * i))
-        assert actx.k_khat_half * e == e.scale(f.sign(j))
-    assert total == actx.one_elem
-    e10 = actx.idempotent_e(1, 0)
-    e81 = actx.idempotent_e(8, 1)
-    assert (e10 * e81).is_zero()
-    assert (e81 * e10).is_zero()
-    for i, j in labels:
-        e = actx.idempotent_e(i, j)
-        rows = []
-        for eps in (0, 1):
-            for c in range(actx.half):
-                rows.append(actx.coords(actx.group_elem(eps, c) * e))
-        assert linalg.rank(actx.field, rows) == 1
+    for i in range(1, actx.half + 1):
+        for j in (0, 1):
+            e = actx.idempotent_e(i, j)
+            assert actx.kinv_khat * e == e.scale(f.qpow(2 * i))
+            assert actx.k_khat_half * e == e.scale(f.sign(j))
+    assert idempotent_failures(actx) == []
     for bad in ((0, 0), (actx.half + 1, 0), (1, 2)):
         with pytest.raises(InvalidArgumentError):
             actx.idempotent_e(*bad)
@@ -170,7 +160,7 @@ def test_alpha_vectors(actx):
     for i in range(1, actx.half + 1):
         for j in (0, 1):
             alpha = actx.alpha_vec(i, j)
-            assert alpha.heights() == {1 - actx.N}
+            assert heights(alpha) == {1 - actx.N}
             assert (actx.F * alpha).is_zero()
             assert not (actx.e_power(actx.N - 1) * alpha).is_zero()
             assert actx.kinv_khat * alpha == alpha.scale(f.qpow(2 * i - 2))
@@ -183,7 +173,7 @@ def test_gamma_vectors(actx):
     for i in range(1, actx.half + 1):
         for j in (0, 1):
             gamma = actx.gamma_vec(i, j)
-            assert gamma.heights() == {2 * i - actx.N}
+            assert heights(gamma) == {2 * i - actx.N}
             assert actx.F * gamma == actx.beta_vec(i, j)
     direct = AlgebraElement(
         actx,
@@ -221,14 +211,18 @@ def test_gamma_generates_projective_of_dim_2nsq(actx):
 
 
 def test_regular_decomposition_fast(actx):
-    rep = actx.verify_regular_decomposition()
+    rep = verify_regular_decomposition(actx)
     assert rep.passed, rep.counterexample
     assert rep.instances == 1 + 2 * actx.half
 
 
-def test_regular_decomposition_needs_a_height_homogeneous_socle_vector(actx, monkeypatch):
-    """One off-height term in alpha_(4,0) gives E^(n^2-1) alpha two heights,
-    so its shifts no longer lie in distinct heights: the label is reported."""
+def test_regular_decomposition_needs_a_height_homogeneous_socle_vector(monkeypatch):
+    """One off-height term in alpha_(4,0) would give w_(4,0) = E^(n^2-1)
+    alpha two heights.  `verify_regular_decomposition` reads no alpha, so
+    it still passes; its premise `verify_projective_vs_ideal` builds the
+    a-chain from alpha inside u and reports the bent vector."""
+    ctx = AlgebraContext(4)  # fresh, so the bent alpha reaches no shared memo
+    ctx.gamma_vec(2, 0)  # built from the true alpha before the bend
     real = AlgebraContext.alpha_vec
 
     def bent(self, i, j):
@@ -238,10 +232,18 @@ def test_regular_decomposition_needs_a_height_homogeneous_socle_vector(actx, mon
         return alpha + AlgebraElement(self, {(self.N - 2, 0, 0, 0): self.field.one})
 
     monkeypatch.setattr(AlgebraContext, "alpha_vec", bent)
-    rep = actx.verify_regular_decomposition()
+    assert verify_regular_decomposition(ctx).passed
+    rep = verify_projective_vs_ideal(ctx, 2, 0)
     assert (rep.passed, rep.instances, rep.counterexample) == (
-        False, 4, "E^(n^2-1) alpha_(4,0) is not height-homogeneous"
+        False, 1, "F action on a-chain vector 0 disagrees inside u"
     )
+
+
+def test_socle_shift_oracle(actx):
+    """Each w_k = E^(n^2-1) alpha_k, formed in u, has one height and
+    w_k E^(n^2-2i) != 0, as `verify_regular_decomposition` decides from
+    its action on P_k."""
+    assert socle_shift_failures(actx) == []
 
 
 def test_regular_rank_oracle_spans_u(actx):

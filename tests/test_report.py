@@ -76,8 +76,29 @@ def _flip_one_parity(rule):
     return flipped
 
 
-def _zero_shift(self, x, h):
-    return self.zero_elem
+def _unlinked_projective(original):
+    """P_k without the F entries from its generator chain into its a-chain,
+    so F^(n^2-1) kills every vector of class chi_k."""
+
+    def unlinked(ctx, i, j):
+        P = original(ctx, i, j)
+        F = {c: {r: s for r, s in col.items() if c < ctx.N or r >= ctx.N}
+             for c, col in P.F.items()}
+        return reps.Representation(ctx, P.label, P.kexp, P.khatexp, P.E, F, P.grades)
+
+    return unlinked
+
+
+def _bump_one_group_coefficient(original):
+    """e_(4,0) with one more unit on the grouplike 1."""
+
+    def bumped(self, i, j):
+        e = original(self, i, j)
+        if (i, j) != (2, 0):
+            return e
+        return e + self.one_elem
+
+    return bumped
 
 
 def _bump_chain_g_f(original):
@@ -154,11 +175,18 @@ FAULTS = [
         "P(6,1) + P(4,0) + P(2,1)",
     ),
     (
-        lambda ctx: ctx.verify_regular_decomposition(),
-        [(AlgebraContext, "_shift_right_e", lambda _: _zero_shift)],
+        lambda ctx: reps.verify_regular_decomposition(ctx),
+        [(reps, "projective", _unlinked_projective)],
         "regular module decomposes into shifted projectives",
         2,
-        "E^(n^2-1) alpha_(2,0) E^(n^2-2) = 0",
+        "w_(2,0) E^(n^2-2) != 0 undecided: it acts as zero on P(2,0)",
+    ),
+    (
+        lambda ctx: reps.verify_idempotent_system(ctx),
+        [(AlgebraContext, "idempotent_e", _bump_one_group_coefficient)],
+        "primitive orthogonal idempotent decomposition of the unit",
+        4,
+        "e_(4,0) does not act as the indicator of its class",
     ),
     (
         lambda ctx: reps.verify_projective_vs_ideal(ctx, 1, 0),
@@ -220,8 +248,8 @@ FAULTS = [
 @pytest.mark.parametrize(
     "run, faults, statement, instances, counterexample",
     FAULTS,
-    ids=["moncat", "qgroup", "reps", "quasihopf", "reassociator", "k0ring", "ss-parity",
-         "k0-fusion", "k0-associativity"],
+    ids=["moncat", "regular-undecided", "idempotent", "reps", "quasihopf", "reassociator",
+         "k0ring", "ss-parity", "k0-fusion", "k0-associativity"],
 )
 def test_injected_fault_is_reported(
     monkeypatch, run, faults, statement, instances, counterexample

@@ -15,9 +15,10 @@ from uqsl2.errors import (
     InvalidArgumentError,
     RepresentationError,
 )
-from uqsl2.cyclo import _add_into
+from uqsl2.cyclo import FieldContext, _add_into
 from uqsl2.linalg import nullspace_basis, rank
 from uqsl2.moncat import simple_simple_rule, summand_module, tensor
+from uqsl2.qgroup import AlgebraContext
 from uqsl2.reps import (
     all_labels,
     compose_maps,
@@ -42,7 +43,9 @@ from uqsl2.reps import (
     transpose,
     verify_block_structure,
     verify_family_constructors,
+    verify_idempotent_system,
     verify_projective_vs_ideal,
+    verify_regular_decomposition,
     verma,
 )
 
@@ -653,12 +656,40 @@ def test_block_structure(actx):
 
 
 def test_block_structure_statement_follows_n(monkeypatch):
-    from uqsl2.qgroup import AlgebraContext
-
     monkeypatch.setattr(reps, "all_labels", lambda ctx: [])
     report = verify_block_structure(AlgebraContext(8))
     assert report.passed and report.instances == 0
     assert "64 labels into 32 two-vertex blocks" in report.statement
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_idempotent_and_regular_statements_pass(n):
+    """Both lemma statements hold at n = 4 and n = 8, one instance for the
+    classes or the dimension identity and one per label."""
+    ctx = AlgebraContext(n)
+    for rep in (verify_idempotent_system(ctx), verify_regular_decomposition(ctx)):
+        assert rep.passed, f"{rep.statement}: {rep.counterexample}"
+        assert rep.instances == 1 + ctx.N
+
+
+def test_idempotent_and_regular_statements_form_no_product(monkeypatch):
+    """Once the e_{2i,j} are built, neither statement multiplies in u: the
+    idempotents are read through characters of u^0 and the socle vectors
+    through their action on P_k, so no `combination_product` runs."""
+    ctx = AlgebraContext(4)
+    for i, j in all_labels(ctx):
+        ctx.idempotent_e(i, j)
+    real = FieldContext.combination_product
+    calls = []
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(FieldContext, "combination_product", counted)
+    for rep in (verify_idempotent_system(ctx), verify_regular_decomposition(ctx)):
+        assert rep.passed, f"{rep.statement}: {rep.counterexample}"
+    assert len(calls) == 0
 
 
 def test_projective_matches_left_ideal(actx):
