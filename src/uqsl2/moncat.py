@@ -7,7 +7,11 @@ through (rho_M (x) rho_N) o D, so the tensor layer holds no second copy of
 the coproduct.  The verifiers decide the paper's fusion rules for simple
 (x) simple and projective (x) simple products through one procedure,
 `decompose`, compared with the rule by `_cover_certificate`; no tensor
-verdict reads a grading or a graded character.
+verdict reads a grading or a graded character.  That the graded characters
+of these products tile by shifted summand characters follows from the
+decided splittings by graded Krull-Schmidt (`verify_projective_simple_tensors`
+gives the argument).  The graded-character helpers here, `char_product`
+and `composition_counts`, serve `k0ring`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .report import CheckReport, Counterexamples, verifier
 from .reps import (
     Representation,
     all_labels,
-    partner_label,
     projective,
     projective_counts,
     residue_first,
@@ -226,75 +229,6 @@ def composition_counts(
                     return None
             counts[(i, j)] = counts.get((i, j), 0) + mult
     return counts
-
-
-def _lowest_cell(char: dict[tuple[int, int, int], int]) -> tuple[int, int]:
-    cells = [(g, (lam, sgn)) for (lam, sgn, g) in char]
-    g0, cls = min(cells)
-    if char.get((cls[0], cls[1], g0), 0) != 1 or sum(
-        1 for (_, _, g) in char if g == g0
-    ) != 1:
-        raise ConstructionError("summand character has no unique lowest cell")
-    return g0, cls
-
-
-def solve_height_offsets(
-    target: dict[tuple[int, int, int], int],
-    parts: list[dict[tuple[int, int, int], int]],
-) -> list[int] | None:
-    """Offsets h_u with target = sum over parts of y^{h_u} * part, or None.
-
-    Correctness of the search: every part has a unique lowest cell, so the
-    least remaining cell of the residual can only be matched by placing a
-    part whose lowest class equals that cell's class at exactly that height.
-    Identical parts are grouped to avoid redundant branching.
-    """
-    groups: dict[tuple, list[int]] = {}
-    keys = []
-    for u, ch in enumerate(parts):
-        key = tuple(sorted(ch.items()))
-        groups.setdefault(key, []).append(u)
-        keys.append(key)
-    order = sorted(groups)
-    remaining = {key: len(groups[key]) for key in order}
-    lowest = {key: _lowest_cell(dict(key)) for key in order}
-    residual: dict[tuple[int, int, int], int] = {}
-    for cell, c in target.items():
-        _add_into(residual, cell, c)
-    placed: dict[tuple, list[int]] = {key: [] for key in order}
-
-    def rec() -> bool:
-        if not residual:
-            return all(v == 0 for v in remaining.values())
-        if all(v == 0 for v in remaining.values()):
-            return False
-        g, (lam, sgn) = min((g, (lam, sgn)) for (lam, sgn, g) in residual)
-        for key in order:
-            if remaining[key] == 0:
-                continue
-            g0, cls = lowest[key]
-            if cls != (lam, sgn):
-                continue
-            delta = g - g0
-            shifted = {(l, s, h + delta): c for (l, s, h), c in dict(key).items()}
-            if any(residual.get(cell, 0) < c for cell, c in shifted.items()):
-                continue
-            for cell, c in shifted.items():
-                _add_into(residual, cell, -c)
-            remaining[key] -= 1
-            placed[key].append(delta)
-            if rec():
-                return True
-            placed[key].pop()
-            remaining[key] += 1
-            for cell, c in shifted.items():
-                _add_into(residual, cell, c)
-        return False
-
-    if not rec():
-        return None
-    taken = {key: list(reversed(placed[key])) for key in order}
-    return [taken[keys[u]].pop() for u in range(len(parts))]
 
 
 # -- fusion rules -----------------------------------------------------------------
@@ -518,6 +452,29 @@ def verify_projective_simple_tensors(ctx: AlgebraContext) -> Counterexamples:
     summands, so every summand of these products is projective and the
     multiset is symmetric under swapping.  dim P (x) S is 2n^2 dim S, so
     each product tries the cover case of `decompose`, from F_p tops first.
+
+    A passing pair also decides that the graded characters tile: the graded
+    character of T is a sum of the rule's summand characters, each shifted
+    in height.  This sweep and the S (x) S one share the argument:
+
+    * `dec.ok` with `dec.summands == rule` gives T = (+) rule summands as
+      ungraded modules;
+    * T is graded and its graded character is `char_product` of its
+      factors': `tensor` adds the grades, D(E) and D(F) have heights 1
+      and -1 (`QuasiHopfData.verify_grading`), the census checks each
+      factor's grading with `check_relations`, and a Tier-1 test compares
+      the two characters;
+    * u is a graded Artin algebra, so a graded indecomposable module stays
+      indecomposable with its grading forgotten, and its grading is unique
+      up to a shift (Gordon and Green, "Graded Artin algebras", J. Algebra
+      76, 1982).  So split T into graded indecomposables: by Krull-Schmidt
+      they are the rule's summands, and each carries its summand's graded
+      character at some height.
+
+    The projective characters need no statement of their own: no verdict
+    reads them, and `k0ring.verify_fusion_consistency` checks the
+    composition counts of each P.  The tiling search is the Tier-1 oracle
+    `tests/oracles.py::graded_tilings`.
     """
     for i1, j1 in all_labels(ctx):
         P = projective(ctx, i1, j1)
@@ -550,6 +507,8 @@ def verify_simple_simple_tensors(ctx: AlgebraContext) -> Counterexamples:
       `dec.summands == rule`, the rule's summands total
       (N-2*i1+1)(N-2*i2+1) = dim S (x) S, N = n^2, and that never equals
       2N(N-2*i2+1) = dim P (x) S, because N-2*i1+1 < 2N.
+
+    The graded characters tile as in `verify_projective_simple_tensors`.
     """
     for i1, j1 in all_labels(ctx):
         for i2, j2 in all_labels(ctx):
@@ -559,48 +518,10 @@ def verify_simple_simple_tensors(ctx: AlgebraContext) -> Counterexamples:
             yield None if fail is None else f"{T.label}: {fail}"
 
 
-@verifier("graded characters tile every fusion product")
-def verify_graded_character_rules(ctx: AlgebraContext) -> Counterexamples:
-    """Graded class character identities behind the fusion rules.
-
-    First the projective characters: each tiles as the partner simple at
-    heights 0 and n^2 plus two shifted copies of its own simple.  Then
-    every fusion rule: the convolution of the factor characters is tiled
-    exactly by the summand characters at some heights.
-    """
-    for i, j in all_labels(ctx):
-        pchar = _summand_graded_character(ctx, ("P", i, j))
-        ip, jp = partner_label(ctx, i, j)
-        small = _summand_graded_character(ctx, ("S", ip, jp))
-        own = _summand_graded_character(ctx, ("S", i, j))
-        want: dict[tuple[int, int, int], int] = {}
-        for (lam, sgn, g), c in small.items():
-            for delta in (0, ctx.N):
-                key = (lam, sgn, g + delta)
-                want[key] = want.get(key, 0) + c
-        for (lam, sgn, g), c in own.items():
-            key = (lam, sgn, g + 2 * i - 1)
-            want[key] = want.get(key, 0) + 2 * c
-        yield None if pchar == want else f"P({2 * i},{j})"
-    for left_kind, rule in (("S", simple_simple_rule), ("P", projective_simple_rule)):
-        for i1, j1 in all_labels(ctx):
-            lchar = _summand_graded_character(ctx, (left_kind, i1, j1))
-            for i2, j2 in all_labels(ctx):
-                prod = char_product(
-                    ctx, lchar, _summand_graded_character(ctx, ("S", i2, j2))
-                )
-                parts = []
-                for key, m in rule(ctx, i1, j1, i2, j2).items():
-                    parts.extend([_summand_graded_character(ctx, key)] * m)
-                tiled = solve_height_offsets(prod, parts) is not None
-                yield None if tiled else f"{left_kind}({2 * i1},{j1})(x)S({2 * i2},{j2})"
-
-
 def tensor_reports(ctx: AlgebraContext) -> list[CheckReport]:
     """All tensor-layer verifications in dependency order."""
     return [
         verify_unit_object(ctx),
-        verify_graded_character_rules(ctx),
         verify_projective_simple_tensors(ctx),
         verify_simple_simple_tensors(ctx),
     ]

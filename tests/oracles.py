@@ -17,12 +17,16 @@ it once read, the grading on its old samples by its old support
 certificate, Phi by its n^3 idempotent triples, the pentagon as the scalar
 cocycle condition, the height of every `ef` normal form, the premise
 of the grading argument, and the n^2-th powers of D(E), D(F), S(E) and
-S(F) by repeated products.
+S(F) by repeated products.  The tensor sweeps decide their products'
+graded-character tilings by graded Krull-Schmidt; `graded_tilings` runs
+the backtracking search `solve_height_offsets` that once stated them.
 """
 
+import functools
 import random
 
-from uqsl2 import quasihopf
+from uqsl2 import moncat, quasihopf
+from uqsl2.cyclo import _add_into
 from uqsl2.errors import ConstructionError, InvalidArgumentError, RepresentationError
 from uqsl2.linalg import Echelon, nullspace_basis, rank
 from uqsl2.qgroup import AlgebraElement
@@ -33,6 +37,7 @@ from uqsl2.reps import (
     all_labels,
     direct_sum,
     hom_space,
+    partner_label,
     projective,
     transpose,
 )
@@ -436,3 +441,105 @@ def power_failures(qh):
         if not power.is_zero():
             failures.append(name)
     return failures
+
+
+def _lowest_cell(char):
+    cells = [(g, (lam, sgn)) for (lam, sgn, g) in char]
+    g0, cls = min(cells)
+    if char.get((cls[0], cls[1], g0), 0) != 1 or sum(
+        1 for (_, _, g) in char if g == g0
+    ) != 1:
+        raise ConstructionError("summand character has no unique lowest cell")
+    return g0, cls
+
+
+def solve_height_offsets(target, parts):
+    """Offsets h_u with target = sum over parts of y^{h_u} * part, or None.
+
+    Correctness of the search: every part has a unique lowest cell, so the
+    least remaining cell of the residual can only be matched by placing a
+    part whose lowest class equals that cell's class at exactly that height.
+    Identical parts are grouped to avoid redundant branching.
+    """
+    groups = {}
+    keys = []
+    for u, ch in enumerate(parts):
+        key = tuple(sorted(ch.items()))
+        groups.setdefault(key, []).append(u)
+        keys.append(key)
+    order = sorted(groups)
+    remaining = {key: len(groups[key]) for key in order}
+    lowest = {key: _lowest_cell(dict(key)) for key in order}
+    residual = {}
+    for cell, c in target.items():
+        _add_into(residual, cell, c)
+    placed = {key: [] for key in order}
+
+    def rec():
+        if not residual:
+            return all(v == 0 for v in remaining.values())
+        if all(v == 0 for v in remaining.values()):
+            return False
+        g, (lam, sgn) = min((g, (lam, sgn)) for (lam, sgn, g) in residual)
+        for key in order:
+            if remaining[key] == 0:
+                continue
+            g0, cls = lowest[key]
+            if cls != (lam, sgn):
+                continue
+            delta = g - g0
+            shifted = {(l, s, h + delta): c for (l, s, h), c in dict(key).items()}
+            if any(residual.get(cell, 0) < c for cell, c in shifted.items()):
+                continue
+            for cell, c in shifted.items():
+                _add_into(residual, cell, -c)
+            remaining[key] -= 1
+            placed[key].append(delta)
+            if rec():
+                return True
+            placed[key].pop()
+            remaining[key] += 1
+            for cell, c in shifted.items():
+                _add_into(residual, cell, c)
+        return False
+
+    if not rec():
+        return None
+    taken = {key: list(reversed(placed[key])) for key in order}
+    return [taken[keys[u]].pop() for u in range(len(parts))]
+
+
+def projective_tiling(ctx, i, j):
+    """The graded character P(2i,j) is stated to have: its partner simple at
+    heights 0 and n^2, and two copies of its own simple at height 2i - 1."""
+    own = moncat._summand_graded_character(ctx, ("S", i, j))
+    small = moncat._summand_graded_character(ctx, ("S", *partner_label(ctx, i, j)))
+    want = {}
+    for (lam, sgn, g), c in small.items():
+        for delta in (0, ctx.N):
+            want[lam, sgn, g + delta] = want.get((lam, sgn, g + delta), 0) + c
+    for (lam, sgn, g), c in own.items():
+        want[lam, sgn, g + 2 * i - 1] = want.get((lam, sgn, g + 2 * i - 1), 0) + 2 * c
+    return want
+
+
+def graded_tilings(ctx):
+    """(name, holds) for each instance of the graded-character tilings the
+    tensor suite once stated, in its order: each P's character against
+    `projective_tiling`, then for every S (x) S and P (x) S fusion rule,
+    whether `solve_height_offsets` tiles `char_product` of the factor
+    characters by the rule's summand characters (528 instances at n = 4).
+    The sweeps now decide the tilings from their splittings by graded
+    Krull-Schmidt (`moncat.verify_projective_simple_tensors`)."""
+    char = functools.partial(moncat._summand_graded_character, ctx)
+    for i, j in all_labels(ctx):
+        yield f"P({2 * i},{j})", char(("P", i, j)) == projective_tiling(ctx, i, j)
+    for left_kind, rule in (("S", moncat.simple_simple_rule),
+                            ("P", moncat.projective_simple_rule)):
+        for i1, j1 in all_labels(ctx):
+            for i2, j2 in all_labels(ctx):
+                prod = moncat.char_product(ctx, char((left_kind, i1, j1)), char(("S", i2, j2)))
+                parts = [char(key) for key, m in rule(ctx, i1, j1, i2, j2).items()
+                         for _ in range(m)]
+                yield (f"{left_kind}({2 * i1},{j1})(x)S({2 * i2},{j2})",
+                       solve_height_offsets(prod, parts) is not None)

@@ -6,6 +6,7 @@ stated runtime budget.  The stretch configuration at n = 8 is opt-in via
 UQSL2_STRETCH=1 and carries no budget.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import time
 
 import pytest
 
+from uqsl2 import cli
 from uqsl2.k0ring import k0_reports
 from uqsl2.moncat import tensor_reports
 from uqsl2.qgroup import AlgebraContext
@@ -26,6 +28,8 @@ from uqsl2.reps import (
     verify_regular_decomposition,
     verify_structure_counts,
 )
+
+from test_cli import GOLDEN_VIEWS
 
 
 def _gate(name: str, reports, budget: float, start: float, capsys) -> None:
@@ -84,17 +88,24 @@ def test_strand_family_constructors(actx, capsys):
     )
 
 
-def test_tensor_product_sweeps(actx, capsys):
+def test_tensor_product_sweeps(actx, capsys, monkeypatch):
+    """The tensor suite, its statements with their instance counts, and the
+    text of `verify --suite tensor` rendered from these reports, so the
+    sweeps run once for both."""
     start = time.time()
     reports = tensor_reports(actx)
     _gate("tensor decomposition sweeps", reports, 3600, start, capsys)
     assert [(r.statement, r.instances) for r in reports] == [
         ("the one-dimensional module of trivial class is a tensor unit", 64),
-        ("graded characters tile every fusion product", 528),
         ("projective-by-simple products match the fusion rule", 512),
         ("simple-by-simple products match the fusion rule, every summand is simple or "
          "projective, and the mixed case with i1 > i2 reads both factors as simple", 256),
     ]
+    argv = ("verify", "--suite", "tensor", "--format", "text")
+    monkeypatch.setattr(cli, "suite_reports", lambda ctx, suite: reports)
+    assert cli.main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VIEWS[argv]
 
 
 def test_grothendieck_ring(actx, capsys):

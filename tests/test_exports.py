@@ -15,8 +15,8 @@ oracles, not package code), only `AlgebraContext.cached` touches the memo,
 the regular-module decomposition has one mode and no brute-force rank
 (`test_regular_decomposition_has_one_mode`), qgroup keeps no lemma verifier
 and no `linalg` (`test_qgroup_keeps_no_lemma_verifier`), every tensor
-verdict comes from `moncat.decompose` with no graded-character peel and no
-isomorphism test
+verdict comes from `moncat.decompose` with no graded-character peel or read
+and no isomorphism test
 (`test_tensor_verdicts_have_one_decision_procedure`), and the command line has one
 output path (`test_cli_has_one_output_path`:
 only `cli._render` dumps JSON or builds a CSV writer, only `cli.main` writes
@@ -492,17 +492,44 @@ def _names(source: str) -> set[str]:
     return out
 
 
+def _character_readers(sources: dict[str, str]) -> set[tuple[str, str, str]]:
+    """(module, enclosing function, helper) of every call to a graded-character
+    helper that serves k0ring: `char_product` and `_summand_graded_character`."""
+    return {(module, scope, name)
+            for name in ("char_product", "_summand_graded_character")
+            for module, scope in _package_callers(sources, name)}
+
+
 def test_tensor_verdicts_have_one_decision_procedure():
     """In moncat only `decompose` reads tops, projective counts or the F_p
     runner, no tensor verdict peels a graded character (`composition_counts`
-    is called from k0ring alone), and no verdict rests on a second test:
-    moncat names neither `iso_test` nor `direct_sum`, whose cross-checks
-    of the rule are Tier-1 tests."""
+    is called from k0ring alone) or reads one (`char_product` and
+    `_summand_graded_character` are called from k0ring, and the second also
+    from the peel, which reads simple characters), and no verdict rests on a
+    second test: moncat names neither `iso_test` nor `direct_sum`, whose
+    cross-checks of the rule are Tier-1 tests; the graded tilings are a
+    Tier-1 oracle."""
     sources = _package_sources()
     assert _count_readers(sources["moncat.py"]) == COUNT_READERS
     assert not _names(sources["moncat.py"]) & {"iso_test", "direct_sum"}
     peels = _package_callers(sources, "composition_counts")
     assert peels and {module for module, _ in peels} == {"k0ring.py"}
+    readers = _character_readers(sources)
+    assert readers == {
+        ("k0ring.py", "verify_fusion_consistency", "char_product"),
+        ("k0ring.py", "verify_fusion_consistency", "_summand_graded_character"),
+        ("moncat.py", "composition_counts", "_summand_graded_character"),
+    }
+    # a tensor statement over graded characters, say the old tiling one, is caught
+    mutant = dict(sources)
+    mutant["moncat.py"] += ("\n\ndef verify_graded_character_rules(ctx):\n"
+                            "    for key in all_labels(ctx):\n"
+                            "        char = _summand_graded_character(ctx, ('S', *key))\n"
+                            "        yield None if char_product(ctx, char, char) else str(key)\n")
+    assert _character_readers(mutant) - readers == {
+        ("moncat.py", "verify_graded_character_rules", "char_product"),
+        ("moncat.py", "verify_graded_character_rules", "_summand_graded_character"),
+    }
     # a second certificate beside `decompose`, say the old P (x) S one, is caught
     mutant = dict(sources)
     mutant["moncat.py"] += ("\n\ndef _tops_certificate(T, want_top):\n"

@@ -22,14 +22,14 @@ from uqsl2.k0ring import (
     simple_class,
     unit_class,
     upsilon,
-    _upsilon,
     verify_character_homomorphisms,
     verify_presentation,
     verify_ring_axioms,
 )
-from uqsl2.moncat import char_product, relative_graded_character, tensor
+from uqsl2.cyclo import _add_into
+from uqsl2.moncat import char_product, relative_graded_character, simple_simple_rule, tensor
 from uqsl2.qgroup import AlgebraContext
-from uqsl2.reps import all_labels, simple
+from uqsl2.reps import all_labels, partner_label, projective, simple
 
 
 def test_pres_poly_reduces_g_squared():
@@ -124,16 +124,29 @@ def test_upsilon_sends_f_polynomials_to_simples(actx):
             )
 
 
-def test_second_generator_dies_but_not_under_wrong_expansion(actx):
-    rel = second_ideal_generator(actx)
-    assert upsilon(actx, rel).is_zero()
-    assert not _upsilon(actx, rel, own=2, partner=1).is_zero()
+def test_second_generator_dies_but_not_under_wrong_expansion(actx, monkeypatch):
+    """The second ideal generator maps to zero, and not vacuously: with each
+    projective summand expanded as 2[S] + [S_partner] in place of its
+    composition series 2[S] + 2[S_partner], it does not."""
+    assert upsilon(actx, second_ideal_generator(actx)).is_zero()
+
+    def wrong_expansion(ctx, k1, k2):
+        out = {}
+        for (kind, i, j), m in simple_simple_rule(ctx, *k1, *k2).items():
+            _add_into(out, (i, j), 2 * m if kind == "P" else m)
+            if kind == "P":
+                _add_into(out, partner_label(ctx, i, j), m)
+        return out
+
+    monkeypatch.setattr(k0ring, "basis_product", wrong_expansion)
+    ctx = AlgebraContext(4)  # fresh, so no memo outlives the fault
+    assert not upsilon(ctx, second_ideal_generator(ctx)).is_zero()
 
 
 def test_presentation_report(actx):
     rep = verify_presentation(actx)
     assert rep.passed, rep.counterexample
-    assert rep.instances == 20
+    assert rep.instances == 19
 
 
 def test_ring_axioms_report(actx):
@@ -172,7 +185,9 @@ def test_k0_table_shape(actx):
 
 def test_tensor_character_is_the_character_product(actx):
     """The fusion check reads [S (x) S'] from `char_product` instead of
-    building the module: the two agree on every pair at n = 4."""
+    building the module: the two agree on every pair at n = 4.  They also
+    agree on P (x) S and S (x) P products (dimensions 96 to 480), a premise
+    of the graded tilings that the tensor sweeps decide."""
     labels = all_labels(actx)
     chars = {k: relative_graded_character(simple(actx, *k)) for k in labels}
     for k1 in labels:
@@ -181,6 +196,11 @@ def test_tensor_character_is_the_character_product(actx):
             assert relative_graded_character(T) == char_product(
                 actx, chars[k1], chars[k2]
             ), (k1, k2)
+    for kp, ks in (((1, 0), (1, 0)), ((3, 1), (7, 0)), ((8, 1), (2, 1)), ((5, 0), (4, 1))):
+        P, S = projective(actx, *kp), simple(actx, *ks)
+        want = char_product(actx, relative_graded_character(P), chars[ks])
+        for T in (tensor(P, S), tensor(S, P)):
+            assert relative_graded_character(T) == want, T.label
 
 
 def test_k0_builds_no_module_and_runs_its_premise_first(actx):

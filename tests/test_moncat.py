@@ -20,7 +20,6 @@ from uqsl2.moncat import (
     projective_simple_rule,
     relative_graded_character,
     simple_simple_rule,
-    solve_height_offsets,
     summand_dim,
     summand_module,
     summand_name,
@@ -49,7 +48,7 @@ from uqsl2.reps import (
     verma,
 )
 
-from oracles import radical, sub_rep
+from oracles import graded_tilings, projective_tiling, radical, solve_height_offsets, sub_rep
 
 
 def test_tensor_bookkeeping(actx):
@@ -458,20 +457,21 @@ def test_height_offset_solver():
 
 
 def test_projective_graded_character_identity(actx):
-    for (i, j) in ((1, 0), (2, 0), (5, 1)):
-        P = projective(actx, i, j)
-        ip, jp = partner_label(actx, i, j)
-        own = relative_graded_character(simple(actx, i, j))
-        other = relative_graded_character(simple(actx, ip, jp))
-        want = {}
-        for (l, s, g), c in other.items():
-            for h in (0, actx.N):
-                cell = (l, s, g + h)
-                want[cell] = want.get(cell, 0) + c
-        for (l, s, g), c in own.items():
-            cell = (l, s, g + 2 * i - 1)
-            want[cell] = want.get(cell, 0) + 2 * c
-        assert relative_graded_character(P) == want
+    """Every P(2i,j) has the graded character of its partner simple at
+    heights 0 and n^2 plus two copies of its own simple at height 2i - 1:
+    all 16 labels at n = 4 and all 64 at n = 8."""
+    for ctx in (actx, AlgebraContext(8)):
+        for i, j in all_labels(ctx):
+            got = relative_graded_character(projective(ctx, i, j))
+            assert got == projective_tiling(ctx, i, j), (ctx.n, i, j)
+
+
+def test_graded_tiling_oracle_passes_every_instance(actx):
+    """The tiling search finds heights for all 528 instances at n = 4: the
+    16 projective characters, then 256 S (x) S and 256 P (x) S rules."""
+    results = list(graded_tilings(actx))
+    assert len(results) == 16 + 2 * 256
+    assert [name for name, holds in results if not holds] == []
 
 
 def test_summand_names(actx):

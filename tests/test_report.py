@@ -7,6 +7,8 @@ from uqsl2.qgroup import AlgebraContext
 from uqsl2.quasihopf import QuasiHopfData, TensorElement
 from uqsl2.report import verifier
 
+from oracles import graded_tilings
+
 
 def test_runner_counts_every_passing_item():
     @verifier(lambda n: f"{n} items hold")
@@ -134,8 +136,8 @@ def _flip_phi_exponent(original):
 def _extra_unit_class(original):
     """Products with S(4,0) on the right gain one trivial class."""
 
-    def expand(ctx, i1, j1, i2, j2, own, partner):
-        out = dict(original(ctx, i1, j1, i2, j2, own, partner))
+    def expand(ctx, i1, j1, i2, j2):
+        out = dict(original(ctx, i1, j1, i2, j2))
         if (i2, j2) == (2, 0):
             out[(ctx.half, 0)] = out.get((ctx.half, 0), 0) + 1
         return out
@@ -262,3 +264,14 @@ def test_injected_fault_is_reported(
     assert rep.statement == statement
     assert rep.instances == instances
     assert rep.counterexample == counterexample
+
+
+def test_graded_tiling_oracle_catches_a_flipped_parity(monkeypatch):
+    """The "ss-parity" fault fails the graded-tiling oracle at the instance
+    where the old tensor statement failed, 16 + 189 = 205, and nowhere
+    else."""
+    monkeypatch.setattr(moncat, "simple_simple_rule",
+                        _flip_one_parity(moncat.simple_simple_rule))
+    results = list(graded_tilings(AlgebraContext(4)))
+    assert [(k, name) for k, (name, holds) in enumerate(results, 1) if not holds] == [
+        (205, "S(12,1)(x)S(14,0)")]
